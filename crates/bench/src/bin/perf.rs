@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! perf [--quick] [--seed N] [--json PATH] [--compare PATH]
-//!      [--shards N] [--rings N] [--threads N] [--adaptive]
+//!      [--shards N] [--rings N] [--threads N] [--scale]
 //!      [--topology SHAPE[:RINGS]]...
 //!
 //! --quick        short simulated horizon and a single repetition
@@ -27,20 +27,6 @@
 //!                power-of-two shard counts up to --shards (default 4).
 //!                Repeatable; an optional :RINGS overrides --rings per
 //!                shape (e.g. --topology tree:1024 --topology fddi:32)
-//! --adaptive     run every sharded configuration under BOTH window
-//!                protocols — adaptive (the default) and the
-//!                fixed-lookahead ablation baseline — with cross-mode
-//!                ground-truth parity asserted before any timing, and
-//!                report per-mode protocol-efficiency counters
-//!                (windows, sync instants, mailbox rounds, idle-window
-//!                fraction)
-//! --optimistic   additionally run every sharded configuration under
-//!                the optimistic (Time-Warp-style) execution engine —
-//!                same parity rule as every other ablation — and
-//!                report its speculation counters (rollbacks, events
-//!                rolled back, snapshot bytes, GVT rounds) plus the
-//!                headline speculation_efficiency = committed events
-//!                per executed event
 //! --scale        run the city-scale capacity section: build a large
 //!                tree topology (10³ and 10⁴ rings; smaller with
 //!                --quick), recording build wall-time, peak build
@@ -52,32 +38,28 @@
 //!                is reported
 //! ```
 //!
-//! The binary runs test cases A and B to a fixed simulated horizon under
-//! both scheduler modes — [`SchedMode::Indexed`] (the indexed deadline
-//! heap with reusable routing buffers) and [`SchedMode::LazyBaseline`]
-//! (which reproduces the pre-change lazy-invalidation heap and its
-//! per-step/per-event allocation profile) — and reports events/sec plus
-//! the cross-mode speedup. Both modes must produce bit-identical ground
-//! truth: the run asserts that every edge-log digest and the serviced
-//! event count agree before any timing is reported, so the speedup can
-//! never come from simulating something different.
+//! The binary runs test cases A and B to a fixed simulated horizon on
+//! the indexed scheduler and reports events/sec, with every repetition
+//! asserted to reproduce the same edge-log digests and event count.
 //!
 //! With `--shards N` it additionally runs the scaled ring-chain scenario
-//! on the single-threaded indexed scheduler (the ground truth and the
-//! PR-4 baseline) and on the sharded conservative-parallel scheduler at
-//! each swept shard count. The same parity rule applies per
-//! configuration: edge-log digests and event counts must match the
-//! single-threaded run before the wall clock is reported.
+//! on the single-threaded scheduler (the ground truth and the baseline)
+//! and on the sharded conservative-parallel scheduler at each swept
+//! shard count, reporting each configuration's protocol-efficiency
+//! counters (windows, sync instants, mailbox rounds, idle-window
+//! fraction). Per configuration, edge-log digests and event counts must
+//! match the single-threaded run before the wall clock is reported, so
+//! a speedup can never come from simulating something different.
 //!
 //! When built with `--features alloc-count` the counting global
 //! allocator is installed and a steady-state window on the synthetic
-//! allocation-free ring (`ctms_sim::synth`) measures allocations/event
-//! for both modes; the indexed scheduler must come out at exactly zero.
+//! allocation-free ring (`ctms_sim::synth`) measures allocations/event,
+//! which must come out at exactly zero.
 
 use ctms_core::{RingChainTestbed, RingGraph, Scenario, ShardedChain, Testbed};
 use ctms_router::BridgeKind;
 use ctms_sim::telemetry::{json_f64, json_string};
-use ctms_sim::{ExecMode, SchedMode, SimTime, WindowMode};
+use ctms_sim::SimTime;
 use ctms_unixkern::MeasurePoint;
 
 #[cfg(feature = "alloc-count")]
@@ -103,7 +85,7 @@ const CHAIN_QUICK_HORIZON_SECS: u64 = 2;
 /// sharded scheduler is built for).
 const DEFAULT_CHAIN_RINGS: usize = 128;
 
-struct ModeRun {
+struct TimedRun {
     events: u64,
     wall_secs: f64,
     digests: [u64; 4],
@@ -111,16 +93,7 @@ struct ModeRun {
 
 struct CaseResult {
     name: &'static str,
-    indexed: ModeRun,
-    lazy: ModeRun,
-}
-
-impl CaseResult {
-    fn speedup(&self) -> f64 {
-        // Identical event counts (asserted), so the events/sec ratio
-        // reduces to the wall-clock ratio.
-        self.lazy.wall_secs / self.indexed.wall_secs
-    }
+    run: TimedRun,
 }
 
 fn main() {
@@ -132,16 +105,12 @@ fn main() {
     let mut shards: Option<usize> = None;
     let mut rings = DEFAULT_CHAIN_RINGS;
     let mut threads: Option<usize> = None;
-    let mut adaptive = false;
-    let mut optimistic = false;
     let mut scale = false;
     let mut topologies: Vec<(String, Option<usize>)> = Vec::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--quick" => quick = true,
-            "--adaptive" => adaptive = true,
-            "--optimistic" => optimistic = true,
             "--scale" => scale = true,
             "--seed" => {
                 seed = it
@@ -246,32 +215,13 @@ fn main() {
     ];
     let mut results = Vec::new();
     for (name, sc) in &cases {
-        let indexed = measure_case(sc, SchedMode::Indexed, horizon_secs, reps);
-        let lazy = measure_case(sc, SchedMode::LazyBaseline, horizon_secs, reps);
-        // Ground-truth parity: the optimized scheduler must service the
-        // exact same events in the exact same order as the baseline.
-        assert_eq!(
-            indexed.digests, lazy.digests,
-            "{name}: scheduler modes disagree on ground truth"
-        );
-        assert_eq!(
-            indexed.events, lazy.events,
-            "{name}: scheduler modes disagree on serviced event count"
-        );
-        let case = CaseResult {
-            name,
-            indexed,
-            lazy,
-        };
+        let run = measure_case(sc, horizon_secs, reps);
         eprintln!(
-            "# {name}: indexed {:.1}ms ({:.2}M ev/s)  lazy {:.1}ms ({:.2}M ev/s)  speedup {:.2}x",
-            case.indexed.wall_secs * 1e3,
-            case.indexed.events as f64 / case.indexed.wall_secs / 1e6,
-            case.lazy.wall_secs * 1e3,
-            case.lazy.events as f64 / case.lazy.wall_secs / 1e6,
-            case.speedup()
+            "# {name}: indexed {:.1}ms ({:.2}M ev/s)",
+            run.wall_secs * 1e3,
+            run.events as f64 / run.wall_secs / 1e6,
         );
-        results.push(case);
+        results.push(CaseResult { name, run });
     }
 
     let chain = shards.map(|max_shards| {
@@ -280,16 +230,7 @@ fn main() {
         } else {
             CHAIN_HORIZON_SECS
         };
-        measure_chain(
-            seed,
-            rings,
-            max_shards,
-            threads,
-            chain_horizon,
-            reps,
-            adaptive,
-            optimistic,
-        )
+        measure_chain(seed, rings, max_shards, threads, chain_horizon, reps)
     });
 
     let topo_horizon = if quick {
@@ -308,8 +249,6 @@ fn main() {
                 threads,
                 topo_horizon,
                 reps,
-                adaptive,
-                optimistic,
             )
         })
         .collect();
@@ -327,8 +266,8 @@ fn main() {
     let steady = steady_state_allocs();
     if let Some(s) = &steady {
         eprintln!(
-            "# steady-state synth ring: indexed {} allocs / {} events, baseline {} allocs / {} events",
-            s.indexed_allocs, s.events, s.lazy_allocs, s.events
+            "# steady-state synth ring: {} allocs / {} events",
+            s.allocs, s.events
         );
     }
 
@@ -357,10 +296,10 @@ fn main() {
     }
 }
 
-fn measure_case(sc: &Scenario, mode: SchedMode, horizon_secs: u64, reps: usize) -> ModeRun {
-    let mut best: Option<ModeRun> = None;
+fn measure_case(sc: &Scenario, horizon_secs: u64, reps: usize) -> TimedRun {
+    let mut best: Option<TimedRun> = None;
     for _ in 0..reps {
-        let mut bed = Testbed::ctms_with_mode(sc, mode);
+        let mut bed = Testbed::ctms(sc);
         let t0 = std::time::Instant::now();
         bed.run_until(SimTime::from_secs(horizon_secs));
         let wall_secs = t0.elapsed().as_secs_f64();
@@ -376,7 +315,7 @@ fn measure_case(sc: &Scenario, mode: SchedMode, horizon_secs: u64, reps: usize) 
             get(0, MeasurePoint::PreTransmit),
             get(1, MeasurePoint::CtmspIdentified),
         ];
-        let run = ModeRun {
+        let run = TimedRun {
             events,
             wall_secs,
             digests,
@@ -428,146 +367,84 @@ fn window_stats(bus: &ctms_core::ShardedBus, shards: usize) -> Option<WindowStat
     })
 }
 
-/// Speculation counters for one optimistic run, read from the exec
-/// registry. Deterministic like the window schedule (the coordinator's
-/// rounds are data-parallel with barriers, so rollback decisions do not
-/// depend on thread interleaving); asserted stable across repetitions.
-#[derive(Clone, Copy, PartialEq)]
-struct OptStats {
-    rollbacks: u64,
-    events_rolled_back: u64,
-    snapshot_bytes: u64,
-    gvt_rounds: u64,
-}
-
-impl OptStats {
-    /// Committed events per executed event: 1.0 means no speculative
-    /// work was wasted, lower means rollback replay dominated.
-    fn efficiency(&self, committed: u64) -> f64 {
-        let executed = committed + self.events_rolled_back;
-        if executed == 0 {
-            1.0
-        } else {
-            committed as f64 / executed as f64
-        }
-    }
-}
-
-fn opt_stats(bus: &ctms_core::ShardedBus) -> Option<OptStats> {
-    let reg = bus.exec_telemetry()?;
-    let count = |key: &str| reg.counter_value(key).unwrap_or(0);
-    Some(OptStats {
-        rollbacks: count("sched.rollbacks"),
-        events_rolled_back: count("sched.events_rolled_back"),
-        snapshot_bytes: count("sched.snapshot_bytes"),
-        gvt_rounds: count("sched.gvt_rounds"),
-    })
-}
-
 struct ChainSharded {
     shards: usize,
     threads: usize,
-    /// The default protocol (adaptive windows).
-    run: ModeRun,
+    run: TimedRun,
     window: Option<WindowStats>,
-    /// The fixed-lookahead ablation baseline, measured with `--adaptive`.
-    fixed: Option<(ModeRun, WindowStats)>,
-    /// The optimistic-engine ablation, measured with `--optimistic`.
-    optimistic: Option<(ModeRun, WindowStats, OptStats)>,
 }
 
 struct ChainResult {
     rings: usize,
     horizon_secs: u64,
-    single: ModeRun,
+    single: TimedRun,
     sharded: Vec<ChainSharded>,
 }
 
-/// Measures one sharded configuration under one window protocol:
-/// best-of-`reps` wall clock, with ground-truth parity against
-/// `single` asserted on every repetition before the timing is kept,
-/// and the (deterministic) protocol-efficiency counters asserted
-/// stable across repetitions.
+/// Measures one sharded configuration: best-of-`reps` wall clock, with
+/// ground-truth parity against `single` asserted on every repetition
+/// before the timing is kept, and the (deterministic)
+/// protocol-efficiency counters asserted stable across repetitions.
 #[allow(clippy::too_many_arguments)]
-fn measure_sharded_mode(
+fn measure_sharded(
     build: &dyn Fn() -> ShardedChain,
     digests_of: &dyn Fn(&ShardedChain) -> [u64; 4],
-    mode: WindowMode,
-    exec: ExecMode,
     k: usize,
     workers: usize,
     horizon: SimTime,
     reps: usize,
-    single: &ModeRun,
+    single: &TimedRun,
     label: &str,
-) -> (ModeRun, Option<WindowStats>, Option<OptStats>) {
-    let mut best: Option<ModeRun> = None;
+) -> (TimedRun, Option<WindowStats>) {
+    let mut best: Option<TimedRun> = None;
     let mut stats: Option<WindowStats> = None;
-    let mut spec: Option<OptStats> = None;
     for _ in 0..reps {
         let mut bed = build();
         assert_eq!(bed.shard_count(), k, "{label} must partition into {k}");
-        bed.bus_mut().set_window_mode(mode);
-        bed.bus_mut().set_exec_mode(exec);
         bed.set_threads(workers);
         let t0 = std::time::Instant::now();
         bed.run_until(horizon);
         let wall_secs = t0.elapsed().as_secs_f64();
-        let run = ModeRun {
+        let run = TimedRun {
             events: bed.events(),
             wall_secs,
             digests: digests_of(&bed),
         };
         // Ground-truth parity before timing is reported: the parallel
-        // run must have simulated the exact same world — under either
-        // window protocol.
+        // run must have simulated the exact same world.
         assert_eq!(
             run.digests, single.digests,
-            "{label} shards={k} ({mode:?}, {exec:?}): sharded scheduler changed ground truth"
+            "{label} shards={k}: sharded scheduler changed ground truth"
         );
         assert_eq!(
             run.events, single.events,
-            "{label} shards={k} ({mode:?}, {exec:?}): sharded scheduler changed event count"
+            "{label} shards={k}: sharded scheduler changed event count"
         );
         let s = window_stats(bed.bus(), k);
         if let (Some(prev), Some(now)) = (&stats, &s) {
             assert!(
                 prev == now,
-                "{label} shards={k} ({mode:?}, {exec:?}): window schedule varied across repetitions"
+                "{label} shards={k}: window schedule varied across repetitions"
             );
         }
         stats = s;
-        let o = (exec == ExecMode::Optimistic)
-            .then(|| opt_stats(bed.bus()))
-            .flatten();
-        if let (Some(prev), Some(now)) = (&spec, &o) {
-            assert!(
-                prev == now,
-                "{label} shards={k} ({mode:?}, {exec:?}): speculation schedule varied across repetitions"
-            );
-        }
-        spec = o;
         if best.as_ref().is_none_or(|b| run.wall_secs < b.wall_secs) {
             best = Some(run);
         }
     }
-    (best.expect("at least one repetition"), stats, spec)
+    (best.expect("at least one repetition"), stats)
 }
 
 /// One stderr progress line per measured sharded configuration,
 /// including the protocol-efficiency counters when available.
-#[allow(clippy::too_many_arguments)]
 fn report_sharded(
     label: &str,
     k: usize,
     workers: usize,
-    run: &ModeRun,
-    single: &ModeRun,
+    run: &TimedRun,
+    single: &TimedRun,
     window: Option<&WindowStats>,
-    spec: Option<&OptStats>,
-    tag: Option<&str>,
 ) {
-    let tag = tag.map(|t| format!(" [{t}]")).unwrap_or_default();
     let counters = window
         .map(|w| {
             format!(
@@ -579,17 +456,8 @@ fn report_sharded(
             )
         })
         .unwrap_or_default();
-    let speculation = spec
-        .map(|o| {
-            format!(
-                "  rollbacks {} eff {:.1}%",
-                o.rollbacks,
-                o.efficiency(run.events) * 100.0
-            )
-        })
-        .unwrap_or_default();
     eprintln!(
-        "# {label}: shards={k} threads={workers}{tag} {:.1}ms ({:.2}M ev/s)  speedup {:.2}x{counters}{speculation}",
+        "# {label}: shards={k} threads={workers} {:.1}ms ({:.2}M ev/s)  speedup {:.2}x{counters}",
         run.wall_secs * 1e3,
         run.events as f64 / run.wall_secs / 1e6,
         single.wall_secs / run.wall_secs
@@ -619,20 +487,18 @@ fn measure_chain(
     threads: Option<usize>,
     horizon_secs: u64,
     reps: usize,
-    adaptive: bool,
-    optimistic: bool,
 ) -> ChainResult {
     let sc = Scenario::scaled_chain(seed);
     let kind = BridgeKind::cut_through_bridge();
     let horizon = SimTime::from_secs(horizon_secs);
 
-    let mut single: Option<ModeRun> = None;
+    let mut single: Option<TimedRun> = None;
     for _ in 0..reps {
         let mut bed = RingChainTestbed::chain(&sc, kind, rings);
         let t0 = std::time::Instant::now();
         bed.run_until(horizon);
         let wall_secs = t0.elapsed().as_secs_f64();
-        let run = ModeRun {
+        let run = TimedRun {
             events: bed.bus().events(),
             wall_secs,
             digests: chain_digests(|host, point| {
@@ -673,11 +539,9 @@ fn measure_chain(
                     .unwrap_or(0)
             })
         };
-        let (run, window, _) = measure_sharded_mode(
+        let (run, window) = measure_sharded(
             &build,
             &digests_of,
-            WindowMode::Adaptive,
-            ExecMode::Conservative,
             k,
             workers,
             horizon,
@@ -685,76 +549,12 @@ fn measure_chain(
             &single,
             &label,
         );
-        report_sharded(
-            &label,
-            k,
-            workers,
-            &run,
-            &single,
-            window.as_ref(),
-            None,
-            None,
-        );
-        let fixed = adaptive.then(|| {
-            let (run, stats, _) = measure_sharded_mode(
-                &build,
-                &digests_of,
-                WindowMode::FixedLookahead,
-                ExecMode::Conservative,
-                k,
-                workers,
-                horizon,
-                reps,
-                &single,
-                &label,
-            );
-            let stats = stats.expect("sharded run must expose execution telemetry");
-            report_sharded(
-                &label,
-                k,
-                workers,
-                &run,
-                &single,
-                Some(&stats),
-                None,
-                Some("fixed"),
-            );
-            (run, stats)
-        });
-        let optimistic = optimistic.then(|| {
-            let (run, stats, spec) = measure_sharded_mode(
-                &build,
-                &digests_of,
-                WindowMode::Adaptive,
-                ExecMode::Optimistic,
-                k,
-                workers,
-                horizon,
-                reps,
-                &single,
-                &label,
-            );
-            let stats = stats.expect("sharded run must expose execution telemetry");
-            let spec = spec.expect("optimistic run must expose speculation counters");
-            report_sharded(
-                &label,
-                k,
-                workers,
-                &run,
-                &single,
-                Some(&stats),
-                Some(&spec),
-                Some("opt"),
-            );
-            (run, stats, spec)
-        });
+        report_sharded(&label, k, workers, &run, &single, window.as_ref());
         sharded.push(ChainSharded {
             shards: k,
             threads: workers,
             run,
             window,
-            fixed,
-            optimistic,
         });
         k *= 2;
     }
@@ -771,7 +571,7 @@ struct TopoResult {
     shape: String,
     rings: usize,
     horizon_secs: u64,
-    single: ModeRun,
+    single: TimedRun,
     sharded: Vec<ChainSharded>,
 }
 
@@ -790,8 +590,6 @@ fn measure_topology(
     threads: Option<usize>,
     horizon_secs: u64,
     reps: usize,
-    adaptive: bool,
-    optimistic: bool,
 ) -> TopoResult {
     let sc = Scenario::scaled_chain(seed);
     let kind = BridgeKind::cut_through_bridge();
@@ -807,13 +605,13 @@ fn measure_topology(
         ]
     };
 
-    let mut single: Option<ModeRun> = None;
+    let mut single: Option<TimedRun> = None;
     for _ in 0..reps {
         let mut bed = RingChainTestbed::graph(&sc, kind, &graph);
         let t0 = std::time::Instant::now();
         bed.run_until(horizon);
         let wall_secs = t0.elapsed().as_secs_f64();
-        let run = ModeRun {
+        let run = TimedRun {
             events: bed.bus().events(),
             wall_secs,
             digests: set_digests(&bed.measurement_set()),
@@ -841,11 +639,9 @@ fn measure_topology(
         let label = format!("{shape}/{rings}");
         let build = || RingChainTestbed::graph_sharded(&sc, kind, &graph, k);
         let digests_of = |bed: &ShardedChain| set_digests(&bed.measurement_set());
-        let (run, window, _) = measure_sharded_mode(
+        let (run, window) = measure_sharded(
             &build,
             &digests_of,
-            WindowMode::Adaptive,
-            ExecMode::Conservative,
             k,
             workers,
             horizon,
@@ -853,76 +649,12 @@ fn measure_topology(
             &single,
             &label,
         );
-        report_sharded(
-            &label,
-            k,
-            workers,
-            &run,
-            &single,
-            window.as_ref(),
-            None,
-            None,
-        );
-        let fixed = adaptive.then(|| {
-            let (run, stats, _) = measure_sharded_mode(
-                &build,
-                &digests_of,
-                WindowMode::FixedLookahead,
-                ExecMode::Conservative,
-                k,
-                workers,
-                horizon,
-                reps,
-                &single,
-                &label,
-            );
-            let stats = stats.expect("sharded run must expose execution telemetry");
-            report_sharded(
-                &label,
-                k,
-                workers,
-                &run,
-                &single,
-                Some(&stats),
-                None,
-                Some("fixed"),
-            );
-            (run, stats)
-        });
-        let optimistic = optimistic.then(|| {
-            let (run, stats, spec) = measure_sharded_mode(
-                &build,
-                &digests_of,
-                WindowMode::Adaptive,
-                ExecMode::Optimistic,
-                k,
-                workers,
-                horizon,
-                reps,
-                &single,
-                &label,
-            );
-            let stats = stats.expect("sharded run must expose execution telemetry");
-            let spec = spec.expect("optimistic run must expose speculation counters");
-            report_sharded(
-                &label,
-                k,
-                workers,
-                &run,
-                &single,
-                Some(&stats),
-                Some(&spec),
-                Some("opt"),
-            );
-            (run, stats, spec)
-        });
+        report_sharded(&label, k, workers, &run, &single, window.as_ref());
         sharded.push(ChainSharded {
             shards: k,
             threads: workers,
             run,
             window,
-            fixed,
-            optimistic,
         });
         k *= 2;
     }
@@ -947,7 +679,7 @@ struct ScaleEntry {
     /// `--features alloc-count`; `None` otherwise.
     build_peak_bytes: Option<u64>,
     horizon_ms: u64,
-    run: ModeRun,
+    run: TimedRun,
     ckpt_bytes: u64,
     ckpt_chunks: u64,
     write_secs: f64,
@@ -1042,7 +774,7 @@ fn measure_scale_entry(seed: u64, rings: usize, quick: bool, reps: usize) -> Sca
     // events/sec number of the row.
     let t0 = std::time::Instant::now();
     bed.run_until(horizon);
-    let run = ModeRun {
+    let run = TimedRun {
         events: bed.bus().events(),
         wall_secs: t0.elapsed().as_secs_f64(),
         digests: set_digests(&bed.measurement_set()),
@@ -1165,30 +897,22 @@ fn measure_scale_entry(seed: u64, rings: usize, quick: bool, reps: usize) -> Sca
 
 struct SteadyState {
     events: u64,
-    indexed_allocs: u64,
-    lazy_allocs: u64,
+    allocs: u64,
 }
 
 /// Measures allocations/event over a steady-state window on the
-/// synthetic allocation-free ring, per scheduler mode. Only meaningful
-/// with the counting allocator installed; returns `None` otherwise.
+/// synthetic allocation-free ring. Only meaningful with the counting
+/// allocator installed; returns `None` otherwise.
 #[cfg(feature = "alloc-count")]
 fn steady_state_allocs() -> Option<SteadyState> {
-    let window = |mode: SchedMode| -> (u64, u64) {
-        let mut h = ctms_sim::synth::build_ring_with_mode(16, 1_000, 4, mode);
-        h.run_until(SimTime::from_ns(2_000_000)); // warm-up: buffers reach capacity
-        let events0 = h.events();
-        let allocs0 = ALLOC.allocations();
-        h.run_until(SimTime::from_ns(10_000_000));
-        (h.events() - events0, ALLOC.allocations() - allocs0)
-    };
-    let (events, indexed_allocs) = window(SchedMode::Indexed);
-    let (lazy_events, lazy_allocs) = window(SchedMode::LazyBaseline);
-    assert_eq!(events, lazy_events, "synth ring modes disagree on events");
+    let mut h = ctms_sim::synth::build_ring(16, 1_000, 4);
+    h.run_until(SimTime::from_ns(2_000_000)); // warm-up: buffers reach capacity
+    let events0 = h.events();
+    let allocs0 = ALLOC.allocations();
+    h.run_until(SimTime::from_ns(10_000_000));
     Some(SteadyState {
-        events,
-        indexed_allocs,
-        lazy_allocs,
+        events: h.events() - events0,
+        allocs: ALLOC.allocations() - allocs0,
     })
 }
 
@@ -1197,7 +921,7 @@ fn steady_state_allocs() -> Option<SteadyState> {
     None
 }
 
-fn mode_json(m: &ModeRun) -> String {
+fn run_json(m: &TimedRun) -> String {
     format!(
         "{{ \"events\": {}, \"wall_secs\": {}, \"events_per_sec\": {} }}",
         m.events,
@@ -1218,14 +942,10 @@ fn window_json(w: &WindowStats) -> String {
 }
 
 /// Emits one sharded configuration entry. `indent` is the indentation
-/// of the entry's opening brace. The `window` counters describe the
-/// adaptive (default) run; `fixed_lookahead` is present only for
-/// `--adaptive` reports and carries the ablation baseline plus the
-/// headline `sync_instant_reduction` = fixed sync instants per adaptive
-/// sync instant.
+/// of the entry's opening brace.
 fn sharded_json(
     s: &ChainSharded,
-    single: &ModeRun,
+    single: &TimedRun,
     threads_requested: Option<usize>,
     indent: &str,
 ) -> String {
@@ -1240,7 +960,7 @@ fn sharded_json(
         Some(n) => out.push_str(&format!("{indent}  \"threads_requested\": {n},\n")),
         None => out.push_str(&format!("{indent}  \"threads_requested\": null,\n")),
     }
-    out.push_str(&format!("{indent}  \"run\": {},\n", mode_json(&s.run)));
+    out.push_str(&format!("{indent}  \"run\": {},\n", run_json(&s.run)));
     out.push_str(&format!(
         "{indent}  \"speedup\": {},\n",
         json_f64(single.wall_secs / s.run.wall_secs)
@@ -1248,46 +968,6 @@ fn sharded_json(
     match &s.window {
         Some(w) => out.push_str(&format!("{indent}  \"window\": {},\n", window_json(w))),
         None => out.push_str(&format!("{indent}  \"window\": null,\n")),
-    }
-    match &s.fixed {
-        Some((run, w)) => {
-            out.push_str(&format!("{indent}  \"fixed_lookahead\": {{\n"));
-            out.push_str(&format!("{indent}    \"run\": {},\n", mode_json(run)));
-            out.push_str(&format!(
-                "{indent}    \"speedup\": {},\n",
-                json_f64(single.wall_secs / run.wall_secs)
-            ));
-            out.push_str(&format!("{indent}    \"window\": {},\n", window_json(w)));
-            let adaptive_sync = s.window.as_ref().map_or(1, |a| a.sync_instants.max(1));
-            out.push_str(&format!(
-                "{indent}    \"sync_instant_reduction\": {}\n",
-                json_f64(w.sync_instants as f64 / adaptive_sync as f64)
-            ));
-            out.push_str(&format!("{indent}  }},\n"));
-        }
-        None => out.push_str(&format!("{indent}  \"fixed_lookahead\": null,\n")),
-    }
-    match &s.optimistic {
-        Some((run, w, o)) => {
-            out.push_str(&format!("{indent}  \"optimistic\": {{\n"));
-            out.push_str(&format!("{indent}    \"run\": {},\n", mode_json(run)));
-            out.push_str(&format!(
-                "{indent}    \"speedup\": {},\n",
-                json_f64(single.wall_secs / run.wall_secs)
-            ));
-            out.push_str(&format!("{indent}    \"window\": {},\n", window_json(w)));
-            out.push_str(&format!(
-                "{indent}    \"speculation\": {{ \"rollbacks\": {}, \"events_rolled_back\": {}, \
-                 \"snapshot_bytes\": {}, \"gvt_rounds\": {}, \"speculation_efficiency\": {} }}\n",
-                o.rollbacks,
-                o.events_rolled_back,
-                o.snapshot_bytes,
-                o.gvt_rounds,
-                json_f64(o.efficiency(run.events))
-            ));
-            out.push_str(&format!("{indent}  }},\n"));
-        }
-        None => out.push_str(&format!("{indent}  \"optimistic\": null,\n")),
     }
     out.push_str(&format!("{indent}  \"ground_truth_parity\": true\n"));
     out.push_str(&format!("{indent}}}"));
@@ -1312,7 +992,7 @@ fn scale_json(entries: &[ScaleEntry]) -> String {
             None => out.push_str("        \"build_peak_bytes\": null,\n"),
         }
         out.push_str(&format!("        \"horizon_ms\": {},\n", e.horizon_ms));
-        out.push_str(&format!("        \"run\": {},\n", mode_json(&e.run)));
+        out.push_str(&format!("        \"run\": {},\n", run_json(&e.run)));
         let mb = e.ckpt_bytes as f64 / 1e6;
         out.push_str(&format!(
             "        \"checkpoint\": {{ \"bytes\": {}, \"chunks\": {}, \"write_secs\": {}, \
@@ -1355,7 +1035,7 @@ fn report_json(
 ) -> String {
     let mut out = String::new();
     out.push_str("{\n");
-    out.push_str("  \"format\": \"ctms-perf/6\",\n");
+    out.push_str("  \"format\": \"ctms-perf/7\",\n");
     out.push_str(&format!("  \"seed\": {seed},\n"));
     out.push_str(&format!("  \"quick\": {quick},\n"));
     out.push_str(&format!("  \"horizon_secs\": {horizon_secs},\n"));
@@ -1373,23 +1053,9 @@ fn report_json(
     out.push_str(&format!("  \"degraded_parallelism\": {},\n", cores == 1));
     out.push_str("  \"cases\": [\n");
     for (i, case) in results.iter().enumerate() {
-        let mode = |m: &ModeRun| {
-            format!(
-                "{{ \"events\": {}, \"wall_secs\": {}, \"events_per_sec\": {} }}",
-                m.events,
-                json_f64(m.wall_secs),
-                json_f64(m.events as f64 / m.wall_secs)
-            )
-        };
         out.push_str("    {\n");
         out.push_str(&format!("      \"name\": {},\n", json_string(case.name)));
-        out.push_str(&format!("      \"indexed\": {},\n", mode(&case.indexed)));
-        out.push_str(&format!("      \"lazy_baseline\": {},\n", mode(&case.lazy)));
-        out.push_str(&format!(
-            "      \"speedup\": {},\n",
-            json_f64(case.speedup())
-        ));
-        out.push_str("      \"ground_truth_parity\": true\n");
+        out.push_str(&format!("      \"indexed\": {}\n", run_json(&case.run)));
         out.push_str(if i + 1 == results.len() {
             "    }\n"
         } else {
@@ -1402,7 +1068,7 @@ fn report_json(
             out.push_str("  \"chain\": {\n");
             out.push_str(&format!("    \"rings\": {},\n", c.rings));
             out.push_str(&format!("    \"horizon_secs\": {},\n", c.horizon_secs));
-            out.push_str(&format!("    \"single\": {},\n", mode_json(&c.single)));
+            out.push_str(&format!("    \"single\": {},\n", run_json(&c.single)));
             out.push_str("    \"sharded\": [\n");
             for (i, s) in c.sharded.iter().enumerate() {
                 out.push_str(&sharded_json(s, &c.single, threads_requested, "      "));
@@ -1426,7 +1092,7 @@ fn report_json(
             out.push_str(&format!("      \"shape\": {},\n", json_string(&t.shape)));
             out.push_str(&format!("      \"rings\": {},\n", t.rings));
             out.push_str(&format!("      \"horizon_secs\": {},\n", t.horizon_secs));
-            out.push_str(&format!("      \"single\": {},\n", mode_json(&t.single)));
+            out.push_str(&format!("      \"single\": {},\n", run_json(&t.single)));
             out.push_str("      \"sharded\": [\n");
             for (j, s) in t.sharded.iter().enumerate() {
                 out.push_str(&sharded_json(s, &t.single, threads_requested, "        "));
@@ -1456,14 +1122,9 @@ fn report_json(
             out.push_str("    \"workload\": \"synth-ring/16\",\n");
             out.push_str(&format!("    \"events\": {},\n", s.events));
             out.push_str(&format!(
-                "    \"indexed\": {{ \"allocations\": {}, \"allocs_per_event\": {} }},\n",
-                s.indexed_allocs,
-                json_f64(s.indexed_allocs as f64 / s.events as f64)
-            ));
-            out.push_str(&format!(
-                "    \"lazy_baseline\": {{ \"allocations\": {}, \"allocs_per_event\": {} }}\n",
-                s.lazy_allocs,
-                json_f64(s.lazy_allocs as f64 / s.events as f64)
+                "    \"indexed\": {{ \"allocations\": {}, \"allocs_per_event\": {} }}\n",
+                s.allocs,
+                json_f64(s.allocs as f64 / s.events as f64)
             ));
             out.push_str("  }\n");
         }
@@ -1475,8 +1136,8 @@ fn report_json(
 
 /// Report-only comparison against a previously written report. Wall
 /// clocks differ across machines, so this never fails the run — it
-/// surfaces the recorded vs current speedups for a human (or a CI log
-/// reader) to eyeball.
+/// surfaces the recorded vs current case throughput and sharded
+/// speedups for a human (or a CI log reader) to eyeball.
 fn compare_report(
     path: &str,
     results: &[CaseResult],
@@ -1491,22 +1152,25 @@ fn compare_report(
         }
     };
     for case in results {
-        let rec = extract_speedup_after(&recorded, &format!("\"name\": \"{}\"", case.name));
-        match rec {
+        // The first rate after a case's name is its indexed run in every
+        // report format.
+        let anchor = format!("\"name\": \"{}\"", case.name);
+        let now = case.run.events as f64 / case.run.wall_secs / 1e6;
+        match number_after(&recorded, &anchor, "events_per_sec") {
             Some(r) => eprintln!(
-                "# compare {}: recorded speedup {r:.2}x, this run {:.2}x",
+                "# compare {}: recorded {:.2}M ev/s, this run {now:.2}M ev/s",
                 case.name,
-                case.speedup()
+                r / 1e6
             ),
             None => eprintln!(
-                "# compare {}: no recorded speedup found in {path}",
+                "# compare {}: no recorded events_per_sec found in {path}",
                 case.name
             ),
         }
     }
     if let Some(c) = chain {
         for s in &c.sharded {
-            let rec = extract_speedup_after(&recorded, &format!("\"shards\": {}", s.shards));
+            let rec = number_after(&recorded, &format!("\"shards\": {}", s.shards), "speedup");
             let now = c.single.wall_secs / s.run.wall_secs;
             match rec {
                 Some(r) => eprintln!(
@@ -1525,7 +1189,11 @@ fn compare_report(
             // Anchor on the shape name, then the shard entry after it.
             let anchor = format!("\"shape\": \"{}\"", t.shape);
             let rec = recorded.find(&anchor).and_then(|at| {
-                extract_speedup_after(&recorded[at..], &format!("\"shards\": {}", s.shards))
+                number_after(
+                    &recorded[at..],
+                    &format!("\"shards\": {}", s.shards),
+                    "speedup",
+                )
             });
             let now = t.single.wall_secs / s.run.wall_secs;
             match rec {
@@ -1542,15 +1210,15 @@ fn compare_report(
     }
 }
 
-/// Pulls the `"speedup": <number>` that follows `anchor` out of a
-/// report without a JSON parser: find the anchor line (a case's
-/// `"name"` or a chain entry's `"shards"` key), then the next
-/// `"speedup"` key after it.
-fn extract_speedup_after(report: &str, anchor: &str) -> Option<f64> {
+/// Pulls the `"<key>": <number>` that follows `anchor` out of a report
+/// without a JSON parser: find the anchor line (a case's `"name"` or a
+/// chain entry's `"shards"` key), then the next `key` after it.
+fn number_after(report: &str, anchor: &str, key: &str) -> Option<f64> {
     let at = report.find(anchor)?;
     let rest = &report[at..];
-    let sp = rest.find("\"speedup\":")?;
-    let tail = rest[sp + "\"speedup\":".len()..].trim_start();
+    let key = format!("\"{key}\":");
+    let sp = rest.find(&key)?;
+    let tail = rest[sp + key.len()..].trim_start();
     let end = tail
         .find(|c: char| {
             !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == 'E' || c == '+')
@@ -1564,4 +1232,4 @@ fn die(msg: &str) -> ! {
     std::process::exit(2);
 }
 
-const HELP: &str = "usage: perf [--quick] [--seed N] [--json PATH] [--compare PATH] [--shards N] [--rings N] [--threads N] [--adaptive] [--optimistic] [--scale] [--topology SHAPE[:RINGS]]...";
+const HELP: &str = "usage: perf [--quick] [--seed N] [--json PATH] [--compare PATH] [--shards N] [--rings N] [--threads N] [--scale] [--topology SHAPE[:RINGS]]...";

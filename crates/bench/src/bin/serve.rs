@@ -9,22 +9,22 @@
 //!
 //! ## Session
 //!
-//! The first line selects the scenario and execution mode:
+//! The first line selects the scenario:
 //!
 //! ```text
 //! {"scenario": "case_a" | "case_b" | "chain", "seed": 42,
-//!  "rings": 16, "shards": 4, "exec": "optimistic",
-//!  "cascade_limit": 64}
+//!  "rings": 16, "shards": 4, "cascade_limit": 64}
 //! ```
 //!
 //! `seed` defaults to 42; `rings` (chain only) to 16; `shards` to 1
 //! (single-threaded). Single-ring scenarios always fall back to the
 //! single-threaded harness regardless of `shards`, mirroring
-//! `Topology::build_sharded`. `exec` selects the sharded execution
-//! protocol (`"conservative"`, the default, or `"optimistic"` for
-//! Time-Warp-style speculation); replies are byte-identical either
-//! way. `cascade_limit` overrides the same-instant cascade bound —
-//! mostly useful for deliberately tripping the typed error path.
+//! `Topology::build_sharded`. `cascade_limit` overrides the
+//! same-instant cascade bound — mostly useful for deliberately
+//! tripping the typed error path. Every number must be a non-negative
+//! integer; an unknown key or a value of the wrong type rejects the
+//! line with a `bad session line` error rather than falling back to a
+//! default.
 //!
 //! ## Commands
 //!
@@ -68,9 +68,8 @@
 //! Every reply carries `"ok"`; failures are reported as
 //! `{"ok":false,"error":"..."}` and the session keeps serving.
 //! Scheduling failures carry a machine-readable tag alongside the
-//! prose: `{"ok":false,"kind":"overflow"|"cross_shard"|"speculation",
-//! "at_ns":N,"error":"..."}` — one kind per `CascadeError` variant.
-//! The
+//! prose: `{"ok":false,"kind":"overflow"|"cross_shard","at_ns":N,
+//! "error":"..."}` — one kind per `CascadeError` variant. The
 //! simulation is deterministic throughout: the same command script
 //! against the same session line produces byte-identical stdout.
 
@@ -411,12 +410,33 @@ struct Spec {
     seed: u64,
     rings: usize,
     shards: usize,
-    optimistic: bool,
     cascade_limit: Option<u32>,
 }
 
+/// Every key a session line may carry.
+const SESSION_KEYS: [&str; 5] = ["scenario", "seed", "rings", "shards", "cascade_limit"];
+
 impl Spec {
     fn parse(v: &Json) -> Result<Spec, String> {
+        let Json::Obj(entries) = v else {
+            return Err("session line must be a JSON object".to_string());
+        };
+        if let Some((key, _)) = entries
+            .iter()
+            .find(|(k, _)| !SESSION_KEYS.contains(&k.as_str()))
+        {
+            return Err(format!("unknown key \"{key}\""));
+        }
+        // A present key must hold a non-negative integer; only an absent
+        // one falls back to its default.
+        let num = |key: &str| {
+            v.get(key)
+                .map(|n| {
+                    n.as_u64()
+                        .ok_or_else(|| format!("\"{key}\" must be a non-negative integer"))
+                })
+                .transpose()
+        };
         let kind = match v
             .get("scenario")
             .and_then(Json::as_str)
@@ -427,25 +447,16 @@ impl Spec {
             "chain" => ScenarioKind::Chain,
             other => return Err(format!("unknown scenario \"{other}\"")),
         };
-        let rings = v.get("rings").and_then(Json::as_u64).unwrap_or(16) as usize;
+        let rings = num("rings")?.unwrap_or(16) as usize;
         if matches!(kind, ScenarioKind::Chain) && rings < 2 {
             return Err("chain needs rings >= 2".to_string());
         }
-        let optimistic = match v.get("exec").and_then(Json::as_str) {
-            None | Some("conservative") => false,
-            Some("optimistic") => true,
-            Some(other) => return Err(format!("unknown exec mode \"{other}\"")),
-        };
         Ok(Spec {
             kind,
-            seed: v.get("seed").and_then(Json::as_u64).unwrap_or(42),
+            seed: num("seed")?.unwrap_or(42),
             rings,
-            shards: v.get("shards").and_then(Json::as_u64).unwrap_or(1) as usize,
-            optimistic,
-            cascade_limit: v
-                .get("cascade_limit")
-                .and_then(Json::as_u64)
-                .map(|n| n.max(1) as u32),
+            shards: num("shards")?.unwrap_or(1) as usize,
+            cascade_limit: num("cascade_limit")?.map(|n| n.max(1) as u32),
         })
     }
 
@@ -463,7 +474,7 @@ impl Spec {
 
     fn build(&self) -> ShardedBus {
         let sc = self.scenario();
-        let mut bus = match self.kind {
+        match self.kind {
             ScenarioKind::CaseA | ScenarioKind::CaseB => {
                 if self.shards > 1 {
                     Testbed::ctms_sharded(&sc, self.shards).0
@@ -479,11 +490,7 @@ impl Spec {
                     ShardedBus::Single(RingChainTestbed::chain(&sc, kind, self.rings).into_bus())
                 }
             }
-        };
-        if self.optimistic {
-            bus.set_exec_mode(ctms_sim::ExecMode::Optimistic);
         }
-        bus
     }
 
     /// The single-threaded rebuild fork branches run on (checkpoints
@@ -552,15 +559,14 @@ fn emit_err(out: &mut impl Write, msg: &str) {
 }
 
 /// A scheduling failure as a machine-readable error line: `kind` names
-/// the typed [`CascadeError`] variant (a same-instant cascade overflow,
-/// a cross-shard lookahead violation, or an optimistic speculation
-/// fault) so drivers can branch without parsing prose, and the session
-/// keeps serving — the failure poisons the simulation, not the process.
+/// the typed [`CascadeError`] variant (a same-instant cascade overflow
+/// or a cross-shard lookahead violation) so drivers can branch without
+/// parsing prose, and the session keeps serving — the failure poisons
+/// the simulation, not the process.
 fn emit_cascade_err(out: &mut impl Write, e: &ctms_sim::CascadeError) {
     let kind = match e {
         ctms_sim::CascadeError::Overflow { .. } => "overflow",
         ctms_sim::CascadeError::CrossShard { .. } => "cross_shard",
-        ctms_sim::CascadeError::Speculation { .. } => "speculation",
     };
     emit(
         out,
@@ -870,7 +876,7 @@ fn main() {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ctms_sim::{CascadeError, NodeId, SpeculationFault};
+    use ctms_sim::{CascadeError, NodeId};
 
     fn line(e: &CascadeError) -> String {
         let mut buf = Vec::new();
@@ -904,38 +910,52 @@ mod tests {
             "{got}"
         );
         assert!(got.contains("protocol violation"), "{got}");
-
-        let spec = CascadeError::Speculation {
-            at: SimTime::from_ns(3_000),
-            shard: 2,
-            kind: SpeculationFault::RollbackPastOldestSnapshot,
-        };
-        let got = line(&spec);
-        assert!(
-            got.starts_with("{\"ok\":false,\"kind\":\"speculation\",\"at_ns\":3000,"),
-            "{got}"
-        );
-        assert!(got.contains("oldest retained snapshot"), "{got}");
     }
 
-    /// The session line accepts `exec` / `cascade_limit`; unknown exec
-    /// modes are rejected up front instead of silently running the
-    /// conservative protocol.
+    fn spec(line: &str) -> Result<Spec, String> {
+        Spec::parse(&parse_json(line).expect("test lines are valid JSON"))
+    }
+
+    /// The session line is validated, not best-effort: a known key with
+    /// a value of the wrong type, or a key the runtime does not know
+    /// (including the retired `exec`), is a `bad session line` instead
+    /// of a silent fallback to the default.
     #[test]
-    fn spec_parses_exec_and_cascade_limit() {
-        let v = parse_json("{\"scenario\":\"chain\",\"exec\":\"optimistic\",\"cascade_limit\":3}")
-            .unwrap();
-        let spec = Spec::parse(&v).unwrap();
-        assert!(spec.optimistic);
-        assert_eq!(spec.cascade_limit, Some(3));
-        assert_eq!(spec.scenario().cascade_limit, 3);
+    fn session_line_rejects_unknown_keys_and_mistyped_values() {
+        // The exact line the benchmark's serve client sends.
+        let ok = spec(r#"{"scenario":"chain","rings":16,"shards":2,"seed":7}"#).unwrap();
+        assert!(matches!(ok.kind, ScenarioKind::Chain));
+        assert_eq!((ok.rings, ok.shards, ok.seed), (16, 2, 7));
+        assert_eq!(ok.cascade_limit, None);
 
-        let v = parse_json("{\"scenario\":\"chain\"}").unwrap();
-        let spec = Spec::parse(&v).unwrap();
-        assert!(!spec.optimistic);
-        assert_eq!(spec.cascade_limit, None);
+        let ok = spec(r#"{"scenario":"case_a","cascade_limit":3}"#).unwrap();
+        assert_eq!(ok.cascade_limit, Some(3));
+        assert_eq!(ok.scenario().cascade_limit, 3);
+        assert_eq!((ok.rings, ok.shards, ok.seed), (16, 1, 42));
 
-        let v = parse_json("{\"scenario\":\"chain\",\"exec\":\"mystery\"}").unwrap();
-        assert!(Spec::parse(&v).is_err());
+        for (bad, why) in [
+            (
+                r#"{"scenario":"chain","exec":"optimistic"}"#,
+                r#"unknown key "exec""#,
+            ),
+            (
+                r#"{"scenario":"chain","shard":2}"#,
+                r#"unknown key "shard""#,
+            ),
+            (r#"{"scenario":"chain","seed":"42"}"#, r#""seed" must be"#),
+            (r#"{"scenario":"chain","shards":-1}"#, r#""shards" must be"#),
+            (r#"{"scenario":"chain","rings":2.5}"#, r#""rings" must be"#),
+            (
+                r#"{"scenario":"chain","cascade_limit":null}"#,
+                r#""cascade_limit" must"#,
+            ),
+            (r#"{"scenario":7}"#, r#"session needs "scenario""#),
+            (r#"["chain"]"#, "must be a JSON object"),
+        ] {
+            let err = spec(bad)
+                .err()
+                .unwrap_or_else(|| panic!("{bad} was accepted"));
+            assert!(err.contains(why), "{bad}: {err}");
+        }
     }
 }

@@ -5,9 +5,9 @@
 //! * the **`repro` binary** regenerates every table and figure of the
 //!   paper (experiments E1–E11 of DESIGN.md) and prints paper-vs-measured
 //!   claim tables plus ASCII renderings of Figures 5-2/5-3/5-4;
-//! * the **`perf` binary** measures scheduler throughput (indexed vs
-//!   lazy baseline, single vs sharded chains, and `--topology`
-//!   tree/mesh/fddi graph shapes) with ground-truth parity asserted
+//! * the **`perf` binary** measures scheduler throughput (cases A/B,
+//!   single vs sharded chains, and `--topology` tree/mesh/fddi graph
+//!   shapes) with ground-truth parity asserted
 //!   before any timing, writing the checked-in `BENCH_PR*.json`
 //!   trajectory reports;
 //! * the **`serve` binary** is the line-oriented JSON service runtime

@@ -9,16 +9,16 @@
 //! counts, measurements, telemetry JSON) are bit-identical to the
 //! single-threaded bus; only the wall clock changes.
 //!
-//! Topologies that cannot be sharded soundly (single ring, purge
-//! subscriptions, phantom broadcast traffic, non-default scheduler
-//! mode) transparently fall back to the [`ShardedBus::Single`] variant,
-//! which wraps a plain [`Bus`] — callers see one type either way.
+//! Topologies that cannot be sharded soundly or usefully (single ring,
+//! purge subscriptions, phantom broadcast traffic) transparently fall
+//! back to the [`ShardedBus::Single`] variant, which wraps a plain
+//! [`Bus`] — callers see one type either way.
 
 use crate::topology::{
     decode_router_state, persist_router_parts, Bus, CtmsRouter, Measurements, Node, RouterCkpt,
 };
 use ctms_router::Bridge;
-use ctms_sim::{CascadeError, NodeId, Registry, ShardStats, ShardedHarness, SimTime, WindowMode};
+use ctms_sim::{CascadeError, NodeId, Registry, ShardStats, ShardedHarness, SimTime};
 use ctms_tokenring::TokenRing;
 use ctms_unixkern::{Host, MeasurePoint};
 
@@ -72,36 +72,6 @@ impl ShardedBus {
     pub fn set_threads(&mut self, threads: usize) {
         if let ShardedBus::Parallel(p) = self {
             p.h.set_threads(threads);
-        }
-    }
-
-    /// Selects the synchronization protocol (adaptive windows by
-    /// default; the fixed-lookahead baseline for ablation). No-op on
-    /// the single-threaded fallback, which has no windows at all.
-    pub fn set_window_mode(&mut self, mode: WindowMode) {
-        if let ShardedBus::Parallel(p) = self {
-            p.h.set_window_mode(mode);
-        }
-    }
-
-    /// Selects the execution discipline: conservative (default) or the
-    /// optimistic Time-Warp-style engine, which speculates past the
-    /// conservative bounds and rolls back on cross-shard stragglers.
-    /// Results are bit-identical either way — only wall clock and the
-    /// `sched.*` exec counters differ. No-op on the single-threaded
-    /// fallback, which has nothing to speculate against.
-    pub fn set_exec_mode(&mut self, exec: ctms_sim::ExecMode) {
-        if let ShardedBus::Parallel(p) = self {
-            p.h.set_exec_mode(exec);
-        }
-    }
-
-    /// Events a shard executes between incremental snapshots in
-    /// optimistic mode (trade rollback replay distance against
-    /// snapshot overhead). No-op on the fallback.
-    pub fn set_snapshot_cadence(&mut self, cadence: u64) {
-        if let ShardedBus::Parallel(p) = self {
-            p.h.set_snapshot_cadence(cadence);
         }
     }
 
@@ -288,13 +258,8 @@ impl ShardedBus {
 
     /// Appends all dynamic state to `enc` in the shard-agnostic
     /// checkpoint format shared with [`Bus`]. Must be called at a
-    /// sync-instant boundary (after `try_run_until` returned). In
-    /// optimistic mode this is automatically a drained-to-GVT boundary:
-    /// `run_until` never returns with speculation in flight — every
-    /// round promotes the committed frontier and the final round
-    /// commits or rolls back all speculative segments — so steering and
-    /// checkpointing between runs see only committed state (the
-    /// harness debug-asserts this).
+    /// sync-instant boundary (after `try_run_until` returned, when no
+    /// mail is in flight — the harness debug-asserts this).
     pub(crate) fn persist_state(&self, enc: &mut ctms_sim::Enc) {
         match self {
             ShardedBus::Single(b) => b.persist_state(enc),

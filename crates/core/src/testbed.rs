@@ -18,7 +18,7 @@ use ctms_devices::{
 };
 use ctms_measure::{MeasurementSet, Tap};
 use ctms_rtpc::{Machine, MachineConfig, MemRegion};
-use ctms_sim::{CascadeError, Dur, EdgeLog, Pcg32, SchedMode, SimTime};
+use ctms_sim::{CascadeError, Dur, EdgeLog, Pcg32, SimTime};
 use ctms_tokenring::{RingCmd, StationId, TokenRing};
 use ctms_unixkern::{
     DriverId, DropSite, Host, KernConfig, Kernel, MeasurePoint, Pid, Port, Program, Sock,
@@ -78,15 +78,7 @@ impl Testbed {
     /// Stations: 0 = transmitter, 1 = receiver, 2 = control machine,
     /// 3 = file server, 4.. = phantom campus stations (public network).
     pub fn ctms(sc: &Scenario) -> Testbed {
-        Self::ctms_with_mode(sc, SchedMode::Indexed)
-    }
-
-    /// Like [`Testbed::ctms`], selecting the harness scheduler
-    /// implementation. Exists for the `ctms-bench` perf harness, which
-    /// compares the production indexed scheduler against the
-    /// [`SchedMode::LazyBaseline`] emulation on identical topologies.
-    pub fn ctms_with_mode(sc: &Scenario, mode: SchedMode) -> Testbed {
-        let (topo, roles) = Self::ctms_topology(sc, mode);
+        let (topo, roles) = Self::ctms_topology(sc);
         Testbed {
             bus: topo.build(),
             roles,
@@ -100,13 +92,13 @@ impl Testbed {
     /// point is that the fallback is transparent and bit-identical,
     /// which the shard-parity tests pin.
     pub fn ctms_sharded(sc: &Scenario, shards: usize) -> (ShardedBus, Roles) {
-        let (topo, roles) = Self::ctms_topology(sc, SchedMode::Indexed);
+        let (topo, roles) = Self::ctms_topology(sc);
         (topo.build_sharded(shards), roles)
     }
 
     /// The §5 testbed as a [`Topology`] description plus its driver-id
     /// bookkeeping — shared by the single-threaded and sharded builders.
-    fn ctms_topology(sc: &Scenario, mode: SchedMode) -> (Topology, Roles) {
+    fn ctms_topology(sc: &Scenario) -> (Topology, Roles) {
         let root = Pcg32::new(sc.seed, 0xC7);
         let mut ring_cfg = sc.calib.ring.clone();
         ring_cfg.priority_enabled = sc.ring_priority;
@@ -200,7 +192,6 @@ impl Testbed {
         Self::add_background(&mut krx, tr_rx, sc);
 
         let mut topo = Topology::new(sc.cascade_limit);
-        topo.sched_mode(mode);
         let r = topo.ring(ring);
         let tx = topo.host(
             r,

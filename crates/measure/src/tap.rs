@@ -219,48 +219,6 @@ impl Tap {
     }
 }
 
-impl Tap {
-    /// Appends a cheap rollback image: a truncation mark for the
-    /// append-only capture buffer plus the scalar counters. The
-    /// optimistic scheduler takes one of these per snapshot segment, so
-    /// the cost must not grow with the records accumulated over the run
-    /// (a full [`ctms_sim::Persist`] image would).
-    pub fn save_mark(&self, enc: &mut ctms_sim::Enc) {
-        // A bare length, not `seq_len`: no elements follow the mark, so
-        // the decoder's remaining-bytes sanity check would misfire.
-        enc.u64(self.records.len() as u64);
-        enc.u64(self.purges);
-        enc.u64(self.missed);
-        enc.opt(self.last_record.as_ref(), |e, t| e.time(*t));
-        enc.u64(self.busy_ns);
-        enc.opt(self.first_at.as_ref(), |e, t| e.time(*t));
-        enc.opt(self.last_at.as_ref(), |e, t| e.time(*t));
-    }
-
-    /// Rewinds to a state captured by [`Tap::save_mark`] on this same
-    /// monitor: records past the mark are discarded, scalars restored.
-    pub fn rollback_mark(
-        &mut self,
-        dec: &mut ctms_sim::Dec<'_>,
-    ) -> Result<(), ctms_sim::PersistError> {
-        let len = dec.u64()? as usize;
-        if len > self.records.len() {
-            return Err(ctms_sim::PersistError::mismatch(format!(
-                "tap rollback mark {len} beyond {} records",
-                self.records.len()
-            )));
-        }
-        self.records.truncate(len);
-        self.purges = dec.u64()?;
-        self.missed = dec.u64()?;
-        self.last_record = dec.opt(|d| d.time())?;
-        self.busy_ns = dec.u64()?;
-        self.first_at = dec.opt(|d| d.time())?;
-        self.last_at = dec.opt(|d| d.time())?;
-        Ok(())
-    }
-}
-
 impl ctms_sim::Persist for Tap {
     /// The capture buffer and counters; `cfg` is structural.
     fn persist(&self, enc: &mut ctms_sim::Enc) {

@@ -35,11 +35,7 @@
 //!
 //! `cargo test -p ctms-sim --features alloc-count --test zero_alloc`
 //! proves the claim with a counting global allocator, and the
-//! `ctms-bench` `perf` binary measures the resulting events/sec against
-//! [`SchedMode::LazyBaseline`] — a faithful emulation of the pre-change
-//! scheduler (lazy-invalidation `BinaryHeap`, a freshly allocated
-//! command `Vec` per routed event, fresh wave buffers per step) kept
-//! only so the speedup is machine-checked rather than asserted.
+//! `ctms-bench` `perf` binary measures the resulting events/sec.
 
 //! The harness also owns the run's [`telemetry::Registry`]: every node
 //! (and the router) registers its statistics under a dotted namespace
@@ -53,7 +49,6 @@ use crate::heap::IndexedHeap;
 use crate::persist::{ChunkedReader, ChunkedWriter, Dec, Enc, Persist, PersistError};
 use crate::telemetry::Registry;
 use crate::time::SimTime;
-use std::collections::BinaryHeap;
 
 /// Registry handle of a node in a [`Harness`]; assigned densely in
 /// registration order, which is also the service order on deadline ties.
@@ -160,33 +155,11 @@ pub trait Router<C: Component> {
     }
 }
 
-/// Why optimistic execution had to give up rather than roll back.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SpeculationFault {
-    /// A straggler arrived behind the oldest retained snapshot, so the
-    /// shard cannot rewind far enough to honor it.
-    RollbackPastOldestSnapshot,
-    /// Released cross-shard mail arrived behind the receiver's
-    /// *committed* clock — the certainty fixpoint admitted a miss.
-    CausalityMiss,
-}
-
-impl std::fmt::Display for SpeculationFault {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SpeculationFault::RollbackPastOldestSnapshot => {
-                write!(f, "rollback past the oldest retained snapshot")
-            }
-            SpeculationFault::CausalityMiss => write!(f, "committed-mail causality miss"),
-        }
-    }
-}
-
 /// A scheduling failure that poisons the harness: a same-instant routing
-/// cascade that never converged, a cross-shard emission from inside a
-/// conservative window, or an optimistic-mode invariant violation. All
-/// variants surface as typed errors (e.g. as a JSON error line from
-/// `ctms-serve`) instead of tearing the process down.
+/// cascade that never converged, or a cross-shard emission from a node
+/// the sharded scheduler does not allow to emit one. Both variants
+/// surface as typed errors (e.g. as a JSON error line from `ctms-serve`)
+/// instead of tearing the process down.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CascadeError {
     /// A same-instant routing cascade exceeded the configured step limit —
@@ -199,9 +172,11 @@ pub enum CascadeError {
         /// Cascade steps performed at `at` before giving up.
         steps: u32,
     },
-    /// A node emitted a command for a node owned by another shard from
-    /// inside a conservative window — a violation of the lookahead
-    /// contract (cross-shard traffic must be emitted at sync instants).
+    /// A node that is not sync-class emitted a command for a node owned
+    /// by another shard while its shard ran ahead inside a window — a
+    /// violation of the lookahead contract: only sync-class nodes may
+    /// emit cross-shard commands, because only their lookahead bounds
+    /// when such a command can take effect.
     CrossShard {
         /// The instant of the offending emission.
         at: SimTime,
@@ -214,15 +189,6 @@ pub enum CascadeError {
         /// Shard owning `dst`.
         dst_shard: u32,
     },
-    /// Optimistic execution hit an unrecoverable invariant violation.
-    Speculation {
-        /// The straggler / violation instant.
-        at: SimTime,
-        /// The shard that could not recover.
-        shard: u32,
-        /// What went wrong.
-        kind: SpeculationFault,
-    },
 }
 
 impl CascadeError {
@@ -234,29 +200,25 @@ impl CascadeError {
     /// The simulation instant at which the failure occurred.
     pub fn at(&self) -> SimTime {
         match *self {
-            CascadeError::Overflow { at, .. }
-            | CascadeError::CrossShard { at, .. }
-            | CascadeError::Speculation { at, .. } => at,
+            CascadeError::Overflow { at, .. } | CascadeError::CrossShard { at, .. } => at,
         }
     }
 
-    /// The node involved in the failure (the routed node for an
-    /// overflow, the emitter for a cross-shard violation); speculation
-    /// faults are per-shard and have no single node.
-    pub fn node(&self) -> Option<NodeId> {
+    /// The node involved in the failure: the routed node for an
+    /// overflow, the emitter for a cross-shard violation.
+    pub fn node(&self) -> NodeId {
         match *self {
-            CascadeError::Overflow { node, .. } => Some(node),
-            CascadeError::CrossShard { src, .. } => Some(src),
-            CascadeError::Speculation { .. } => None,
+            CascadeError::Overflow { node, .. } => node,
+            CascadeError::CrossShard { src, .. } => src,
         }
     }
 
-    /// Cascade steps performed before giving up (0 for non-overflow
-    /// failures, which are not step-bounded).
+    /// Cascade steps performed before giving up (0 for a cross-shard
+    /// violation, which is not step-bounded).
     pub fn steps(&self) -> u32 {
         match *self {
             CascadeError::Overflow { steps, .. } => steps,
-            _ => 0,
+            CascadeError::CrossShard { .. } => 0,
         }
     }
 
@@ -276,9 +238,6 @@ impl CascadeError {
             } => format!(
                 "cross-shard emission {src} (shard {src_shard}) -> {dst} (shard {dst_shard})"
             ),
-            CascadeError::Speculation { shard, kind, .. } => {
-                format!("speculation fault on shard {shard}: {kind}")
-            }
         }
     }
 }
@@ -299,12 +258,8 @@ impl std::fmt::Display for CascadeError {
             } => write!(
                 f,
                 "sharded scheduler protocol violation: {src} (shard {src_shard}) emitted a \
-                 cross-shard command for {dst} (shard {dst_shard}) at {at} inside a \
-                 conservative window; cross-shard traffic must be emitted at sync instants",
-            ),
-            CascadeError::Speculation { at, shard, kind } => write!(
-                f,
-                "optimistic execution fault on shard {shard} at {at}: {kind}",
+                 cross-shard command for {dst} (shard {dst_shard}) at {at}; only sync-class \
+                 nodes may emit cross-shard commands",
             ),
         }
     }
@@ -312,64 +267,13 @@ impl std::fmt::Display for CascadeError {
 
 impl std::error::Error for CascadeError {}
 
-/// Which scheduler implementation a [`Harness`] runs on.
-///
-/// Every production caller uses [`SchedMode::Indexed`] (the default).
-/// [`SchedMode::LazyBaseline`] exists solely for the `ctms-bench` `perf`
-/// binary: it emulates the pre-PR4 hot path — lazy-invalidation
-/// `BinaryHeap` scheduling, a fresh command `Vec` per routed event, and
-/// fresh wave/due buffers per step — so the speedup of the indexed
-/// zero-allocation path is measured against a live implementation
-/// instead of a number in a commit message. Both modes produce
-/// bit-identical simulation results (the `perf` binary asserts it).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum SchedMode {
-    /// Indexed d-ary heap + reused buffers (the production path).
-    #[default]
-    Indexed,
-    /// Pre-change emulation for perf comparison only.
-    LazyBaseline,
-}
-
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct SchedEntry {
-    at: SimTime,
-    node: usize,
-    seq: u64,
-}
-
-impl PartialOrd for SchedEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for SchedEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // BinaryHeap is a max-heap; invert for earliest-first. Ties at one
-        // instant are served in NodeId order (= registration order), and
-        // duplicate entries for one node fall back to push order (FIFO).
-        (other.at, other.node, other.seq).cmp(&(self.at, self.node, self.seq))
-    }
-}
-
-/// The scheduler state: indexed heap (production) or the lazy baseline.
-#[derive(Debug)]
-enum Sched {
-    Indexed(IndexedHeap),
-    Lazy {
-        heap: BinaryHeap<SchedEntry>,
-        seq: u64,
-    },
-}
-
 /// The generic scheduler/event-bus. See the module docs.
 pub struct Harness<C: Component, R: Router<C>> {
     nodes: Vec<C>,
     labels: Vec<String>,
     router: R,
     now: SimTime,
-    sched: Sched,
+    heap: IndexedHeap,
     limit: u32,
     failed: Option<CascadeError>,
     dirty: Vec<usize>,
@@ -396,28 +300,15 @@ pub const DEFAULT_CASCADE_LIMIT: u32 = 100_000;
 
 impl<C: Component, R: Router<C>> Harness<C, R> {
     /// Creates an empty harness around `router` with the given
-    /// same-instant cascade step limit, on the production (indexed,
-    /// zero-allocation) scheduler.
+    /// same-instant cascade step limit.
     pub fn new(router: R, cascade_limit: u32) -> Self {
-        Harness::with_mode(router, cascade_limit, SchedMode::Indexed)
-    }
-
-    /// Like [`Harness::new`], selecting the scheduler implementation.
-    /// Only the `perf` harness should pass [`SchedMode::LazyBaseline`].
-    pub fn with_mode(router: R, cascade_limit: u32, mode: SchedMode) -> Self {
         assert!(cascade_limit > 0, "cascade limit must be positive");
         Harness {
             nodes: Vec::new(),
             labels: Vec::new(),
             router,
             now: SimTime::ZERO,
-            sched: match mode {
-                SchedMode::Indexed => Sched::Indexed(IndexedHeap::new()),
-                SchedMode::LazyBaseline => Sched::Lazy {
-                    heap: BinaryHeap::new(),
-                    seq: 0,
-                },
-            },
+            heap: IndexedHeap::new(),
             limit: cascade_limit,
             failed: None,
             dirty: Vec::new(),
@@ -432,14 +323,6 @@ impl<C: Component, R: Router<C>> Harness<C, R> {
             batch: Vec::new(),
             stamp: Vec::new(),
             epoch: 0,
-        }
-    }
-
-    /// The scheduler implementation this harness runs on.
-    pub fn sched_mode(&self) -> SchedMode {
-        match self.sched {
-            Sched::Indexed(_) => SchedMode::Indexed,
-            Sched::Lazy { .. } => SchedMode::LazyBaseline,
         }
     }
 
@@ -599,14 +482,6 @@ impl<C: Component, R: Router<C>> Harness<C, R> {
             }
             debug_assert!(t >= self.now, "time went backwards");
             self.now = t;
-            if matches!(self.sched, Sched::Lazy { .. }) {
-                // Baseline emulation: the pre-change loop allocated its
-                // due/wave/output buffers afresh every step.
-                self.due = Vec::new();
-                self.touched = Vec::new();
-                self.wave = Vec::new();
-                self.out_buf = Vec::new();
-            }
             self.pop_due(t);
             self.touched.clear();
             self.touched.extend_from_slice(&self.due);
@@ -783,9 +658,7 @@ impl<C: Component, R: Router<C>> Harness<C, R> {
     /// Re-syncs the scheduler entry of every node recorded in `touched`,
     /// deduplicated by epoch stamp in O(len) — no sort, no allocation.
     /// First-touch order is fine: the indexed heap's update-key is
-    /// order-independent, and the lazy baseline's ties break on
-    /// `(at, node, seq)` with `node` before `seq`, so cross-node push
-    /// order is unobservable.
+    /// order-independent.
     fn reschedule_touched(&mut self) {
         self.epoch += 1;
         let epoch = self.epoch;
@@ -799,24 +672,11 @@ impl<C: Component, R: Router<C>> Harness<C, R> {
         self.touched.clear();
     }
 
-    /// Syncs the scheduler with the node's current deadline. On the
-    /// indexed heap this is an in-place update-key; the lazy baseline
-    /// pushes a fresh entry and lets validation discard the stale one.
+    /// Syncs the scheduler with the node's current deadline: an
+    /// in-place update-key on the indexed heap.
     fn reschedule(&mut self, node: usize) {
         let at = self.nodes[node].next_deadline();
-        match &mut self.sched {
-            Sched::Indexed(h) => h.set(node, at),
-            Sched::Lazy { heap, seq } => {
-                if let Some(at) = at {
-                    *seq += 1;
-                    heap.push(SchedEntry {
-                        at,
-                        node,
-                        seq: *seq,
-                    });
-                }
-            }
-        }
+        self.heap.set(node, at);
     }
 
     fn flush_dirty(&mut self) {
@@ -826,60 +686,27 @@ impl<C: Component, R: Router<C>> Harness<C, R> {
     }
 
     /// The earliest scheduled deadline. The indexed heap's root is
-    /// always current; the lazy baseline discards stale entries (nodes
-    /// whose deadline moved since the entry was pushed) on the way.
-    fn peek_deadline(&mut self) -> Option<SimTime> {
-        match &mut self.sched {
-            Sched::Indexed(h) => {
-                let (at, node) = h.peek()?;
-                debug_assert_eq!(
-                    self.nodes[node].next_deadline(),
-                    Some(at),
-                    "indexed heap out of sync with node {node}"
-                );
-                Some(at)
-            }
-            Sched::Lazy { heap, .. } => {
-                while let Some(top) = heap.peek() {
-                    if self.nodes[top.node].next_deadline() == Some(top.at) {
-                        return Some(top.at);
-                    }
-                    heap.pop();
-                }
-                None
-            }
-        }
+    /// always current.
+    fn peek_deadline(&self) -> Option<SimTime> {
+        let (at, node) = self.heap.peek()?;
+        debug_assert_eq!(
+            self.nodes[node].next_deadline(),
+            Some(at),
+            "indexed heap out of sync with node {node}"
+        );
+        Some(at)
     }
 
-    /// Fills `self.due` with every node scheduled at exactly `t`,
-    /// deduplicated, in NodeId order (both heaps yield ties in that
-    /// order by construction).
+    /// Fills `self.due` with every node scheduled at exactly `t`, in
+    /// NodeId order (the heap yields ties in that order by construction).
     fn pop_due(&mut self, t: SimTime) {
         self.due.clear();
-        match &mut self.sched {
-            Sched::Indexed(h) => {
-                while let Some((at, node)) = h.peek() {
-                    if at > t {
-                        break;
-                    }
-                    h.pop();
-                    self.due.push(node);
-                }
+        while let Some((at, node)) = self.heap.peek() {
+            if at > t {
+                break;
             }
-            Sched::Lazy { heap, .. } => {
-                while let Some(top) = heap.peek() {
-                    if top.at > t {
-                        break;
-                    }
-                    let entry = heap.pop().expect("peeked entry");
-                    if self.nodes[entry.node].next_deadline() != Some(entry.at) {
-                        continue; // stale
-                    }
-                    if self.due.last() != Some(&entry.node) {
-                        self.due.push(entry.node);
-                    }
-                }
-            }
+            self.heap.pop();
+            self.due.push(node);
         }
     }
 
@@ -888,7 +715,6 @@ impl<C: Component, R: Router<C>> Harness<C, R> {
     /// of the outer loop is one guard step, matching the wave accounting
     /// of the old per-testbed loops.
     fn cascade(&mut self, now: SimTime) -> Result<(), CascadeError> {
-        let baseline = matches!(self.sched, Sched::Lazy { .. });
         let mut steps = 0u32;
         while !self.wave.is_empty() {
             steps += 1;
@@ -901,67 +727,45 @@ impl<C: Component, R: Router<C>> Harness<C, R> {
                 self.record_failure(err);
                 return Err(err);
             }
-            if baseline {
-                // Baseline emulation: one fresh wave buffer per step,
-                // the pre-change router returned a freshly allocated Vec
-                // per routed event, and every event entered the router
-                // individually.
-                self.next_wave = Vec::new();
-                for (src, event) in self.wave.drain(..) {
-                    self.cmds = CmdSink::new();
-                    self.cmds.buf.reserve(1);
-                    self.router.route(now, src, event, &mut self.cmds);
-                    for (dst, cmd) in self.cmds.buf.drain(..) {
-                        self.events += 1;
-                        self.nodes[dst.0].handle(now, cmd, &mut self.out_buf);
-                        self.touched.push(dst.0);
-                        for e in self.out_buf.drain(..) {
-                            self.next_wave.push((dst, e));
-                        }
-                    }
-                }
-            } else {
-                // Production path: drain the wave in runs of consecutive
-                // same-source events, entering the router once per run.
-                // Routing order and delivery order are exactly the
-                // per-event loop's (the router never reads node state and
-                // commands drain in push order), so batching is
-                // bit-identical — only cheaper.
-                let mut wave = std::mem::take(&mut self.wave);
-                let mut iter = wave.drain(..).peekable();
-                while let Some((src, event)) = iter.next() {
-                    debug_assert!(self.cmds.is_empty());
-                    match iter.peek() {
-                        Some((s, _)) if *s == src => {
-                            debug_assert!(self.batch.is_empty());
-                            self.batch.push(event);
-                            while let Some((s, _)) = iter.peek() {
-                                if *s != src {
-                                    break;
-                                }
-                                let (_, e) = iter.next().expect("peeked entry");
-                                self.batch.push(e);
+            // Drain the wave in runs of consecutive same-source events,
+            // entering the router once per run. Routing order and
+            // delivery order are exactly the per-event loop's (the router
+            // never reads node state and commands drain in push order),
+            // so batching is bit-identical — only cheaper.
+            let mut wave = std::mem::take(&mut self.wave);
+            let mut iter = wave.drain(..).peekable();
+            while let Some((src, event)) = iter.next() {
+                debug_assert!(self.cmds.is_empty());
+                match iter.peek() {
+                    Some((s, _)) if *s == src => {
+                        debug_assert!(self.batch.is_empty());
+                        self.batch.push(event);
+                        while let Some((s, _)) = iter.peek() {
+                            if *s != src {
+                                break;
                             }
-                            self.router
-                                .route_all(now, src, &mut self.batch, &mut self.cmds);
-                            self.batch.clear();
+                            let (_, e) = iter.next().expect("peeked entry");
+                            self.batch.push(e);
                         }
-                        // Singleton run — the common case on sparse
-                        // workloads — skips the batch buffer entirely.
-                        _ => self.router.route(now, src, event, &mut self.cmds),
+                        self.router
+                            .route_all(now, src, &mut self.batch, &mut self.cmds);
+                        self.batch.clear();
                     }
-                    for (dst, cmd) in self.cmds.buf.drain(..) {
-                        self.events += 1;
-                        self.nodes[dst.0].handle(now, cmd, &mut self.out_buf);
-                        self.touched.push(dst.0);
-                        for e in self.out_buf.drain(..) {
-                            self.next_wave.push((dst, e));
-                        }
+                    // Singleton run — the common case on sparse
+                    // workloads — skips the batch buffer entirely.
+                    _ => self.router.route(now, src, event, &mut self.cmds),
+                }
+                for (dst, cmd) in self.cmds.buf.drain(..) {
+                    self.events += 1;
+                    self.nodes[dst.0].handle(now, cmd, &mut self.out_buf);
+                    self.touched.push(dst.0);
+                    for e in self.out_buf.drain(..) {
+                        self.next_wave.push((dst, e));
                     }
                 }
-                drop(iter);
-                self.wave = wave;
             }
+            drop(iter);
+            self.wave = wave;
             std::mem::swap(&mut self.wave, &mut self.next_wave);
         }
         Ok(())
@@ -1031,42 +835,18 @@ mod tests {
     fn nodes_sharing_a_deadline_fire_in_registration_order() {
         // Three tickers with identical periods land on every deadline
         // simultaneously; service order must be registration order at
-        // every instant, regardless of heap internals — on both
-        // scheduler implementations.
-        for mode in [SchedMode::Indexed, SchedMode::LazyBaseline] {
-            let mut h = Harness::with_mode(Recorder { seen: Vec::new() }, 100, mode);
-            let c = h.add_node(ticker(2, 10, 4));
-            let a = h.add_node(ticker(0, 10, 4));
-            let b = h.add_node(ticker(1, 10, 4));
-            h.run_until(SimTime::from_ms(100));
-            let seen = &h.router().seen;
-            assert_eq!(seen.len(), 12);
-            for (k, chunk) in seen.chunks(3).enumerate() {
-                let t = SimTime::from_ms(10 * (k as u64 + 1));
-                assert_eq!(chunk, [(t, c), (t, a), (t, b)], "instant {t} mode {mode:?}");
-            }
+        // every instant, regardless of heap internals.
+        let mut h = Harness::new(Recorder { seen: Vec::new() }, 100);
+        let c = h.add_node(ticker(2, 10, 4));
+        let a = h.add_node(ticker(0, 10, 4));
+        let b = h.add_node(ticker(1, 10, 4));
+        h.run_until(SimTime::from_ms(100));
+        let seen = &h.router().seen;
+        assert_eq!(seen.len(), 12);
+        for (k, chunk) in seen.chunks(3).enumerate() {
+            let t = SimTime::from_ms(10 * (k as u64 + 1));
+            assert_eq!(chunk, [(t, c), (t, a), (t, b)], "instant {t}");
         }
-    }
-
-    #[test]
-    fn scheduler_modes_produce_identical_service_orders() {
-        // Mixed periods with plenty of ties and reschedules: the
-        // baseline emulation and the indexed production path must agree
-        // on every (time, node) pair — bit-determinism across modes is
-        // what lets `perf` compare their wall clocks meaningfully.
-        let run = |mode: SchedMode| {
-            let mut h = Harness::with_mode(Recorder { seen: Vec::new() }, 100, mode);
-            for (id, period, fires) in [(0, 7, 9), (1, 5, 12), (2, 35, 3), (3, 7, 4)] {
-                h.add_node(ticker(id, period, fires));
-            }
-            h.run_until(SimTime::from_ms(200));
-            (h.router().seen.clone(), h.events())
-        };
-        let (indexed, ev_i) = run(SchedMode::Indexed);
-        let (lazy, ev_l) = run(SchedMode::LazyBaseline);
-        assert_eq!(indexed, lazy);
-        assert_eq!(ev_i, ev_l);
-        assert!(ev_i >= 28, "{ev_i}");
     }
 
     #[test]
@@ -1172,7 +952,7 @@ mod tests {
         let mut h = Harness::new(Echo, 50);
         let n = h.add_node(Loop { armed: true });
         let err = h.try_run_until(SimTime::from_secs(1)).unwrap_err();
-        assert_eq!(err.node(), Some(n));
+        assert_eq!(err.node(), n);
         assert_eq!(err.at(), SimTime::from_ms(1));
         assert_eq!(err.steps(), 51);
         assert_eq!(h.failure(), Some(err));

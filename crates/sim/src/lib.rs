@@ -18,9 +18,9 @@
 //!   (update-key per node, no stale entries, allocation-free stepping),
 //! * [`shard`] — the conservative parallel scheduler
 //!   ([`shard::ShardedHarness`]): per-shard deadline heaps on the sweep
-//!   pool, bounded-time-window synchronization with per-shard windows
-//!   derived from each shard's incident cut-edge lookaheads, and
-//!   deterministic cross-shard mailboxes — bit-identical to the
+//!   pool, per-shard windows bounded by an influence fixpoint over the
+//!   cut-edge lookaheads, and deterministic cross-shard mailboxes that
+//!   only sync-class nodes may post to — bit-identical to the
 //!   single-threaded harness by construction,
 //! * [`synth`] — synthetic allocation-free workloads for the perf
 //!   harness and the zero-allocation steady-state test,
@@ -47,20 +47,15 @@ pub mod telemetry;
 pub mod time;
 pub mod trace;
 
-pub use bus::{
-    CascadeError, CmdSink, Harness, NodeId, Router, SchedMode, SpeculationFault,
-    DEFAULT_CASCADE_LIMIT,
-};
+pub use bus::{CascadeError, CmdSink, Harness, NodeId, Router, DEFAULT_CASCADE_LIMIT};
 pub use engine::{drain_component, earliest, CascadeGuard, Component, EventLoop};
 pub use heap::IndexedHeap;
 pub use persist::{
     decode_new, ChunkSink, ChunkedReader, ChunkedWriter, Dec, Enc, FramedWrite, Persist,
-    PersistError, Rollback, STREAM_CHUNK,
+    PersistError, STREAM_CHUNK,
 };
 pub use rng::{Pcg32, SplitMix64};
-pub use shard::{
-    merge_mail, ExecMode, MailKey, MergeTelemetry, ShardStats, ShardedHarness, WindowMode,
-};
+pub use shard::{merge_mail, MailKey, MergeTelemetry, ShardStats, ShardedHarness};
 pub use sweep::{default_threads, parallel_map};
 pub use telemetry::{Instrument, Registry};
 pub use time::{Dur, SimTime};

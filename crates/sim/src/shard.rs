@@ -2,28 +2,31 @@
 //!
 //! [`crate::bus::Harness`] services one global deadline heap on one
 //! thread. [`ShardedHarness`] partitions the node set into **shards**
-//! (the caller supplies the partition — `ctms-core` derives one shard
-//! per contiguous block of rings) and runs each shard's indexed heap on
-//! a worker of the persistent [`crate::sweep`] pool, synchronizing with
-//! a classic bounded-time-window (conservative, YAWNS-style) protocol:
+//! (the caller supplies the partition — `ctms-core` cuts the ring graph
+//! into balanced parts) and runs each shard's indexed heap on a worker
+//! of the persistent [`crate::sweep`] pool, synchronizing with an
+//! adaptive conservative window protocol:
 //!
 //! * A small set of nodes is declared **sync-class** at registration —
-//!   in `ctms-core` these are the bridges whose two rings landed in
-//!   different shards. Only sync nodes are ever allowed to emit
-//!   commands that cross a shard boundary, and only at instants the
-//!   harness has made globally consistent.
-//! * Let `T` be the earliest deadline anywhere and `B` the earliest
-//!   deadline of any sync node. If `B > T`, every shard may run
-//!   **independently** over the window `[T, min(B, T + L))` where `L`
-//!   is the caller-supplied **lookahead**: a lower bound on the time
-//!   between a command entering a sync node and any consequence
-//!   emerging from it (for a bridge, its fixed forwarding latency).
-//!   Nothing a shard does inside the window can affect another shard
-//!   before the window closes, so the shards' interleaving is
-//!   irrelevant — the result is the one a single thread would compute.
-//! * If `B == T`, the harness runs a **sync instant**: every shard due
-//!   at `T` advances, and cross-shard commands are exchanged through
-//!   per-destination mailboxes, merged in [`MailKey`] order
+//!   in `ctms-core` these are the bridges whose port rings landed in
+//!   different shards. Only sync nodes may emit commands that cross a
+//!   shard boundary.
+//! * Every cut edge `o → k` carries a **lookahead**: a lower bound on
+//!   the time between a command entering a sync node of shard `o` and
+//!   any consequence emerging from it into shard `k` (for a bridge, its
+//!   fixed forwarding latency). From each shard's earliest pending
+//!   instant and earliest sync deadline, the coordinator computes per
+//!   shard the earliest instant any other shard could still affect it
+//!   (an influence fixpoint, see `adaptive_bounds`). Every shard then
+//!   runs **independently** over all of its instants strictly before
+//!   that bound, so the shards' interleaving is irrelevant — the result
+//!   is the one a single thread would compute. Mail a sync node emits
+//!   inside a window waits in the receiver's sorted pending queue and is
+//!   delivered when the receiver's clock reaches the emission instant.
+//! * When no shard can make progress (every bound collapses onto the
+//!   global minimum `T`), the harness runs a **sync instant**: every
+//!   shard due at `T` advances, and cross-shard commands are exchanged
+//!   through per-destination mailboxes, merged in [`MailKey`] order
 //!   (`(time, src_shard, seq)` — a total order, so delivery is
 //!   deterministic no matter which worker finished first), in repeated
 //!   rounds until no mail is in flight.
@@ -34,16 +37,16 @@
 //! `sharded_harness_shares_the_golden_truth` test pins byte-identical
 //! telemetry JSON against the single-threaded golden digests.
 //!
-//! A shard that emits a cross-shard command *outside* a sync instant
-//! has violated the lookahead contract (the partition put tightly
-//! coupled nodes in different shards); the harness poisons itself with
-//! a typed [`CascadeError::CrossShard`] rather than silently diverging
-//! from single-threaded truth.
+//! A node that is not sync-class and emits a cross-shard command inside
+//! a window has violated the lookahead contract (the partition put
+//! tightly coupled nodes in different shards); the harness poisons
+//! itself with a typed [`CascadeError::CrossShard`] rather than silently
+//! diverging from single-threaded truth.
 
-use crate::bus::{CascadeError, CmdSink, NodeId, Router, SpeculationFault, DEFAULT_CASCADE_LIMIT};
+use crate::bus::{CascadeError, CmdSink, NodeId, Router, DEFAULT_CASCADE_LIMIT};
 use crate::engine::Component;
 use crate::heap::IndexedHeap;
-use crate::persist::{ChunkedReader, ChunkedWriter, Dec, Enc, Persist, PersistError, Rollback};
+use crate::persist::{ChunkedReader, ChunkedWriter, Dec, Enc, Persist, PersistError};
 use crate::sweep::parallel_map;
 use crate::telemetry::Registry;
 use crate::time::{Dur, SimTime};
@@ -98,102 +101,15 @@ pub struct ShardStats {
 /// property tests pin.
 type Mail<Cmd> = (MailKey, (NodeId, Cmd));
 
-/// Which synchronization protocol the coordinator runs.
-///
-/// Both modes are bit-identical to the single-threaded harness (and to
-/// each other) — the tier-1 parity tests pin it. They differ only in
-/// how many barriers the coordinator erects:
-///
-/// * [`WindowMode::Adaptive`] (the default) derives each shard's window
-///   end from a per-edge influence fixpoint over every shard's
-///   published deadlines, lets sync-class nodes emit cross-shard mail
-///   *inside* windows (delivered when the receiving shard reaches the
-///   emission instant), and only falls back to a global sync instant
-///   when no shard can make progress. Globally quiet stretches are
-///   skipped in one hop, so `sched.windows` / `sched.sync_instants`
-///   collapse on sparse workloads.
-/// * [`WindowMode::FixedLookahead`] is the classic bounded-window
-///   protocol this module started with — every window ends at
-///   `base + L` and every cross-shard command waits for a sync instant.
-///   Kept as the ablation baseline the adaptive mode is measured (and
-///   parity-tested) against.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum WindowMode {
-    /// Influence-fixpoint windows with in-window sync emission.
-    #[default]
-    Adaptive,
-    /// Classic `base + L` windows; cross mail only at sync instants.
-    FixedLookahead,
-}
-
-/// Which execution discipline the coordinator runs the shards under.
-///
-/// Both are bit-identical to the single-threaded harness — the golden
-/// parity tests hold optimistic execution to the same digests as the
-/// conservative modes at every shard and thread count.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ExecMode {
-    /// Shards never execute an instant another shard could still
-    /// affect ([`WindowMode`] selects the conservative protocol).
-    #[default]
-    Conservative,
-    /// Time-Warp-style speculation: shards run past their conservative
-    /// bound, snapshotting local state at a configurable event cadence
-    /// and rolling back when a cross-shard command arrives behind the
-    /// local clock. Outbound mail from speculative instants is staged
-    /// and only released once the emitting instant commits, so no
-    /// anti-messages are ever needed; a per-round GVT reduction
-    /// fossil-collects dead snapshots.
-    Optimistic,
-}
-
 /// Cross-shard emission policy for one cascade, by protocol phase.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Cross {
-    /// Conservative fixed window: any cross-shard command is a
-    /// protocol violation.
-    Forbid,
-    /// Adaptive window: sync-class sources may emit to the outbox
-    /// (their lookahead contract bounds when the mail can matter);
-    /// anything else is the same protocol violation.
+    /// Window: sync-class sources may emit to the outbox (their
+    /// lookahead contract bounds when the mail can matter); anything
+    /// else is a protocol violation.
     SyncOnly,
     /// Sync instant: every cross-shard command goes to the outbox.
     Allow,
-    /// Optimistic window: sync-class sources stage cross-shard mail in
-    /// the speculative outbox, released by the coordinator only once
-    /// the emitting instant commits. Re-emissions below the released
-    /// floor during rollback replay are dropped as duplicates.
-    Stage,
-}
-
-/// One pre-image snapshot taken by an optimistically executing shard:
-/// everything needed to rewind the shard to the state it had just
-/// before executing instant `time`.
-#[derive(Clone, Copy)]
-struct Segment {
-    /// First speculative instant covered by this segment.
-    time: SimTime,
-    /// Shard clock before `time` executed.
-    now_before: SimTime,
-    seq_before: u64,
-    events_before: u64,
-    /// Delivered-mail cursor into `pending` at segment open.
-    pcur_before: usize,
-    /// Mailbox counters at segment open (window/idle counters are
-    /// coordinator-side bookkeeping and never rewind).
-    sent_before: u64,
-    recv_before: u64,
-    /// This segment's slice of `seg_entries` starts here.
-    entries_start: u32,
-    /// Router pre-image location in the arena; `router_start` doubles
-    /// as the arena watermark for the whole segment (the router image
-    /// is the first thing appended after the segment opens).
-    router_start: u32,
-    router_end: u32,
-    /// Events executed while this was the open segment.
-    events_in: u64,
-    /// `seg_stamp` epoch for per-node pre-image dedup.
-    epoch: u64,
 }
 
 /// One shard: a slice of the node set with its own heap, router, and
@@ -224,12 +140,12 @@ struct ShardState<C: Component, R> {
     outbox: Vec<Vec<Mail<C::Cmd>>>,
     /// Incoming mail, filled (pre-sorted) by the coordinator.
     inbox: Vec<Mail<C::Cmd>>,
-    /// Adaptive-mode incoming mail not yet due: kept sorted in
-    /// [`MailKey`] order, delivered when the shard's clock reaches each
-    /// entry's emission instant. Always empty in fixed mode.
+    /// Incoming mail not yet due: kept sorted in [`MailKey`] order,
+    /// delivered when the shard's clock reaches each entry's emission
+    /// instant.
     pending: Vec<Mail<C::Cmd>>,
     seq: u64,
-    /// This shard's end for the current conservative window, set by the
+    /// This shard's end for the current window, set by the
     /// coordinator right before dispatch (a field rather than a closure
     /// capture so per-shard windows stay allocation-free).
     w_end: SimTime,
@@ -244,54 +160,9 @@ struct ShardState<C: Component, R> {
     /// Per-node visit stamps for O(1) dedup in `reschedule_touched`.
     stamp: Vec<u64>,
     epoch: u64,
-    // --- Optimistic (Time-Warp) state; empty/zero under conservative
-    // execution and between speculative episodes. ---
-    /// Instants strictly below this are committed everywhere: staged
-    /// mail below it was already released, so re-emissions during
-    /// rollback replay are dropped as duplicates.
-    released_floor: SimTime,
-    /// Start of the speculative region of the current window (the
-    /// shard's conservative bound); instants at or past it are logged.
-    spec_begin: SimTime,
-    /// True while executing an instant with segment logging active
-    /// (checked by `cascade` before mutating a local node).
-    log_active: bool,
-    /// Open snapshot segments, oldest first, `time`-sorted.
-    segs: Vec<Segment>,
-    /// `(local node, arena start, arena end)` pre-image entries, in
-    /// save order, partitioned by the segments' `entries_start`.
-    seg_entries: Vec<(u32, u32, u32)>,
-    /// Pre-image byte arena shared by all open segments; reused across
-    /// episodes so the speculative steady state stays allocation-free.
-    arena: Vec<u8>,
-    /// Scratch encoder for one pre-image at a time.
-    scratch: Enc,
-    /// Per-node dedup stamps: one pre-image per node per segment.
-    seg_stamp: Vec<u64>,
-    seg_epoch: u64,
-    /// Crossing log: one `(instant, sync-peek before the instant)`
-    /// entry per executed speculative instant. `xlog[0]` defines the
-    /// shard's committed view; empty means the shard is live.
-    xlog: Vec<(SimTime, Option<SimTime>)>,
-    /// Cursor into `pending`: entries before it were delivered but are
-    /// kept (and re-delivered by cloning) for rollback replay.
-    pcur: usize,
-    /// Staged speculative mail per destination shard, released by the
-    /// coordinator once the emitting instant commits.
-    spec_outbox: Vec<Vec<Mail<C::Cmd>>>,
-    /// Events between snapshots (distributed by the coordinator).
-    cadence: u64,
-    rollbacks: u64,
-    rolled_back_events: u64,
-    snapshot_bytes: u64,
 }
 
-impl<C, R> ShardState<C, R>
-where
-    C: Component + Persist,
-    C::Cmd: Clone,
-    R: Router<C> + Rollback,
-{
+impl<C: Component, R: Router<C>> ShardState<C, R> {
     fn new(idx: u32, router: R, limit: u32, n_shards: usize) -> Self {
         ShardState {
             idx,
@@ -322,22 +193,6 @@ where
             batch: Vec::new(),
             stamp: Vec::new(),
             epoch: 0,
-            released_floor: SimTime::ZERO,
-            spec_begin: SimTime::ZERO,
-            log_active: false,
-            segs: Vec::new(),
-            seg_entries: Vec::new(),
-            arena: Vec::new(),
-            scratch: Enc::new(),
-            seg_stamp: Vec::new(),
-            seg_epoch: 0,
-            xlog: Vec::new(),
-            pcur: 0,
-            spec_outbox: (0..n_shards).map(|_| Vec::new()).collect(),
-            cadence: 256,
-            rollbacks: 0,
-            rolled_back_events: 0,
-            snapshot_bytes: 0,
         }
     }
 
@@ -347,7 +202,6 @@ where
         self.global_ids.push(global);
         self.sync_local.push(sync);
         self.stamp.push(0);
-        self.seg_stamp.push(0);
         self.reschedule(local);
         local as u32
     }
@@ -398,8 +252,8 @@ where
         self.sync_heap.peek().map(|(at, _)| at)
     }
 
-    /// Emission instant of the earliest undelivered pending mail
-    /// (adaptive mode; the pending queue is kept sorted).
+    /// Emission instant of the earliest undelivered pending mail (the
+    /// pending queue is kept sorted).
     fn peek_pending(&self) -> Option<SimTime> {
         self.pending.first().map(|m| m.0.at)
     }
@@ -426,8 +280,8 @@ where
     /// batching — and the same bit-identity argument — as
     /// `Harness::cascade`). Local commands are delivered immediately;
     /// cross-shard commands follow the [`Cross`] policy: outbox at sync
-    /// instants, outbox for sync-class sources inside adaptive windows,
-    /// protocol violation otherwise.
+    /// instants, outbox for sync-class sources inside windows, protocol
+    /// violation otherwise.
     fn cascade(&mut self, now: SimTime, cross: Cross) -> Result<(), CascadeError> {
         let mut steps = 0u32;
         while !self.wave.is_empty() {
@@ -463,17 +317,10 @@ where
                     // workloads — skips the batch buffer entirely.
                     _ => self.router.route(now, src, event, &mut self.cmds),
                 }
-                // Move the sink out for the drain so pre-image saves
-                // (which take `&mut self`) can interleave; capacity is
-                // restored afterwards.
-                let mut cmds = std::mem::take(&mut self.cmds);
-                for (dst, cmd) in cmds.drain() {
+                for (dst, cmd) in self.cmds.drain() {
                     let (os, ol) = self.owner[dst.0];
                     if os == self.idx {
                         let ol = ol as usize;
-                        if self.log_active {
-                            self.save_node_pre(ol);
-                        }
                         self.events += 1;
                         self.nodes[ol].handle(now, cmd, &mut self.out_buf);
                         self.touched.push(ol);
@@ -483,35 +330,22 @@ where
                     } else {
                         let sync_src = match cross {
                             Cross::Allow => true,
-                            Cross::SyncOnly | Cross::Stage => {
+                            Cross::SyncOnly => {
                                 let (_, sl) = self.owner[src.0];
                                 self.sync_local[sl as usize]
                             }
-                            Cross::Forbid => false,
                         };
                         if sync_src {
                             self.seq += 1;
                             self.stats.mailbox_sent += 1;
-                            let mail = (
+                            self.outbox[os as usize].push((
                                 MailKey {
                                     at: now,
                                     src_shard: self.idx,
                                     seq: self.seq,
                                 },
                                 (dst, cmd),
-                            );
-                            if cross == Cross::Stage {
-                                // Staged for release at commit. A replay
-                                // re-emission below the released floor
-                                // already reached its receiver — drop it
-                                // (the counter still ticks: the restore
-                                // of `sent_before` un-counted it).
-                                if now >= self.released_floor {
-                                    self.spec_outbox[os as usize].push(mail);
-                                }
-                            } else {
-                                self.outbox[os as usize].push(mail);
-                            }
+                            ));
                         } else {
                             // The partition split tightly coupled nodes
                             // or the lookahead overstates the link
@@ -527,7 +361,6 @@ where
                         }
                     }
                 }
-                self.cmds = cmds; // keep the capacity
                 if self.failed.is_some() {
                     break;
                 }
@@ -546,45 +379,13 @@ where
         Ok(())
     }
 
-    /// Runs every local deadline strictly before `w_end`, with
-    /// cross-shard emission forbidden (the conservative window body).
-    fn run_window(&mut self, w_end: SimTime) {
-        if self.failed.is_some() {
-            return;
-        }
-        while let Some((t, _)) = self.heap.peek() {
-            if t >= w_end {
-                break;
-            }
-            debug_assert!(t >= self.now, "shard time went backwards");
-            self.now = t;
-            self.pop_due(t);
-            self.touched.clear();
-            self.touched.extend_from_slice(&self.due);
-            debug_assert!(self.wave.is_empty() && self.out_buf.is_empty());
-            for i in 0..self.due.len() {
-                let l = self.due[i];
-                self.events += 1;
-                self.nodes[l].advance(t, &mut self.out_buf);
-                for e in self.out_buf.drain(..) {
-                    self.wave.push((self.global_ids[l], e));
-                }
-            }
-            let result = self.cascade(t, Cross::Forbid);
-            self.reschedule_touched();
-            if result.is_err() {
-                return;
-            }
-        }
-    }
-
     /// Runs every local instant — heap deadlines *and* pending mail —
-    /// strictly before `w_end` (the adaptive window body). At each
-    /// instant, due nodes advance first and mail emitted at that
-    /// instant is delivered after them, matching the sync-instant
-    /// ordering (due round, then mailbox rounds); the loop re-enters
-    /// the same instant if either phase schedules new work at it.
-    /// Sync-class nodes may emit cross-shard mail throughout.
+    /// strictly before `w_end` (the window body). At each instant, due
+    /// nodes advance first and mail emitted at that instant is
+    /// delivered after them, matching the sync-instant ordering (due
+    /// round, then mailbox rounds); the loop re-enters the same instant
+    /// if either phase schedules new work at it. Sync-class nodes may
+    /// emit cross-shard mail throughout.
     fn run_adaptive_window(&mut self, w_end: SimTime) {
         if self.failed.is_some() {
             return;
@@ -650,8 +451,7 @@ where
         }
         let _ = self.cascade(t, Cross::Allow);
         self.reschedule_touched();
-        // Adaptive fallback: pending mail emitted exactly at `t` joins
-        // the sync instant (a no-op in fixed mode — pending stays empty).
+        // Pending mail emitted exactly at `t` joins the sync instant.
         let _ = self.deliver_due_pending(t, Cross::Allow);
     }
 
@@ -714,383 +514,9 @@ where
         let _ = self.cascade(t, Cross::Allow);
         self.reschedule_touched();
     }
-
-    // ------------------------------------------------------------------
-    // Optimistic (Time-Warp) execution. Speculative instants are
-    // covered by pre-image segments: before a node (or the router) is
-    // first mutated under an open segment, its canonical image is
-    // appended to the shared arena, so rollback cost scales with the
-    // state *dirtied* since the snapshot, not the topology size.
-    // ------------------------------------------------------------------
-
-    /// Opens a new snapshot segment whose first covered instant is `t`.
-    /// Captures the scalar machine state and the router pre-image; node
-    /// pre-images follow lazily as nodes are first touched.
-    fn open_segment(&mut self, t: SimTime) {
-        let entries_start = self.seg_entries.len() as u32;
-        let router_start = self.arena.len() as u32;
-        self.scratch.clear();
-        self.router.save(&mut self.scratch);
-        self.arena.extend_from_slice(self.scratch.as_bytes());
-        let router_end = self.arena.len() as u32;
-        self.snapshot_bytes += u64::from(router_end - router_start);
-        self.seg_epoch += 1;
-        self.segs.push(Segment {
-            time: t,
-            now_before: self.now,
-            seq_before: self.seq,
-            events_before: self.events,
-            pcur_before: self.pcur,
-            sent_before: self.stats.mailbox_sent,
-            recv_before: self.stats.mailbox_recv,
-            entries_start,
-            router_start,
-            router_end,
-            events_in: 0,
-            epoch: self.seg_epoch,
-        });
-    }
-
-    /// Saves `local`'s pre-image into the open segment (once per node
-    /// per segment, deduplicated by epoch stamp).
-    fn save_node_pre(&mut self, local: usize) {
-        let epoch = self.segs.last().expect("segment open").epoch;
-        if self.seg_stamp[local] == epoch {
-            return;
-        }
-        self.seg_stamp[local] = epoch;
-        let start = self.arena.len() as u32;
-        self.scratch.clear();
-        self.nodes[local].save(&mut self.scratch);
-        self.arena.extend_from_slice(self.scratch.as_bytes());
-        let end = self.arena.len() as u32;
-        self.snapshot_bytes += u64::from(end - start);
-        self.seg_entries.push((local as u32, start, end));
-    }
-
-    /// Rewinds the shard to the latest snapshot at or before
-    /// `straggler` (the newest segment whose first instant is ≤ it;
-    /// when even the oldest segment starts past the straggler, the
-    /// oldest is applied — it restores state from before anything
-    /// speculative executed). Deterministic replay then re-derives
-    /// every rolled-back instant.
-    fn rollback_to(&mut self, straggler: SimTime) {
-        debug_assert!(!self.segs.is_empty(), "rollback without a snapshot");
-        let i = self
-            .segs
-            .partition_point(|s| s.time <= straggler)
-            .saturating_sub(1);
-        // Node pre-images, newest segment first: each node's oldest
-        // image (its state when segs[i] opened) is applied last.
-        for si in (i..self.segs.len()).rev() {
-            let lo = self.segs[si].entries_start as usize;
-            let hi = if si + 1 < self.segs.len() {
-                self.segs[si + 1].entries_start as usize
-            } else {
-                self.seg_entries.len()
-            };
-            for ei in lo..hi {
-                let (local, start, end) = self.seg_entries[ei];
-                let mut dec = Dec::new(&self.arena[start as usize..end as usize]);
-                self.nodes[local as usize]
-                    .rollback(&mut dec)
-                    .expect("in-process rollback image round-trips");
-                self.touched.push(local as usize);
-            }
-        }
-        let seg = self.segs[i];
-        {
-            let mut dec = Dec::new(&self.arena[seg.router_start as usize..seg.router_end as usize]);
-            self.router
-                .rollback(&mut dec)
-                .expect("in-process rollback image round-trips");
-        }
-        let cut = seg.time;
-        self.rollbacks += 1;
-        self.rolled_back_events += self.events - seg.events_before;
-        self.now = seg.now_before;
-        self.seq = seg.seq_before;
-        self.events = seg.events_before;
-        self.pcur = seg.pcur_before;
-        self.stats.mailbox_sent = seg.sent_before;
-        self.stats.mailbox_recv = seg.recv_before;
-        // Un-released staged mail from the rolled-back region is
-        // discarded; replay regenerates it.
-        for out in &mut self.spec_outbox {
-            out.retain(|m| m.0.at < cut);
-        }
-        let keep = self.xlog.partition_point(|e| e.0 < cut);
-        self.xlog.truncate(keep);
-        self.seg_entries.truncate(seg.entries_start as usize);
-        self.arena.truncate(seg.router_start as usize);
-        self.segs.truncate(i);
-        self.reschedule_touched();
-    }
-
-    /// GVT promotion: instants strictly below `f` are committed
-    /// everywhere. Raises the released floor (monotone — the
-    /// arithmetic bound may shrink between rounds), prunes the
-    /// crossing log, fossil-collects segments no rollback can target
-    /// (targets are always ≥ `f`; the newest segment at or below `f`
-    /// is kept as their floor), and drops back to live execution when
-    /// no speculation remains.
-    fn promote(&mut self, f: SimTime) {
-        if self.released_floor < f {
-            self.released_floor = f;
-        }
-        let cut = self.xlog.partition_point(|e| e.0 < f);
-        self.xlog.drain(..cut);
-        if self.xlog.is_empty() {
-            if !self.segs.is_empty() || self.pcur > 0 {
-                self.go_live();
-            }
-            return;
-        }
-        let mut drop_n = 0;
-        while drop_n + 1 < self.segs.len() && self.segs[drop_n + 1].time <= f {
-            drop_n += 1;
-        }
-        if drop_n > 0 {
-            let e_cut = self.segs[drop_n].entries_start as usize;
-            let a_cut = self.segs[drop_n].router_start as usize;
-            self.seg_entries.drain(..e_cut);
-            self.arena.drain(..a_cut);
-            self.segs.drain(..drop_n);
-            for s in &mut self.segs {
-                s.entries_start -= e_cut as u32;
-                s.router_start -= a_cut as u32;
-                s.router_end -= a_cut as u32;
-            }
-            for e in &mut self.seg_entries {
-                e.1 -= a_cut as u32;
-                e.2 -= a_cut as u32;
-            }
-        }
-        // The delivered-pending prefix below the oldest surviving
-        // snapshot can never be replayed: fossil it too.
-        let q = self.segs[0].pcur_before;
-        if q > 0 {
-            self.pending.drain(..q);
-            self.pcur -= q;
-            for s in &mut self.segs {
-                s.pcur_before -= q;
-            }
-        }
-    }
-
-    /// Drops every speculative structure: all executed instants are
-    /// committed and the shard continues as a conservative one would.
-    fn go_live(&mut self) {
-        debug_assert!(self.xlog.is_empty(), "live with uncommitted instants");
-        debug_assert!(
-            self.spec_outbox.iter().all(|o| o.is_empty()),
-            "live with staged mail"
-        );
-        self.segs.clear();
-        self.seg_entries.clear();
-        self.arena.clear();
-        self.pending.drain(..self.pcur);
-        self.pcur = 0;
-        self.log_active = false;
-    }
-
-    /// Merges released (committed) mail from the inbox into the sorted
-    /// pending queue, rolling back first when any of it lands behind an
-    /// executed speculative instant. Mail behind a **live** shard's
-    /// clock is a protocol violation (the conservative bound admitted
-    /// a miss) — typed, not a panic.
-    fn merge_released(&mut self) -> Result<(), CascadeError> {
-        if self.inbox.is_empty() {
-            return Ok(());
-        }
-        let head = self.inbox[0].0.at;
-        if self.xlog.last().is_some_and(|e| e.0 >= head) {
-            if self.segs.is_empty() {
-                // Defensively unreachable: a nonempty crossing log
-                // always has a covering segment (the straddle rule).
-                let err = CascadeError::Speculation {
-                    at: head,
-                    shard: self.idx,
-                    kind: SpeculationFault::RollbackPastOldestSnapshot,
-                };
-                self.failed = Some(err);
-                self.inbox.clear();
-                return Err(err);
-            }
-            self.rollback_to(head);
-        } else if self.xlog.is_empty() && head < self.now {
-            let err = CascadeError::Speculation {
-                at: head,
-                shard: self.idx,
-                kind: SpeculationFault::CausalityMiss,
-            };
-            self.failed = Some(err);
-            self.inbox.clear();
-            return Err(err);
-        }
-        let tail = self.pcur;
-        self.pending.append(&mut self.inbox);
-        self.pending[tail..].sort_unstable_by_key(|m| m.0);
-        Ok(())
-    }
-
-    /// Delivers undelivered pending mail due at `t` through the replay
-    /// cursor: entries are kept (commands cloned out) so a rollback
-    /// can re-deliver them deterministically.
-    fn deliver_due_pending_spec(&mut self, t: SimTime) -> Result<(), CascadeError> {
-        if self.failed.is_some() {
-            return Ok(());
-        }
-        let end = self.pcur
-            + self.pending[self.pcur..]
-                .iter()
-                .take_while(|m| m.0.at <= t)
-                .count();
-        if end == self.pcur {
-            return Ok(());
-        }
-        debug_assert!(self.wave.is_empty() && self.out_buf.is_empty());
-        self.stats.mailbox_recv += (end - self.pcur) as u64;
-        self.touched.clear();
-        for i in self.pcur..end {
-            let (dst, cmd) = {
-                let m = &self.pending[i];
-                (m.1 .0, m.1 .1.clone())
-            };
-            let (os, ol) = self.owner[dst.0];
-            debug_assert_eq!(os, self.idx, "mail delivered to the wrong shard");
-            let ol = ol as usize;
-            if self.log_active {
-                self.save_node_pre(ol);
-            }
-            self.events += 1;
-            self.nodes[ol].handle(t, cmd, &mut self.out_buf);
-            self.touched.push(ol);
-            for e in self.out_buf.drain(..) {
-                self.wave.push((dst, e));
-            }
-        }
-        self.pcur = end;
-        let result = self.cascade(t, Cross::Stage);
-        self.reschedule_touched();
-        result
-    }
-
-    /// The optimistic window body: merges released mail (rolling back
-    /// on a straggler), then runs every local instant strictly before
-    /// `w_end`. Instants at or past `spec_begin` — and, once any
-    /// segment exists, *every* instant (a rollback may land inside the
-    /// window's committed prefix) — execute with pre-image logging.
-    fn run_opt_window(&mut self, w_end: SimTime) {
-        if self.failed.is_some() {
-            return;
-        }
-        if self.merge_released().is_err() {
-            return;
-        }
-        loop {
-            let next =
-                crate::engine::earliest([self.peek(), self.pending.get(self.pcur).map(|m| m.0.at)]);
-            let Some(t) = next else { break };
-            if t >= w_end {
-                break;
-            }
-            if t < self.now {
-                let err = CascadeError::Speculation {
-                    at: t,
-                    shard: self.idx,
-                    kind: SpeculationFault::CausalityMiss,
-                };
-                self.failed = Some(err);
-                return;
-            }
-            let logging = !self.segs.is_empty() || t >= self.spec_begin;
-            if logging {
-                if self.segs.last().is_none_or(|s| s.events_in >= self.cadence) {
-                    self.open_segment(t);
-                }
-                if self.xlog.last().is_none_or(|e| e.0 < t) {
-                    self.xlog.push((t, self.peek_sync()));
-                }
-            }
-            self.log_active = logging;
-            let events_before = self.events;
-            self.now = t;
-            if self.heap.peek().is_some_and(|(at, _)| at == t) {
-                self.pop_due(t);
-                self.touched.clear();
-                self.touched.extend_from_slice(&self.due);
-                debug_assert!(self.wave.is_empty() && self.out_buf.is_empty());
-                for i in 0..self.due.len() {
-                    let l = self.due[i];
-                    if logging {
-                        self.save_node_pre(l);
-                    }
-                    self.events += 1;
-                    self.nodes[l].advance(t, &mut self.out_buf);
-                    for e in self.out_buf.drain(..) {
-                        self.wave.push((self.global_ids[l], e));
-                    }
-                }
-                let result = self.cascade(t, Cross::Stage);
-                self.reschedule_touched();
-                if result.is_err() {
-                    self.log_active = false;
-                    return;
-                }
-            }
-            if self.deliver_due_pending_spec(t).is_err() {
-                self.log_active = false;
-                return;
-            }
-            self.log_active = false;
-            if logging {
-                let delta = self.events - events_before;
-                let seg = self.segs.last_mut().expect("segment open");
-                seg.events_in += delta;
-            }
-        }
-    }
-
-    /// Barrier preparation for a sync instant at `t`: merge released
-    /// mail, roll back any speculation at or past `t`, replay the
-    /// committed region below it (re-emissions are below the released
-    /// floor and dropped as duplicates), then drop the speculative
-    /// apparatus — the conservative sync-instant machinery runs on the
-    /// resulting live state unchanged.
-    fn materialize_at(&mut self, t: SimTime) {
-        if self.failed.is_some() {
-            return;
-        }
-        if self.merge_released().is_err() {
-            return;
-        }
-        if self.xlog.last().is_some_and(|e| e.0 >= t) {
-            if self.segs.is_empty() {
-                let err = CascadeError::Speculation {
-                    at: t,
-                    shard: self.idx,
-                    kind: SpeculationFault::RollbackPastOldestSnapshot,
-                };
-                self.failed = Some(err);
-                return;
-            }
-            self.rollback_to(t);
-        }
-        // Replay unconditionally: a rollback that lands on the oldest
-        // segment empties `segs`, but the committed region below `t`
-        // still has to re-execute before the sync instant delivers
-        // mail at `t`. For a shard already at `t` this is a no-op.
-        self.run_opt_window(t);
-        if self.failed.is_some() {
-            return;
-        }
-        self.xlog.clear();
-        self.go_live();
-    }
 }
 
-/// The adaptive-mode window bounds, as a standalone function so the
+/// The per-shard window bounds, as a standalone function so the
 /// property tests can drive it over enumerated inputs.
 ///
 /// Inputs are per-shard published state at one coordinator iteration:
@@ -1121,8 +547,8 @@ where
 /// Two provable orderings anchor the property tests: `E[k]` never
 /// exceeds the per-edge safety bound `min(b[o], t[o] + la(o→k))` of any
 /// single incoming edge (since `A[o] <= t[o]`), and `E[k]` is at least
-/// the fixed-window bound `min(run_end, B_min, T + min incoming la)`
-/// (since every `A[o] >= T` and `b[o] >= B_min`).
+/// the classic bounded-window bound `min(run_end, B_min, T + min
+/// incoming la)` (since every `A[o] >= T` and `b[o] >= B_min`).
 pub(crate) fn adaptive_bounds(
     t: &[Option<SimTime>],
     b: &[Option<SimTime>],
@@ -1192,43 +618,22 @@ pub struct ShardedHarness<C: Component, R: Router<C>> {
     owner_map: Vec<(u32, u32)>,
     sealed: bool,
     has_sync: bool,
+    /// Lower bound on every sync node's forwarding latency; seeds the
+    /// fallback influence matrix when the caller installs none.
     lookahead: Dur,
-    /// Optional per-shard refinement of `lookahead`: shard `k`'s window
-    /// is capped by `shard_lookahead[k]` instead of the global minimum.
-    /// `None` for a shard means no cut edge touches it — its window is
-    /// bounded only by the sync horizon `B` and the run end.
-    shard_lookahead: Option<Vec<Option<Dur>>>,
-    /// Synchronization protocol (adaptive by default; fixed windows as
-    /// the ablation baseline).
-    mode: WindowMode,
-    /// Flattened `n × n` influence matrix for adaptive mode:
-    /// `influence[o * n + k]` is the tightest cut-edge lookahead over
-    /// which shard `o` can mail shard `k`, `None` when it cannot.
-    /// Derived generically at seal when the topology layer installs
-    /// nothing explicit.
+    /// Flattened `n × n` influence matrix: `influence[o * n + k]` is the
+    /// tightest cut-edge lookahead over which shard `o` can mail shard
+    /// `k`, `None` when it cannot. Derived generically at seal when the
+    /// topology layer installs nothing explicit.
     influence: Option<Vec<Option<Dur>>>,
-    /// Optional cap on adaptive window length past the global minimum
-    /// `T`. An uninfluenced shard's window is otherwise bounded only by
-    /// the run end, so its outbox (and the receiver's pending queue)
-    /// would grow with the horizon; the cap trades a few extra barriers
-    /// for bounded mailbox memory. `None` (default) leaves windows
+    /// Optional cap on window length past the global minimum `T`. An
+    /// uninfluenced shard's window is otherwise bounded only by the run
+    /// end, so its outbox (and the receiver's pending queue) would grow
+    /// with the horizon; the cap trades a few extra barriers for
+    /// bounded mailbox memory. `None` (default) leaves windows
     /// unbounded.
     max_window_span: Option<Dur>,
     threads: usize,
-    /// Execution discipline (conservative by default; optimistic runs
-    /// the Time-Warp-style speculate/rollback coordinator).
-    exec: ExecMode,
-    /// Events between speculative snapshots (optimistic mode).
-    snapshot_cadence: u64,
-    /// How far past its conservative bound a shard may speculate per
-    /// window; defaults to 8× the lookahead when unset.
-    spec_span: Option<Dur>,
-    /// GVT reduction rounds run by the optimistic coordinator.
-    gvt_rounds: u64,
-    /// Per-shard committed frontier (monotone): instants strictly
-    /// below it are globally committed; staged mail below it has been
-    /// released.
-    opt_frontier: Vec<SimTime>,
     now: SimTime,
     failed: Option<CascadeError>,
     telemetry: Registry,
@@ -1239,7 +644,7 @@ pub struct ShardedHarness<C: Component, R: Router<C>> {
     merge_buf: Vec<Vec<Mail<C::Cmd>>>,
     /// Dispatch scratch: indices of shards participating in a round.
     active: Vec<usize>,
-    // Adaptive-coordinator scratch (cleared and refilled per iteration,
+    // Coordinator scratch (cleared and refilled per iteration,
     // capacity retained — the sharded path is also alloc-free in steady
     // state).
     t_buf: Vec<Option<SimTime>>,
@@ -1250,13 +655,14 @@ pub struct ShardedHarness<C: Component, R: Router<C>> {
 
 impl<C, R> ShardedHarness<C, R>
 where
-    C: Component + Persist + Send + 'static,
-    C::Cmd: Clone + Send + 'static,
+    C: Component + Send + 'static,
+    C::Cmd: Send + 'static,
     C::Out: Send + 'static,
-    R: Router<C> + Rollback + Send + 'static,
+    R: Router<C> + Send + 'static,
 {
     /// Creates a harness with one shard per router in `routers`.
-    /// `lookahead` is the conservative window bound `L` (must be
+    /// `lookahead` is a lower bound on every sync node's forwarding
+    /// latency, used when no influence matrix is installed (must be
     /// positive if any sync-class node is registered); `cascade_limit`
     /// bounds same-instant cascades exactly as in the single-threaded
     /// harness (and also bounds mailbox exchange rounds per instant).
@@ -1275,16 +681,9 @@ where
             sealed: false,
             has_sync: false,
             lookahead,
-            shard_lookahead: None,
-            mode: WindowMode::default(),
             influence: None,
             max_window_span: None,
             threads: crate::sweep::default_threads(n),
-            exec: ExecMode::default(),
-            snapshot_cadence: 256,
-            spec_span: None,
-            gvt_rounds: 0,
-            opt_frontier: Vec::new(),
             now: SimTime::ZERO,
             failed: None,
             telemetry: Registry::new(),
@@ -1310,7 +709,7 @@ where
     /// across all shards — identical numbering to registering the same
     /// sequence into a single-threaded harness. `sync` marks the node
     /// sync-class (it may emit cross-shard commands; its deadlines
-    /// bound the conservative windows).
+    /// bound the windows).
     pub fn add_node_labeled(
         &mut self,
         node: C,
@@ -1364,94 +763,26 @@ where
         self.failed
     }
 
-    /// Installs per-shard window bounds derived from the cut edges
-    /// incident to each shard: shard `k` may run `lookahead[k]` past
-    /// the window base instead of the one global minimum, so shards far
-    /// from the tightest link run wider windows. `None` for a shard
-    /// means no cut edge touches it (no bound beyond the sync horizon).
-    ///
-    /// Soundness: a frame handed to a cut bridge `i` at or after the
-    /// window base `T` cannot re-emerge before `T + lookahead_i`, and
-    /// every shard holding one of that bridge's port rings has
-    /// `lookahead[k] <= lookahead_i`, so all of them stop before any
-    /// such effect — the per-edge bound never admits a causality miss
-    /// the global minimum would have caught.
-    pub fn set_shard_lookaheads(&mut self, lookahead: Vec<Option<Dur>>) {
-        assert!(!self.sealed, "cannot change lookahead after the first run");
-        assert_eq!(
-            lookahead.len(),
-            self.shards.len(),
-            "one lookahead entry per shard"
-        );
-        self.shard_lookahead = Some(lookahead);
-    }
-
-    /// Selects the synchronization protocol. Both modes are
-    /// bit-identical; see [`WindowMode`].
-    pub fn set_window_mode(&mut self, mode: WindowMode) {
-        assert!(
-            !self.sealed,
-            "cannot change window mode after the first run"
-        );
-        self.mode = mode;
-    }
-
-    /// The synchronization protocol this harness runs.
-    pub fn window_mode(&self) -> WindowMode {
-        self.mode
-    }
-
-    /// Selects the execution discipline. Optimistic execution is
-    /// bit-identical to both conservative modes (the parity tests pin
-    /// it); it trades snapshot/rollback work for speculation past the
-    /// conservative bound.
-    pub fn set_exec_mode(&mut self, exec: ExecMode) {
-        assert!(!self.sealed, "cannot change exec mode after the first run");
-        self.exec = exec;
-    }
-
-    /// The execution discipline this harness runs.
-    pub fn exec_mode(&self) -> ExecMode {
-        self.exec
-    }
-
-    /// Events a shard executes between speculative snapshots
-    /// (optimistic mode). A smaller cadence makes rollbacks cheaper
-    /// and snapshots dearer; `cadence` must be positive.
-    pub fn set_snapshot_cadence(&mut self, cadence: u64) {
-        assert!(cadence > 0, "snapshot cadence must be positive");
-        self.snapshot_cadence = cadence;
-    }
-
-    /// How far past its conservative bound each shard may speculate
-    /// per window. Defaults to 8× the lookahead. Results are
-    /// span-invariant (parity holds regardless); the span only bounds
-    /// how much state can need rolling back at once.
-    pub fn set_speculation_span(&mut self, span: Dur) {
-        assert!(span > Dur::ZERO, "a zero span disables speculation");
-        self.spec_span = Some(span);
-    }
-
-    /// Caps every adaptive window at `span` past the global minimum
-    /// instant `T`. Results are protocol-invariant (the parity tests
-    /// hold both modes to bit-identity regardless), but without a cap
-    /// an *uninfluenced* shard may run clear to the horizon in one
-    /// window, growing its outbox — and the receiving shard's pending
-    /// queue — linearly with the run length. Long-running callers that
-    /// care about bounded mailbox memory (e.g. the zero-allocation
-    /// steady-state test) install a span; `span` must be positive.
+    /// Caps every window at `span` past the global minimum instant `T`.
+    /// Results do not depend on the cap (the parity tests hold any span
+    /// to bit-identity), but without a cap an *uninfluenced* shard may
+    /// run clear to the horizon in one window, growing its outbox — and
+    /// the receiving shard's pending queue — linearly with the run
+    /// length. Long-running callers that care about bounded mailbox
+    /// memory (e.g. the zero-allocation steady-state test) install a
+    /// span; `span` must be positive.
     pub fn set_max_window_span(&mut self, span: Dur) {
         assert!(span > Dur::ZERO, "a zero span would stall every window");
         self.max_window_span = Some(span);
     }
 
-    /// Installs the per-edge influence matrix for adaptive mode:
-    /// `lookahead[o][k]` is the tightest cut-edge lookahead over which
-    /// shard `o` can mail shard `k`, `None` when no such edge exists.
-    /// The topology layer derives this from the sync bridges' actual
-    /// port-ring placement; when nothing is installed, seal derives a
-    /// conservative fallback from the per-shard lookaheads (every shard
-    /// with sync-class nodes influences every other shard).
+    /// Installs the per-edge influence matrix: `lookahead[o][k]` is the
+    /// tightest cut-edge lookahead over which shard `o` can mail shard
+    /// `k`, `None` when no such edge exists. The topology layer derives
+    /// this from the sync bridges' actual port-ring placement; when
+    /// nothing is installed, seal derives a conservative fallback from
+    /// the global lookahead (every shard with sync-class nodes
+    /// influences every other shard).
     ///
     /// Soundness requirement on the caller: mail from shard `o` to
     /// shard `k` must only ever emerge from a sync node whose lookahead
@@ -1546,30 +877,15 @@ where
                 self.lookahead > Dur::ZERO,
                 "sync-class nodes require a positive lookahead"
             );
-            if let Some(per_shard) = &self.shard_lookahead {
-                for (k, la) in per_shard.iter().enumerate() {
-                    if let Some(d) = la {
-                        assert!(
-                            *d > Dur::ZERO,
-                            "shard {k}: a zero per-shard lookahead would stall the window"
-                        );
-                    }
-                }
-            }
         }
         let owner = Arc::new(self.owner_map.clone());
         for s in &mut self.shards {
             s.as_mut().expect("shard present").owner = Arc::clone(&owner);
         }
-        if (self.mode == WindowMode::Adaptive || self.exec == ExecMode::Optimistic)
-            && self.influence.is_none()
-        {
+        if self.influence.is_none() {
             // Generic fallback influence matrix: every shard with at
-            // least one sync-class node can mail every other shard. The
-            // edge lookahead is the larger of the two endpoint shards'
-            // cut-edge minima (sound: a real bridge between them touches
-            // both shards, so its lookahead is at least that max), the
-            // global lookahead when no per-shard bounds are installed.
+            // least one sync-class node can mail every other shard over
+            // the global lookahead.
             let n = self.shards.len();
             let mut flat = vec![None; n * n];
             for o in 0..n {
@@ -1581,18 +897,9 @@ where
                     continue;
                 }
                 for k in 0..n {
-                    if o == k {
-                        continue;
+                    if o != k {
+                        flat[o * n + k] = Some(self.lookahead);
                     }
-                    flat[o * n + k] = match &self.shard_lookahead {
-                        Some(v) => match (v[o], v[k]) {
-                            (Some(a), Some(b)) => Some(a.max(b)),
-                            // A shard no cut edge touches can neither
-                            // send nor receive cross-shard mail.
-                            _ => None,
-                        },
-                        None => Some(self.lookahead),
-                    };
                 }
             }
             self.influence = Some(flat);
@@ -1677,11 +984,7 @@ where
         // window end is exclusive, so `horizon + 1 ns` makes deadlines
         // at exactly `horizon` runnable.
         let run_end = horizon.saturating_add(Dur::from_ns(1));
-        match (self.exec, self.mode) {
-            (ExecMode::Optimistic, _) => self.run_optimistic(horizon, run_end)?,
-            (_, WindowMode::FixedLookahead) => self.run_fixed(horizon, run_end)?,
-            (_, WindowMode::Adaptive) => self.run_adaptive(horizon, run_end)?,
-        }
+        self.run_adaptive(horizon, run_end)?;
         for s in &mut self.shards {
             let s = s.as_mut().expect("shard present");
             if s.now < horizon {
@@ -1694,57 +997,17 @@ where
         Ok(())
     }
 
-    /// The fixed-lookahead coordinator loop: the classic bounded-window
-    /// protocol, unchanged — the ablation baseline adaptive mode is
-    /// parity-tested against.
-    fn run_fixed(&mut self, horizon: SimTime, run_end: SimTime) -> Result<(), CascadeError>
-    where
-        R: MergeTelemetry,
-    {
-        loop {
-            // T: earliest deadline anywhere (after flushing node_mut
-            // reschedules); B: earliest sync-class deadline.
-            let mut t_min: Option<SimTime> = None;
-            let mut b_min: Option<SimTime> = None;
-            for s in &mut self.shards {
-                let s = s.as_mut().expect("shard present");
-                s.flush_dirty();
-                t_min = crate::engine::earliest([t_min, s.peek()]);
-                b_min = crate::engine::earliest([b_min, s.peek_sync()]);
-            }
-            let Some(t) = t_min else { break };
-            if t > horizon {
-                break;
-            }
-            if b_min == Some(t) {
-                self.sync_instants += 1;
-                self.run_sync_instant(t)?;
-            } else {
-                // Lookahead-independent bound: run end and sync horizon
-                // `B`; each shard then caps it with its own lookahead.
-                let mut base = run_end;
-                if let Some(b) = b_min {
-                    base = base.min(b);
-                }
-                self.windows += 1;
-                self.run_parallel_window(t, base)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// The adaptive coordinator loop. Per iteration: flush every outbox
-    /// into the destination shards' sorted pending queues, publish each
-    /// shard's earliest actionable instant `t[k]` and sync deadline
-    /// `b[k]`, compute per-shard window bounds through the
-    /// [`adaptive_bounds`] influence fixpoint, and dispatch every shard
-    /// with work strictly inside its bound. When no shard can make
-    /// progress (every bound collapses onto `T`), fall back to one
-    /// global sync instant at `T` — the fixed protocol's exchange
-    /// machinery, which always advances. A run of consecutive
-    /// iterations stuck at one instant beyond the cascade limit is the
-    /// cross-shard livelock (zero-lookahead mail ping-pong) and poisons
-    /// the harness exactly like a cascade overflow.
+    /// The coordinator loop. Per iteration: flush every outbox into the
+    /// destination shards' sorted pending queues, publish each shard's
+    /// earliest actionable instant `t[k]` and sync deadline `b[k]`,
+    /// compute per-shard window bounds through the [`adaptive_bounds`]
+    /// influence fixpoint, and dispatch every shard with work strictly
+    /// inside its bound. When no shard can make progress (every bound
+    /// collapses onto `T`), fall back to one global sync instant at
+    /// `T`, which always advances. A run of consecutive iterations
+    /// stuck at one instant beyond the cascade limit is the cross-shard
+    /// livelock (zero-lookahead mail ping-pong) and poisons the harness
+    /// exactly like a cascade overflow.
     fn run_adaptive(&mut self, horizon: SimTime, run_end: SimTime) -> Result<(), CascadeError>
     where
         R: MergeTelemetry,
@@ -1855,8 +1118,8 @@ where
                 }
             }
             if self.active.is_empty() {
-                // Every bound collapsed onto T: the fixed protocol's
-                // sync instant always advances past it.
+                // Every bound collapsed onto T: a sync instant always
+                // advances past it.
                 self.sync_instants += 1;
                 self.run_sync_instant(t)?;
                 continue;
@@ -1883,282 +1146,7 @@ where
                 let s = s.as_ref().expect("shard present");
                 s.pending.is_empty() && s.outbox.iter().all(|o| o.is_empty())
             }),
-            "adaptive run ended with mail in flight"
-        );
-        Ok(())
-    }
-
-    /// The optimistic (Time-Warp-style) coordinator loop. Per round:
-    ///
-    /// 1. **Release** staged mail whose emitting instant is below the
-    ///    source shard's committed frontier — exactly the mail a
-    ///    conservative run would be flushing this round.
-    /// 2. **Promote** every shard to its frontier (one GVT reduction):
-    ///    prune crossing logs, fossil-collect dead snapshots, drop
-    ///    fully committed shards back to live execution.
-    /// 3. **Distribute** released mail into receiver inboxes in
-    ///    [`MailKey`] order.
-    /// 4. **Publish** each shard's *committed* view — for a
-    ///    speculating shard, the state it had at its first
-    ///    un-committed instant — so the conservative window bounds
-    ///    below are computed from exactly the values a conservative
-    ///    coordinator would see.
-    /// 5. **Bound** via the same [`adaptive_bounds`] fixpoint, then
-    ///    either dispatch speculative windows (each shard runs to its
-    ///    conservative bound plus the speculation span, staging
-    ///    cross-shard mail and snapshotting at the cadence) or, when
-    ///    no committed progress is possible, materialize the affected
-    ///    shards at the barrier and run one conservative sync instant.
-    /// 6. **Commit** this round's bounds into the frontiers
-    ///    (monotone).
-    ///
-    /// Rollbacks happen inside shard dispatch: released mail landing
-    /// behind a shard's speculative clock rewinds it to the newest
-    /// snapshot at or before the straggler, and deterministic replay
-    /// (total mailbox order, cloned re-deliveries, duplicate-dropped
-    /// re-emissions) re-derives the timeline — no anti-messages.
-    fn run_optimistic(&mut self, horizon: SimTime, run_end: SimTime) -> Result<(), CascadeError>
-    where
-        R: MergeTelemetry,
-    {
-        let n = self.shards.len();
-        let limit = u64::from(self.shards[0].as_ref().expect("shard present").limit);
-        let span = self
-            .spec_span
-            .unwrap_or_else(|| Dur::from_ns(self.lookahead.as_ns().saturating_mul(8).max(1)));
-        self.opt_frontier.clear();
-        self.opt_frontier.resize(n, SimTime::ZERO);
-        let cadence = self.snapshot_cadence;
-        for s in &mut self.shards {
-            s.as_mut().expect("shard present").cadence = cadence;
-        }
-        let mut streak_at: Option<SimTime> = None;
-        let mut streak = 0u64;
-        loop {
-            // (1) Release committed staged mail (sorted by emission
-            // instant within each (src, dst) lane, so the committed
-            // prefix is contiguous).
-            let mut moved = false;
-            for src in 0..n {
-                let f = self.opt_frontier[src];
-                let s = self.shards[src].as_mut().expect("shard present");
-                for (dst, out) in s.spec_outbox.iter_mut().enumerate() {
-                    let cut = out.partition_point(|m| m.0.at < f);
-                    if cut > 0 {
-                        moved = true;
-                        self.merge_buf[dst].extend(out.drain(..cut));
-                    }
-                }
-            }
-            // (2) One GVT reduction: promote every shard.
-            self.gvt_rounds += 1;
-            for k in 0..n {
-                let f = self.opt_frontier[k];
-                self.shards[k].as_mut().expect("shard present").promote(f);
-            }
-            // (3) Distribute released mail (keys unique → unstable sort
-            // is deterministic and allocation-free).
-            if moved {
-                self.mail_rounds += 1;
-                for dst in 0..n {
-                    if self.merge_buf[dst].is_empty() {
-                        continue;
-                    }
-                    self.merge_buf[dst].sort_unstable_by_key(|m| m.0);
-                    let s = self.shards[dst].as_mut().expect("shard present");
-                    debug_assert!(s.inbox.is_empty());
-                    std::mem::swap(&mut s.inbox, &mut self.merge_buf[dst]);
-                }
-            }
-            // (4) Publish committed views.
-            self.t_buf.clear();
-            self.b_buf.clear();
-            let mut t_min: Option<SimTime> = None;
-            for k in 0..n {
-                let s = self.shards[k].as_mut().expect("shard present");
-                s.flush_dirty();
-                let inbox_head = s.inbox.first().map(|m| m.0.at);
-                let (tk, bk) = match s.xlog.first() {
-                    // Speculating: the committed view is the state the
-                    // shard had just before its first un-committed
-                    // instant (undelivered pending mail is provably
-                    // later than every executed instant).
-                    Some(&(xt, xb)) => (crate::engine::earliest([Some(xt), inbox_head]), xb),
-                    None => (
-                        crate::engine::earliest([
-                            s.peek(),
-                            s.pending.get(s.pcur).map(|m| m.0.at),
-                            inbox_head,
-                        ]),
-                        s.peek_sync(),
-                    ),
-                };
-                t_min = crate::engine::earliest([t_min, tk]);
-                self.t_buf.push(tk);
-                self.b_buf.push(bk);
-            }
-            // Exit: speculative instants never pass the horizon (the
-            // window end is capped at run_end), so t_min beyond it
-            // implies every shard is live and drained.
-            let Some(t) = t_min else { break };
-            if t > horizon {
-                break;
-            }
-            // Livelock guard, identical to the adaptive coordinator.
-            if streak_at == Some(t) {
-                streak += 1;
-            } else {
-                streak_at = Some(t);
-                streak = 1;
-            }
-            if streak > limit {
-                let node = self
-                    .shards
-                    .iter()
-                    .filter_map(|s| {
-                        let s = s.as_ref().expect("shard present");
-                        s.pending
-                            .get(s.pcur)
-                            .or_else(|| s.inbox.first())
-                            .map(|m| m.1 .0)
-                    })
-                    .next()
-                    .or_else(|| {
-                        self.shards.iter().find_map(|s| {
-                            let s = s.as_ref().expect("shard present");
-                            s.heap.peek().map(|(_, l)| s.global_ids[l])
-                        })
-                    })
-                    .expect("a stuck instant has work somewhere");
-                let err = CascadeError::overflow(t, node, streak as u32);
-                self.failed = Some(err);
-                self.telemetry
-                    .event(err.at(), "sim.cascade.overflow", err.event_detail());
-                self.snapshot_phase("cascade-failure");
-                return Err(err);
-            }
-            // (5) Conservative bounds from the committed views, under
-            // whichever window protocol this harness runs — the
-            // committed frontier must advance exactly as the matching
-            // conservative run would, so the optimistic/conservative
-            // ablation compares speculation against its own baseline.
-            match self.mode {
-                WindowMode::Adaptive => {
-                    let influence = self.influence.as_deref().expect("sealed with influence");
-                    adaptive_bounds(
-                        &self.t_buf,
-                        &self.b_buf,
-                        influence,
-                        run_end,
-                        &mut self.a_buf,
-                        &mut self.e_buf,
-                    );
-                }
-                WindowMode::FixedLookahead => {
-                    // Mirror `run_fixed`/`run_parallel_window`: bound at
-                    // the sync horizon `B`, then cap each shard with its
-                    // own lookahead.
-                    let mut base = run_end;
-                    for bk in self.b_buf.iter().flatten() {
-                        base = base.min(*bk);
-                    }
-                    self.e_buf.clear();
-                    for k in 0..n {
-                        let mut e = base;
-                        if self.has_sync {
-                            match self.shard_lookahead.as_ref().map(|v| v[k]) {
-                                Some(Some(la)) => e = e.min(t.saturating_add(la)),
-                                Some(None) => {}
-                                None => e = e.min(t.saturating_add(self.lookahead)),
-                            }
-                        }
-                        self.e_buf.push(e);
-                    }
-                }
-            }
-            if let Some(cap) = self.max_window_span {
-                let cap = t.saturating_add(cap);
-                for e in self.e_buf.iter_mut() {
-                    *e = (*e).min(cap);
-                }
-            }
-            let any_progress = (0..n).any(|k| self.t_buf[k].is_some_and(|tk| tk < self.e_buf[k]));
-            if !any_progress {
-                // Barrier: materialize every shard the instant can
-                // touch (mail never arrives below a shard's committed
-                // frontier, so shards whose frontier lies beyond `t`
-                // keep their speculation through the sync instant).
-                for k in 0..n {
-                    if self.opt_frontier[k] > t {
-                        continue;
-                    }
-                    let s = self.shards[k].as_mut().expect("shard present");
-                    if !s.inbox.is_empty() || !s.segs.is_empty() {
-                        s.materialize_at(t);
-                    }
-                }
-                self.check_failures()?;
-                self.sync_instants += 1;
-                self.run_sync_instant(t)?;
-                for k in 0..n {
-                    if self.opt_frontier[k] < t {
-                        self.opt_frontier[k] = t;
-                    }
-                }
-                continue;
-            }
-            // Dispatch: a shard participates when it has released mail
-            // to merge or any actionable instant inside its
-            // speculative window.
-            self.active.clear();
-            for k in 0..n {
-                let spec_end = run_end.min(self.e_buf[k].saturating_add(span));
-                let s = self.shards[k].as_mut().expect("shard present");
-                let local_next =
-                    crate::engine::earliest([s.peek(), s.pending.get(s.pcur).map(|m| m.0.at)]);
-                if !s.inbox.is_empty() || local_next.is_some_and(|x| x < spec_end) {
-                    s.w_end = spec_end;
-                    s.spec_begin = self.e_buf[k];
-                    self.active.push(k);
-                }
-            }
-            if !self.active.is_empty() {
-                self.windows += 1;
-                let mut next_active = 0;
-                for k in 0..n {
-                    let s = self.shards[k].as_mut().expect("shard present");
-                    if next_active < self.active.len() && self.active[next_active] == k {
-                        next_active += 1;
-                        s.stats.window_advances += 1;
-                    } else {
-                        s.stats.idle_windows += 1;
-                    }
-                }
-                self.dispatch(move |s| {
-                    let w = s.w_end;
-                    s.run_opt_window(w);
-                });
-                self.check_failures()?;
-            }
-            // (6) This round's conservative bounds are now committed.
-            for k in 0..n {
-                if self.opt_frontier[k] < self.e_buf[k] {
-                    self.opt_frontier[k] = self.e_buf[k];
-                }
-            }
-        }
-        debug_assert!(
-            self.shards.iter().all(|s| {
-                let s = s.as_ref().expect("shard present");
-                s.segs.is_empty()
-                    && s.xlog.is_empty()
-                    && s.pcur == 0
-                    && s.pending.is_empty()
-                    && s.inbox.is_empty()
-                    && s.outbox.iter().all(|o| o.is_empty())
-                    && s.spec_outbox.iter().all(|o| o.is_empty())
-            }),
-            "optimistic run ended with speculative state"
+            "run ended with mail in flight"
         );
         Ok(())
     }
@@ -2174,47 +1162,6 @@ where
         }
     }
 
-    /// One conservative window opening at `t`: every shard with work
-    /// before its own window end runs independently. `base` is the
-    /// lookahead-independent bound (run end, sync horizon `B`); each
-    /// shard's end is `base` capped by the lookahead that applies to it
-    /// — the per-shard cut-edge minimum when installed, the global
-    /// minimum otherwise, nothing when no cut edge touches the shard.
-    fn run_parallel_window(&mut self, t: SimTime, base: SimTime) -> Result<(), CascadeError>
-    where
-        R: MergeTelemetry,
-    {
-        self.active.clear();
-        for (k, s) in self.shards.iter_mut().enumerate() {
-            let s = s.as_mut().expect("shard present");
-            let mut w_end = base;
-            if self.has_sync {
-                match self.shard_lookahead.as_ref().map(|v| v[k]) {
-                    Some(Some(la)) => w_end = w_end.min(t.saturating_add(la)),
-                    Some(None) => {}
-                    None => w_end = w_end.min(t.saturating_add(self.lookahead)),
-                }
-            }
-            debug_assert!(w_end > t, "conservative window must make progress");
-            s.w_end = w_end;
-            match s.peek() {
-                Some(d) if d < w_end => {
-                    s.stats.window_advances += 1;
-                    self.active.push(k);
-                }
-                _ => s.stats.idle_windows += 1,
-            }
-        }
-        if self.active.is_empty() {
-            return Ok(());
-        }
-        self.dispatch(move |s| {
-            let w = s.w_end;
-            s.run_window(w);
-        });
-        self.check_failures()
-    }
-
     /// One sync instant at `t`: due shards advance with cross-shard
     /// emission diverted to mailboxes, then mail is exchanged in
     /// deterministic rounds until none is in flight.
@@ -2225,8 +1172,8 @@ where
         self.active.clear();
         for (k, s) in self.shards.iter().enumerate() {
             let s = s.as_ref().expect("shard present");
-            // Pending mail emitted exactly at `t` (adaptive fallback)
-            // joins the opening round alongside the due deadlines.
+            // Pending mail emitted exactly at `t` joins the opening
+            // round alongside the due deadlines.
             if s.peek() == Some(t) || s.peek_pending() == Some(t) {
                 self.active.push(k);
             }
@@ -2369,10 +1316,7 @@ where
                     && shard.out_buf.is_empty()
                     && shard.inbox.is_empty()
                     && shard.pending.is_empty()
-                    && shard.outbox.iter().all(|o| o.is_empty())
-                    && shard.segs.is_empty()
-                    && shard.xlog.is_empty()
-                    && shard.spec_outbox.iter().all(|o| o.is_empty()),
+                    && shard.outbox.iter().all(|o| o.is_empty()),
                 "checkpoint taken off a sync-instant boundary"
             );
             shard.nodes[l as usize].persist(enc);
@@ -2442,10 +1386,7 @@ where
                     && shard.out_buf.is_empty()
                     && shard.inbox.is_empty()
                     && shard.pending.is_empty()
-                    && shard.outbox.iter().all(|o| o.is_empty())
-                    && shard.segs.is_empty()
-                    && shard.xlog.is_empty()
-                    && shard.spec_outbox.iter().all(|o| o.is_empty()),
+                    && shard.outbox.iter().all(|o| o.is_empty()),
                 "checkpoint taken off a sync-instant boundary"
             );
             shard.nodes[l as usize].persist(w.enc());
@@ -2535,24 +1476,8 @@ where
         sched.counter("windows", self.windows);
         sched.counter("sync_instants", self.sync_instants);
         sched.counter("mail_rounds", self.mail_rounds);
-        let (mut rollbacks, mut rb_events, mut snap_bytes) = (0u64, 0u64, 0u64);
-        for s in &self.shards {
-            let s = s.as_ref().expect("shard present");
-            rollbacks += s.rollbacks;
-            rb_events += s.rolled_back_events;
-            snap_bytes += s.snapshot_bytes;
-        }
-        sched.counter("gvt_rounds", self.gvt_rounds);
-        sched.counter("rollbacks", rollbacks);
-        sched.counter("events_rolled_back", rb_events);
-        sched.counter("snapshot_bytes", snap_bytes);
         for k in 0..self.shards.len() {
-            let stats = {
-                let s = self.shards[k].as_ref().expect("shard present");
-                let mut st = s.stats;
-                st.events = s.events;
-                st
-            };
+            let stats = self.shard_stats(k);
             let mut shard = sched.scope(&format!("shard{k}"));
             shard.counter("events", stats.events);
             shard.counter("idle_windows", stats.idle_windows);
@@ -2698,8 +1623,9 @@ mod tests {
         //   influencer `o` (shard `o` could act at `t[o]`, so nothing
         //   it sends can be ruled out past that),
         // * progress — the adaptive bound is never narrower than the
-        //   fixed-window bound `min(run_end, B_min, T + la_in)`, so
-        //   adaptive mode never erects a barrier fixed mode would not.
+        //   classic bounded-window bound `min(run_end, B_min, T +
+        //   la_in)`, so it never erects a barrier that protocol would
+        //   not.
         let pool: [Option<SimTime>; 6] = [
             None,
             Some(t(10)),
@@ -3026,71 +1952,35 @@ mod tests {
         single.run_until(horizon);
         let single_json = single.telemetry_json();
 
-        for mode in [WindowMode::FixedLookahead, WindowMode::Adaptive] {
-            // Sharded: relay is the sync node; its 350 ns latency is the
-            // lookahead. Counter lives alone on shard 1.
-            let mut sharded = ShardedHarness::new(
-                vec![ToyRouter { routed: 0 }, ToyRouter { routed: 0 }],
-                64,
-                Dur::from_ns(350),
-            );
-            let [src, relay, dst] = toy_nodes();
-            sharded.add_node_labeled(src, "src", 0, false);
-            sharded.add_node_labeled(relay, "relay", 0, true);
-            sharded.add_node_labeled(dst, "dst", 1, false);
-            sharded.set_window_mode(mode);
-            // Force pool dispatch even on single-core machines (the
-            // default caps threads at hardware parallelism): the
-            // parallel code path must produce the same bytes as the
-            // inline one.
-            sharded.set_threads(2);
-            sharded.run_until(horizon);
+        // Sharded: relay is the sync node; its 350 ns latency is the
+        // lookahead. Counter lives alone on shard 1.
+        let mut sharded = ShardedHarness::new(
+            vec![ToyRouter { routed: 0 }, ToyRouter { routed: 0 }],
+            64,
+            Dur::from_ns(350),
+        );
+        let [src, relay, dst] = toy_nodes();
+        sharded.add_node_labeled(src, "src", 0, false);
+        sharded.add_node_labeled(relay, "relay", 0, true);
+        sharded.add_node_labeled(dst, "dst", 1, false);
+        // Force pool dispatch even on single-core machines (the default
+        // caps threads at hardware parallelism): the parallel code path
+        // must produce the same bytes as the inline one.
+        sharded.set_threads(2);
+        sharded.run_until(horizon);
 
-            assert_eq!(sharded.telemetry_json(), single_json, "{mode:?}");
-            assert_eq!(sharded.events(), single.events(), "{mode:?}");
-            assert_eq!(sharded.now(), single.now(), "{mode:?}");
-            // The cross-shard path really was exercised through
-            // mailboxes in both modes.
-            let sent: u64 = (0..2).map(|k| sharded.shard_stats(k).mailbox_sent).sum();
-            assert_eq!(sent, 40, "every relayed item crossed the boundary");
-            let sync_instants = sharded
-                .exec_telemetry()
-                .counter_value("sched.sync_instants");
-            match mode {
-                // Fixed windows pay a barrier for every relay hand-off…
-                WindowMode::FixedLookahead => assert!(sync_instants > Some(0)),
-                // …adaptive mode pipelines the whole chain: shard 0 runs
-                // to the horizon in one window (nothing influences it),
-                // then shard 1 drains the 40 mailed items in a second.
-                WindowMode::Adaptive => {
-                    assert_eq!(sync_instants, Some(0), "no barrier needed");
-                    let reg = sharded.exec_telemetry();
-                    assert_eq!(reg.counter_value("sched.windows"), Some(2));
-                }
-            }
-        }
-
-        // Optimistic: speculate past the conservative bounds, same bytes.
-        for threads in [1, 2] {
-            let mut opt = ShardedHarness::new(
-                vec![ToyRouter { routed: 0 }, ToyRouter { routed: 0 }],
-                64,
-                Dur::from_ns(350),
-            );
-            let [src, relay, dst] = toy_nodes();
-            opt.add_node_labeled(src, "src", 0, false);
-            opt.add_node_labeled(relay, "relay", 0, true);
-            opt.add_node_labeled(dst, "dst", 1, false);
-            opt.set_exec_mode(ExecMode::Optimistic);
-            opt.set_snapshot_cadence(4);
-            opt.set_threads(threads);
-            opt.run_until(horizon);
-            assert_eq!(opt.telemetry_json(), single_json, "optimistic/{threads}");
-            assert_eq!(opt.events(), single.events(), "optimistic/{threads}");
-            assert_eq!(opt.now(), single.now(), "optimistic/{threads}");
-            let reg = opt.exec_telemetry();
-            assert!(reg.counter_value("sched.gvt_rounds") > Some(0));
-        }
+        assert_eq!(sharded.telemetry_json(), single_json);
+        assert_eq!(sharded.events(), single.events());
+        assert_eq!(sharded.now(), single.now());
+        // The cross-shard path really was exercised through mailboxes.
+        let sent: u64 = (0..2).map(|k| sharded.shard_stats(k).mailbox_sent).sum();
+        assert_eq!(sent, 40, "every relayed item crossed the boundary");
+        // The windows pipeline the whole chain: shard 0 runs to the
+        // horizon in one window (nothing influences it), then shard 1
+        // drains the 40 mailed items in a second — no barrier needed.
+        let reg = sharded.exec_telemetry();
+        assert_eq!(reg.counter_value("sched.sync_instants"), Some(0));
+        assert_eq!(reg.counter_value("sched.windows"), Some(2));
     }
 
     #[test]

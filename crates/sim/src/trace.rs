@@ -66,26 +66,6 @@ impl EdgeLog {
         &self.edges
     }
 
-    /// Discards every edge past the first `len`, rewinding the log to a
-    /// state it previously passed through. The optimistic scheduler's
-    /// rollback images store edge-log *lengths* as truncation marks
-    /// rather than copying the edges, so undoing speculation costs
-    /// O(edges speculated), not O(edges ever recorded).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `len` exceeds the current length — a truncation mark
-    /// can only come from this log's own past.
-    pub fn truncate(&mut self, len: usize) {
-        assert!(
-            len <= self.edges.len(),
-            "EdgeLog {}: truncation mark {len} beyond {} recorded edges",
-            self.name,
-            self.edges.len()
-        );
-        self.edges.truncate(len);
-    }
-
     /// Number of recorded edges.
     pub fn len(&self) -> usize {
         self.edges.len()

@@ -18,7 +18,11 @@ reports add a capacity ("scale") section — per topology size, the build
 wall time (with peak build bytes when the report was recorded with the
 counting allocator), the steady-state events/sec with the shard counts
 whose streamed checkpoints round-tripped byte-identically, and the
-streaming-checkpoint write/read throughput in MB/s. Malformed
+streaming-checkpoint write/read throughput in MB/s. "ctms-perf/7"
+reports drop the retired ablations: each case row carries only the
+indexed scheduler's run (no lazy-baseline speedup) and sharded rows
+carry no fixed-lookahead or optimistic entries; older reports keep
+rendering their "[fixed]"/"[opt]" rows unchanged. Malformed
 reports (unparseable JSON, or a structurally broken
 section) are listed on stderr and make the exit code non-zero — as does
 a recorded sharded configuration running more than 10% slower than its
@@ -191,18 +195,22 @@ def sharded_regressions(report):
 
 
 def rows_perf(report):
-    """ctms-perf/1 through /3: scheduler speedups, allocs, sharded
-    chain, and (since /3) per-topology graph-shape results."""
+    """ctms-perf/1 and later: case throughput (with the indexed-vs-lazy
+    speedup through /6), allocs, sharded chain, and (since /3)
+    per-topology graph-shape results."""
     cores = report.get("cores")
     if cores is not None:
         note = ", DEGRADED PARALLELISM" if report_degraded(report) else ""
         yield ("measured on", f"{cores} core(s){note}")
     for case in report.get("cases", []):
         ev = case["indexed"]["events_per_sec"]
-        yield (
-            f"{case['name']} indexed vs lazy",
-            f"{fmt_speedup(case['speedup'])} ({ev / 1e6:.2f}M ev/s)",
-        )
+        if "speedup" in case:
+            yield (
+                f"{case['name']} indexed vs lazy",
+                f"{fmt_speedup(case['speedup'])} ({ev / 1e6:.2f}M ev/s)",
+            )
+        else:
+            yield (f"{case['name']} indexed", f"{ev / 1e6:.2f}M ev/s")
     steady = report.get("steady_state")
     if steady:
         yield (
@@ -446,12 +454,48 @@ WELL_FORMED_V6 = {
 }
 
 
+WELL_FORMED_V7 = {
+    "format": "ctms-perf/7",
+    "cores": 2,
+    "degraded_parallelism": False,
+    "cases": [
+        {
+            "name": "case_a",
+            "indexed": {"events": 1311000, "wall_secs": 0.25, "events_per_sec": 5.244e6},
+        }
+    ],
+    "chain": {
+        "rings": 32,
+        "single": {"events_per_sec": 5.0e6},
+        "sharded": [
+            {
+                "shards": 2,
+                "threads": 2,
+                "threads_requested": None,
+                "run": {"events": 51662},
+                "speedup": 1.1,
+                "window": {"sync_instants": 0, "windows": 2, "mail_rounds": 1},
+                "ground_truth_parity": True,
+            }
+        ],
+    },
+    "topologies": None,
+    "scale": None,
+    "steady_state": {
+        "workload": "synth-ring/16",
+        "events": 50000,
+        "indexed": {"allocations": 0, "allocs_per_event": 0.0},
+    },
+}
+
+
 def selftest():
     """Pins the malformed-report contract (bad syntax and a broken
     topology section both produce a non-zero exit, a clean tree a zero
     one), the /4 efficiency columns, the /5 optimistic ablation row,
-    the /6 scale section, and the sharded-regression gate (conservative
-    and optimistic) with its degraded-parallelism exemption."""
+    the /6 scale section, the /7 speedup-free case rows, and the
+    sharded-regression gate (conservative and optimistic) with its
+    degraded-parallelism exemption."""
 
     def run_on(files):
         with tempfile.TemporaryDirectory() as td:
@@ -573,6 +617,28 @@ def selftest():
     code, _, err = run_on({"BENCH_PR10.json": json.dumps(regressed)})
     assert code == 1, "a /6 sharded regression must fail the run"
     assert "0.80x" in err, err
+
+    # A /7 report's case rows carry only the indexed run: they render as
+    # plain throughput, with no lazy-baseline speedup, next to the
+    # unchanged sharded and steady-state rows.
+    code, out, err = run_on({"BENCH_PR12.json": json.dumps(WELL_FORMED_V7)})
+    assert code == 0, f"well-formed /7 report must exit 0: {err}"
+    assert "case_a indexed  " in out and "5.24M ev/s" in out, f"missing /7 case row:\n{out}"
+    assert "vs lazy" not in out, f"/7 case rows have no speedup:\n{out}"
+    assert "chain/32 shards=2 threads=2" in out and "1.10x (parity OK" in out, out
+    assert "[fixed]" not in out and "[opt]" not in out, out
+    assert "steady-state allocs/event (indexed)" in out, out
+
+    # A /7 case row without its indexed run is malformed, and the
+    # sharded-regression gate still applies.
+    broken = json.loads(json.dumps(WELL_FORMED_V7))
+    del broken["cases"][0]["indexed"]
+    code, _, err = run_on({"BENCH_PR12.json": json.dumps(broken)})
+    assert code == 1 and "bad section structure" in err, err
+    regressed = json.loads(json.dumps(WELL_FORMED_V7))
+    regressed["chain"]["sharded"][0]["speedup"] = 0.5
+    code, _, err = run_on({"BENCH_PR12.json": json.dumps(regressed)})
+    assert code == 1 and "0.50x" in err, err
 
     print("bench_trend selftest: OK")
     return 0

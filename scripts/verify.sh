@@ -13,47 +13,14 @@ cargo clippy --workspace -- -D warnings
 echo "== tier-1: cargo build --release"
 cargo build --release
 
-echo "== tier-1: cargo test -q"
+echo "== tier-1: cargo test -q (every workspace crate: shard parity, checkpoints, serve)"
 cargo test -q
 
-echo "== tier-1: zero-alloc scheduler steady state (alloc-count)"
+echo "== zero-alloc scheduler steady state (alloc-count)"
 cargo test -q -p ctms-sim --features alloc-count --test zero_alloc
 
-echo "== tier-1: zero-alloc sharded steady state (both window modes + optimistic)"
+echo "== zero-alloc sharded steady state (alloc-count)"
 cargo test -q -p ctms-sim --features alloc-count --test zero_alloc_sharded
-
-echo "== tier-1: sharded scheduler parity (golden digests at 1/2/4 shards)"
-cargo test -q --test determinism sharded_harness_shares_the_golden_truth
-
-echo "== tier-1: checkpoint parity (byte-identical resume, any shard count)"
-cargo test -q --test checkpoint
-
-echo "== tier-1: topology parity (tree/mesh/fddi golden truth at 1/2/4 shards)"
-cargo test -q --test determinism topology_variants_share_the_golden_truth
-
-echo "== tier-1: adaptive-vs-fixed window parity (chain/tree/mesh/fddi at 1/2/4 shards)"
-cargo test -q --test determinism window_modes_share_the_golden_truth
-
-echo "== tier-1: optimistic execution parity (golden truth; rollback+replay exercised)"
-cargo test -q --test determinism optimistic_mode_shares_the_golden_truth
-cargo test -q -p ctms-sim straggler
-
-echo "== ctms-serve smoke (typed error kinds + optimistic session parity)"
-cargo test -q -p ctms-bench --bin serve
-cons_out=$(printf '%s\n' \
-  '{"scenario":"chain","rings":8,"shards":2}' \
-  '{"cmd":"run","until_ms":50}' \
-  '{"cmd":"telemetry"}' \
-  '{"cmd":"quit"}' \
-  | cargo run --release -q -p ctms-bench --bin serve)
-opt_out=$(printf '%s\n' \
-  '{"scenario":"chain","rings":8,"shards":2,"exec":"optimistic"}' \
-  '{"cmd":"run","until_ms":50}' \
-  '{"cmd":"telemetry"}' \
-  '{"cmd":"quit"}' \
-  | cargo run --release -q -p ctms-bench --bin serve)
-[ "$cons_out" = "$opt_out" ] \
-  || { echo "serve smoke: optimistic session diverged from conservative" >&2; exit 1; }
 
 echo "== ctms-serve smoke (session, run, checkpoint/restore round trip)"
 serve_out=$(printf '%s\n' \
@@ -90,10 +57,6 @@ chunks=$(printf '%s' "$stream_out" \
 printf '%s' "$stream_out" | grep -q '"event":"checkpoint_done"' \
   || { echo "serve smoke: missing checkpoint_done line" >&2; exit 1; }
 
-echo "== perf smoke (report-only, compares against checked-in BENCH_PR4.json)"
-cargo run --release -q -p ctms-bench --features alloc-count --bin perf -- \
-  --quick --compare BENCH_PR4.json
-
 echo "== sharded perf smoke (parity-asserting, report-only vs BENCH_PR5.json)"
 cargo run --release -q -p ctms-bench --features alloc-count --bin perf -- \
   --quick --shards 4 --rings 32 --compare BENCH_PR5.json
@@ -104,19 +67,11 @@ cargo run --release -q -p ctms-bench --features alloc-count --bin perf -- \
   --topology tree:16 --topology mesh:12 --topology fddi:8 \
   --compare BENCH_PR7.json
 
-echo "== adaptive perf smoke (report-only: adaptive + fixed ablation, parity-asserting)"
-cargo run --release -q -p ctms-bench --features alloc-count --bin perf -- \
-  --quick --shards 4 --rings 32 --adaptive
-
-echo "== optimistic perf smoke (report-only: speculation ablation, parity-asserting, vs BENCH_PR9.json)"
-cargo run --release -q -p ctms-bench --features alloc-count --bin perf -- \
-  --quick --shards 4 --rings 32 --adaptive --optimistic --compare BENCH_PR9.json
-
 echo "== scale perf smoke (capacity section at small N: build, streamed-checkpoint parity at 1/2/4 shards, vs BENCH_PR10.json)"
 cargo run --release -q -p ctms-bench --features alloc-count --bin perf -- \
   --quick --scale --compare BENCH_PR10.json
 
-echo "== bench_trend selftest (malformed reports, incl. topology section, must fail)"
+echo "== bench_trend selftest (malformed reports must fail; /7 rows render)"
 python3 scripts/bench_trend.py --selftest
 
 echo "verify: OK"
