@@ -129,15 +129,23 @@ impl Json {
     }
 }
 
+/// Deepest array/object nesting a line may carry. Protocol lines nest
+/// at most 4 deep (a `fork` line: command object, branch list, one
+/// branch, one mutation); the cap keeps a hostile line from exhausting
+/// the stack of the recursive parser.
+const MAX_DEPTH: usize = 16;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 fn parse_json(s: &str) -> Result<Json, String> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let v = p.value()?;
     p.skip_ws();
@@ -177,8 +185,20 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek()? {
-            b'{' => self.object(),
-            b'[' => self.array(),
+            b'{' | b'[' if self.depth == MAX_DEPTH => Err(format!(
+                "nesting deeper than {MAX_DEPTH} at offset {}",
+                self.pos
+            )),
+            open @ (b'{' | b'[') => {
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             b'"' => Ok(Json::Str(self.string()?)),
             b't' => self.keyword("true", Json::Bool(true)),
             b'f' => self.keyword("false", Json::Bool(false)),
@@ -910,6 +930,21 @@ mod tests {
             "{got}"
         );
         assert!(got.contains("protocol violation"), "{got}");
+    }
+
+    /// A hostile line nested 100,000 deep is a parse error, not a stack
+    /// overflow that takes the service down; the deepest line the
+    /// protocol uses (a `fork`) still parses.
+    #[test]
+    fn nesting_depth_is_capped() {
+        let deep = "[".repeat(100_000);
+        let err = parse_json(&deep).expect_err("a 100,000-deep line must be rejected");
+        assert!(err.contains("nesting deeper than"), "{err}");
+
+        let fork = r#"{"cmd":"fork","until_ms":2000,"branches":[[{"kind":"purge_storm","ring":0,"count":2}]]}"#;
+        let v = parse_json(fork).expect("the deepest protocol line parses");
+        let branch = &v.get("branches").and_then(Json::as_arr).expect("branches")[0];
+        assert_eq!(parse_mutations(branch).map(|m| m.len()), Ok(1));
     }
 
     fn spec(line: &str) -> Result<Spec, String> {

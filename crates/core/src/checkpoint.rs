@@ -27,8 +27,8 @@
 use crate::parallel::ShardedBus;
 use crate::topology::Bus;
 use ctms_sim::{
-    parallel_map, ChunkSink, ChunkedReader, ChunkedWriter, Dec, Dur, Enc, FramedWrite,
-    PersistError, SimTime,
+    parallel_map, ChunkSink, ChunkedWriter, Dec, Dur, FramedWrite, PersistError, SimTime,
+    UnitReader,
 };
 use ctms_tokenring::{Disturb, RingCmd};
 
@@ -50,29 +50,78 @@ pub const CHECKPOINT_MAGIC: [u8; 8] = *b"CTMSCKPT";
 ///   desynchronizing.
 pub const CHECKPOINT_VERSION: u32 = 2;
 
-fn seal(enc: Enc) -> Vec<u8> {
-    enc.into_bytes()
+/// The dynamic state behind a checkpoint header, as both bus types
+/// provide it: the shared bodies below encode and decode every
+/// checkpoint form through these three methods.
+pub(crate) trait CheckpointState {
+    /// The canonical graph-shape signature checkpoints embed (format
+    /// v2); shard-agnostic.
+    fn topology_signature(&self) -> Vec<u8>;
+
+    /// Streams the harness state, then the merged router state, into
+    /// `w`. Call at a quiescent instant.
+    fn persist_state(&self, w: &mut ChunkedWriter<'_>) -> Result<(), PersistError>;
+
+    /// Applies what [`CheckpointState::persist_state`] wrote — by any
+    /// bus flavor at any shard count — onto a fresh rebuild.
+    fn restore_state(&mut self, r: &mut UnitReader<'_>) -> Result<(), PersistError>;
 }
 
-fn write_header(enc: &mut Enc) {
+/// Header, topology signature, then the bus's dynamic state. The
+/// header and signature close the first chunk together with the
+/// harness prefix.
+fn encode(bus: &impl CheckpointState, w: &mut ChunkedWriter<'_>) -> Result<(), PersistError> {
+    let enc = w.enc();
     for b in CHECKPOINT_MAGIC {
         enc.u8(b);
     }
     enc.u32(CHECKPOINT_VERSION);
+    enc.bytes(&bus.topology_signature());
+    bus.persist_state(w)
 }
 
-fn header() -> Enc {
-    let mut enc = Enc::new();
-    write_header(&mut enc);
-    enc
+/// The in-memory image: the streamed encoding kept in one buffer.
+fn image(bus: &impl CheckpointState) -> Vec<u8> {
+    let mut w = ChunkedWriter::image();
+    encode(bus, &mut w).expect("an encode without a sink cannot fail");
+    w.into_bytes()
+}
+
+/// The encoding through `sink`; returns `(payload_bytes, chunks)`.
+fn stream(
+    bus: &impl CheckpointState,
+    sink: &mut dyn ChunkSink,
+) -> Result<(u64, u64), PersistError> {
+    let mut w = ChunkedWriter::new(sink);
+    encode(bus, &mut w)?;
+    w.finish()
+}
+
+/// Verifies the header and the topology signature, applies the state,
+/// and requires the encoding to end exactly there. The signature is
+/// shard-agnostic — every shard's router holds the complete slot
+/// table, so a 4-shard tree snapshot signs identically to the
+/// single-threaded build of the same tree.
+fn decode(bus: &mut impl CheckpointState, mut r: UnitReader<'_>) -> Result<(), PersistError> {
+    let own = bus.topology_signature();
+    r.unit(|dec| {
+        open_header(dec)?;
+        if dec.bytes()? != own {
+            return Err(PersistError::mismatch(
+                "checkpoint topology does not match this bus (different graph \
+                 shape, station layout, or host placement)",
+            ));
+        }
+        Ok(())
+    })?;
+    bus.restore_state(&mut r)?;
+    r.finish()
 }
 
 fn open_header(dec: &mut Dec<'_>) -> Result<(), PersistError> {
     for expect in CHECKPOINT_MAGIC {
         if dec.u8()? != expect {
-            return Err(PersistError::mismatch(
-                "not a CTMS checkpoint (bad magic)".to_string(),
-            ));
+            return Err(PersistError::mismatch("not a CTMS checkpoint (bad magic)"));
         }
     }
     let version = dec.u32()?;
@@ -84,38 +133,12 @@ fn open_header(dec: &mut Dec<'_>) -> Result<(), PersistError> {
     Ok(())
 }
 
-fn open(bytes: &[u8]) -> Result<Dec<'_>, PersistError> {
-    let mut dec = Dec::new(bytes);
-    open_header(&mut dec)?;
-    Ok(dec)
-}
-
-/// Reads the v2 topology signature and verifies the snapshot was taken
-/// on the same graph this bus was built from. Shard count is *not* part
-/// of the signature — every shard's router holds the complete slot
-/// table, so a 4-shard tree snapshot signs identically to the
-/// single-threaded build of the same tree.
-fn check_signature(dec: &mut Dec<'_>, own: &[u8]) -> Result<(), PersistError> {
-    let sig = dec.bytes()?;
-    if sig != own {
-        return Err(PersistError::mismatch(
-            "checkpoint topology does not match this bus (different graph \
-             shape, station layout, or host placement)"
-                .to_string(),
-        ));
-    }
-    Ok(())
-}
-
 impl Bus {
     /// Serializes the complete dynamic state behind a magic/version
     /// header. Call at a quiescent instant — after
     /// [`Bus::try_run_until`] has returned.
     pub fn checkpoint(&self) -> Vec<u8> {
-        let mut enc = header();
-        enc.bytes(&self.topology_signature());
-        self.persist_state(&mut enc);
-        seal(enc)
+        image(self)
     }
 
     /// Applies a checkpoint onto this freshly built bus. The bus must
@@ -124,10 +147,7 @@ impl Bus {
     /// first, then node counts and kinds, and the whole stream must be
     /// consumed.
     pub fn restore_checkpoint(&mut self, bytes: &[u8]) -> Result<(), PersistError> {
-        let mut dec = open(bytes)?;
-        check_signature(&mut dec, &self.topology_signature())?;
-        self.restore_state(&mut dec)?;
-        dec.finish()
+        decode(self, UnitReader::image(bytes))
     }
 
     /// Streams the checkpoint through `sink` chunk by chunk. The chunk
@@ -137,12 +157,7 @@ impl Bus {
     /// encoding, instead of the whole snapshot. Returns
     /// `(payload_bytes, chunks)`.
     pub fn checkpoint_stream(&self, sink: &mut dyn ChunkSink) -> Result<(u64, u64), PersistError> {
-        let mut w = ChunkedWriter::new(sink);
-        write_header(w.enc());
-        let sig = self.topology_signature();
-        w.enc().bytes(&sig);
-        self.persist_state_chunked(&mut w)?;
-        w.finish()
+        stream(self, sink)
     }
 
     /// Streams the checkpoint into `out` using the standard
@@ -152,8 +167,7 @@ impl Bus {
         &self,
         out: &mut dyn std::io::Write,
     ) -> Result<(u64, u64), PersistError> {
-        let mut sink = FramedWrite::new(out);
-        self.checkpoint_stream(&mut sink)
+        stream(self, &mut FramedWrite::new(out))
     }
 
     /// Restores from a stream written by [`Bus::write_checkpoint`],
@@ -161,23 +175,7 @@ impl Bus {
     /// chunk, not the whole snapshot. A stream truncated mid-chunk or
     /// mid-state surfaces as a typed [`PersistError`], never a panic.
     pub fn read_checkpoint(&mut self, inp: &mut dyn std::io::Read) -> Result<(), PersistError> {
-        let mut r = ChunkedReader::new(inp);
-        let mut first = Vec::new();
-        if !r.next_chunk_into(&mut first)? {
-            // No chunks at all: an empty (terminator-only) stream.
-            return Err(PersistError::UnexpectedEof);
-        }
-        let mut prefix = Dec::new(&first);
-        open_header(&mut prefix)?;
-        check_signature(&mut prefix, &self.topology_signature())?;
-        let mut buf = Vec::new();
-        self.restore_state_chunked(&mut prefix, &mut r, &mut buf)?;
-        if r.next_chunk_into(&mut buf)? {
-            return Err(PersistError::mismatch(
-                "streamed checkpoint has trailing chunks past the router state".to_string(),
-            ));
-        }
-        Ok(())
+        decode(self, UnitReader::stream(inp))
     }
 }
 
@@ -187,10 +185,7 @@ impl ShardedBus {
     /// the same simulation state. Call at a sync-instant boundary
     /// (after [`ShardedBus::try_run_until`] has returned).
     pub fn checkpoint(&self) -> Vec<u8> {
-        let mut enc = header();
-        enc.bytes(&self.topology_signature());
-        self.persist_state(&mut enc);
-        seal(enc)
+        image(self)
     }
 
     /// Applies a checkpoint onto this freshly built bus. The snapshot
@@ -198,10 +193,7 @@ impl ShardedBus {
     /// into a single-threaded bus or a 2-shard one — the graph
     /// signature is shard-agnostic, only the shape must match.
     pub fn restore_checkpoint(&mut self, bytes: &[u8]) -> Result<(), PersistError> {
-        let mut dec = open(bytes)?;
-        check_signature(&mut dec, &self.topology_signature())?;
-        self.restore_state(&mut dec)?;
-        dec.finish()
+        decode(self, UnitReader::image(bytes))
     }
 
     /// Streams the checkpoint through `sink` chunk by chunk — see
@@ -210,12 +202,7 @@ impl ShardedBus {
     /// the single-threaded bus), at bounded peak memory. Returns
     /// `(payload_bytes, chunks)`.
     pub fn checkpoint_stream(&self, sink: &mut dyn ChunkSink) -> Result<(u64, u64), PersistError> {
-        let mut w = ChunkedWriter::new(sink);
-        write_header(w.enc());
-        let sig = self.topology_signature();
-        w.enc().bytes(&sig);
-        self.persist_state_chunked(&mut w)?;
-        w.finish()
+        stream(self, sink)
     }
 
     /// Streams the checkpoint into `out` using the standard
@@ -224,31 +211,14 @@ impl ShardedBus {
         &self,
         out: &mut dyn std::io::Write,
     ) -> Result<(u64, u64), PersistError> {
-        let mut sink = FramedWrite::new(out);
-        self.checkpoint_stream(&mut sink)
+        stream(self, &mut FramedWrite::new(out))
     }
 
     /// Restores from a stream written by any bus flavor's
     /// `write_checkpoint` — shard counts need not match; see
     /// [`Bus::read_checkpoint`].
     pub fn read_checkpoint(&mut self, inp: &mut dyn std::io::Read) -> Result<(), PersistError> {
-        let mut r = ChunkedReader::new(inp);
-        let mut first = Vec::new();
-        if !r.next_chunk_into(&mut first)? {
-            // No chunks at all: an empty (terminator-only) stream.
-            return Err(PersistError::UnexpectedEof);
-        }
-        let mut prefix = Dec::new(&first);
-        open_header(&mut prefix)?;
-        check_signature(&mut prefix, &self.topology_signature())?;
-        let mut buf = Vec::new();
-        self.restore_state_chunked(&mut prefix, &mut r, &mut buf)?;
-        if r.next_chunk_into(&mut buf)? {
-            return Err(PersistError::mismatch(
-                "streamed checkpoint has trailing chunks past the router state".to_string(),
-            ));
-        }
-        Ok(())
+        decode(self, UnitReader::stream(inp))
     }
 }
 

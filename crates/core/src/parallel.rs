@@ -14,11 +14,16 @@
 //! back to the [`ShardedBus::Single`] variant, which wraps a plain
 //! [`Bus`] — callers see one type either way.
 
+use crate::checkpoint::CheckpointState;
 use crate::topology::{
-    decode_router_state, persist_router_parts, Bus, CtmsRouter, Measurements, Node, RouterCkpt,
+    apply_router_ckpt, decode_router_state, persist_router_parts, Bus, CtmsRouter, Measurements,
+    Node,
 };
 use ctms_router::Bridge;
-use ctms_sim::{CascadeError, NodeId, Registry, ShardStats, ShardedHarness, SimTime};
+use ctms_sim::{
+    CascadeError, ChunkedWriter, NodeId, PersistError, Registry, ShardStats, ShardedHarness,
+    SimTime, UnitReader,
+};
 use ctms_tokenring::TokenRing;
 use ctms_unixkern::{Host, MeasurePoint};
 
@@ -255,173 +260,52 @@ impl ShardedBus {
             ShardedBus::Parallel(p) => p.h.shard_stats(k),
         }
     }
+}
 
-    /// Appends all dynamic state to `enc` in the shard-agnostic
-    /// checkpoint format shared with [`Bus`]. Must be called at a
-    /// sync-instant boundary (after `try_run_until` returned, when no
-    /// mail is in flight — the harness debug-asserts this).
-    pub(crate) fn persist_state(&self, enc: &mut ctms_sim::Enc) {
-        match self {
-            ShardedBus::Single(b) => b.persist_state(enc),
-            ShardedBus::Parallel(p) => p.persist_state(enc),
-        }
-    }
-
-    /// Applies state persisted by any bus flavor — the snapshot's shard
-    /// count and this bus's need not match.
-    pub(crate) fn restore_state(
-        &mut self,
-        dec: &mut ctms_sim::Dec<'_>,
-    ) -> Result<(), ctms_sim::PersistError> {
-        match self {
-            ShardedBus::Single(b) => b.restore_state(dec),
-            ShardedBus::Parallel(p) => p.restore_state(dec),
-        }
-    }
-
-    /// Streaming counterpart of [`ShardedBus::persist_state`]: the
-    /// chunk payloads concatenate to exactly the monolithic bytes.
-    pub(crate) fn persist_state_chunked(
-        &self,
-        w: &mut ctms_sim::ChunkedWriter<'_>,
-    ) -> Result<(), ctms_sim::PersistError> {
-        match self {
-            ShardedBus::Single(b) => b.persist_state_chunked(w),
-            ShardedBus::Parallel(p) => p.persist_state_chunked(w),
-        }
-    }
-
-    /// Streaming counterpart of [`ShardedBus::restore_state`].
-    pub(crate) fn restore_state_chunked(
-        &mut self,
-        prefix: &mut ctms_sim::Dec<'_>,
-        r: &mut ctms_sim::ChunkedReader<'_>,
-        buf: &mut Vec<u8>,
-    ) -> Result<(), ctms_sim::PersistError> {
-        match self {
-            ShardedBus::Single(b) => b.restore_state_chunked(prefix, r, buf),
-            ShardedBus::Parallel(p) => p.restore_state_chunked(prefix, r, buf),
-        }
-    }
-
-    /// The canonical graph-shape signature checkpoints embed. Every
-    /// shard's router holds the complete slot table, so shard 0 signs
-    /// for the whole topology and the bytes match the single-threaded
-    /// build of the same graph.
-    pub(crate) fn topology_signature(&self) -> Vec<u8> {
+impl CheckpointState for ShardedBus {
+    fn topology_signature(&self) -> Vec<u8> {
         match self {
             ShardedBus::Single(b) => b.topology_signature(),
-            ShardedBus::Parallel(p) => p.h.shard_router(0).topology_signature(),
+            ShardedBus::Parallel(p) => p.topology_signature(),
+        }
+    }
+
+    fn persist_state(&self, w: &mut ChunkedWriter<'_>) -> Result<(), PersistError> {
+        match self {
+            ShardedBus::Single(b) => b.persist_state(w),
+            ShardedBus::Parallel(p) => p.persist_state(w),
+        }
+    }
+
+    fn restore_state(&mut self, r: &mut UnitReader<'_>) -> Result<(), PersistError> {
+        match self {
+            ShardedBus::Single(b) => b.restore_state(r),
+            ShardedBus::Parallel(p) => p.restore_state(r),
         }
     }
 }
 
-impl ParallelBus {
-    /// See [`ShardedBus::persist_state`]: same byte stream as the
-    /// single-threaded bus — the harness walks nodes in global
-    /// registration order, and the per-shard router parts are merged
-    /// into one canonical stream.
-    pub(crate) fn persist_state(&self, enc: &mut ctms_sim::Enc) {
-        self.h.persist_state(enc);
-        let parts: Vec<&CtmsRouter> = (0..self.h.shard_count())
-            .map(|k| self.h.shard_router(k))
-            .collect();
-        persist_router_parts(&parts, enc);
+/// The same byte stream as the single-threaded [`Bus`]: the harness
+/// walks nodes in global registration order, and the per-shard router
+/// parts are merged into one canonical stream (and re-distributed on
+/// restore by [`apply_router_ckpt`]).
+impl CheckpointState for ParallelBus {
+    /// Every shard's router holds the complete slot table, so shard 0
+    /// signs for the whole topology and the bytes match the
+    /// single-threaded build of the same graph.
+    fn topology_signature(&self) -> Vec<u8> {
+        self.h.shard_router(0).topology_signature()
     }
 
-    /// See [`ShardedBus::restore_state`]: harness state lands on each
-    /// node's owner shard; router state is re-distributed — each TAP to
-    /// its ring's owner part, each host's truth logs to the host's owner
-    /// part, flat event lists and the bridge-drop count to shard 0
-    /// (merged telemetry reads only counts and sorted times, so the
-    /// placement of historical entries is unobservable).
-    pub(crate) fn restore_state(
-        &mut self,
-        dec: &mut ctms_sim::Dec<'_>,
-    ) -> Result<(), ctms_sim::PersistError> {
-        self.h.restore_state(dec)?;
-        let ckpt = decode_router_state(dec)?;
-        self.apply_router_ckpt(ckpt)
+    fn persist_state(&self, w: &mut ChunkedWriter<'_>) -> Result<(), PersistError> {
+        self.h.persist_state(w)?;
+        persist_router_parts(&self.h.routers().collect::<Vec<_>>(), w)
     }
 
-    /// Streaming counterpart of [`ParallelBus::persist_state`]: same
-    /// concatenated bytes, bounded buffering.
-    pub(crate) fn persist_state_chunked(
-        &self,
-        w: &mut ctms_sim::ChunkedWriter<'_>,
-    ) -> Result<(), ctms_sim::PersistError> {
-        self.h.persist_state_chunked(w)?;
-        let parts: Vec<&CtmsRouter> = (0..self.h.shard_count())
-            .map(|k| self.h.shard_router(k))
-            .collect();
-        persist_router_parts(&parts, w.enc());
-        w.flush_chunk()
-    }
-
-    /// Streaming counterpart of [`ParallelBus::restore_state`].
-    pub(crate) fn restore_state_chunked(
-        &mut self,
-        prefix: &mut ctms_sim::Dec<'_>,
-        r: &mut ctms_sim::ChunkedReader<'_>,
-        buf: &mut Vec<u8>,
-    ) -> Result<(), ctms_sim::PersistError> {
-        self.h.restore_state_chunked(prefix, r, buf)?;
-        if !r.next_chunk_into(buf)? {
-            // Stream ended before the router chunk.
-            return Err(ctms_sim::PersistError::UnexpectedEof);
-        }
-        let mut dec = ctms_sim::Dec::new(buf);
-        let ckpt = decode_router_state(&mut dec)?;
-        dec.finish()?;
-        self.apply_router_ckpt(ckpt)
-    }
-
-    /// Re-distributes a decoded router snapshot across the shard parts
-    /// — shared by the monolithic and streamed restore paths.
-    fn apply_router_ckpt(&mut self, ckpt: RouterCkpt) -> Result<(), ctms_sim::PersistError> {
-        let shards = self.h.shard_count();
-        for k in 0..shards {
-            self.h.shard_router_mut(k).clear_measurements();
-        }
-
-        let ring_slots = self.h.shard_router(0).ring_slot_indices();
-        if ring_slots.len() != ckpt.taps.len() {
-            return Err(ctms_sim::PersistError::mismatch(format!(
-                "checkpoint has {} taps, topology has {} rings",
-                ckpt.taps.len(),
-                ring_slots.len()
-            )));
-        }
-        for (slot, tap) in ring_slots.into_iter().zip(ckpt.taps) {
-            let owner = (0..shards)
-                .find(|&k| self.h.shard_router(k).owns_tap(slot))
-                .expect("every ring slot has an owner shard");
-            self.h.shard_router_mut(owner).set_tap(slot, tap);
-        }
-
-        if self.host_nodes.len() != ckpt.truth.len() {
-            return Err(ctms_sim::PersistError::mismatch(format!(
-                "checkpoint has {} truth maps, topology has {} hosts",
-                ckpt.truth.len(),
-                self.host_nodes.len()
-            )));
-        }
-        for (host, entries) in ckpt.truth.into_iter().enumerate() {
-            let owner = self.h.shard_of(self.host_nodes[host]);
-            let r = self.h.shard_router_mut(owner);
-            for (point, log) in entries {
-                r.insert_truth(host, point, log);
-            }
-        }
-
-        self.h.shard_router_mut(0).apply_flat(
-            ckpt.drops,
-            ckpt.presented,
-            ckpt.sock_delivered,
-            ckpt.purge_starts,
-            ckpt.lost_to_purge,
-            ckpt.bridge_drops,
-        );
-        Ok(())
+    fn restore_state(&mut self, r: &mut UnitReader<'_>) -> Result<(), PersistError> {
+        self.h.restore_state(r)?;
+        let now = self.h.now();
+        let ckpt = r.unit(decode_router_state)?;
+        apply_router_ckpt(&mut self.h.routers_mut().collect::<Vec<_>>(), ckpt, now)
     }
 }

@@ -25,8 +25,8 @@ use crate::testbed::DropRec;
 use ctms_measure::{Tap, TapCfg};
 use ctms_router::{Bridge, BridgeCmd, BridgeOut};
 use ctms_sim::{
-    CascadeError, CmdSink, Component, Dur, EdgeLog, Harness, NodeId, Router, ShardedHarness,
-    SimTime,
+    CascadeError, CmdSink, Component, Dur, EdgeLog, Harness, NodeId, PersistError, Router,
+    ShardedHarness, SimTime,
 };
 use ctms_tokenring::{RingCmd, RingOut, StationId, TokenRing};
 use ctms_unixkern::{
@@ -286,45 +286,21 @@ impl Router<Node> for CtmsRouter {
     /// counters, the per-ring TAP monitors (`measure.tap.ring{k}`), the
     /// per-host truth logs (`measure.truth.h{i}.*`, points in `Debug`
     /// name order), and the inter-presentation histogram the paper's
-    /// glitch analysis reads (1 ms bins up to 64 ms).
+    /// glitch analysis reads (1 ms bins up to 64 ms). A single router
+    /// is the one-part case of the sharded merge.
     fn publish_telemetry(&self, reg: &mut ctms_sim::Registry) {
-        use ctms_sim::Instrument as _;
-        let mut m = reg.scope("measure");
-        m.counter("drops", self.m.drops.len() as u64);
-        m.counter("presented", self.m.presented.len() as u64);
-        m.counter("sock_delivered", self.m.sock_delivered.len() as u64);
-        m.counter("purge_starts", self.m.purge_starts.len() as u64);
-        m.counter("lost_to_purge", self.m.lost_to_purge.len() as u64);
-        m.counter("bridge_drops", self.m.bridge_drops);
-        if self.m.presented.len() >= 2 {
-            let mut gaps = ctms_sim::telemetry::Hist::new(1, 64);
-            for w in self.m.presented.windows(2) {
-                gaps.record(w[1].0.since(w[0].0).as_ns() / 1_000_000);
-            }
-            m.hist("presented_gap_ms", gaps);
-        }
-        for (k, tap) in self.taps.iter().flatten().enumerate() {
-            tap.publish(&mut m.scope(&format!("tap.ring{k}")));
-        }
-        for (i, points) in self.m.truth.iter().enumerate() {
-            let mut logs: Vec<(String, &EdgeLog)> =
-                points.iter().map(|(p, l)| (format!("{p:?}"), l)).collect();
-            logs.sort_by(|a, b| a.0.cmp(&b.0));
-            for (name, log) in logs {
-                log.publish(&mut m.scope(&format!("truth.h{i}.{name}")));
-            }
-        }
+        ctms_sim::MergeTelemetry::publish_merged(&[self], reg);
     }
 }
 
-/// Merges the per-shard routers of a sharded run back into the exact
-/// `measure.*` tree [`CtmsRouter::publish_telemetry`] produces for a
-/// single-threaded run — byte-identical, which the shard-parity tests
-/// pin. Aggregate counters are sums; presentations are re-merged by
-/// time (each sink's stream is already chronological, and tie order
-/// cannot change the gap histogram); each TAP and each truth log is
-/// owned by exactly one shard (the ring's or host's owner), so merging
-/// is selection, not summation.
+/// Merges the per-shard routers of a sharded run into one `measure.*`
+/// tree — the tree a single router publishes as one part, so sharded
+/// and single-threaded telemetry are byte-identical (the shard-parity
+/// tests pin it). Aggregate counters are sums; presentations are
+/// re-merged by time (each sink's stream is already chronological, and
+/// tie order cannot change the gap histogram); each TAP and each truth
+/// log is owned by exactly one shard (the ring's or host's owner), so
+/// merging is selection, not summation.
 impl ctms_sim::MergeTelemetry for CtmsRouter {
     fn publish_merged(parts: &[&Self], reg: &mut ctms_sim::Registry) {
         use ctms_sim::Instrument as _;
@@ -999,104 +975,23 @@ impl Bus {
     pub fn telemetry_json(&mut self) -> String {
         self.h.telemetry_json()
     }
+}
 
-    /// Appends every piece of dynamic state — harness (clock, nodes,
-    /// telemetry history) then the router's canonical measurement state
-    /// — to `enc`. Must be called at a quiescent instant (after
-    /// `try_run_until` returned). The byte stream is identical to what
-    /// [`crate::ParallelBus`] produces for the same simulation state, so
-    /// snapshots restore across execution modes.
-    pub(crate) fn persist_state(&self, enc: &mut ctms_sim::Enc) {
-        self.h.persist_state(enc);
-        persist_router_parts(&[self.h.router()], enc);
-    }
-
-    /// The canonical graph-shape signature checkpoints embed (format
-    /// v2) — see [`CtmsRouter::topology_signature`].
-    pub(crate) fn topology_signature(&self) -> Vec<u8> {
+impl crate::checkpoint::CheckpointState for Bus {
+    fn topology_signature(&self) -> Vec<u8> {
         self.h.router().topology_signature()
     }
 
-    /// Applies state persisted by [`Bus::persist_state`] (or the
-    /// sharded equivalent) onto this freshly rebuilt bus.
-    pub(crate) fn restore_state(
-        &mut self,
-        dec: &mut ctms_sim::Dec<'_>,
-    ) -> Result<(), ctms_sim::PersistError> {
-        self.h.restore_state(dec)?;
-        let ckpt = decode_router_state(dec)?;
-        self.apply_router_ckpt(ckpt)
+    fn persist_state(&self, w: &mut ctms_sim::ChunkedWriter<'_>) -> Result<(), PersistError> {
+        self.h.persist_state(w)?;
+        persist_router_parts(&[self.h.router()], w)
     }
 
-    /// Streaming counterpart of [`Bus::persist_state`]: the chunk
-    /// payloads concatenate to exactly the monolithic byte stream, but
-    /// at no point is more than one chunk buffered.
-    pub(crate) fn persist_state_chunked(
-        &self,
-        w: &mut ctms_sim::ChunkedWriter<'_>,
-    ) -> Result<(), ctms_sim::PersistError> {
-        self.h.persist_state_chunked(w)?;
-        persist_router_parts(&[self.h.router()], w.enc());
-        w.flush_chunk()
-    }
-
-    /// Streaming counterpart of [`Bus::restore_state`]. `prefix` is the
-    /// tail of the first chunk (positioned right after the node-count
-    /// field); the remaining chunks are pulled from `r` through `buf`.
-    pub(crate) fn restore_state_chunked(
-        &mut self,
-        prefix: &mut ctms_sim::Dec<'_>,
-        r: &mut ctms_sim::ChunkedReader<'_>,
-        buf: &mut Vec<u8>,
-    ) -> Result<(), ctms_sim::PersistError> {
-        self.h.restore_state_chunked(prefix, r, buf)?;
-        if !r.next_chunk_into(buf)? {
-            // Stream ended before the router chunk.
-            return Err(ctms_sim::PersistError::UnexpectedEof);
-        }
-        let mut dec = ctms_sim::Dec::new(buf);
-        let ckpt = decode_router_state(&mut dec)?;
-        dec.finish()?;
-        self.apply_router_ckpt(ckpt)
-    }
-
-    /// Applies a decoded router snapshot onto this bus's single router
-    /// part — shared by the monolithic and streamed restore paths.
-    fn apply_router_ckpt(&mut self, ckpt: RouterCkpt) -> Result<(), ctms_sim::PersistError> {
-        let r = self.h.router_mut();
-        r.clear_measurements();
-        let ring_slots = r.ring_slot_indices();
-        if ring_slots.len() != ckpt.taps.len() {
-            return Err(ctms_sim::PersistError::mismatch(format!(
-                "checkpoint has {} taps, topology has {} rings",
-                ckpt.taps.len(),
-                ring_slots.len()
-            )));
-        }
-        for (slot, tap) in ring_slots.into_iter().zip(ckpt.taps) {
-            r.set_tap(slot, tap);
-        }
-        if r.truth_hosts() != ckpt.truth.len() {
-            return Err(ctms_sim::PersistError::mismatch(format!(
-                "checkpoint has {} truth maps, topology has {} hosts",
-                ckpt.truth.len(),
-                r.truth_hosts()
-            )));
-        }
-        for (host, entries) in ckpt.truth.into_iter().enumerate() {
-            for (point, log) in entries {
-                r.insert_truth(host, point, log);
-            }
-        }
-        r.apply_flat(
-            ckpt.drops,
-            ckpt.presented,
-            ckpt.sock_delivered,
-            ckpt.purge_starts,
-            ckpt.lost_to_purge,
-            ckpt.bridge_drops,
-        );
-        Ok(())
+    fn restore_state(&mut self, r: &mut ctms_sim::UnitReader<'_>) -> Result<(), PersistError> {
+        self.h.restore_state(r)?;
+        let now = self.h.now();
+        let ckpt = r.unit(decode_router_state)?;
+        apply_router_ckpt(&mut [self.h.router_mut()], ckpt, now)
     }
 }
 
@@ -1240,9 +1135,8 @@ fn restore_drop_site(dec: &mut ctms_sim::Dec<'_>) -> Result<DropSite, ctms_sim::
     })
 }
 
-/// Decoded router-side checkpoint state, ready to distribute onto one
-/// router (single-threaded) or across shard routers (the caller knows
-/// the ownership map; this struct is execution-mode-agnostic).
+/// Decoded router-side checkpoint state, ready for [`apply_router_ckpt`]
+/// to distribute across one or more router parts.
 pub(crate) struct RouterCkpt {
     /// One TAP per ring slot, in slot order.
     pub(crate) taps: Vec<Tap>,
@@ -1257,15 +1151,20 @@ pub(crate) struct RouterCkpt {
 }
 
 /// Appends the canonical merged router state of `parts` (one part per
-/// shard; a single part for a single-threaded run) to `enc`. Each TAP
-/// and each host's truth logs live in exactly one part; flat event
-/// lists are chronological within each part and are merged by a stable
-/// sort on time, so the bytes do not depend on the shard count beyond
-/// same-instant tie order — which nothing downstream observes (merged
-/// telemetry uses only counts and the sorted time multiset).
-pub(crate) fn persist_router_parts(parts: &[&CtmsRouter], enc: &mut ctms_sim::Enc) {
+/// shard; a single part for a single-threaded run) to `w` as its own
+/// chunk. Each TAP and each host's truth logs live in exactly one part;
+/// flat event lists are chronological within each part and are merged
+/// by a stable sort on time, so the bytes do not depend on the shard
+/// count beyond same-instant tie order — which nothing downstream
+/// observes (merged telemetry uses only counts and the sorted time
+/// multiset).
+pub(crate) fn persist_router_parts(
+    parts: &[&CtmsRouter],
+    w: &mut ctms_sim::ChunkedWriter<'_>,
+) -> Result<(), PersistError> {
     use ctms_sim::Persist as _;
     let first = parts.first().expect("at least one router part");
+    let enc = w.enc();
 
     let ring_slots: Vec<usize> = first.ring_slot_indices();
     enc.seq_len(ring_slots.len());
@@ -1349,12 +1248,11 @@ pub(crate) fn persist_router_parts(parts: &[&CtmsRouter], enc: &mut ctms_sim::En
     }
 
     enc.u64(parts.iter().map(|p| p.m.bridge_drops).sum());
+    w.flush_chunk()
 }
 
 /// Decodes router state written by [`persist_router_parts`].
-pub(crate) fn decode_router_state(
-    dec: &mut ctms_sim::Dec<'_>,
-) -> Result<RouterCkpt, ctms_sim::PersistError> {
+pub(crate) fn decode_router_state(dec: &mut ctms_sim::Dec<'_>) -> Result<RouterCkpt, PersistError> {
     use ctms_sim::Persist as _;
     let taps = dec.seq(|d| {
         let mut tap = Tap::new(TapCfg::default());
@@ -1395,72 +1293,115 @@ pub(crate) fn decode_router_state(
     })
 }
 
+/// Distributes a decoded router snapshot across `parts` — the single
+/// router of a [`Bus`], or the shard routers of a [`ParallelBus`] in
+/// shard order: each TAP to its ring's owner part, each host's truth
+/// logs to the part that owns the host's ring (and therefore routes
+/// the host), flat event lists and the bridge-drop count to part 0
+/// (merged telemetry reads only counts and sorted times, so their
+/// placement is unobservable).
+///
+/// Every recorded instant must be in time order and at or before the
+/// restored clock `now`; anything else is a [`PersistError::Mismatch`],
+/// since continuing would record behind it.
+pub(crate) fn apply_router_ckpt(
+    parts: &mut [&mut CtmsRouter],
+    ckpt: RouterCkpt,
+    now: SimTime,
+) -> Result<(), PersistError> {
+    for tap in &ckpt.taps {
+        check_chronological("TAP record", now, tap.records().iter().map(|r| r.at))?;
+    }
+    for (_, log) in ckpt.truth.iter().flatten() {
+        check_chronological("truth edge", now, log.edges().iter().map(|e| e.at))?;
+    }
+    check_chronological("drop", now, ckpt.drops.iter().map(|d| d.at))?;
+    check_chronological("presentation", now, ckpt.presented.iter().map(|e| e.0))?;
+    check_chronological(
+        "socket delivery",
+        now,
+        ckpt.sock_delivered.iter().map(|e| e.0),
+    )?;
+    check_chronological("purge start", now, ckpt.purge_starts.iter().copied())?;
+    check_chronological("purge loss", now, ckpt.lost_to_purge.iter().map(|e| e.0))?;
+
+    let slots = Arc::clone(&parts[0].slots);
+    let ring_slots = parts[0].ring_slot_indices();
+    if ring_slots.len() != ckpt.taps.len() {
+        return Err(PersistError::mismatch(format!(
+            "checkpoint has {} taps, topology has {} rings",
+            ckpt.taps.len(),
+            ring_slots.len()
+        )));
+    }
+    let n_hosts = parts[0].m.truth.len();
+    if n_hosts != ckpt.truth.len() {
+        return Err(PersistError::mismatch(format!(
+            "checkpoint has {} truth maps, topology has {n_hosts} hosts",
+            ckpt.truth.len()
+        )));
+    }
+    let owner = |parts: &[&mut CtmsRouter], ring: usize| {
+        parts
+            .iter()
+            .position(|p| p.taps[ring].is_some())
+            .expect("every ring slot has its tap in exactly one part")
+    };
+    for p in parts.iter_mut() {
+        p.m = Measurements {
+            truth: (0..n_hosts).map(|_| HashMap::new()).collect(),
+            ..Measurements::default()
+        };
+    }
+    for (slot, tap) in ring_slots.into_iter().zip(ckpt.taps) {
+        let k = owner(parts, slot);
+        parts[k].taps[slot] = Some(tap);
+    }
+    let mut truth = ckpt.truth;
+    for slot in slots.iter() {
+        if let Slot::Host { index, ring } = *slot {
+            let k = owner(parts, ring.0);
+            parts[k].m.truth[index] = std::mem::take(&mut truth[index]).into_iter().collect();
+        }
+    }
+    let m = &mut parts[0].m;
+    m.drops = ckpt.drops;
+    m.presented = ckpt.presented;
+    m.sock_delivered = ckpt.sock_delivered;
+    m.purge_starts = ckpt.purge_starts;
+    m.lost_to_purge = ckpt.lost_to_purge;
+    m.bridge_drops = ckpt.bridge_drops;
+    Ok(())
+}
+
+/// A [`PersistError::Mismatch`] unless `times` never goes backwards and
+/// ends at or before `now`.
+fn check_chronological(
+    what: &str,
+    now: SimTime,
+    times: impl IntoIterator<Item = SimTime>,
+) -> Result<(), PersistError> {
+    let mut last = SimTime::ZERO;
+    for t in times {
+        if t < last || t > now {
+            return Err(PersistError::mismatch(format!(
+                "checkpoint {what} at {t} is out of time order or after the clock {now}"
+            )));
+        }
+        last = t;
+    }
+    Ok(())
+}
+
 impl CtmsRouter {
     /// Indices of the ring slots, in slot (= NodeId) order.
-    pub(crate) fn ring_slot_indices(&self) -> Vec<usize> {
+    fn ring_slot_indices(&self) -> Vec<usize> {
         self.slots
             .iter()
             .enumerate()
             .filter(|(_, s)| matches!(s, Slot::Ring { .. }))
             .map(|(i, _)| i)
             .collect()
-    }
-
-    /// True when this part owns the TAP for `slot` (always true on the
-    /// single-threaded router; the owner shard only, when sharded).
-    pub(crate) fn owns_tap(&self, slot: usize) -> bool {
-        self.taps[slot].is_some()
-    }
-
-    /// Replaces the TAP at `slot` with a restored one (the slot must
-    /// already be owned here — ownership is structural, state is not).
-    pub(crate) fn set_tap(&mut self, slot: usize, tap: Tap) {
-        debug_assert!(self.taps[slot].is_some(), "restoring a tap this part owns");
-        self.taps[slot] = Some(tap);
-    }
-
-    /// Number of per-host truth maps.
-    pub(crate) fn truth_hosts(&self) -> usize {
-        self.m.truth.len()
-    }
-
-    /// Installs one restored truth log.
-    pub(crate) fn insert_truth(&mut self, host: usize, point: MeasurePoint, log: EdgeLog) {
-        self.m.truth[host].insert(point, log);
-    }
-
-    /// Clears all recorded measurements ahead of a checkpoint apply.
-    /// TAPs are not touched: owned slots are overwritten by the apply.
-    pub(crate) fn clear_measurements(&mut self) {
-        for map in &mut self.m.truth {
-            map.clear();
-        }
-        self.m.drops.clear();
-        self.m.presented.clear();
-        self.m.sock_delivered.clear();
-        self.m.purge_starts.clear();
-        self.m.lost_to_purge.clear();
-        self.m.bridge_drops = 0;
-    }
-
-    /// Installs the restored flat event lists (on the single router, or
-    /// on shard 0 of a sharded run — merged telemetry only reads counts
-    /// and sorted times, so placement is unobservable).
-    pub(crate) fn apply_flat(
-        &mut self,
-        drops: Vec<DropRec>,
-        presented: Vec<(SimTime, u64, u32)>,
-        sock_delivered: Vec<(SimTime, Port, u32)>,
-        purge_starts: Vec<SimTime>,
-        lost_to_purge: Vec<(SimTime, u64)>,
-        bridge_drops: u64,
-    ) {
-        self.m.drops = drops;
-        self.m.presented = presented;
-        self.m.sock_delivered = sock_delivered;
-        self.m.purge_starts = purge_starts;
-        self.m.lost_to_purge = lost_to_purge;
-        self.m.bridge_drops = bridge_drops;
     }
 
     /// A canonical byte description of the wiring graph — slot kinds,

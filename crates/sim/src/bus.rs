@@ -46,7 +46,7 @@
 
 use crate::engine::Component;
 use crate::heap::IndexedHeap;
-use crate::persist::{ChunkedReader, ChunkedWriter, Dec, Enc, Persist, PersistError};
+use crate::persist::{ChunkedWriter, Dec, Persist, PersistError, UnitReader};
 use crate::telemetry::Registry;
 use crate::time::SimTime;
 
@@ -512,144 +512,39 @@ impl<C: Component, R: Router<C>> Harness<C, R> {
         }
     }
 
-    /// Appends the harness's dynamic state — clock, event counter, every
-    /// node in registration order, and the telemetry event/phase history
-    /// — to `enc`. The scheduler heap is *not* encoded: it is a pure
-    /// function of node deadlines and is rebuilt on restore. The router
-    /// is also not encoded; the topology layer that owns its concrete
-    /// type persists it alongside this call.
+    /// Streams the harness's dynamic state into `w` — clock, event
+    /// counter, every node in registration order, and the telemetry
+    /// event/phase history; see [`persist_harness`] for the framing.
+    /// The scheduler heap is *not* encoded: it is a pure function of
+    /// node deadlines and is rebuilt on restore. The router is also not
+    /// encoded; the topology layer that owns its concrete type persists
+    /// it after this call.
     ///
     /// Must be called at a quiescent instant (after `try_run_until`
     /// returned), when every scratch buffer is drained.
-    pub fn persist_state(&self, enc: &mut Enc)
+    pub fn persist_state(&self, w: &mut ChunkedWriter<'_>) -> Result<(), PersistError>
     where
         C: Persist,
     {
         debug_assert!(self.wave.is_empty() && self.out_buf.is_empty());
-        enc.time(self.now);
-        enc.u64(self.events);
-        enc.seq_len(self.nodes.len());
-        for node in &self.nodes {
-            node.persist(enc);
-        }
-        self.telemetry.persist(enc);
+        persist_harness(w, self.now, self.events, self.nodes.iter(), &self.telemetry)
     }
 
-    /// Applies state persisted by [`Harness::persist_state`] onto this
-    /// freshly rebuilt harness (same topology, same registration order).
-    /// Every node is conservatively marked dirty so the scheduler re-keys
-    /// it from its restored deadline before the next step.
-    pub fn restore_state(&mut self, dec: &mut Dec<'_>) -> Result<(), PersistError>
+    /// Applies state written by [`Harness::persist_state`] (or by the
+    /// sharded harness — the formats are identical) onto this freshly
+    /// rebuilt harness (same topology, same registration order). Every
+    /// node is conservatively marked dirty so the scheduler re-keys it
+    /// from its restored deadline before the next step.
+    pub fn restore_state(&mut self, r: &mut UnitReader<'_>) -> Result<(), PersistError>
     where
         C: Persist,
     {
-        if let Some(e) = self.failed {
-            return Err(PersistError::mismatch(format!(
-                "cannot restore into a poisoned harness: {e}"
-            )));
-        }
-        let now = dec.time()?;
-        let events = dec.u64()?;
-        let n = dec.seq_len()?;
-        if n != self.nodes.len() {
-            return Err(PersistError::mismatch(format!(
-                "checkpoint has {n} nodes, rebuilt harness has {}",
-                self.nodes.len()
-            )));
-        }
-        for i in 0..self.nodes.len() {
+        check_not_poisoned(self.failed)?;
+        let (now, events) = restore_harness(r, self.nodes.len(), &mut self.telemetry, |i, dec| {
             self.nodes[i].restore(dec)?;
             self.dirty.push(i);
-        }
-        self.telemetry.restore(dec)?;
-        self.now = now;
-        self.events = events;
-        Ok(())
-    }
-
-    /// [`Harness::persist_state`] through a bounded chunk buffer: the
-    /// identical bytes, streamed node by node so the whole snapshot is
-    /// never materialized. Framing contract (relied on by
-    /// `restore_state_chunked`): the prefix (clock, event counter, node
-    /// count — plus whatever header the caller already buffered) ends a
-    /// chunk; nodes then pack greedily, each chunk holding whole nodes;
-    /// the telemetry block is flushed as its own chunk.
-    pub fn persist_state_chunked(&self, w: &mut ChunkedWriter<'_>) -> Result<(), PersistError>
-    where
-        C: Persist,
-    {
-        debug_assert!(self.wave.is_empty() && self.out_buf.is_empty());
-        let enc = w.enc();
-        enc.time(self.now);
-        enc.u64(self.events);
-        enc.seq_len(self.nodes.len());
-        w.flush_chunk()?;
-        for node in &self.nodes {
-            node.persist(w.enc());
-            w.unit()?;
-        }
-        w.flush_chunk()?;
-        self.telemetry.persist(w.enc());
-        w.flush_chunk()?;
-        Ok(())
-    }
-
-    /// Applies a stream written by [`Harness::persist_state_chunked`].
-    /// `prefix` is the tail of the first chunk, positioned after the
-    /// caller's header at the clock field; node and telemetry chunks
-    /// are pulled from `r` through the scratch buffer `buf`.
-    pub fn restore_state_chunked(
-        &mut self,
-        prefix: &mut Dec<'_>,
-        r: &mut ChunkedReader<'_>,
-        buf: &mut Vec<u8>,
-    ) -> Result<(), PersistError>
-    where
-        C: Persist,
-    {
-        if let Some(e) = self.failed {
-            return Err(PersistError::mismatch(format!(
-                "cannot restore into a poisoned harness: {e}"
-            )));
-        }
-        let now = prefix.time()?;
-        let events = prefix.u64()?;
-        // A bare u32, not `seq_len`: the node payloads live in later
-        // chunks, so the remaining-bytes bound would misfire.
-        let n = prefix.u32()? as usize;
-        if n != self.nodes.len() {
-            return Err(PersistError::mismatch(format!(
-                "checkpoint has {n} nodes, rebuilt harness has {}",
-                self.nodes.len()
-            )));
-        }
-        if prefix.remaining() != 0 {
-            return Err(PersistError::mismatch(
-                "streamed checkpoint prefix chunk does not end at the node-count field",
-            ));
-        }
-        let mut i = 0;
-        while i < n {
-            if !r.next_chunk_into(buf)? {
-                return Err(PersistError::UnexpectedEof);
-            }
-            let mut dec = Dec::new(buf);
-            while i < n && dec.remaining() > 0 {
-                self.nodes[i].restore(&mut dec)?;
-                self.dirty.push(i);
-                i += 1;
-            }
-            // A chunk boundary inside a node would have failed the
-            // restore above; leftover bytes after the last node mean
-            // the telemetry block did not start its own chunk.
-            dec.finish()?;
-        }
-        if !r.next_chunk_into(buf)? {
-            return Err(PersistError::UnexpectedEof);
-        }
-        let mut dec = Dec::new(buf);
-        self.telemetry.restore(&mut dec)?;
-        dec.finish()?;
+            Ok(())
+        })?;
         self.now = now;
         self.events = events;
         Ok(())
@@ -770,6 +665,67 @@ impl<C: Component, R: Router<C>> Harness<C, R> {
         }
         Ok(())
     }
+}
+
+/// Refuses a restore into a harness a cascade failure has poisoned.
+pub(crate) fn check_not_poisoned(failed: Option<CascadeError>) -> Result<(), PersistError> {
+    match failed {
+        Some(e) => Err(PersistError::mismatch(format!(
+            "cannot restore into a poisoned harness: {e}"
+        ))),
+        None => Ok(()),
+    }
+}
+
+/// The harness checkpoint body both engines share, so their streams
+/// are interchangeable. Framing: clock, event counter and node count
+/// close the first chunk (together with whatever header the caller
+/// already buffered); nodes then pack greedily, each chunk holding
+/// whole nodes in global registration order; the telemetry history is
+/// flushed as its own chunk.
+pub(crate) fn persist_harness<'n, C: Persist + 'n>(
+    w: &mut ChunkedWriter<'_>,
+    now: SimTime,
+    events: u64,
+    nodes: impl ExactSizeIterator<Item = &'n C>,
+    telemetry: &Registry,
+) -> Result<(), PersistError> {
+    let enc = w.enc();
+    enc.time(now);
+    enc.u64(events);
+    enc.seq_len(nodes.len());
+    w.flush_chunk()?;
+    for node in nodes {
+        node.persist(w.enc());
+        w.unit()?;
+    }
+    w.flush_chunk()?;
+    telemetry.persist(w.enc());
+    w.flush_chunk()
+}
+
+/// Decodes what [`persist_harness`] wrote: checks the node count
+/// against `n_nodes`, hands node `i`'s unit to `restore_node(i, dec)`,
+/// restores `telemetry`, and returns the persisted `(now, events)`.
+pub(crate) fn restore_harness(
+    r: &mut UnitReader<'_>,
+    n_nodes: usize,
+    telemetry: &mut Registry,
+    mut restore_node: impl FnMut(usize, &mut Dec<'_>) -> Result<(), PersistError>,
+) -> Result<(SimTime, u64), PersistError> {
+    // A bare u32, not `seq_len`: in a stream the node payloads live in
+    // later chunks, so the remaining-bytes bound would misfire.
+    let (now, events, n) = r.unit(|d| Ok((d.time()?, d.u64()?, d.u32()? as usize)))?;
+    if n != n_nodes {
+        return Err(PersistError::mismatch(format!(
+            "checkpoint has {n} nodes, rebuilt harness has {n_nodes}"
+        )));
+    }
+    for i in 0..n {
+        r.unit(|dec| restore_node(i, dec))?;
+    }
+    r.unit(|dec| telemetry.restore(dec))?;
+    Ok((now, events))
 }
 
 #[cfg(test)]

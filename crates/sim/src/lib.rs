@@ -9,8 +9,7 @@
 //!
 //! * [`time`] — nanosecond-resolution simulation clock types,
 //! * [`rng`] — deterministic, stream-splittable random numbers,
-//! * [`engine`] — the [`engine::Component`] state-machine protocol and a
-//!   closure-based [`engine::EventLoop`] for tests,
+//! * [`engine`] — the [`engine::Component`] state-machine protocol,
 //! * [`bus`] — the generic scheduler/event-bus ([`bus::Harness`]): a
 //!   [`bus::NodeId`]-addressable registry, a central deadline scheduler
 //!   with deterministic tie-breaking, and typed routing via [`bus::Router`],
@@ -48,11 +47,11 @@ pub mod time;
 pub mod trace;
 
 pub use bus::{CascadeError, CmdSink, Harness, NodeId, Router, DEFAULT_CASCADE_LIMIT};
-pub use engine::{drain_component, earliest, CascadeGuard, Component, EventLoop};
+pub use engine::{drain_component, earliest, CascadeGuard, Component};
 pub use heap::IndexedHeap;
 pub use persist::{
     decode_new, ChunkSink, ChunkedReader, ChunkedWriter, Dec, Enc, FramedWrite, Persist,
-    PersistError, STREAM_CHUNK,
+    PersistError, UnitReader, STREAM_CHUNK,
 };
 pub use rng::{Pcg32, SplitMix64};
 pub use shard::{merge_mail, MailKey, MergeTelemetry, ShardStats, ShardedHarness};

@@ -452,7 +452,11 @@ impl Persist for String {
 //   is `u32` LE payload length + payload per chunk, terminated by a
 //   zero length and the `u64` total payload byte count as an integrity
 //   check. Other transports (e.g. `ctms-serve`'s hex-per-line protocol)
-//   implement [`ChunkSink`] directly and frame chunks their own way.
+//   implement [`ChunkSink`] directly and frame chunks their own way;
+// * the in-memory image is the same encoding with no sink: a
+//   [`ChunkedWriter::image`] keeps every unit in its own buffer, and a
+//   [`UnitReader`] decodes units from an image or a framed stream
+//   alike, so there is one encode path and one decode path.
 
 /// Default chunk-buffer capacity for streamed checkpoints: large enough
 /// to amortize per-chunk costs, small enough that peak streaming memory
@@ -514,8 +518,14 @@ impl ChunkSink for FramedWrite<'_> {
 /// (a whole node, the header, the telemetry block); the writer emits
 /// the buffer as a chunk whenever a unit boundary finds it at or past
 /// capacity, so peak memory is one chunk plus the largest single unit.
+///
+/// Built by [`ChunkedWriter::image`] instead, the writer has no sink:
+/// every chunk boundary is a no-op and the whole encoding stays in the
+/// writer's own buffer, which [`into_bytes`](ChunkedWriter::into_bytes)
+/// returns as the in-memory image — the same bytes the chunks of a
+/// sink-backed writer concatenate to.
 pub struct ChunkedWriter<'a> {
-    sink: &'a mut dyn ChunkSink,
+    sink: Option<&'a mut dyn ChunkSink>,
     buf: Enc,
     cap: usize,
     payload: u64,
@@ -532,9 +542,21 @@ impl<'a> ChunkedWriter<'a> {
     /// are useful in tests: every unit becomes its own chunk).
     pub fn with_cap(sink: &'a mut dyn ChunkSink, cap: usize) -> Self {
         ChunkedWriter {
-            sink,
+            sink: Some(sink),
             buf: Enc::new(),
             cap: cap.max(1),
+            payload: 0,
+            chunks: 0,
+        }
+    }
+
+    /// A writer with no sink that keeps the whole encoding in its own
+    /// buffer; see the type docs.
+    pub fn image() -> Self {
+        ChunkedWriter {
+            sink: None,
+            buf: Enc::new(),
+            cap: usize::MAX,
             payload: 0,
             chunks: 0,
         }
@@ -555,13 +577,16 @@ impl<'a> ChunkedWriter<'a> {
     }
 
     /// Emits the buffered bytes as one chunk (no-op on an empty
-    /// buffer). Producers call this to force a framing boundary the
-    /// reader can rely on — e.g. after the header, after the last node.
+    /// buffer, or without a sink). Producers call this to force a
+    /// framing boundary — e.g. after the header, after the last node.
     pub fn flush_chunk(&mut self) -> Result<(), PersistError> {
+        let Some(sink) = self.sink.as_mut() else {
+            return Ok(());
+        };
         if self.buf.is_empty() {
             return Ok(());
         }
-        self.sink.chunk(self.buf.as_bytes())?;
+        sink.chunk(self.buf.as_bytes())?;
         self.payload += self.buf.len() as u64;
         self.chunks += 1;
         self.buf.clear();
@@ -572,8 +597,16 @@ impl<'a> ChunkedWriter<'a> {
     /// `(payload_bytes, chunks)`.
     pub fn finish(mut self) -> Result<(u64, u64), PersistError> {
         self.flush_chunk()?;
-        self.sink.finish(self.payload)?;
+        if let Some(sink) = self.sink.as_mut() {
+            sink.finish(self.payload)?;
+        }
         Ok((self.payload, self.chunks))
+    }
+
+    /// The buffered bytes: the whole encoding for a writer built by
+    /// [`ChunkedWriter::image`].
+    pub fn into_bytes(self) -> Vec<u8> {
+        self.buf.into_bytes()
     }
 }
 
@@ -625,6 +658,76 @@ impl<'a> ChunkedReader<'a> {
         self.inp.read_exact(buf)?;
         self.payload += n as u64;
         Ok(true)
+    }
+}
+
+/// Reads a canonical encoding one decode unit at a time, from an
+/// in-memory image or from a [`ChunkedReader`] stream — one restore path
+/// for both. A unit never spans chunks (the writer cuts only at unit
+/// boundaries), so each decodes with an ordinary [`Dec`] over the
+/// current chunk; a unit that runs past its chunk is a truncation.
+pub struct UnitReader<'a> {
+    stream: Option<ChunkedReader<'a>>,
+    /// The image, or the current stream chunk.
+    data: std::borrow::Cow<'a, [u8]>,
+    pos: usize,
+}
+
+impl<'a> UnitReader<'a> {
+    /// A reader over a complete in-memory encoding.
+    pub fn image(bytes: &'a [u8]) -> Self {
+        UnitReader {
+            stream: None,
+            data: std::borrow::Cow::Borrowed(bytes),
+            pos: 0,
+        }
+    }
+
+    /// A reader over a [`FramedWrite`] stream.
+    pub fn stream(inp: &'a mut dyn std::io::Read) -> Self {
+        UnitReader {
+            stream: Some(ChunkedReader::new(inp)),
+            data: std::borrow::Cow::Owned(Vec::new()),
+            pos: 0,
+        }
+    }
+
+    /// Decodes the next unit through `f`, pulling in the next chunk
+    /// first when the current one is used up. The end of the encoding
+    /// is [`PersistError::UnexpectedEof`].
+    pub fn unit<T>(
+        &mut self,
+        f: impl FnOnce(&mut Dec<'_>) -> Result<T, PersistError>,
+    ) -> Result<T, PersistError> {
+        if self.pos == self.data.len() {
+            let Some(stream) = self.stream.as_mut() else {
+                return Err(PersistError::UnexpectedEof);
+            };
+            if !stream.next_chunk_into(self.data.to_mut())? {
+                return Err(PersistError::UnexpectedEof);
+            }
+            self.pos = 0;
+        }
+        let mut dec = Dec::new(&self.data[self.pos..]);
+        let v = f(&mut dec)?;
+        self.pos = self.data.len() - dec.remaining();
+        Ok(v)
+    }
+
+    /// Verifies the encoding ended with the last unit: no bytes left
+    /// in the image or chunk, and a stream's next frame is its verified
+    /// terminator.
+    pub fn finish(mut self) -> Result<(), PersistError> {
+        let left = self.data.len() - self.pos;
+        if left != 0 {
+            return Err(PersistError::TrailingBytes(left));
+        }
+        if let Some(stream) = self.stream.as_mut() {
+            if stream.next_chunk_into(self.data.to_mut())? {
+                return Err(PersistError::TrailingBytes(self.data.len()));
+            }
+        }
+        Ok(())
     }
 }
 

@@ -26,10 +26,12 @@
 //! * When no shard can make progress (every bound collapses onto the
 //!   global minimum `T`), the harness runs a **sync instant**: every
 //!   shard due at `T` advances, and cross-shard commands are exchanged
-//!   through per-destination mailboxes, merged in [`MailKey`] order
-//!   (`(time, src_shard, seq)` — a total order, so delivery is
-//!   deterministic no matter which worker finished first), in repeated
-//!   rounds until no mail is in flight.
+//!   in repeated rounds until no mail is in flight, each round
+//!   delivering through the same pending queues windows use.
+//! * Every outbox flush sorts the receiving pending queue with
+//!   [`merge_mail`] into [`MailKey`] order (`(time, src_shard, seq)` —
+//!   a total order, so delivery is deterministic no matter which
+//!   worker finished first).
 //!
 //! Determinism is the contract: parallel execution may change the wall
 //! clock, never the answer. The `ctms-bench` `perf` binary asserts
@@ -43,10 +45,12 @@
 //! itself with a typed [`CascadeError::CrossShard`] rather than silently
 //! diverging from single-threaded truth.
 
-use crate::bus::{CascadeError, CmdSink, NodeId, Router, DEFAULT_CASCADE_LIMIT};
+use crate::bus::{
+    check_not_poisoned, persist_harness, restore_harness, CascadeError, CmdSink, NodeId, Router,
+};
 use crate::engine::Component;
 use crate::heap::IndexedHeap;
-use crate::persist::{ChunkedReader, ChunkedWriter, Dec, Enc, Persist, PersistError};
+use crate::persist::{ChunkedWriter, Persist, PersistError, UnitReader};
 use crate::sweep::parallel_map;
 use crate::telemetry::Registry;
 use crate::time::{Dur, SimTime};
@@ -138,8 +142,6 @@ struct ShardState<C: Component, R> {
     stats: ShardStats,
     /// Outgoing mail per destination shard, drained by the coordinator.
     outbox: Vec<Vec<Mail<C::Cmd>>>,
-    /// Incoming mail, filled (pre-sorted) by the coordinator.
-    inbox: Vec<Mail<C::Cmd>>,
     /// Incoming mail not yet due: kept sorted in [`MailKey`] order,
     /// delivered when the shard's clock reaches each entry's emission
     /// instant.
@@ -180,7 +182,6 @@ impl<C: Component, R: Router<C>> ShardState<C, R> {
             events: 0,
             stats: ShardStats::default(),
             outbox: (0..n_shards).map(|_| Vec::new()).collect(),
-            inbox: Vec::new(),
             pending: Vec::new(),
             seq: 0,
             w_end: SimTime::ZERO,
@@ -380,79 +381,54 @@ impl<C: Component, R: Router<C>> ShardState<C, R> {
     }
 
     /// Runs every local instant — heap deadlines *and* pending mail —
-    /// strictly before `w_end` (the window body). At each instant, due
-    /// nodes advance first and mail emitted at that instant is
-    /// delivered after them, matching the sync-instant ordering (due
-    /// round, then mailbox rounds); the loop re-enters the same instant
-    /// if either phase schedules new work at it. Sync-class nodes may
-    /// emit cross-shard mail throughout.
-    fn run_adaptive_window(&mut self, w_end: SimTime) {
-        if self.failed.is_some() {
-            return;
-        }
-        loop {
+    /// strictly before `w_end` (the window body), one [`run_instant`]
+    /// each; the loop re-enters the same instant if it scheduled new
+    /// work there. Sync-class nodes may emit cross-shard mail
+    /// throughout.
+    ///
+    /// [`run_instant`]: ShardState::run_instant
+    fn run_window(&mut self, w_end: SimTime) {
+        while self.failed.is_none() {
             let next = crate::engine::earliest([self.peek(), self.peek_pending()]);
             let Some(t) = next else { break };
             if t >= w_end {
                 break;
             }
-            assert!(
-                t >= self.now,
-                "sharded scheduler protocol violation: cross-shard mail at {t} arrived behind \
-                 shard {} clock {} — the adaptive window bound admitted a causality miss",
-                self.idx,
-                self.now
-            );
-            self.now = t;
-            if self.heap.peek().is_some_and(|(at, _)| at == t) {
-                self.pop_due(t);
-                self.touched.clear();
-                self.touched.extend_from_slice(&self.due);
-                debug_assert!(self.wave.is_empty() && self.out_buf.is_empty());
-                for i in 0..self.due.len() {
-                    let l = self.due[i];
-                    self.events += 1;
-                    self.nodes[l].advance(t, &mut self.out_buf);
-                    for e in self.out_buf.drain(..) {
-                        self.wave.push((self.global_ids[l], e));
-                    }
-                }
-                let result = self.cascade(t, Cross::SyncOnly);
-                self.reschedule_touched();
-                if result.is_err() {
-                    return;
-                }
-            }
-            if self.deliver_due_pending(t, Cross::SyncOnly).is_err() {
-                return;
-            }
+            let _ = self.run_instant(t, Cross::SyncOnly);
         }
     }
 
-    /// Advances every local node due at exactly `t` (the sync instant's
-    /// opening round); cross-shard commands go to the outbox.
-    fn run_sync_due(&mut self, t: SimTime) {
-        if self.failed.is_some() {
-            return;
-        }
-        debug_assert!(t >= self.now, "shard time went backwards");
+    /// One local instant `t`, shared by windows and the opening round
+    /// of a sync instant: due nodes advance first, then pending mail
+    /// emitted at `t` is delivered, and the fallout routes under
+    /// `cross`.
+    fn run_instant(&mut self, t: SimTime, cross: Cross) -> Result<(), CascadeError> {
+        assert!(
+            t >= self.now,
+            "sharded scheduler protocol violation: work at {t} arrived behind shard {} clock {} \
+             — the adaptive window bound admitted a causality miss",
+            self.idx,
+            self.now
+        );
         self.now = t;
-        self.pop_due(t);
-        self.touched.clear();
-        self.touched.extend_from_slice(&self.due);
-        debug_assert!(self.wave.is_empty() && self.out_buf.is_empty());
-        for i in 0..self.due.len() {
-            let l = self.due[i];
-            self.events += 1;
-            self.nodes[l].advance(t, &mut self.out_buf);
-            for e in self.out_buf.drain(..) {
-                self.wave.push((self.global_ids[l], e));
+        if self.heap.peek().is_some_and(|(at, _)| at == t) {
+            self.pop_due(t);
+            self.touched.clear();
+            self.touched.extend_from_slice(&self.due);
+            debug_assert!(self.wave.is_empty() && self.out_buf.is_empty());
+            for i in 0..self.due.len() {
+                let l = self.due[i];
+                self.events += 1;
+                self.nodes[l].advance(t, &mut self.out_buf);
+                for e in self.out_buf.drain(..) {
+                    self.wave.push((self.global_ids[l], e));
+                }
             }
+            let result = self.cascade(t, cross);
+            self.reschedule_touched();
+            result?;
         }
-        let _ = self.cascade(t, Cross::Allow);
-        self.reschedule_touched();
-        // Pending mail emitted exactly at `t` joins the sync instant.
-        let _ = self.deliver_due_pending(t, Cross::Allow);
+        self.deliver_due_pending(t, cross)
     }
 
     /// Delivers every pending-mail entry emitted at or before `t` (a
@@ -485,34 +461,6 @@ impl<C: Component, R: Router<C>> ShardState<C, R> {
         let result = self.cascade(t, cross);
         self.reschedule_touched();
         result
-    }
-
-    /// Delivers the (pre-sorted) inbox at `t` and routes the fallout;
-    /// further cross-shard commands go back to the outbox for the next
-    /// exchange round.
-    fn deliver_inbox(&mut self, t: SimTime) {
-        if self.failed.is_some() {
-            self.inbox.clear();
-            return;
-        }
-        debug_assert!(self.wave.is_empty() && self.out_buf.is_empty());
-        self.stats.mailbox_recv += self.inbox.len() as u64;
-        self.touched.clear();
-        let mut inbox = std::mem::take(&mut self.inbox);
-        for (_key, (dst, cmd)) in inbox.drain(..) {
-            let (os, ol) = self.owner[dst.0];
-            debug_assert_eq!(os, self.idx, "mail delivered to the wrong shard");
-            let ol = ol as usize;
-            self.events += 1;
-            self.nodes[ol].handle(t, cmd, &mut self.out_buf);
-            self.touched.push(ol);
-            for e in self.out_buf.drain(..) {
-                self.wave.push((dst, e));
-            }
-        }
-        self.inbox = inbox; // keep the capacity
-        let _ = self.cascade(t, Cross::Allow);
-        self.reschedule_touched();
     }
 }
 
@@ -699,11 +647,6 @@ where
         }
     }
 
-    /// Like [`ShardedHarness::new`] with [`DEFAULT_CASCADE_LIMIT`].
-    pub fn with_default_limit(routers: Vec<R>, lookahead: Dur) -> Self {
-        ShardedHarness::new(routers, DEFAULT_CASCADE_LIMIT, lookahead)
-    }
-
     /// Registers `node` on `shard` under a dotted telemetry namespace.
     /// Global [`NodeId`]s are assigned densely in registration order
     /// across all shards — identical numbering to registering the same
@@ -837,10 +780,19 @@ where
         &self.shards[k].as_ref().expect("shard present").router
     }
 
-    /// Mutable access to shard `k`'s router (checkpoint restoration
-    /// distributes decoded router state across the shard routers).
-    pub fn shard_router_mut(&mut self, k: usize) -> &mut R {
-        &mut self.shards[k].as_mut().expect("shard present").router
+    /// Every shard's router, in shard order.
+    pub fn routers(&self) -> impl Iterator<Item = &R> {
+        self.shards
+            .iter()
+            .map(|s| &s.as_ref().expect("shard present").router)
+    }
+
+    /// Every shard's router, mutably, in shard order (checkpoint
+    /// restoration distributes decoded router state across them).
+    pub fn routers_mut(&mut self) -> impl Iterator<Item = &mut R> {
+        self.shards
+            .iter_mut()
+            .map(|s| &mut s.as_mut().expect("shard present").router)
     }
 
     /// The shard that owns `id`.
@@ -958,14 +910,54 @@ where
                 });
             }
         }
-        if let Some(err) = first {
-            self.failed = Some(err);
-            self.telemetry
-                .event(err.at(), "sim.cascade.overflow", err.event_detail());
-            self.snapshot_phase("cascade-failure");
-            return Err(err);
+        match first {
+            Some(err) => self.poison(err),
+            None => Ok(()),
         }
-        Ok(())
+    }
+
+    /// Poisons the harness with `err`, leaving the single-threaded
+    /// harness's trail: an edge-signal event at the failing instant and
+    /// a final `cascade-failure` snapshot of every metric.
+    fn poison(&mut self, err: CascadeError) -> Result<(), CascadeError>
+    where
+        R: MergeTelemetry,
+    {
+        self.failed = Some(err);
+        self.telemetry
+            .event(err.at(), "sim.cascade.overflow", err.event_detail());
+        self.snapshot_phase("cascade-failure");
+        Err(err)
+    }
+
+    /// Moves every outbox (already per-(src,dst) batched) into its
+    /// destination's pending queue and re-sorts each receiving queue
+    /// with [`merge_mail`]; keys are unique, so the order does not
+    /// depend on which worker finished first. Returns whether any mail
+    /// moved — each flush that moves mail is one mail round.
+    fn flush_mail(&mut self) -> bool {
+        let mut moved = false;
+        for s in &mut self.shards {
+            let s = s.as_mut().expect("shard present");
+            for (dst, out) in s.outbox.iter_mut().enumerate() {
+                if !out.is_empty() {
+                    moved = true;
+                    self.merge_buf[dst].append(out);
+                }
+            }
+        }
+        if !moved {
+            return false;
+        }
+        self.mail_rounds += 1;
+        for (s, mail) in self.shards.iter_mut().zip(&mut self.merge_buf) {
+            if !mail.is_empty() {
+                let s = s.as_mut().expect("shard present");
+                s.pending.append(mail);
+                merge_mail(&mut s.pending);
+            }
+        }
+        true
     }
 
     /// Runs until no node has a deadline at or before `horizon`, then
@@ -1017,31 +1009,7 @@ where
         let mut streak_at: Option<SimTime> = None;
         let mut streak = 0u64;
         loop {
-            // Flush in-flight mail: gather per-destination (already
-            // per-(src,dst) batched in the outboxes), then append and
-            // re-sort each destination's pending queue. Keys are unique,
-            // so the unstable sort is deterministic.
-            let mut moved = false;
-            for src in 0..n {
-                let s = self.shards[src].as_mut().expect("shard present");
-                for (dst, out) in s.outbox.iter_mut().enumerate() {
-                    if !out.is_empty() {
-                        moved = true;
-                        self.merge_buf[dst].append(out);
-                    }
-                }
-            }
-            if moved {
-                self.mail_rounds += 1;
-                for dst in 0..n {
-                    if self.merge_buf[dst].is_empty() {
-                        continue;
-                    }
-                    let s = self.shards[dst].as_mut().expect("shard present");
-                    s.pending.append(&mut self.merge_buf[dst]);
-                    s.pending.sort_unstable_by_key(|m| m.0);
-                }
-            }
+            self.flush_mail();
             // Publish per-shard state.
             self.t_buf.clear();
             self.b_buf.clear();
@@ -1086,12 +1054,7 @@ where
                         })
                     })
                     .expect("a stuck instant has work somewhere");
-                let err = CascadeError::overflow(t, node, streak as u32);
-                self.failed = Some(err);
-                self.telemetry
-                    .event(err.at(), "sim.cascade.overflow", err.event_detail());
-                self.snapshot_phase("cascade-failure");
-                return Err(err);
+                return self.poison(CascadeError::overflow(t, node, streak as u32));
             }
             // Window bounds and the active set.
             let influence = self.influence.as_deref().expect("sealed with influence");
@@ -1137,7 +1100,7 @@ where
             }
             self.dispatch(move |s| {
                 let w = s.w_end;
-                s.run_adaptive_window(w);
+                s.run_window(w);
             });
             self.check_failures()?;
         }
@@ -1162,9 +1125,10 @@ where
         }
     }
 
-    /// One sync instant at `t`: due shards advance with cross-shard
-    /// emission diverted to mailboxes, then mail is exchanged in
-    /// deterministic rounds until none is in flight.
+    /// One sync instant at `t`: due shards take the instant with every
+    /// cross-shard command diverted to the outbox, then mail is
+    /// exchanged through the pending queues in deterministic rounds
+    /// until none is in flight.
     fn run_sync_instant(&mut self, t: SimTime) -> Result<(), CascadeError>
     where
         R: MergeTelemetry,
@@ -1179,57 +1143,34 @@ where
             }
         }
         if !self.active.is_empty() {
-            self.dispatch(move |s| s.run_sync_due(t));
+            self.dispatch(move |s| {
+                let _ = s.run_instant(t, Cross::Allow);
+            });
             self.check_failures()?;
         }
+        let limit = u64::from(self.shards[0].as_ref().expect("shard present").limit);
         let mut rounds = 0u64;
-        loop {
-            // Gather every shard's outboxes into per-destination merge
-            // buffers and sort each into (time, src_shard, seq) order.
-            let mut any = false;
-            for s in &mut self.shards {
-                let s = s.as_mut().expect("shard present");
-                for (dst, out) in s.outbox.iter_mut().enumerate() {
-                    if !out.is_empty() {
-                        any = true;
-                        self.merge_buf[dst].append(out);
-                    }
+        while self.flush_mail() {
+            // Every shard delivered all of its mail due at `t` in the
+            // previous round, so a pending head at `t` is this round's.
+            self.active.clear();
+            for (k, s) in self.shards.iter().enumerate() {
+                if s.as_ref().expect("shard present").peek_pending() == Some(t) {
+                    self.active.push(k);
                 }
-            }
-            if !any {
-                break;
             }
             rounds += 1;
-            self.mail_rounds += 1;
-            if rounds > u64::from(self.shards[0].as_ref().expect("shard present").limit) {
+            if rounds > limit {
                 // Mail ping-pong at one instant that never converges is
                 // the cross-shard flavor of a cascade livelock.
-                let err = CascadeError::overflow(
-                    t,
-                    self.merge_buf.iter().flatten().next().expect("mail").1 .0,
-                    rounds as u32,
-                );
-                self.failed = Some(err);
-                for b in &mut self.merge_buf {
-                    b.clear();
-                }
-                self.telemetry
-                    .event(err.at(), "sim.cascade.overflow", err.event_detail());
-                self.snapshot_phase("cascade-failure");
-                return Err(err);
+                let first = self.shards[self.active[0]].as_ref().expect("shard present");
+                let (_, (dst, _)) = &first.pending[0];
+                let dst = *dst;
+                return self.poison(CascadeError::overflow(t, dst, rounds as u32));
             }
-            self.active.clear();
-            for (k, s) in self.shards.iter_mut().enumerate() {
-                if self.merge_buf[k].is_empty() {
-                    continue;
-                }
-                merge_mail(&mut self.merge_buf[k]);
-                let s = s.as_mut().expect("shard present");
-                debug_assert!(s.inbox.is_empty());
-                std::mem::swap(&mut s.inbox, &mut self.merge_buf[k]);
-                self.active.push(k);
-            }
-            self.dispatch(move |s| s.deliver_inbox(t));
+            self.dispatch(move |s| {
+                let _ = s.deliver_due_pending(t, Cross::Allow);
+            });
             self.check_failures()?;
         }
         Ok(())
@@ -1289,170 +1230,60 @@ where
         self.telemetry.to_json()
     }
 
-    /// Appends the harness's dynamic state in the **same format** as
-    /// [`crate::bus::Harness::persist_state`]: clock, total event count,
-    /// every node in *global* registration order, telemetry history.
-    /// Nothing in the bytes mentions a shard, which is what lets a
-    /// snapshot taken here restore into a single-threaded harness or a
-    /// sharded one with any shard count.
+    /// Streams the harness's dynamic state into `w` in the **same
+    /// format** as [`crate::bus::Harness::persist_state`]: clock, total
+    /// event count, every node in *global* registration order,
+    /// telemetry history. Nothing in the bytes mentions a shard, which
+    /// is what lets a snapshot taken here restore into a
+    /// single-threaded harness or a sharded one with any shard count.
     ///
     /// Must be called at a sync-instant boundary — after `try_run_until`
     /// returned, when every shard's clock sits at the horizon and no
     /// mail is in flight. Routers are persisted separately by the
     /// topology layer (which knows their concrete type and how to merge
     /// the per-shard parts canonically).
-    pub fn persist_state(&self, enc: &mut Enc)
+    pub fn persist_state(&self, w: &mut ChunkedWriter<'_>) -> Result<(), PersistError>
     where
         C: Persist,
     {
-        enc.time(self.now);
-        enc.u64(self.events());
-        enc.seq_len(self.owner_map.len());
-        for gid in 0..self.owner_map.len() {
-            let (s, l) = self.owner_map[gid];
-            let shard = self.shards[s as usize].as_ref().expect("shard present");
-            debug_assert!(
-                shard.wave.is_empty()
-                    && shard.out_buf.is_empty()
-                    && shard.inbox.is_empty()
-                    && shard.pending.is_empty()
-                    && shard.outbox.iter().all(|o| o.is_empty()),
-                "checkpoint taken off a sync-instant boundary"
-            );
-            shard.nodes[l as usize].persist(enc);
-        }
-        self.telemetry.persist(enc);
+        debug_assert!(
+            self.shards.iter().all(|s| {
+                let s = s.as_ref().expect("shard present");
+                s.wave.is_empty()
+                    && s.out_buf.is_empty()
+                    && s.pending.is_empty()
+                    && s.outbox.iter().all(|o| o.is_empty())
+            }),
+            "checkpoint taken off a sync-instant boundary"
+        );
+        let nodes = self.owner_map.iter().map(|&(s, l)| {
+            &self.shards[s as usize]
+                .as_ref()
+                .expect("shard present")
+                .nodes[l as usize]
+        });
+        persist_harness(w, self.now, self.events(), nodes, &self.telemetry)
     }
 
-    /// Applies state persisted by [`ShardedHarness::persist_state`] (or
-    /// by the single-threaded harness — the formats are identical) onto
+    /// Applies state written by either engine's `persist_state` onto
     /// this freshly rebuilt harness. The node count must match; the
     /// shard count need not. Every node is marked dirty so its shard's
     /// heaps re-key it from the restored deadline, every shard's clock
     /// is set to the checkpoint instant, and the total event count is
     /// assigned to shard 0 (only the sum is observable).
-    pub fn restore_state(&mut self, dec: &mut Dec<'_>) -> Result<(), PersistError>
+    pub fn restore_state(&mut self, r: &mut UnitReader<'_>) -> Result<(), PersistError>
     where
         C: Persist,
     {
-        if let Some(e) = self.failed {
-            return Err(PersistError::mismatch(format!(
-                "cannot restore into a poisoned harness: {e}"
-            )));
-        }
-        let now = dec.time()?;
-        let events = dec.u64()?;
-        let n = dec.seq_len()?;
-        if n != self.owner_map.len() {
-            return Err(PersistError::mismatch(format!(
-                "checkpoint has {n} nodes, rebuilt harness has {}",
-                self.owner_map.len()
-            )));
-        }
-        for gid in 0..self.owner_map.len() {
-            let (s, l) = self.owner_map[gid];
-            let shard = self.shards[s as usize].as_mut().expect("shard present");
-            shard.nodes[l as usize].restore(dec)?;
-            shard.dirty.push(l as usize);
-        }
-        self.telemetry.restore(dec)?;
-        for (k, s) in self.shards.iter_mut().enumerate() {
-            let s = s.as_mut().expect("shard present");
-            s.now = now;
-            s.events = if k == 0 { events } else { 0 };
-        }
-        self.now = now;
-        Ok(())
-    }
-
-    /// [`ShardedHarness::persist_state`] through a bounded chunk
-    /// buffer — same bytes, same framing contract as
-    /// [`crate::bus::Harness::persist_state_chunked`], so the two
-    /// engines' streams are interchangeable.
-    pub fn persist_state_chunked(&self, w: &mut ChunkedWriter<'_>) -> Result<(), PersistError>
-    where
-        C: Persist,
-    {
-        let enc = w.enc();
-        enc.time(self.now);
-        enc.u64(self.events());
-        enc.seq_len(self.owner_map.len());
-        w.flush_chunk()?;
-        for gid in 0..self.owner_map.len() {
-            let (s, l) = self.owner_map[gid];
-            let shard = self.shards[s as usize].as_ref().expect("shard present");
-            debug_assert!(
-                shard.wave.is_empty()
-                    && shard.out_buf.is_empty()
-                    && shard.inbox.is_empty()
-                    && shard.pending.is_empty()
-                    && shard.outbox.iter().all(|o| o.is_empty()),
-                "checkpoint taken off a sync-instant boundary"
-            );
-            shard.nodes[l as usize].persist(w.enc());
-            w.unit()?;
-        }
-        w.flush_chunk()?;
-        self.telemetry.persist(w.enc());
-        w.flush_chunk()?;
-        Ok(())
-    }
-
-    /// Applies a stream written by either engine's
-    /// `persist_state_chunked` onto this freshly rebuilt harness; see
-    /// [`crate::bus::Harness::restore_state_chunked`] for the argument
-    /// contract.
-    pub fn restore_state_chunked(
-        &mut self,
-        prefix: &mut Dec<'_>,
-        r: &mut ChunkedReader<'_>,
-        buf: &mut Vec<u8>,
-    ) -> Result<(), PersistError>
-    where
-        C: Persist,
-    {
-        if let Some(e) = self.failed {
-            return Err(PersistError::mismatch(format!(
-                "cannot restore into a poisoned harness: {e}"
-            )));
-        }
-        let now = prefix.time()?;
-        let events = prefix.u64()?;
-        // Bare u32: the node payloads live in later chunks, so the
-        // remaining-bytes bound of `seq_len` would misfire.
-        let n = prefix.u32()? as usize;
-        if n != self.owner_map.len() {
-            return Err(PersistError::mismatch(format!(
-                "checkpoint has {n} nodes, rebuilt harness has {}",
-                self.owner_map.len()
-            )));
-        }
-        if prefix.remaining() != 0 {
-            return Err(PersistError::mismatch(
-                "streamed checkpoint prefix chunk does not end at the node-count field",
-            ));
-        }
-        let mut gid = 0;
-        while gid < n {
-            if !r.next_chunk_into(buf)? {
-                return Err(PersistError::UnexpectedEof);
-            }
-            let mut dec = Dec::new(buf);
-            while gid < n && dec.remaining() > 0 {
+        check_not_poisoned(self.failed)?;
+        let (now, events) =
+            restore_harness(r, self.owner_map.len(), &mut self.telemetry, |gid, dec| {
                 let (s, l) = self.owner_map[gid];
                 let shard = self.shards[s as usize].as_mut().expect("shard present");
-                shard.nodes[l as usize].restore(&mut dec)?;
+                shard.nodes[l as usize].restore(dec)?;
                 shard.dirty.push(l as usize);
-                gid += 1;
-            }
-            dec.finish()?;
-        }
-        if !r.next_chunk_into(buf)? {
-            return Err(PersistError::UnexpectedEof);
-        }
-        let mut dec = Dec::new(buf);
-        self.telemetry.restore(&mut dec)?;
-        dec.finish()?;
+                Ok(())
+            })?;
         for (k, s) in self.shards.iter_mut().enumerate() {
             let s = s.as_mut().expect("shard present");
             s.now = now;
@@ -1509,6 +1340,7 @@ pub trait MergeTelemetry {
 mod tests {
     use super::*;
     use crate::bus::Harness;
+    use crate::persist::{Dec, Enc};
     use crate::telemetry::Value;
 
     fn t(ns: u64) -> SimTime {

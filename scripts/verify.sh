@@ -39,6 +39,23 @@ printf '%s\n' \
   | grep -q '"event":"restored","now_ms":1000' \
   || { echo "serve smoke: restore did not land at 1000 ms" >&2; exit 1; }
 
+echo "== ctms-serve hostile-input smoke (deep nesting, truncated and bad-magic checkpoints are typed errors; the session keeps serving)"
+deep=$(head -c 100000 /dev/zero | tr '\0' '[')
+hostile_out=$(printf '%s\n' \
+  '{"scenario":"case_a","seed":42}' \
+  "$deep" \
+  "{\"cmd\":\"restore\",\"checkpoint\":\"${ckpt:0:$((${#ckpt} / 4 * 2))}\"}" \
+  "{\"cmd\":\"restore\",\"checkpoint\":\"00${ckpt:2}\"}" \
+  '{"cmd":"run","until_ms":100}' \
+  '{"cmd":"quit"}' \
+  | cargo run --release -q -p ctms-bench --bin serve)
+for n in 2 3 4; do
+  printf '%s\n' "$hostile_out" | sed -n "${n}p" | grep -q '"ok":false' \
+    || { echo "serve hostile smoke: reply $n is not a typed error" >&2; exit 1; }
+done
+printf '%s\n' "$hostile_out" | sed -n 5p | grep -q '"event":"ran","now_ms":100' \
+  || { echo "serve hostile smoke: the session stopped serving" >&2; exit 1; }
+
 echo "== ctms-serve smoke (streamed checkpoint chunks concatenate to the monolithic hex)"
 stream_out=$(printf '%s\n' \
   '{"scenario":"chain","rings":8,"shards":2}' \

@@ -18,6 +18,7 @@ use ctms_core::{
     apply_mutations, fork, ForkSpec, Mutation, RingChainTestbed, RingGraph, Scenario, Testbed,
 };
 use ctms_router::BridgeKind;
+use ctms_sim::telemetry::fnv1a;
 use ctms_sim::{ChunkSink, Dur, PersistError, SimTime};
 use ctms_unixkern::MeasurePoint;
 
@@ -424,10 +425,62 @@ fn corrupt_and_mismatched_checkpoints_are_rejected() {
     bad.push(0);
     assert!(fresh.bus_mut().restore_checkpoint(&bad).is_err());
 
+    // Rewound clock: the persisted instant (after the 12-byte header
+    // and the length-prefixed topology signature) set to 0 leaves the
+    // recorded measurements in the future, where the next record would
+    // trip `EdgeLog`'s monotonic assert.
+    let sig_len = u32::from_le_bytes(good[12..16].try_into().unwrap()) as usize;
+    let clock = 16 + sig_len;
+    let mut bad = good.clone();
+    bad[clock..clock + 8].fill(0);
+    let err = fresh
+        .bus_mut()
+        .restore_checkpoint(&bad)
+        .expect_err("a rewound clock must be rejected");
+    assert!(
+        matches!(err, PersistError::Mismatch(_)),
+        "want Mismatch, got {err:?}"
+    );
+
     // Wrong topology: a single-ring case-A snapshot cannot land on a
     // 16-ring chain (node count mismatch).
     let mut chain = RingChainTestbed::chain(&sc, BridgeKind::cut_through_bridge(), 16);
     assert!(chain.bus_mut().restore_checkpoint(&good).is_err());
+}
+
+#[test]
+fn checkpoint_bytes_match_the_recorded_format() {
+    // Every other test here compares the code with itself, so a silent
+    // format change would pass them all. These FNV-1a digests of the
+    // image and framed bytes were recorded before the codec was folded
+    // into one streamed path; any byte of drift fails here.
+    let bytes_digests =
+        |image: Vec<u8>, framed: Vec<u8>| (image.len(), fnv1a(&image), fnv1a(&framed));
+
+    let mut bed = Testbed::ctms(&Scenario::test_case_a(42));
+    bed.run_until(SimTime::from_secs(1));
+    let mut framed = Vec::new();
+    bed.bus().write_checkpoint(&mut framed).expect("write");
+    let got = bytes_digests(bed.bus().checkpoint(), framed);
+    assert_eq!(
+        got,
+        (11_852, 0xA351_95B0_5FA1_19F9, 0xB363_1A95_9960_7A2F),
+        "case A checkpoint bytes drifted: {got:#X?}"
+    );
+
+    let sc = Scenario::scaled_chain(42);
+    let tree = RingGraph::tree(12, 3);
+    let mut origin =
+        RingChainTestbed::graph_sharded(&sc, BridgeKind::cut_through_bridge(), &tree, 4);
+    origin.run_until(SimTime::from_secs(1));
+    let mut framed = Vec::new();
+    origin.bus().write_checkpoint(&mut framed).expect("write");
+    let got = bytes_digests(origin.bus().checkpoint(), framed);
+    assert_eq!(
+        got,
+        (32_502, 0x3CEB_C05A_AD83_980E, 0x570E_60E9_68C7_C515),
+        "4-shard tree checkpoint bytes drifted: {got:#X?}"
+    );
 }
 
 #[test]
