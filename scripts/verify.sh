@@ -7,8 +7,8 @@ cd "$(dirname "$0")/.."
 echo "== cargo fmt --check"
 cargo fmt --all -- --check
 
-echo "== cargo clippy (workspace, deny warnings)"
-cargo clippy --workspace -- -D warnings
+echo "== cargo clippy (workspace, deny warnings; or_fun_call catches an eager allocation in ok_or/unwrap_or)"
+cargo clippy --workspace -- -D warnings -W clippy::or_fun_call
 
 echo "== tier-1: cargo build --release"
 cargo build --release
@@ -39,21 +39,24 @@ printf '%s\n' \
   | grep -q '"event":"restored","now_ms":1000' \
   || { echo "serve smoke: restore did not land at 1000 ms" >&2; exit 1; }
 
-echo "== ctms-serve hostile-input smoke (deep nesting, truncated and bad-magic checkpoints are typed errors; the session keeps serving)"
+echo "== ctms-serve hostile-input smoke (deep nesting, truncated, bad-magic and non-hex checkpoints, a non-UTF-8 line and an overflowing until_ms are typed errors; the session keeps serving)"
 deep=$(head -c 100000 /dev/zero | tr '\0' '[')
 hostile_out=$(printf '%s\n' \
   '{"scenario":"case_a","seed":42}' \
   "$deep" \
   "{\"cmd\":\"restore\",\"checkpoint\":\"${ckpt:0:$((${#ckpt} / 4 * 2))}\"}" \
   "{\"cmd\":\"restore\",\"checkpoint\":\"00${ckpt:2}\"}" \
+  '{"cmd":"restore","checkpoint":"aéb"}' \
+  $'{"cmd":"run","until_ms":5}\xff' \
+  '{"cmd":"run","until_ms":18446744073710}' \
   '{"cmd":"run","until_ms":100}' \
   '{"cmd":"quit"}' \
   | cargo run --release -q -p ctms-bench --bin serve)
-for n in 2 3 4; do
+for n in 2 3 4 5 6 7; do
   printf '%s\n' "$hostile_out" | sed -n "${n}p" | grep -q '"ok":false' \
     || { echo "serve hostile smoke: reply $n is not a typed error" >&2; exit 1; }
 done
-printf '%s\n' "$hostile_out" | sed -n 5p | grep -q '"event":"ran","now_ms":100' \
+printf '%s\n' "$hostile_out" | sed -n 8p | grep -q '"event":"ran","now_ms":100' \
   || { echo "serve hostile smoke: the session stopped serving" >&2; exit 1; }
 
 echo "== ctms-serve smoke (streamed checkpoint chunks concatenate to the monolithic hex)"
