@@ -56,7 +56,7 @@
 //! allocation-free ring (`ctms_sim::synth`) measures allocations/event,
 //! which must come out at exactly zero.
 
-use ctms_core::{RingChainTestbed, RingGraph, Scenario, ShardedChain, Testbed};
+use ctms_core::{RingChainTestbed, RingGraph, Scenario, Testbed};
 use ctms_router::BridgeKind;
 use ctms_sim::telemetry::{json_f64, json_string};
 use ctms_sim::SimTime;
@@ -345,7 +345,7 @@ struct WindowStats {
     idle_fraction: f64,
 }
 
-fn window_stats(bus: &ctms_core::ShardedBus, shards: usize) -> Option<WindowStats> {
+fn window_stats(bus: &ctms_core::Bus, shards: usize) -> Option<WindowStats> {
     let reg = bus.exec_telemetry()?;
     let count = |key: &str| reg.counter_value(key).unwrap_or(0);
     let (mut idle, mut advances) = (0u64, 0u64);
@@ -387,8 +387,8 @@ struct ChainResult {
 /// protocol-efficiency counters asserted stable across repetitions.
 #[allow(clippy::too_many_arguments)]
 fn measure_sharded(
-    build: &dyn Fn() -> ShardedChain,
-    digests_of: &dyn Fn(&ShardedChain) -> [u64; 4],
+    build: &dyn Fn() -> RingChainTestbed,
+    digests_of: &dyn Fn(&RingChainTestbed) -> [u64; 4],
     k: usize,
     workers: usize,
     horizon: SimTime,
@@ -531,7 +531,7 @@ fn measure_chain(
         let workers = threads.unwrap_or_else(|| ctms_sim::default_threads(k));
         let label = format!("chain/{rings}");
         let build = || RingChainTestbed::chain_sharded(&sc, kind, rings, k);
-        let digests_of = |bed: &ShardedChain| {
+        let digests_of = |bed: &RingChainTestbed| {
             chain_digests(|host, point| {
                 bed.bus()
                     .truth_log(host, point)
@@ -638,7 +638,7 @@ fn measure_topology(
         let workers = threads.unwrap_or_else(|| ctms_sim::default_threads(k));
         let label = format!("{shape}/{rings}");
         let build = || RingChainTestbed::graph_sharded(&sc, kind, &graph, k);
-        let digests_of = |bed: &ShardedChain| set_digests(&bed.measurement_set());
+        let digests_of = |bed: &RingChainTestbed| set_digests(&bed.measurement_set());
         let (run, window) = measure_sharded(
             &build,
             &digests_of,

@@ -16,15 +16,14 @@
 //!  "rings": 16, "shards": 4, "cascade_limit": 64}
 //! ```
 //!
-//! `seed` defaults to 42; `rings` (chain only) to 16; `shards` to 1
-//! (single-threaded). Single-ring scenarios always fall back to the
-//! single-threaded harness regardless of `shards`, mirroring
-//! `Topology::build_sharded`. `cascade_limit` overrides the
-//! same-instant cascade bound — mostly useful for deliberately
-//! tripping the typed error path. Every number must be a non-negative
-//! integer written as plain digits; an unknown key or a value of the
-//! wrong type rejects the line with a `bad session line` error rather
-//! than falling back to a default.
+//! `seed` defaults to 42; `rings` (chain only) to 16; `shards` to 1.
+//! Single-ring scenarios always run as one shard regardless of
+//! `shards`, mirroring `Topology::build_sharded`. `cascade_limit`
+//! overrides the same-instant cascade bound — mostly useful for
+//! deliberately tripping the typed error path. Every number must be a
+//! non-negative integer written as plain digits; an unknown key or a
+//! value of the wrong type rejects the line with a `bad session line`
+//! error rather than falling back to a default.
 //!
 //! ## Commands
 //!
@@ -57,13 +56,11 @@
 //!
 //! Mutations: `{"kind":"station_churn","ring":0}`,
 //! `{"kind":"purge_storm","ring":0,"count":3}`,
-//! `{"kind":"dma_stall","host":0,"extra_us":500}`. Only the
-//! single-threaded bus can inject (like `Bus::inject_ring`), so a
-//! sharded session steers through the shard-agnostic snapshot round
-//! trip: checkpoint → apply the mutations on a single-threaded rebuild
-//! → restore the mutated state into a fresh sharded build. The
-//! continuation is bit-identical to steering the same state
-//! single-threaded.
+//! `{"kind":"dma_stall","host":0,"extra_us":500}`. A steer applies the
+//! mutations in place on the session's bus at any shard count (like
+//! `Bus::inject_ring`): every index is checked first, so a bad one
+//! changes nothing, and the continuation is the same at every shard
+//! count. Fork branches each run on one shard.
 //!
 //! Every reply carries `"ok"`; failures are reported as
 //! `{"ok":false,"error":"..."}` and the session keeps serving. Every
@@ -88,7 +85,8 @@
 //! through one table into a reused hex buffer, a chunk at a time.
 
 use ctms_core::{
-    apply_mutations, fork, Bus, ForkSpec, Mutation, RingChainTestbed, Scenario, ShardedBus, Testbed,
+    apply_mutations, fork, Bus, ForkSpec, Measurements, Mutation, RingChainTestbed, Scenario,
+    Testbed,
 };
 use ctms_router::BridgeKind;
 use ctms_sim::telemetry::{fnv1a, json_string};
@@ -636,36 +634,16 @@ impl Spec {
         sc
     }
 
-    fn build(&self) -> ShardedBus {
-        let sc = self.scenario();
-        match self.kind {
-            ScenarioKind::CaseA | ScenarioKind::CaseB => {
-                if self.shards > 1 {
-                    Testbed::ctms_sharded(&sc, self.shards).0
-                } else {
-                    ShardedBus::Single(Testbed::ctms(&sc).into_bus())
-                }
-            }
-            ScenarioKind::Chain => {
-                let kind = BridgeKind::cut_through_bridge();
-                if self.shards > 1 {
-                    RingChainTestbed::chain_sharded(&sc, kind, self.rings, self.shards).into_bus()
-                } else {
-                    ShardedBus::Single(RingChainTestbed::chain(&sc, kind, self.rings).into_bus())
-                }
-            }
-        }
-    }
-
-    /// The single-threaded rebuild fork branches run on (checkpoints
-    /// are shard-agnostic, so this restores snapshots from any mode).
-    fn build_single(&self) -> Bus {
+    /// A fresh build of the session's scenario on `shards` shards
+    /// (one-ring scenarios always build one). Checkpoints are
+    /// shard-agnostic, so any build restores a snapshot from any other.
+    fn build(&self, shards: usize) -> Bus {
         let sc = self.scenario();
         match self.kind {
             ScenarioKind::CaseA | ScenarioKind::CaseB => Testbed::ctms(&sc).into_bus(),
             ScenarioKind::Chain => {
-                RingChainTestbed::chain(&sc, BridgeKind::cut_through_bridge(), self.rings)
-                    .into_bus()
+                let kind = BridgeKind::cut_through_bridge();
+                RingChainTestbed::chain_sharded(&sc, kind, self.rings, shards).into_bus()
             }
         }
     }
@@ -739,21 +717,18 @@ fn emit_cascade_err(out: &mut impl Write, e: &ctms_sim::CascadeError) {
     );
 }
 
-fn status_line(bus: &ShardedBus) -> String {
-    let presented: usize = bus
-        .measure_parts()
-        .iter()
-        .map(|m| m.presented().len())
-        .sum();
-    let purges: usize = bus
-        .measure_parts()
-        .iter()
-        .map(|m| m.purge_starts().len())
-        .sum();
+/// `count` summed over the bus's measurement parts (one per shard).
+fn measured(bus: &Bus, count: fn(&Measurements) -> usize) -> usize {
+    bus.measure_parts().into_iter().map(count).sum()
+}
+
+fn status_line(bus: &Bus) -> String {
     format!(
-        "\"now_ms\":{},\"events\":{},\"presented\":{presented},\"purge_starts\":{purges}",
+        "\"now_ms\":{},\"events\":{},\"presented\":{},\"purge_starts\":{}",
         bus.now().as_ns() / 1_000_000,
-        bus.events()
+        bus.events(),
+        measured(bus, |m| m.presented().len()),
+        measured(bus, |m| m.purge_starts().len())
     )
 }
 
@@ -821,7 +796,7 @@ fn serve(mut input: impl BufRead, out: &mut impl Write) {
             Err(e) => emit_err(out, &format!("bad session line: {e}")),
         }
     };
-    let mut bus = spec.build();
+    let mut bus = spec.build(spec.shards);
     emit(
         out,
         &format!(
@@ -857,7 +832,7 @@ fn serve(mut input: impl BufRead, out: &mut impl Write) {
 fn command(
     cmd: &Json,
     spec: &Spec,
-    bus: &mut ShardedBus,
+    bus: &mut Bus,
     bufs: &mut Buffers,
     out: &mut impl Write,
 ) -> Result<bool, String> {
@@ -941,7 +916,7 @@ fn command(
             decode_hex(hex.as_bytes(), &mut bufs.snapshot).map_err(|e| e.to_string())?;
             // Restore lands on a fresh rebuild; the old bus is only
             // replaced once the snapshot is verified applicable.
-            let mut fresh = spec.build();
+            let mut fresh = spec.build(spec.shards);
             fresh
                 .restore_checkpoint(&bufs.snapshot)
                 .map_err(|e| format!("restore failed: {e}"))?;
@@ -956,29 +931,7 @@ fn command(
         }
         Some("steer") => {
             let muts = parse_mutations(cmd.get("mutations").ok_or("steer needs \"mutations\"")?)?;
-            let steered = match bus.as_single_mut() {
-                Some(single) => apply_mutations(single, &muts),
-                None => {
-                    // Sharded session: only the single-threaded bus
-                    // can inject, so steer through the shard-agnostic
-                    // snapshot round trip — checkpoint here, mutate
-                    // on a single-threaded rebuild, restore the
-                    // mutated state into a fresh sharded build.
-                    let snapshot = bus.checkpoint();
-                    let mut single = spec.build_single();
-                    single
-                        .restore_checkpoint(&snapshot)
-                        .and_then(|()| apply_mutations(&mut single, &muts))
-                        .and_then(|()| {
-                            let mutated = single.checkpoint();
-                            let mut fresh = spec.build();
-                            fresh.restore_checkpoint(&mutated).map(|()| {
-                                *bus = fresh;
-                            })
-                        })
-                }
-            };
-            steered.map_err(|e| format!("steer failed: {e}"))?;
+            apply_mutations(bus, &muts).map_err(|e| format!("steer failed: {e}"))?;
             emit(
                 out,
                 &format!(
@@ -1013,19 +966,18 @@ fn command(
                 snapshot,
                 branches,
                 ctms_sim::default_threads(n),
-                move || build_spec.build_single(),
+                move || build_spec.build(1),
                 |_idx, mut branch: Bus| {
                     let tree = branch.telemetry_json();
-                    let m = branch.measurements();
                     format!(
                         "{{\"telemetry_digest\":\"{:#018X}\",\"now_ms\":{},\"events\":{},\
                          \"presented\":{},\"purge_starts\":{},\"drops\":{}}}",
                         fnv1a(tree.as_bytes()),
                         branch.now().as_ns() / 1_000_000,
                         branch.events(),
-                        m.presented().len(),
-                        m.purge_starts().len(),
-                        m.drops().len()
+                        measured(&branch, |m| m.presented().len()),
+                        measured(&branch, |m| m.purge_starts().len()),
+                        measured(&branch, |m| m.drops().len())
                     )
                 },
             )

@@ -18,13 +18,12 @@
 //! single-ring testbed (tags survive every hop).
 
 use crate::graph::{graph_topology, RingGraph};
-use crate::parallel::ShardedBus;
 use crate::scenario::Scenario;
-use crate::topology::{Bus, Topology};
+use crate::topology::Bus;
 use ctms_devices::{CtmsVcaSink, CtmsVcaSource};
 use ctms_measure::MeasurementSet;
 use ctms_router::BridgeKind;
-use ctms_sim::{CascadeError, SimTime};
+use ctms_sim::{CascadeError, EdgeLog, SimTime};
 use ctms_tokenring::TokenRing;
 use ctms_unixkern::{DriverId, Host, MeasurePoint};
 
@@ -46,70 +45,51 @@ impl RingChainTestbed {
     }
 
     /// Builds a chain of `n ≥ 2` rings joined by `n − 1` identical
-    /// forwarding engines. Host-side configuration (packet size, period,
-    /// copy flags) comes from the scenario; every ring is a private
-    /// four-station ring.
+    /// forwarding engines, on one shard. Host-side configuration
+    /// (packet size, period, copy flags) comes from the scenario; every
+    /// ring is a private four-station ring.
     pub fn chain(sc: &Scenario, kind: BridgeKind, n: usize) -> RingChainTestbed {
-        let (topo, vca_src, vca_sink) = Self::chain_topology(sc, kind, n);
-        RingChainTestbed {
-            bus: topo.build(),
-            vca_src,
-            vca_sink,
-        }
+        Self::chain_sharded(sc, kind, n, 1)
     }
 
-    /// Like [`RingChainTestbed::chain`], but runs the chain on the
-    /// conservative-parallel sharded harness with `shards` ring
-    /// partitions. Bit-identical results to the single-threaded chain
-    /// for the same scenario, seed, and horizon — the shard-parity
-    /// tests pin this.
-    pub fn chain_sharded(sc: &Scenario, kind: BridgeKind, n: usize, shards: usize) -> ShardedChain {
-        let (topo, vca_src, vca_sink) = Self::chain_topology(sc, kind, n);
-        ShardedChain {
-            bus: topo.build_sharded(shards),
-            vca_src,
-            vca_sink,
-        }
+    /// Like [`RingChainTestbed::chain`], but with `shards` ring
+    /// partitions. Bit-identical results at every shard count for the
+    /// same scenario, seed, and horizon — the shard-parity tests pin
+    /// this. The layout (and every RNG stream) is the historical
+    /// hand-rolled chain's: [`graph_topology`] over
+    /// [`RingGraph::chain`].
+    pub fn chain_sharded(
+        sc: &Scenario,
+        kind: BridgeKind,
+        n: usize,
+        shards: usize,
+    ) -> RingChainTestbed {
+        Self::graph_sharded(sc, kind, &RingGraph::chain(n), shards)
     }
 
-    /// Builds the testbed for an arbitrary [`RingGraph`] — a chain is
-    /// just one shape; trees, meshes, and FDDI backbones come from the
-    /// same construction. The stream runs from the graph's TX ring to
-    /// its RX ring along the build-time shortest bridge path.
+    /// Builds the testbed for an arbitrary [`RingGraph`] on one shard —
+    /// a chain is just one shape; trees, meshes, and FDDI backbones come
+    /// from the same construction. The stream runs from the graph's TX
+    /// ring to its RX ring along the build-time shortest bridge path.
     pub fn graph(sc: &Scenario, kind: BridgeKind, graph: &RingGraph) -> RingChainTestbed {
-        let (topo, vca_src, vca_sink) = graph_topology(sc, kind, graph);
-        RingChainTestbed {
-            bus: topo.build(),
-            vca_src,
-            vca_sink,
-        }
+        Self::graph_sharded(sc, kind, graph, 1)
     }
 
-    /// Like [`RingChainTestbed::graph`], but on the conservative-parallel
-    /// sharded harness with a `shards`-way graph partition. Bit-identical
-    /// to the single-threaded build for any shape — the topology-variant
-    /// golden tests pin this.
+    /// Like [`RingChainTestbed::graph`], but with a `shards`-way graph
+    /// partition. Bit-identical at every shard count for any shape —
+    /// the topology-variant golden tests pin this.
     pub fn graph_sharded(
         sc: &Scenario,
         kind: BridgeKind,
         graph: &RingGraph,
         shards: usize,
-    ) -> ShardedChain {
+    ) -> RingChainTestbed {
         let (topo, vca_src, vca_sink) = graph_topology(sc, kind, graph);
-        ShardedChain {
+        RingChainTestbed {
             bus: topo.build_sharded(shards),
             vca_src,
             vca_sink,
         }
-    }
-
-    /// The chain as a [`Topology`] description plus the VCA driver ids —
-    /// shared by the single-threaded and sharded constructors. Since the
-    /// graph refactor this is a thin wrapper over [`graph_topology`]
-    /// with the chain-shaped description; the layout (and every RNG
-    /// stream) is bit-identical to the historical hand-rolled chain.
-    fn chain_topology(sc: &Scenario, kind: BridgeKind, n: usize) -> (Topology, DriverId, DriverId) {
-        graph_topology(sc, kind, &RingGraph::chain(n))
     }
 
     /// Current simulation time.
@@ -130,6 +110,21 @@ impl RingChainTestbed {
     /// Number of rings in the chain.
     pub fn ring_count(&self) -> usize {
         self.bus.ring_count()
+    }
+
+    /// Number of shards the chain runs on.
+    pub fn shard_count(&self) -> usize {
+        self.bus.shard_count()
+    }
+
+    /// Caps how many pool workers a window dispatch invites.
+    pub fn set_threads(&mut self, threads: usize) {
+        self.bus.set_threads(threads);
+    }
+
+    /// Component activations serviced so far.
+    pub fn events(&self) -> u64 {
+        self.bus.events()
     }
 
     /// Ring `k` (0 = transmitter's, last = receiver's).
@@ -178,116 +173,11 @@ impl RingChainTestbed {
     /// point 4 from the receiver (last ring). H7 spans every ring and
     /// router in the chain.
     pub fn measurement_set(&self) -> MeasurementSet {
-        let m = self.bus.measurements();
-        MeasurementSet {
-            vca_irq: m.truth_log_or_empty(0, MeasurePoint::VcaIrq),
-            handler: m.truth_log_or_empty(0, MeasurePoint::VcaHandlerEntry),
-            pre_tx: m.truth_log_or_empty(0, MeasurePoint::PreTransmit),
-            ctmsp_rx: m.truth_log_or_empty(1, MeasurePoint::CtmspIdentified),
-        }
-    }
-
-    /// Packets sent / received / dropped. Drops count every loss along
-    /// the chain: host-stack drops, ring-queue drops, purge losses, and
-    /// bridge-queue overflows.
-    pub fn counters(&self) -> (u64, u64, u64) {
-        let sent = self
-            .tx_host()
-            .kernel
-            .driver_ref::<CtmsVcaSource>(self.vca_src)
-            .map(|d| d.stats().pkts_sent)
-            .unwrap_or(0);
-        let received = self
-            .rx_host()
-            .kernel
-            .driver_ref::<CtmsVcaSink>(self.vca_sink)
-            .map(|d| d.stats().received)
-            .unwrap_or(0);
-        let m = self.bus.measurements();
-        let overflow: u64 = (0..self.bus.bridge_count())
-            .map(|k| self.bus.bridge(k).stats().overflows)
-            .sum();
-        let drops =
-            m.drops().len() as u64 + m.lost_to_purge().len() as u64 + m.bridge_drops() + overflow;
-        (sent, received, drops)
-    }
-}
-
-/// The N-ring chain running on the conservative-parallel sharded bus.
-/// Same accessors and same answers as [`RingChainTestbed`] — sharding
-/// may only change the wall clock.
-pub struct ShardedChain {
-    bus: ShardedBus,
-    vca_src: DriverId,
-    vca_sink: DriverId,
-}
-
-impl ShardedChain {
-    /// Current simulation time.
-    pub fn now(&self) -> SimTime {
-        self.bus.now()
-    }
-
-    /// Runs until `horizon`.
-    pub fn run_until(&mut self, horizon: SimTime) {
-        self.bus.run_until(horizon);
-    }
-
-    /// Runs until `horizon`, reporting cascade overflow as a typed error.
-    pub fn try_run_until(&mut self, horizon: SimTime) -> Result<(), CascadeError> {
-        self.bus.try_run_until(horizon)
-    }
-
-    /// Number of rings in the chain.
-    pub fn ring_count(&self) -> usize {
-        self.bus.ring_count()
-    }
-
-    /// Number of shards the chain actually runs on (1 = fell back to
-    /// the single-threaded harness).
-    pub fn shard_count(&self) -> usize {
-        self.bus.shard_count()
-    }
-
-    /// Caps how many pool workers a window dispatch invites.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.bus.set_threads(threads);
-    }
-
-    /// Component activations serviced so far.
-    pub fn events(&self) -> u64 {
-        self.bus.events()
-    }
-
-    /// The underlying sharded bus.
-    pub fn bus(&self) -> &ShardedBus {
-        &self.bus
-    }
-
-    /// Mutable sharded bus, for telemetry collection.
-    pub fn bus_mut(&mut self) -> &mut ShardedBus {
-        &mut self.bus
-    }
-
-    /// Consumes the testbed, yielding its sharded bus.
-    pub fn into_bus(self) -> ShardedBus {
-        self.bus
-    }
-
-    /// Collects and serializes the whole chain's metric tree as
-    /// canonical JSON — byte-identical to the single-threaded chain.
-    pub fn telemetry_json(&mut self) -> String {
-        self.bus.telemetry_json()
-    }
-
-    /// The measurement set, identical to
-    /// [`RingChainTestbed::measurement_set`].
-    pub fn measurement_set(&self) -> MeasurementSet {
         let log = |host: usize, point: MeasurePoint| {
             self.bus
                 .truth_log(host, point)
                 .cloned()
-                .unwrap_or_else(|| ctms_sim::EdgeLog::new(format!("h{host}-{point:?}")))
+                .unwrap_or_else(|| EdgeLog::new(format!("h{host}-{point:?}")))
         };
         MeasurementSet {
             vca_irq: log(0, MeasurePoint::VcaIrq),
@@ -297,20 +187,19 @@ impl ShardedChain {
         }
     }
 
-    /// Packets sent / received / dropped, identical to
-    /// [`RingChainTestbed::counters`]. Measurement parts are summed
-    /// across shards.
+    /// Packets sent / received / dropped. Drops count every loss along
+    /// the chain: host-stack drops, ring-queue drops, purge losses, and
+    /// bridge-queue overflows, summed over the shards' measurement
+    /// parts.
     pub fn counters(&self) -> (u64, u64, u64) {
         let sent = self
-            .bus
-            .host(0)
+            .tx_host()
             .kernel
             .driver_ref::<CtmsVcaSource>(self.vca_src)
             .map(|d| d.stats().pkts_sent)
             .unwrap_or(0);
         let received = self
-            .bus
-            .host(1)
+            .rx_host()
             .kernel
             .driver_ref::<CtmsVcaSink>(self.vca_sink)
             .map(|d| d.stats().received)
@@ -449,12 +338,13 @@ mod tests {
 
     #[test]
     fn single_ring_testbed_falls_back_to_single_threaded() {
-        // One ring cannot be partitioned: build_sharded must return the
-        // transparent fallback, not panic or degrade.
+        // One ring cannot be partitioned: build_sharded must build one
+        // shard, not panic or degrade.
         let sc = Scenario::test_case_a(42);
-        let (bus, _roles) = crate::Testbed::ctms_sharded(&sc, 4);
-        assert!(bus.is_single(), "single ring falls back");
-        assert_eq!(bus.shard_count(), 1);
+        let (topo, _roles) = crate::Testbed::ctms_topology(&sc);
+        let bus = topo.build_sharded(4);
+        assert_eq!(bus.shard_count(), 1, "single ring builds one shard");
+        assert!(bus.exec_telemetry().is_none());
     }
 
     #[test]

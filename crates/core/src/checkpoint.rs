@@ -11,11 +11,11 @@
 //! indistinguishable from never having stopped: telemetry JSON and
 //! edge-log digests are byte-identical (pinned by tier-1 tests).
 //!
-//! The format is *shard-agnostic*: bytes written by a 4-shard
-//! conservative-parallel run restore into a single-threaded bus or a
-//! 2-shard one, because both engines walk nodes in global registration
-//! order and the per-shard router parts are merged canonically at
-//! persist time (see `topology::persist_router_parts`).
+//! The format is *shard-agnostic*: bytes written by a 4-shard run
+//! restore into a one-shard bus or a 2-shard one, because the harness
+//! walks nodes in global registration order and the per-shard router
+//! parts are merged canonically at persist time (see
+//! `topology::persist_router_parts`).
 //!
 //! On top of plain resume sit two steering facilities:
 //!
@@ -24,7 +24,6 @@
 //! * [`fork`] — clone one checkpoint into N divergent continuations and
 //!   run them concurrently on the persistent sweep pool.
 
-use crate::parallel::ShardedBus;
 use crate::topology::Bus;
 use ctms_sim::{
     parallel_map, ChunkSink, ChunkedWriter, Dec, Dur, FramedWrite, PersistError, SimTime,
@@ -50,27 +49,10 @@ pub const CHECKPOINT_MAGIC: [u8; 8] = *b"CTMSCKPT";
 ///   desynchronizing.
 pub const CHECKPOINT_VERSION: u32 = 2;
 
-/// The dynamic state behind a checkpoint header, as both bus types
-/// provide it: the shared bodies below encode and decode every
-/// checkpoint form through these three methods.
-pub(crate) trait CheckpointState {
-    /// The canonical graph-shape signature checkpoints embed (format
-    /// v2); shard-agnostic.
-    fn topology_signature(&self) -> Vec<u8>;
-
-    /// Streams the harness state, then the merged router state, into
-    /// `w`. Call at a quiescent instant.
-    fn persist_state(&self, w: &mut ChunkedWriter<'_>) -> Result<(), PersistError>;
-
-    /// Applies what [`CheckpointState::persist_state`] wrote — by any
-    /// bus flavor at any shard count — onto a fresh rebuild.
-    fn restore_state(&mut self, r: &mut UnitReader<'_>) -> Result<(), PersistError>;
-}
-
 /// Header, topology signature, then the bus's dynamic state. The
 /// header and signature close the first chunk together with the
 /// harness prefix.
-fn encode(bus: &impl CheckpointState, w: &mut ChunkedWriter<'_>) -> Result<(), PersistError> {
+fn encode(bus: &Bus, w: &mut ChunkedWriter<'_>) -> Result<(), PersistError> {
     let enc = w.enc();
     for b in CHECKPOINT_MAGIC {
         enc.u8(b);
@@ -81,17 +63,14 @@ fn encode(bus: &impl CheckpointState, w: &mut ChunkedWriter<'_>) -> Result<(), P
 }
 
 /// The in-memory image: the streamed encoding kept in one buffer.
-fn image(bus: &impl CheckpointState) -> Vec<u8> {
+fn image(bus: &Bus) -> Vec<u8> {
     let mut w = ChunkedWriter::image();
     encode(bus, &mut w).expect("an encode without a sink cannot fail");
     w.into_bytes()
 }
 
 /// The encoding through `sink`; returns `(payload_bytes, chunks)`.
-fn stream(
-    bus: &impl CheckpointState,
-    sink: &mut dyn ChunkSink,
-) -> Result<(u64, u64), PersistError> {
+fn stream(bus: &Bus, sink: &mut dyn ChunkSink) -> Result<(u64, u64), PersistError> {
     let mut w = ChunkedWriter::new(sink);
     encode(bus, &mut w)?;
     w.finish()
@@ -101,8 +80,8 @@ fn stream(
 /// and requires the encoding to end exactly there. The signature is
 /// shard-agnostic — every shard's router holds the complete slot
 /// table, so a 4-shard tree snapshot signs identically to the
-/// single-threaded build of the same tree.
-fn decode(bus: &mut impl CheckpointState, mut r: UnitReader<'_>) -> Result<(), PersistError> {
+/// one-shard build of the same tree.
+fn decode(bus: &mut Bus, mut r: UnitReader<'_>) -> Result<(), PersistError> {
     let own = bus.topology_signature();
     r.unit(|dec| {
         open_header(dec)?;
@@ -135,17 +114,17 @@ fn open_header(dec: &mut Dec<'_>) -> Result<(), PersistError> {
 
 impl Bus {
     /// Serializes the complete dynamic state behind a magic/version
-    /// header. Call at a quiescent instant — after
-    /// [`Bus::try_run_until`] has returned.
+    /// header — the same bytes at every shard count. Call at a run
+    /// boundary — after [`Bus::try_run_until`] has returned.
     pub fn checkpoint(&self) -> Vec<u8> {
         image(self)
     }
 
     /// Applies a checkpoint onto this freshly built bus. The bus must
     /// have been built from the same topology description (same
-    /// scenario, same seeds) — the embedded graph signature is verified
-    /// first, then node counts and kinds, and the whole stream must be
-    /// consumed.
+    /// scenario, same seeds) at any shard count — the embedded graph
+    /// signature is verified first, then node counts and kinds, and the
+    /// whole stream must be consumed.
     pub fn restore_checkpoint(&mut self, bytes: &[u8]) -> Result<(), PersistError> {
         decode(self, UnitReader::image(bytes))
     }
@@ -174,49 +153,6 @@ impl Bus {
     /// decoding chunk by chunk — the inverse bound: peak memory is one
     /// chunk, not the whole snapshot. A stream truncated mid-chunk or
     /// mid-state surfaces as a typed [`PersistError`], never a panic.
-    pub fn read_checkpoint(&mut self, inp: &mut dyn std::io::Read) -> Result<(), PersistError> {
-        decode(self, UnitReader::stream(inp))
-    }
-}
-
-impl ShardedBus {
-    /// Serializes the complete dynamic state behind a magic/version
-    /// header — the **same bytes** a single-threaded bus produces for
-    /// the same simulation state. Call at a sync-instant boundary
-    /// (after [`ShardedBus::try_run_until`] has returned).
-    pub fn checkpoint(&self) -> Vec<u8> {
-        image(self)
-    }
-
-    /// Applies a checkpoint onto this freshly built bus. The snapshot
-    /// may come from any execution mode: a 4-shard snapshot restores
-    /// into a single-threaded bus or a 2-shard one — the graph
-    /// signature is shard-agnostic, only the shape must match.
-    pub fn restore_checkpoint(&mut self, bytes: &[u8]) -> Result<(), PersistError> {
-        decode(self, UnitReader::image(bytes))
-    }
-
-    /// Streams the checkpoint through `sink` chunk by chunk — see
-    /// [`Bus::checkpoint_stream`]. The concatenated payloads are
-    /// byte-identical to [`ShardedBus::checkpoint`] (and therefore to
-    /// the single-threaded bus), at bounded peak memory. Returns
-    /// `(payload_bytes, chunks)`.
-    pub fn checkpoint_stream(&self, sink: &mut dyn ChunkSink) -> Result<(u64, u64), PersistError> {
-        stream(self, sink)
-    }
-
-    /// Streams the checkpoint into `out` using the standard
-    /// length-prefixed chunk framing — see [`Bus::write_checkpoint`].
-    pub fn write_checkpoint(
-        &self,
-        out: &mut dyn std::io::Write,
-    ) -> Result<(u64, u64), PersistError> {
-        stream(self, &mut FramedWrite::new(out))
-    }
-
-    /// Restores from a stream written by any bus flavor's
-    /// `write_checkpoint` — shard counts need not match; see
-    /// [`Bus::read_checkpoint`].
     pub fn read_checkpoint(&mut self, inp: &mut dyn std::io::Read) -> Result<(), PersistError> {
         decode(self, UnitReader::stream(inp))
     }
@@ -252,50 +188,50 @@ pub enum Mutation {
     },
 }
 
-/// Applies mutations in order at the current instant, routing their
-/// fallout deterministically. Only the single-threaded [`Bus`] supports
-/// injection (mirroring [`ShardedBus::inject_ring`]'s contract), which
-/// is no restriction: a checkpoint from any shard count restores into a
-/// single-threaded bus.
+/// Applies mutations in order at the current instant, in place at any
+/// shard count, routing their fallout deterministically: the
+/// continuation is the same at every shard count.
 ///
-/// Errors use the checkpoint layer's [`PersistError`]: out-of-range
-/// indices and cascade overflow during fallout routing both poison the
-/// mutation batch.
+/// Errors use the checkpoint layer's [`PersistError`]. Every index is
+/// checked before anything is applied, so an out-of-range mutation
+/// leaves the bus untouched; a cascade overflow during fallout routing
+/// poisons the bus.
 pub fn apply_mutations(bus: &mut Bus, mutations: &[Mutation]) -> Result<(), PersistError> {
     for m in mutations {
         match *m {
+            Mutation::StationChurn { ring } | Mutation::PurgeStorm { ring, .. }
+                if ring >= bus.ring_count() =>
+            {
+                return Err(PersistError::mismatch(format!(
+                    "mutation on unknown ring {ring} (topology has {})",
+                    bus.ring_count()
+                )));
+            }
+            Mutation::DmaStall { host, .. } if host >= bus.host_count() => {
+                return Err(PersistError::mismatch(format!(
+                    "DMA stall on unknown host {host} (topology has {})",
+                    bus.host_count()
+                )));
+            }
+            _ => {}
+        }
+    }
+    for m in mutations {
+        match *m {
             Mutation::StationChurn { ring } => {
-                check_ring(bus, ring)?;
                 bus.inject_ring(ring, RingCmd::Disturb(Disturb::StationInsertion))
                     .map_err(|e| PersistError::mismatch(format!("station churn: {e}")))?;
             }
             Mutation::PurgeStorm { ring, count } => {
-                check_ring(bus, ring)?;
                 for _ in 0..count {
                     bus.inject_ring(ring, RingCmd::Disturb(Disturb::SoftError))
                         .map_err(|e| PersistError::mismatch(format!("purge storm: {e}")))?;
                 }
             }
             Mutation::DmaStall { host, extra } => {
-                if host >= bus.host_count() {
-                    return Err(PersistError::mismatch(format!(
-                        "DMA stall on unknown host {host} (topology has {})",
-                        bus.host_count()
-                    )));
-                }
                 bus.host_mut(host).machine.delay_active_dmas(extra);
             }
         }
-    }
-    Ok(())
-}
-
-fn check_ring(bus: &Bus, ring: usize) -> Result<(), PersistError> {
-    if ring >= bus.ring_count() {
-        return Err(PersistError::mismatch(format!(
-            "mutation on unknown ring {ring} (topology has {})",
-            bus.ring_count()
-        )));
     }
     Ok(())
 }
@@ -315,7 +251,8 @@ pub struct ForkSpec {
 /// persistent sweep pool ([`ctms_sim::parallel_map`]).
 ///
 /// Each branch rebuilds a fresh bus via `build` (same topology as the
-/// checkpoint's origin), restores the shared snapshot, applies its
+/// checkpoint's origin, at any shard count), restores the shared
+/// snapshot, applies its
 /// [`ForkSpec::mutations`], runs to its horizon, and hands the finished
 /// bus to `analyze`. Results come back in branch order, and each branch
 /// is bit-deterministic — a branch re-run alone produces the same

@@ -24,19 +24,17 @@ pub mod chain;
 pub mod checkpoint;
 pub mod experiments;
 pub mod graph;
-pub mod parallel;
 pub mod scenario;
 pub mod testbed;
 pub mod topology;
 
 pub use calib::Calibration;
-pub use chain::{DualRingTestbed, RingChainTestbed, ShardedChain};
+pub use chain::{DualRingTestbed, RingChainTestbed};
 pub use checkpoint::{
     apply_mutations, fork, ForkSpec, Mutation, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
 };
 pub use experiments::{ablation_row, all as run_all_experiments, copy_census, AblationRow, ExpCfg};
 pub use graph::{graph_topology, partition_rings, GraphEdge, RingGraph};
-pub use parallel::{ParallelBus, ShardedBus};
 pub use scenario::{HostLoad, Network, Scenario};
 pub use testbed::{DropRec, Roles, Testbed};
-pub use topology::{Bus, CtmsRouter, Measurements, Topology};
+pub use topology::{Bus, CtmsRouter, Measurements, ShardedBus, Topology};

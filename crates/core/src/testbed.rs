@@ -2,13 +2,13 @@
 //!
 //! §5.2.1: "We were able to coordinate the activities of the transmitter,
 //! receiver and the TAP tool under a centralized control point." That
-//! control point is the generic [`ctms_sim::Harness`]; this type only
-//! *describes* the §5 prototype as a [`Topology`](crate::Topology) — one
-//! ring, the CTMS hosts at its stations, optional campus background
-//! traffic — and exposes scenario-aware accessors over the recorded
+//! control point is the generic [`ctms_sim::Harness`], on one shard (one
+//! ring cannot be partitioned); this type only *describes* the §5
+//! prototype as a [`Topology`](crate::Topology) — one ring, the CTMS
+//! hosts at its stations, optional campus background traffic — and
+//! exposes scenario-aware accessors over the recorded
 //! [`Measurements`](crate::Measurements).
 
-use crate::parallel::ShardedBus;
 use crate::scenario::{HostLoad, Network, Scenario};
 use crate::topology::{Bus, Topology};
 use ctms_ctmsp::{TrDriver, TrDriverCfg};
@@ -86,19 +86,11 @@ impl Testbed {
         }
     }
 
-    /// Builds the §5 testbed's topology on the conservative-parallel
-    /// sharded bus. A single-ring topology cannot be partitioned, so
-    /// this always falls back to the single-threaded harness — the
-    /// point is that the fallback is transparent and bit-identical,
-    /// which the shard-parity tests pin.
-    pub fn ctms_sharded(sc: &Scenario, shards: usize) -> (ShardedBus, Roles) {
-        let (topo, roles) = Self::ctms_topology(sc);
-        (topo.build_sharded(shards), roles)
-    }
-
     /// The §5 testbed as a [`Topology`] description plus its driver-id
-    /// bookkeeping — shared by the single-threaded and sharded builders.
-    fn ctms_topology(sc: &Scenario) -> (Topology, Roles) {
+    /// bookkeeping. One ring cannot be partitioned, so
+    /// [`Topology::build_sharded`] builds it as one shard at any
+    /// requested shard count — which the shard-parity tests pin.
+    pub fn ctms_topology(sc: &Scenario) -> (Topology, Roles) {
         let root = Pcg32::new(sc.seed, 0xC7);
         let mut ring_cfg = sc.calib.ring.clone();
         ring_cfg.priority_enabled = sc.ring_priority;

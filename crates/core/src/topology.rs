@@ -4,9 +4,11 @@
 //! Every testbed in this crate used to hand-roll the same
 //! advance-and-route loop (§5.2.1's "centralized control point"). Now a
 //! testbed is only a *description*: a [`Topology`] lists which
-//! components sit where, [`Topology::build`] registers them with a
-//! [`ctms_sim::Harness`], and [`CtmsRouter`] — the one implementation of
-//! [`ctms_sim::Router`] — carries the complete inter-component wiring:
+//! components sit where, [`Topology::build_sharded`] registers them with
+//! a [`ctms_sim::Harness`] partitioned by ring (one shard when the
+//! topology cannot or need not be partitioned), and [`CtmsRouter`] — the
+//! one implementation of [`ctms_sim::Router`] — carries the complete
+//! inter-component wiring:
 //!
 //! * ring deliveries and strips go to the host or bridge attached at
 //!   the destination station,
@@ -20,13 +22,12 @@
 //! then phantom — which is also the deadline-tie service order, so runs
 //! are bit-identical to the old fixed advance orders.
 
-use crate::parallel::{ParallelBus, ShardedBus};
 use crate::testbed::DropRec;
 use ctms_measure::{Tap, TapCfg};
 use ctms_router::{Bridge, BridgeCmd, BridgeOut};
 use ctms_sim::{
-    CascadeError, CmdSink, Component, Dur, EdgeLog, Harness, NodeId, PersistError, Router,
-    ShardedHarness, SimTime,
+    CascadeError, CmdSink, Component, Dur, EdgeLog, Harness, NodeId, PersistError, Registry,
+    Router, ShardStats, SimTime,
 };
 use ctms_tokenring::{RingCmd, RingOut, StationId, TokenRing};
 use ctms_unixkern::{
@@ -281,28 +282,21 @@ impl Router<Node> for CtmsRouter {
             Event::Phantom(out) => self.route_phantom(src, out, sink),
         }
     }
-
-    /// Mounts the measurement ground truth under `measure.*`: aggregate
-    /// counters, the per-ring TAP monitors (`measure.tap.ring{k}`), the
-    /// per-host truth logs (`measure.truth.h{i}.*`, points in `Debug`
-    /// name order), and the inter-presentation histogram the paper's
-    /// glitch analysis reads (1 ms bins up to 64 ms). A single router
-    /// is the one-part case of the sharded merge.
-    fn publish_telemetry(&self, reg: &mut ctms_sim::Registry) {
-        ctms_sim::MergeTelemetry::publish_merged(&[self], reg);
-    }
 }
 
-/// Merges the per-shard routers of a sharded run into one `measure.*`
-/// tree — the tree a single router publishes as one part, so sharded
-/// and single-threaded telemetry are byte-identical (the shard-parity
-/// tests pin it). Aggregate counters are sums; presentations are
-/// re-merged by time (each sink's stream is already chronological, and
-/// tie order cannot change the gap histogram); each TAP and each truth
-/// log is owned by exactly one shard (the ring's or host's owner), so
-/// merging is selection, not summation.
+/// Mounts the measurement ground truth under `measure.*`: aggregate
+/// counters, the per-ring TAP monitors (`measure.tap.ring{k}`), the
+/// per-host truth logs (`measure.truth.h{i}.*`, points in `Debug` name
+/// order), and the inter-presentation histogram the paper's glitch
+/// analysis reads (1 ms bins up to 64 ms) — the same tree at every
+/// shard count (the shard-parity tests pin it). Aggregate counters are
+/// sums over the shard routers; presentations are re-merged by time
+/// (each sink's stream is already chronological, and tie order cannot
+/// change the gap histogram); each TAP and each truth log is owned by
+/// exactly one shard (the ring's or host's owner), so merging is
+/// selection, not summation.
 impl ctms_sim::MergeTelemetry for CtmsRouter {
-    fn publish_merged(parts: &[&Self], reg: &mut ctms_sim::Registry) {
+    fn publish_merged(parts: &[&Self], reg: &mut Registry) {
         use ctms_sim::Instrument as _;
         let mut m = reg.scope("measure");
         m.counter("drops", parts.iter().map(|p| p.m.drops.len() as u64).sum());
@@ -336,7 +330,7 @@ impl ctms_sim::MergeTelemetry for CtmsRouter {
             m.hist("presented_gap_ms", gaps);
         }
         // Every ring slot has its TAP in exactly one part; numbering
-        // follows slot order, matching the single-threaded enumerate().
+        // follows slot order.
         let n_slots = parts.first().map_or(0, |p| p.slots.len());
         let mut k = 0;
         for i in 0..n_slots {
@@ -574,8 +568,7 @@ impl Topology {
     }
 
     /// The complete routing-metadata table, in NodeId order (rings,
-    /// bridges, hosts, phantom) — shared between the single-threaded
-    /// and sharded builds.
+    /// bridges, hosts, phantom).
     fn make_slots(&self) -> Vec<Slot> {
         let n_rings = self.rings.len();
         let n_bridges = self.bridges.len();
@@ -634,70 +627,16 @@ impl Topology {
         slots
     }
 
-    /// Registers everything with a fresh harness and returns the live bus.
+    /// Registers everything with a fresh one-shard harness and returns
+    /// the live bus: [`Topology::build_sharded`] at one shard.
     pub fn build(self) -> Bus {
-        let n_rings = self.rings.len();
-        let n_bridges = self.bridges.len();
-        let n_hosts = self.hosts.len();
-        let host_node = |k: usize| NodeId(n_rings + n_bridges + k);
-
-        let slots: Arc<[Slot]> = self.make_slots().into();
-        let taps: Vec<Option<Tap>> = slots
-            .iter()
-            .map(|s| matches!(s, Slot::Ring { .. }).then(|| Tap::new(TapCfg::default())))
-            .collect();
-
-        let router = CtmsRouter {
-            slots,
-            taps,
-            purge_subscribers: self
-                .purge_subscribers
-                .iter()
-                .map(|&(host, driver)| (host_node(host), driver))
-                .collect(),
-            m: Measurements {
-                truth: (0..n_hosts).map(|_| HashMap::new()).collect(),
-                ..Measurements::default()
-            },
-        };
-
-        let mut h = Harness::new(router, self.cascade_limit);
-        let mut ring_nodes = Vec::new();
-        for (k, ring) in self.rings.into_iter().enumerate() {
-            ring_nodes.push(
-                h.add_node_labeled(Node::Ring(ring, Vec::new()), format!("tokenring.ring{k}")),
-            );
-        }
-        let mut bridge_nodes = Vec::new();
-        for (k, spec) in self.bridges.into_iter().enumerate() {
-            bridge_nodes.push(h.add_node_labeled(
-                Node::Bridge(spec.bridge, Vec::new()),
-                format!("router.bridge{k}"),
-            ));
-        }
-        let mut host_nodes = Vec::new();
-        for (k, (_, _, host)) in self.hosts.into_iter().enumerate() {
-            host_nodes
-                .push(h.add_node_labeled(Node::Host(host, Vec::new()), format!("unixkern.h{k}")));
-        }
-        let phantom_node = self
-            .phantom
-            .map(|(_, p)| h.add_node_labeled(Node::Phantom(p, Vec::new()), "workloads.phantom"));
-
-        Bus {
-            h,
-            ring_nodes,
-            bridge_nodes,
-            host_nodes,
-            phantom_node,
-        }
+        self.build_sharded(1)
     }
 
-    /// Registers everything with a conservative-parallel
-    /// [`ShardedHarness`](ctms_sim::ShardedHarness), partitioned by ring,
-    /// and returns a [`ShardedBus`]. Results are bit-identical to
-    /// [`Topology::build`] — parallelism may never change the answer,
-    /// only the wall clock.
+    /// Registers everything with a [`Harness`] partitioned by ring and
+    /// returns the live [`Bus`]. Results are bit-identical at every
+    /// shard count — parallelism may never change the answer, only the
+    /// wall clock.
     ///
     /// Partition rule: the ring graph (rings as nodes, bridges as
     /// edges — a multi-port bridge couples every pair of its rings) is
@@ -712,43 +651,54 @@ impl Topology {
     /// bridge, so well-separated partitions run wider windows than the
     /// global minimum would allow.
     ///
-    /// Falls back to the single-threaded harness (same results, one
-    /// thread) whenever sharding cannot help or cannot be proven sound:
+    /// Builds one shard whenever sharding cannot help or cannot be
+    /// proven sound:
     ///
     /// * fewer than two shards would result (`shards <= 1` or one ring),
     /// * purge subscriptions exist (purge fan-out may cross shards from
     ///   a non-sync ring node),
     /// * a phantom generator is attached (its broadcast LLC frames are
     ///   delivered to every station, including remote bridge ports).
-    pub fn build_sharded(self, shards: usize) -> ShardedBus {
+    pub fn build_sharded(self, shards: usize) -> Bus {
         let n_rings = self.rings.len();
-        let s = shards.min(n_rings);
-        if s <= 1 || !self.purge_subscribers.is_empty() || self.phantom.is_some() {
-            return ShardedBus::Single(self.build());
-        }
-
+        let n_bridges = self.bridges.len();
         let n_hosts = self.hosts.len();
+        let host_node = |k: usize| NodeId(n_rings + n_bridges + k);
+        let s = if self.purge_subscribers.is_empty() && self.phantom.is_none() {
+            shards.min(n_rings).max(1)
+        } else {
+            1
+        };
+
         // Graph partition: bridges are the edges (a multi-port bridge
         // couples every pair of its rings).
-        let edges: Vec<(usize, usize)> = self
-            .bridges
-            .iter()
-            .flat_map(|spec| {
-                let r = &spec.rings;
-                (0..r.len()).flat_map(move |i| (i + 1..r.len()).map(move |j| (r[i], r[j])))
-            })
-            .collect();
-        let part = crate::graph::partition_rings(n_rings, &edges, s);
-        let ring_shard = |i: usize| part[i];
+        let part = if s == 1 {
+            Vec::new()
+        } else {
+            let edges: Vec<(usize, usize)> = self
+                .bridges
+                .iter()
+                .flat_map(|spec| {
+                    let r = &spec.rings;
+                    (0..r.len()).flat_map(move |i| (i + 1..r.len()).map(move |j| (r[i], r[j])))
+                })
+                .collect();
+            crate::graph::partition_rings(n_rings, &edges, s)
+        };
+        let ring_shard = |r: usize| if s == 1 { 0 } else { part[r] };
         let bridge_shard: Vec<usize> = self
             .bridges
             .iter()
-            .map(|spec| part[spec.rings[spec.owner]])
+            .map(|spec| ring_shard(spec.rings[spec.owner]))
             .collect();
         let bridge_sync: Vec<bool> = self
             .bridges
             .iter()
-            .map(|spec| spec.rings.iter().any(|&r| part[r] != part[spec.rings[0]]))
+            .map(|spec| {
+                spec.rings
+                    .iter()
+                    .any(|&r| ring_shard(r) != ring_shard(spec.rings[0]))
+            })
             .collect();
         // Global floor: the seal-time sanity bound.
         let lookahead = self
@@ -759,29 +709,38 @@ impl Topology {
             .map(|(spec, _)| spec.bridge.kind().lookahead())
             .min()
             .unwrap_or(Dur::ZERO);
-        // Directed per-edge influence for the window protocol.
-        // Cross-shard mail flows only out of sync bridges (the owner
-        // ring — the one that delivers traffic *into* the bridge — is
-        // co-sharded with it, so delivery into the bridge is always
-        // local), and only toward the shards of the bridge's port
-        // rings, delayed by at least that bridge's forwarding latency.
-        let mut influence: Vec<Vec<Option<Dur>>> = vec![vec![None; s]; s];
-        for ((spec, sync), &o) in self.bridges.iter().zip(&bridge_sync).zip(&bridge_shard) {
-            if !*sync {
-                continue;
-            }
-            // `set_influence_lookaheads` rejects a zero lookahead, which
-            // would collapse the window and stall the run.
-            let la = spec.bridge.kind().lookahead();
-            for &r in &spec.rings {
-                let k = part[r];
-                if k != o {
-                    influence[o][k] = Some(influence[o][k].map_or(la, |cur| cur.min(la)));
+        // Directed per-edge influence for the window protocol (none at
+        // one shard). Cross-shard mail flows only out of sync bridges
+        // (the owner ring — the one that delivers traffic *into* the
+        // bridge — is co-sharded with it, so delivery into the bridge is
+        // always local), and only toward the shards of the bridge's
+        // port rings, delayed by at least that bridge's forwarding
+        // latency.
+        let influence = (s > 1).then(|| {
+            let mut influence: Vec<Vec<Option<Dur>>> = vec![vec![None; s]; s];
+            for ((spec, sync), &o) in self.bridges.iter().zip(&bridge_sync).zip(&bridge_shard) {
+                if !*sync {
+                    continue;
+                }
+                // `set_influence_lookaheads` rejects a zero lookahead,
+                // which would collapse the window and stall the run.
+                let la = spec.bridge.kind().lookahead();
+                for &r in &spec.rings {
+                    let k = ring_shard(r);
+                    if k != o {
+                        influence[o][k] = Some(influence[o][k].map_or(la, |cur| cur.min(la)));
+                    }
                 }
             }
-        }
+            influence
+        });
 
         let slots: Arc<[Slot]> = self.make_slots().into();
+        let purge_subscribers: Vec<(NodeId, DriverId)> = self
+            .purge_subscribers
+            .iter()
+            .map(|&(host, driver)| (host_node(host), driver))
+            .collect();
         let routers: Vec<CtmsRouter> = (0..s)
             .map(|shard| CtmsRouter {
                 // One shared wiring table for all shards: the Arc clone
@@ -797,7 +756,8 @@ impl Topology {
                             .then(|| Tap::new(TapCfg::default()))
                     })
                     .collect(),
-                purge_subscribers: Vec::new(),
+                // Only a one-shard build has subscribers (see above).
+                purge_subscribers: purge_subscribers.clone(),
                 m: Measurements {
                     truth: (0..n_hosts).map(|_| HashMap::new()).collect(),
                     ..Measurements::default()
@@ -805,8 +765,10 @@ impl Topology {
             })
             .collect();
 
-        let mut h = ShardedHarness::new(routers, self.cascade_limit, lookahead);
-        h.set_influence_lookaheads(influence);
+        let mut h = Harness::new(routers, self.cascade_limit, lookahead);
+        if let Some(influence) = influence {
+            h.set_influence_lookaheads(influence);
+        }
         let mut ring_nodes = Vec::new();
         for (k, ring) in self.rings.into_iter().enumerate() {
             ring_nodes.push(h.add_node_labeled(
@@ -834,19 +796,24 @@ impl Topology {
                 false,
             ));
         }
+        let phantom_node = self.phantom.map(|(_, p)| {
+            h.add_node_labeled(Node::Phantom(p, Vec::new()), "workloads.phantom", 0, false)
+        });
 
-        ShardedBus::Parallel(ParallelBus {
+        Bus {
             h,
             ring_nodes,
             bridge_nodes,
             host_nodes,
-        })
+            phantom_node,
+        }
     }
 }
 
-/// A built topology: the harness plus typed access to its nodes. The
-/// concrete testbeds ([`crate::Testbed`], [`crate::RingChainTestbed`])
-/// wrap this with scenario-specific construction and accessors.
+/// A built topology: the harness plus typed access to its nodes, at
+/// any shard count. The concrete testbeds ([`crate::Testbed`],
+/// [`crate::RingChainTestbed`]) wrap this with scenario-specific
+/// construction and accessors.
 pub struct Bus {
     h: Harness<Node, CtmsRouter>,
     ring_nodes: Vec<NodeId>,
@@ -855,7 +822,23 @@ pub struct Bus {
     phantom_node: Option<NodeId>,
 }
 
+/// The name the sharded builders used to return, kept for callers
+/// that spell it; a bus at any shard count is a [`Bus`].
+pub type ShardedBus = Bus;
+
 impl Bus {
+    /// Number of shards the bus runs on (1 when the topology cannot or
+    /// need not be partitioned).
+    pub fn shard_count(&self) -> usize {
+        self.h.shard_count()
+    }
+
+    /// Caps how many pool workers a window dispatch invites; the
+    /// results do not depend on it.
+    pub fn set_threads(&mut self, threads: usize) {
+        self.h.set_threads(threads);
+    }
+
     /// Current simulation time.
     pub fn now(&self) -> SimTime {
         self.h.now()
@@ -877,7 +860,8 @@ impl Bus {
     }
 
     /// Component activations serviced so far (scheduler throughput
-    /// numerator for the perf harness; not part of telemetry).
+    /// numerator for the perf harness; not part of telemetry; the same
+    /// at every shard count).
     pub fn events(&self) -> u64 {
         self.h.events()
     }
@@ -932,14 +916,39 @@ impl Bus {
         })
     }
 
-    /// The TAP monitor on ring `k`.
+    /// The TAP monitor on ring `k` (kept by the ring's owner shard).
     pub fn tap(&self, k: usize) -> &Tap {
-        self.h.router().tap(self.ring_nodes[k])
+        let ring = self.ring_nodes[k];
+        self.h.shard_router(self.h.shard_of(ring)).tap(ring)
     }
 
-    /// The recorded ground truth.
+    /// The recorded ground truth of a one-shard bus. A bus on several
+    /// shards splits it across [`Bus::measure_parts`]; read those, or
+    /// [`Bus::truth_log`], at any shard count.
     pub fn measurements(&self) -> &Measurements {
-        self.h.router().measurements()
+        assert_eq!(
+            self.shard_count(),
+            1,
+            "measurements() reads one shard; use measure_parts() or truth_log()"
+        );
+        self.h.shard_router(0).measurements()
+    }
+
+    /// The recorded ground truth, one part per shard. Aggregate counters
+    /// are sums over the parts; truth logs and presentations live in
+    /// exactly one part each.
+    pub fn measure_parts(&self) -> Vec<&Measurements> {
+        self.h.routers().map(CtmsRouter::measurements).collect()
+    }
+
+    /// Per-host trace log for one measurement point, if recorded; the
+    /// log lives in the shard that owns the host.
+    pub fn truth_log(&self, host: usize, point: MeasurePoint) -> Option<&EdgeLog> {
+        let shard = self.h.shard_of(self.host_nodes[host]);
+        self.h
+            .shard_router(shard)
+            .measurements()
+            .truth_log(host, point)
     }
 
     /// The cascade failure that poisoned this bus, if any.
@@ -948,20 +957,21 @@ impl Bus {
     }
 
     /// Delivers a ring command (e.g. a disturbance) to ring `k` at the
-    /// current instant, routing its fallout like any other event.
+    /// current instant, routing its fallout like any other event — at
+    /// any shard count.
     pub fn inject_ring(&mut self, k: usize, cmd: RingCmd) -> Result<(), CascadeError> {
         self.h.inject(self.ring_nodes[k], Cmd::Ring(cmd))
     }
 
     /// The telemetry registry as last collected (see
     /// [`collect_telemetry`](Self::collect_telemetry)).
-    pub fn telemetry(&self) -> &ctms_sim::Registry {
+    pub fn telemetry(&self) -> &Registry {
         self.h.telemetry()
     }
 
-    /// Re-collects every node's and the router's metrics into the
+    /// Re-collects every node's and the routers' metrics into the
     /// registry and returns it.
-    pub fn collect_telemetry(&mut self) -> &mut ctms_sim::Registry {
+    pub fn collect_telemetry(&mut self) -> &mut Registry {
         self.h.collect_telemetry()
     }
 
@@ -971,39 +981,70 @@ impl Bus {
     }
 
     /// Collects and serializes the registry as canonical JSON
-    /// (byte-identical across runs of the same seed).
+    /// (byte-identical across runs of the same seed and across shard
+    /// counts).
     pub fn telemetry_json(&mut self) -> String {
         self.h.telemetry_json()
     }
-}
 
-impl crate::checkpoint::CheckpointState for Bus {
-    fn topology_signature(&self) -> Vec<u8> {
-        self.h.router().topology_signature()
+    /// Execution-layer counters of a partitioned run (windows, sync
+    /// instants, per-shard mailbox traffic) — kept out of the main
+    /// registry so telemetry stays the same at every shard count.
+    /// `None` at one shard, where there is no cross-shard execution
+    /// to report.
+    pub fn exec_telemetry(&self) -> Option<Registry> {
+        (self.shard_count() > 1).then(|| self.h.exec_telemetry())
     }
 
-    fn persist_state(&self, w: &mut ctms_sim::ChunkedWriter<'_>) -> Result<(), PersistError> {
+    /// Execution counters for shard `k` (zeros at one shard, like
+    /// [`Bus::exec_telemetry`]).
+    pub fn shard_stats(&self, k: usize) -> ShardStats {
+        if self.shard_count() > 1 {
+            self.h.shard_stats(k)
+        } else {
+            ShardStats::default()
+        }
+    }
+
+    /// The canonical graph-shape signature checkpoints embed (format
+    /// v2). Every shard's router holds the complete slot table, so
+    /// shard 0 signs for the whole topology at any shard count.
+    pub(crate) fn topology_signature(&self) -> Vec<u8> {
+        self.h.shard_router(0).topology_signature()
+    }
+
+    /// Streams the harness state, then the merged router state, into
+    /// `w`. Call at a run boundary.
+    pub(crate) fn persist_state(
+        &self,
+        w: &mut ctms_sim::ChunkedWriter<'_>,
+    ) -> Result<(), PersistError> {
         self.h.persist_state(w)?;
-        persist_router_parts(&[self.h.router()], w)
+        persist_router_parts(&self.h.routers().collect::<Vec<_>>(), w)
     }
 
-    fn restore_state(&mut self, r: &mut ctms_sim::UnitReader<'_>) -> Result<(), PersistError> {
+    /// Applies what [`Bus::persist_state`] wrote — at any shard count —
+    /// onto a fresh rebuild.
+    pub(crate) fn restore_state(
+        &mut self,
+        r: &mut ctms_sim::UnitReader<'_>,
+    ) -> Result<(), PersistError> {
         self.h.restore_state(r)?;
         let now = self.h.now();
         let ckpt = r.unit(decode_router_state)?;
-        apply_router_ckpt(&mut [self.h.router_mut()], ckpt, now)
+        apply_router_ckpt(&mut self.h.routers_mut().collect::<Vec<_>>(), ckpt, now)
     }
 }
 
 // --- Checkpoint plumbing -------------------------------------------------
 //
 // A checkpoint must be *shard-agnostic*: bytes written by a 4-shard run
-// restore into a single-threaded bus or a 2-shard one. The harness side
-// already walks nodes in global registration order on both engines; the
-// router side is handled here by merging the per-shard parts into one
-// canonical stream at persist time and re-distributing at restore time
-// (taps to the ring's owner, truth logs to the host's owner, flat lists
-// to shard 0 — merged telemetry is order-insensitive by construction).
+// restore into a one-shard bus or a 2-shard one. The harness side walks
+// nodes in global registration order; the router side is handled here by
+// merging the per-shard parts into one canonical stream at persist time
+// and re-distributing at restore time (taps to the ring's owner, truth
+// logs to the host's owner, flat lists to shard 0 — merged telemetry is
+// order-insensitive by construction).
 
 impl ctms_sim::Persist for Node {
     /// One kind tag (checked against the rebuilt topology on restore)
@@ -1151,7 +1192,7 @@ pub(crate) struct RouterCkpt {
 }
 
 /// Appends the canonical merged router state of `parts` (one part per
-/// shard; a single part for a single-threaded run) to `w` as its own
+/// shard) to `w` as its own
 /// chunk. Each TAP and each host's truth logs live in exactly one part;
 /// flat event lists are chronological within each part and are merged
 /// by a stable sort on time, so the bytes do not depend on the shard
@@ -1293,9 +1334,9 @@ pub(crate) fn decode_router_state(dec: &mut ctms_sim::Dec<'_>) -> Result<RouterC
     })
 }
 
-/// Distributes a decoded router snapshot across `parts` — the single
-/// router of a [`Bus`], or the shard routers of a [`ParallelBus`] in
-/// shard order: each TAP to its ring's owner part, each host's truth
+/// Distributes a decoded router snapshot across `parts` — the shard
+/// routers of a [`Bus`] in shard order: each TAP to its ring's owner
+/// part, each host's truth
 /// logs to the part that owns the host's ring (and therefore routes
 /// the host), flat event lists and the bridge-drop count to part 0
 /// (merged telemetry reads only counts and sorted times, so their

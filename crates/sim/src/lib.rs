@@ -10,17 +10,17 @@
 //! * [`time`] — nanosecond-resolution simulation clock types,
 //! * [`rng`] — deterministic, stream-splittable random numbers,
 //! * [`engine`] — the [`engine::Component`] state-machine protocol,
-//! * [`bus`] — the generic scheduler/event-bus ([`bus::Harness`]): a
-//!   [`bus::NodeId`]-addressable registry, a central deadline scheduler
-//!   with deterministic tie-breaking, and typed routing via [`bus::Router`],
+//! * [`bus`] — the event-bus vocabulary: [`bus::NodeId`]-addressable
+//!   nodes, typed routing via [`bus::Router`], and the typed
+//!   [`bus::CascadeError`],
 //! * [`heap`] — the indexed d-ary min-heap behind the scheduler
 //!   (update-key per node, no stale entries, allocation-free stepping),
-//! * [`shard`] — the conservative parallel scheduler
-//!   ([`shard::ShardedHarness`]): per-shard deadline heaps on the sweep
-//!   pool, per-shard windows bounded by an influence fixpoint over the
-//!   cut-edge lookaheads, and deterministic cross-shard mailboxes that
-//!   only sync-class nodes may post to — bit-identical to the
-//!   single-threaded harness by construction,
+//! * [`shard`] — the scheduler ([`shard::Harness`]): per-shard deadline
+//!   heaps with deterministic tie-breaking, run on one thread at one
+//!   shard and on the sweep pool at several, per-shard windows bounded
+//!   by an influence fixpoint over the cut-edge lookaheads, and
+//!   deterministic cross-shard mailboxes that only sync-class nodes may
+//!   post to — the same answer at every shard count by construction,
 //! * [`synth`] — synthetic allocation-free workloads for the perf
 //!   harness and the zero-allocation steady-state test,
 //! * [`persist`] — canonical binary state serialization ([`persist::Persist`])
@@ -46,7 +46,7 @@ pub mod telemetry;
 pub mod time;
 pub mod trace;
 
-pub use bus::{CascadeError, CmdSink, Harness, NodeId, Router, DEFAULT_CASCADE_LIMIT};
+pub use bus::{CascadeError, CmdSink, NodeId, Router, DEFAULT_CASCADE_LIMIT};
 pub use engine::{drain_component, earliest, CascadeGuard, Component};
 pub use heap::IndexedHeap;
 pub use persist::{
@@ -54,7 +54,7 @@ pub use persist::{
     PersistError, UnitReader, STREAM_CHUNK,
 };
 pub use rng::{Pcg32, SplitMix64};
-pub use shard::{merge_mail, MailKey, MergeTelemetry, ShardStats, ShardedHarness};
+pub use shard::{merge_mail, Harness, MailKey, MergeTelemetry, ShardStats};
 pub use sweep::{default_threads, parallel_map};
 pub use telemetry::{Instrument, Registry};
 pub use time::{Dur, SimTime};

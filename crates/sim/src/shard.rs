@@ -1,11 +1,20 @@
-//! Conservative parallel execution: the sharded scheduler.
+//! The scheduler: one conservative engine for every run.
 //!
-//! [`crate::bus::Harness`] services one global deadline heap on one
-//! thread. [`ShardedHarness`] partitions the node set into **shards**
-//! (the caller supplies the partition — `ctms-core` cuts the ring graph
-//! into balanced parts) and runs each shard's indexed heap on a worker
-//! of the persistent [`crate::sweep`] pool, synchronizing with an
-//! adaptive conservative window protocol:
+//! [`Harness`] owns the advance-and-route loop every testbed used to
+//! hand-write. Components register into a [`NodeId`]-addressable
+//! registry; each node belongs to one **shard**, and each shard keeps
+//! an indexed deadline heap (see [`crate::heap::IndexedHeap`]), its own
+//! [`Router`] and reusable scratch buffers. A run services instants in
+//! time order and, within an instant, due nodes in registration order,
+//! then routes their events breadth-first through the same-instant
+//! cascade, bounded by a guard that reports a typed [`CascadeError`].
+//!
+//! A topology that cannot, or need not, be partitioned runs as **one
+//! shard**: every node local, no sync-class node, no mail, one window
+//! per run on the calling thread. Several shards run on workers of the
+//! persistent [`crate::sweep`] pool under an adaptive conservative
+//! window protocol (the caller supplies the partition — `ctms-core`
+//! cuts the ring graph into balanced parts):
 //!
 //! * A small set of nodes is declared **sync-class** at registration —
 //!   in `ctms-core` these are the bridges whose port rings landed in
@@ -20,34 +29,56 @@
 //!   (an influence fixpoint, see `adaptive_bounds`). Every shard then
 //!   runs **independently** over all of its instants strictly before
 //!   that bound, so the shards' interleaving is irrelevant — the result
-//!   is the one a single thread would compute. Mail a sync node emits
+//!   is the one a single shard would compute. Mail a sync node emits
 //!   inside a window waits in the receiver's sorted pending queue and is
 //!   delivered when the receiver's clock reaches the emission instant.
 //! * When no shard can make progress (every bound collapses onto the
 //!   global minimum `T`), the harness runs a **sync instant**: every
 //!   shard due at `T` advances, and cross-shard commands are exchanged
 //!   in repeated rounds until no mail is in flight, each round
-//!   delivering through the same pending queues windows use.
+//!   delivering through the same pending queues windows use. A command
+//!   injected from outside ([`Harness::inject`]) takes the same rounds.
 //! * Every outbox flush sorts the receiving pending queue with
 //!   [`merge_mail`] into [`MailKey`] order (`(time, src_shard, seq)` —
 //!   a total order, so delivery is deterministic no matter which
 //!   worker finished first).
 //!
-//! Determinism is the contract: parallel execution may change the wall
-//! clock, never the answer. The `ctms-bench` `perf` binary asserts
-//! bit-identical ground truth before it times anything, and the tier-1
-//! `sharded_harness_shares_the_golden_truth` test pins byte-identical
-//! telemetry JSON against the single-threaded golden digests.
+//! Determinism is the contract: the shard count and the thread count
+//! may change the wall clock, never the answer. The tier-1 parity tests
+//! pin byte-identical telemetry at 1, 2 and 4 shards against golden
+//! digests and against references recorded from the sequential engine
+//! this one replaced (DESIGN.md §14).
 //!
 //! A node that is not sync-class and emits a cross-shard command inside
 //! a window has violated the lookahead contract (the partition put
 //! tightly coupled nodes in different shards); the harness poisons
 //! itself with a typed [`CascadeError::CrossShard`] rather than silently
-//! diverging from single-threaded truth.
+//! diverging.
+//!
+//! # The zero-allocation hot path
+//!
+//! The paper's whole argument is that throughput is won by deleting
+//! per-packet CPU work from the data path (§2 removes two of four
+//! copies; §4 keeps DMA off the system bus). The scheduler holds itself
+//! to the same discipline: in steady state, servicing an event performs
+//! **zero heap allocations**. The indexed heap keeps one entry per node
+//! with update-key in place, and the wave, due, touched, mail and
+//! per-node output buffers retain their capacity across steps.
+//! `cargo test -p ctms-sim --features alloc-count` proves it at one and
+//! at two shards with a counting global allocator.
+//!
+//! # Telemetry
+//!
+//! The harness owns the run's [`Registry`]: every node (and, through
+//! [`MergeTelemetry`], the shard routers) registers its statistics
+//! under a dotted namespace on demand via [`Harness::collect_telemetry`],
+//! phases can be frozen with [`Harness::snapshot_phase`], and a tripped
+//! cascade guard leaves a diagnosable trail — an edge-signal event plus
+//! a final `cascade-failure` snapshot — instead of only an error value.
+//! Execution counters that vary with the shard count live apart, in
+//! [`Harness::exec_telemetry`].
 
-use crate::bus::{
-    check_not_poisoned, persist_harness, restore_harness, CascadeError, CmdSink, NodeId, Router,
-};
+use crate::bus::{CascadeError, CmdSink, NodeId, Router};
 use crate::engine::Component;
 use crate::heap::IndexedHeap;
 use crate::persist::{ChunkedWriter, Persist, PersistError, UnitReader};
@@ -82,10 +113,9 @@ pub fn merge_mail<T>(mail: &mut [(MailKey, T)]) {
 }
 
 /// Per-shard execution counters, published under `sched.shard{k}` by
-/// [`ShardedHarness::exec_telemetry`]. Kept out of the simulation's own
-/// registry so the telemetry tree stays byte-identical to
-/// single-threaded execution (golden digests must not depend on the
-/// shard count).
+/// [`Harness::exec_telemetry`]. Kept out of the simulation's own
+/// registry so the telemetry tree stays byte-identical at every shard
+/// count (golden digests must not depend on it).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ShardStats {
     /// Windows in which this shard advanced at least one node.
@@ -108,6 +138,9 @@ type Mail<Cmd> = (MailKey, (NodeId, Cmd));
 /// Cross-shard emission policy for one cascade, by protocol phase.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Cross {
+    /// A lone shard's window: every destination is local, so no
+    /// command is looked up or mailed.
+    Local,
     /// Window: sync-class sources may emit to the outbox (their
     /// lookahead contract bounds when the mail can matter); anything
     /// else is a protocol violation.
@@ -116,24 +149,53 @@ enum Cross {
     Allow,
 }
 
+/// Global node id → (shard, local index) table; `None` at one shard,
+/// where shard `idx` owns every node under its global index.
+type Owner = Option<Arc<Vec<(u32, u32)>>>;
+
+/// The (shard, local index) that owns global node `id`.
+#[inline(always)]
+fn locate(owner: &Owner, idx: u32, id: NodeId) -> (u32, u32) {
+    match owner {
+        None => (idx, id.0 as u32),
+        Some(owner) => owner[id.0],
+    }
+}
+
+/// One empty mail queue per shard — none at one shard, which never
+/// mails (and builds faster without them).
+fn mailboxes<M>(n_shards: usize) -> Vec<Vec<M>> {
+    if n_shards > 1 {
+        (0..n_shards).map(|_| Vec::new()).collect()
+    } else {
+        Vec::new()
+    }
+}
+
 /// One shard: a slice of the node set with its own heap, router, and
-/// the same reusable scratch buffers as [`crate::bus::Harness`]. Moves
-/// wholesale between the coordinating thread and pool workers.
+/// reusable scratch buffers. Moves wholesale between the coordinating
+/// thread and pool workers.
 struct ShardState<C: Component, R> {
     idx: u32,
     /// Nodes local to this shard, in global registration order.
     nodes: Vec<C>,
+    /// The harness's only shard: local and global indices coincide and
+    /// nothing crosses a shard, so the two tables below stay empty.
+    solo: bool,
     /// Local index → global [`NodeId`] (routers speak global ids).
     global_ids: Vec<NodeId>,
     /// Local index → is this a sync-class node?
     sync_local: Vec<bool>,
+    /// True when any local node is sync-class; a shard without one
+    /// skips the sync heap's upkeep.
+    any_sync: bool,
     router: R,
     /// All local nodes, keyed by local index.
     heap: IndexedHeap,
     /// Sync-class nodes only, keyed by local index; `B` comes from here.
     sync_heap: IndexedHeap,
-    /// Global node id → (shard, local index), shared by every shard.
-    owner: Arc<Vec<(u32, u32)>>,
+    /// Who owns each global node, shared by every shard.
+    owner: Owner,
     now: SimTime,
     limit: u32,
     failed: Option<CascadeError>,
@@ -151,7 +213,8 @@ struct ShardState<C: Component, R> {
     /// coordinator right before dispatch (a field rather than a closure
     /// capture so per-shard windows stay allocation-free).
     w_end: SimTime,
-    // Reusable hot-path buffers, exactly as in `Harness`.
+    // Reusable hot-path buffers: drained every step, capacity retained,
+    // so steady-state stepping performs no heap allocation.
     due: Vec<usize>,
     touched: Vec<usize>,
     wave: Vec<(NodeId, C::Out)>,
@@ -169,19 +232,21 @@ impl<C: Component, R: Router<C>> ShardState<C, R> {
         ShardState {
             idx,
             nodes: Vec::new(),
+            solo: n_shards == 1,
             global_ids: Vec::new(),
             sync_local: Vec::new(),
+            any_sync: false,
             router,
             heap: IndexedHeap::new(),
             sync_heap: IndexedHeap::new(),
-            owner: Arc::new(Vec::new()),
+            owner: None,
             now: SimTime::ZERO,
             limit,
             failed: None,
             dirty: Vec::new(),
             events: 0,
             stats: ShardStats::default(),
-            outbox: (0..n_shards).map(|_| Vec::new()).collect(),
+            outbox: mailboxes(n_shards),
             pending: Vec::new(),
             seq: 0,
             w_end: SimTime::ZERO,
@@ -200,30 +265,40 @@ impl<C: Component, R: Router<C>> ShardState<C, R> {
     fn add_node(&mut self, node: C, global: NodeId, sync: bool) -> u32 {
         let local = self.nodes.len();
         self.nodes.push(node);
-        self.global_ids.push(global);
-        self.sync_local.push(sync);
+        if !self.solo {
+            self.global_ids.push(global);
+            self.sync_local.push(sync);
+            self.any_sync |= sync;
+        }
         self.stamp.push(0);
         self.reschedule(local);
         local as u32
     }
 
-    /// True when any registered node is sync-class.
-    fn has_sync_nodes(&self) -> bool {
-        self.sync_local.iter().any(|&b| b)
+    /// The global id of local node `l`.
+    #[inline(always)]
+    fn global_id(&self, l: usize) -> NodeId {
+        if self.solo {
+            NodeId(l)
+        } else {
+            self.global_ids[l]
+        }
     }
 
-    /// Syncs both heaps with the node's current deadline.
+    /// Syncs both heaps with the node's current deadline: an in-place
+    /// update-key on the indexed heap.
     fn reschedule(&mut self, local: usize) {
         let at = self.nodes[local].next_deadline();
         self.heap.set(local, at);
-        if self.sync_local[local] {
+        if self.any_sync && self.sync_local[local] {
             self.sync_heap.set(local, at);
         }
     }
 
     /// Re-syncs the heaps for every node in `touched`, deduplicated by
-    /// epoch stamp in O(len) — same scheme (and same order-independence
-    /// argument) as `Harness::reschedule_touched`.
+    /// epoch stamp in O(len) — no sort, no allocation. First-touch order
+    /// is fine: the indexed heap's update-key is order-independent.
+    #[inline(always)]
     fn reschedule_touched(&mut self) {
         self.epoch += 1;
         let epoch = self.epoch;
@@ -260,8 +335,9 @@ impl<C: Component, R: Router<C>> ShardState<C, R> {
     }
 
     /// Fills `due` with every local node scheduled at or before `t`, in
-    /// local (= global registration) order, keeping the sync heap
-    /// coherent.
+    /// local (= global registration) order — the heap yields ties in
+    /// that order by construction — keeping the sync heap coherent.
+    #[inline(always)]
     fn pop_due(&mut self, t: SimTime) {
         self.due.clear();
         while let Some((at, l)) = self.heap.peek() {
@@ -269,20 +345,20 @@ impl<C: Component, R: Router<C>> ShardState<C, R> {
                 break;
             }
             self.heap.pop();
-            if self.sync_local[l] {
+            if self.any_sync && self.sync_local[l] {
                 self.sync_heap.set(l, None);
             }
             self.due.push(l);
         }
     }
 
-    /// Routes `wave` breadth-first at `now` until it drains, entering
-    /// the router in runs of consecutive same-source events (the same
-    /// batching — and the same bit-identity argument — as
-    /// `Harness::cascade`). Local commands are delivered immediately;
-    /// cross-shard commands follow the [`Cross`] policy: outbox at sync
-    /// instants, outbox for sync-class sources inside windows, protocol
-    /// violation otherwise.
+    /// Routes `wave` breadth-first at `now` until it drains; each
+    /// iteration of the outer loop is one guard step. Local commands
+    /// are delivered immediately; cross-shard commands follow the
+    /// [`Cross`] policy: outbox at sync instants and injections, outbox
+    /// for sync-class sources inside windows, protocol violation
+    /// otherwise.
+    #[inline(always)]
     fn cascade(&mut self, now: SimTime, cross: Cross) -> Result<(), CascadeError> {
         let mut steps = 0u32;
         while !self.wave.is_empty() {
@@ -295,9 +371,14 @@ impl<C: Component, R: Router<C>> ShardState<C, R> {
                 self.cmds.clear();
                 return Err(err);
             }
+            // Drain the wave in runs of consecutive same-source events,
+            // entering the router once per run. Routing order and
+            // delivery order are exactly the per-event loop's (the router
+            // never reads node state and commands drain in push order),
+            // so batching is bit-identical — only cheaper.
             let mut wave = std::mem::take(&mut self.wave);
             let mut iter = wave.drain(..).peekable();
-            while let Some((src, event)) = iter.next() {
+            'wave: while let Some((src, event)) = iter.next() {
                 debug_assert!(self.cmds.is_empty());
                 match iter.peek() {
                     Some((s, _)) if *s == src => {
@@ -319,7 +400,10 @@ impl<C: Component, R: Router<C>> ShardState<C, R> {
                     _ => self.router.route(now, src, event, &mut self.cmds),
                 }
                 for (dst, cmd) in self.cmds.drain() {
-                    let (os, ol) = self.owner[dst.0];
+                    let (os, ol) = match cross {
+                        Cross::Local => (self.idx, dst.0 as u32),
+                        _ => locate(&self.owner, self.idx, dst),
+                    };
                     if os == self.idx {
                         let ol = ol as usize;
                         self.events += 1;
@@ -331,23 +415,12 @@ impl<C: Component, R: Router<C>> ShardState<C, R> {
                     } else {
                         let sync_src = match cross {
                             Cross::Allow => true,
-                            Cross::SyncOnly => {
-                                let (_, sl) = self.owner[src.0];
+                            Cross::Local | Cross::SyncOnly => {
+                                let (_, sl) = locate(&self.owner, self.idx, src);
                                 self.sync_local[sl as usize]
                             }
                         };
-                        if sync_src {
-                            self.seq += 1;
-                            self.stats.mailbox_sent += 1;
-                            self.outbox[os as usize].push((
-                                MailKey {
-                                    at: now,
-                                    src_shard: self.idx,
-                                    seq: self.seq,
-                                },
-                                (dst, cmd),
-                            ));
-                        } else {
+                        if !sync_src {
                             // The partition split tightly coupled nodes
                             // or the lookahead overstates the link
                             // latency: a typed error, not a process kill.
@@ -358,12 +431,17 @@ impl<C: Component, R: Router<C>> ShardState<C, R> {
                                 src_shard: self.idx,
                                 dst_shard: os,
                             });
-                            break;
+                            break 'wave;
                         }
+                        self.seq += 1;
+                        self.stats.mailbox_sent += 1;
+                        let key = MailKey {
+                            at: now,
+                            src_shard: self.idx,
+                            seq: self.seq,
+                        };
+                        self.outbox[os as usize].push((key, (dst, cmd)));
                     }
-                }
-                if self.failed.is_some() {
-                    break;
                 }
             }
             drop(iter);
@@ -388,13 +466,31 @@ impl<C: Component, R: Router<C>> ShardState<C, R> {
     ///
     /// [`run_instant`]: ShardState::run_instant
     fn run_window(&mut self, w_end: SimTime) {
-        while self.failed.is_none() {
-            let next = crate::engine::earliest([self.peek(), self.peek_pending()]);
-            let Some(t) = next else { break };
-            if t >= w_end {
+        // Two copies of the loop, each with its policy fixed at compile
+        // time: a lone shard's skips every cross-shard check.
+        if self.solo {
+            self.run_window_as(w_end, Cross::Local);
+        } else {
+            self.run_window_as(w_end, Cross::SyncOnly);
+        }
+    }
+
+    #[inline(always)]
+    fn run_window_as(&mut self, w_end: SimTime, cross: Cross) {
+        loop {
+            let mail = match cross {
+                Cross::Local => None,
+                _ => self.peek_pending(),
+            };
+            let t = match (self.peek(), mail) {
+                (Some(a), Some(b)) => a.min(b),
+                (Some(a), None) => a,
+                (None, Some(b)) => b,
+                (None, None) => break,
+            };
+            if t >= w_end || self.run_instant(t, cross).is_err() {
                 break;
             }
-            let _ = self.run_instant(t, Cross::SyncOnly);
         }
     }
 
@@ -402,6 +498,7 @@ impl<C: Component, R: Router<C>> ShardState<C, R> {
     /// of a sync instant: due nodes advance first, then pending mail
     /// emitted at `t` is delivered, and the fallout routes under
     /// `cross`.
+    #[inline(always)]
     fn run_instant(&mut self, t: SimTime, cross: Cross) -> Result<(), CascadeError> {
         assert!(
             t >= self.now,
@@ -411,22 +508,30 @@ impl<C: Component, R: Router<C>> ShardState<C, R> {
             self.now
         );
         self.now = t;
-        if self.heap.peek().is_some_and(|(at, _)| at == t) {
+        // A lone shard's window only visits heap instants.
+        if cross == Cross::Local || self.heap.peek().is_some_and(|(at, _)| at == t) {
             self.pop_due(t);
             self.touched.clear();
             self.touched.extend_from_slice(&self.due);
             debug_assert!(self.wave.is_empty() && self.out_buf.is_empty());
             for i in 0..self.due.len() {
                 let l = self.due[i];
+                let id = match cross {
+                    Cross::Local => NodeId(l),
+                    _ => self.global_id(l),
+                };
                 self.events += 1;
                 self.nodes[l].advance(t, &mut self.out_buf);
                 for e in self.out_buf.drain(..) {
-                    self.wave.push((self.global_ids[l], e));
+                    self.wave.push((id, e));
                 }
             }
             let result = self.cascade(t, cross);
             self.reschedule_touched();
             result?;
+        }
+        if cross == Cross::Local || self.pending.is_empty() {
+            return Ok(());
         }
         self.deliver_due_pending(t, cross)
     }
@@ -434,6 +539,7 @@ impl<C: Component, R: Router<C>> ShardState<C, R> {
     /// Delivers every pending-mail entry emitted at or before `t` (a
     /// sorted prefix), routing the fallout under `cross`. Capacity is
     /// retained; the not-yet-due tail stays queued.
+    #[inline(never)]
     fn deliver_due_pending(&mut self, t: SimTime, cross: Cross) -> Result<(), CascadeError> {
         if self.failed.is_some() {
             return Ok(()); // failure already recorded by the cascade
@@ -447,7 +553,7 @@ impl<C: Component, R: Router<C>> ShardState<C, R> {
         self.touched.clear();
         let mut pending = std::mem::take(&mut self.pending);
         for (_key, (dst, cmd)) in pending.drain(..end) {
-            let (os, ol) = self.owner[dst.0];
+            let (os, ol) = locate(&self.owner, self.idx, dst);
             debug_assert_eq!(os, self.idx, "mail delivered to the wrong shard");
             let ol = ol as usize;
             self.events += 1;
@@ -459,6 +565,24 @@ impl<C: Component, R: Router<C>> ShardState<C, R> {
         }
         self.pending = pending; // keep the capacity (and the tail)
         let result = self.cascade(t, cross);
+        self.reschedule_touched();
+        result
+    }
+
+    /// Delivers an injected `cmd` to local node `l` at the shard's clock
+    /// and routes the fallout, mailing every cross-shard command.
+    fn inject(&mut self, l: usize, cmd: C::Cmd) -> Result<(), CascadeError> {
+        let now = self.now;
+        debug_assert!(self.wave.is_empty() && self.out_buf.is_empty());
+        self.events += 1;
+        self.nodes[l].handle(now, cmd, &mut self.out_buf);
+        let id = self.global_id(l);
+        for e in self.out_buf.drain(..) {
+            self.wave.push((id, e));
+        }
+        self.touched.clear();
+        self.touched.push(l);
+        let result = self.cascade(now, Cross::Allow);
         self.reschedule_touched();
         result
     }
@@ -552,17 +676,17 @@ pub(crate) fn adaptive_bounds(
     }
 }
 
-/// The conservative parallel scheduler. See the module docs.
+/// The scheduler/event bus. See the module docs.
 ///
-/// Construction mirrors [`crate::bus::Harness`], except nodes declare
-/// their shard (and whether they are sync-class) at registration and
-/// each shard gets its own router instance; router state is merged for
-/// telemetry through [`MergeTelemetry`].
-pub struct ShardedHarness<C: Component, R: Router<C>> {
+/// Nodes declare their shard (and whether they are sync-class) at
+/// registration and each shard gets its own router instance; router
+/// state is merged for telemetry through [`MergeTelemetry`].
+pub struct Harness<C: Component, R: Router<C>> {
     shards: Vec<Option<ShardState<C, R>>>,
     /// Global registration-order labels (telemetry namespaces).
     labels: Vec<String>,
-    /// Global node id → (shard, local index).
+    /// Global node id → (shard, local index); empty at one shard (see
+    /// `owner_of`).
     owner_map: Vec<(u32, u32)>,
     sealed: bool,
     has_sync: bool,
@@ -601,24 +725,24 @@ pub struct ShardedHarness<C: Component, R: Router<C>> {
     e_buf: Vec<SimTime>,
 }
 
-impl<C, R> ShardedHarness<C, R>
+impl<C, R> Harness<C, R>
 where
     C: Component + Send + 'static,
     C::Cmd: Send + 'static,
     C::Out: Send + 'static,
-    R: Router<C> + Send + 'static,
+    R: Router<C> + MergeTelemetry + Send + 'static,
 {
     /// Creates a harness with one shard per router in `routers`.
     /// `lookahead` is a lower bound on every sync node's forwarding
     /// latency, used when no influence matrix is installed (must be
-    /// positive if any sync-class node is registered); `cascade_limit`
-    /// bounds same-instant cascades exactly as in the single-threaded
-    /// harness (and also bounds mailbox exchange rounds per instant).
+    /// positive if any sync-class node is registered; irrelevant at one
+    /// shard); `cascade_limit` bounds same-instant cascades (and also
+    /// mailbox exchange rounds per instant).
     pub fn new(routers: Vec<R>, cascade_limit: u32, lookahead: Dur) -> Self {
         assert!(!routers.is_empty(), "at least one shard required");
         assert!(cascade_limit > 0, "cascade limit must be positive");
         let n = routers.len();
-        ShardedHarness {
+        Harness {
             shards: routers
                 .into_iter()
                 .enumerate()
@@ -631,14 +755,21 @@ where
             lookahead,
             influence: None,
             max_window_span: None,
-            threads: crate::sweep::default_threads(n),
+            // One shard never dispatches to the pool, and asking the OS
+            // for its parallelism would cost more than building a
+            // small topology.
+            threads: if n == 1 {
+                1
+            } else {
+                crate::sweep::default_threads(n)
+            },
             now: SimTime::ZERO,
             failed: None,
             telemetry: Registry::new(),
             windows: 0,
             sync_instants: 0,
             mail_rounds: 0,
-            merge_buf: (0..n).map(|_| Vec::new()).collect(),
+            merge_buf: mailboxes(n),
             active: Vec::new(),
             t_buf: Vec::new(),
             b_buf: Vec::new(),
@@ -647,12 +778,13 @@ where
         }
     }
 
-    /// Registers `node` on `shard` under a dotted telemetry namespace.
-    /// Global [`NodeId`]s are assigned densely in registration order
-    /// across all shards — identical numbering to registering the same
-    /// sequence into a single-threaded harness. `sync` marks the node
-    /// sync-class (it may emit cross-shard commands; its deadlines
-    /// bound the windows).
+    /// Registers `node` on `shard` under a dotted telemetry namespace
+    /// (e.g. `tokenring.ring0`, `unixkern.h1`) and schedules its current
+    /// deadline. Global [`NodeId`]s are assigned densely in registration
+    /// order across all shards, which is also the service order on
+    /// deadline ties — so the numbering, and every result, does not
+    /// depend on the partition. `sync` marks the node sync-class (it
+    /// may emit cross-shard commands; its deadlines bound the windows).
     pub fn add_node_labeled(
         &mut self,
         node: C,
@@ -661,10 +793,12 @@ where
         sync: bool,
     ) -> NodeId {
         assert!(!self.sealed, "cannot add nodes after the first run");
-        let id = NodeId(self.owner_map.len());
+        let id = NodeId(self.labels.len());
         let s = self.shards[shard].as_mut().expect("shard present");
         let local = s.add_node(node, id, sync);
-        self.owner_map.push((shard as u32, local));
+        if self.shards.len() > 1 {
+            self.owner_map.push((shard as u32, local));
+        }
         self.labels.push(label.into());
         self.has_sync |= sync;
         id
@@ -677,12 +811,23 @@ where
 
     /// Total registered nodes.
     pub fn len(&self) -> usize {
-        self.owner_map.len()
+        self.labels.len()
     }
 
     /// True when no nodes are registered.
     pub fn is_empty(&self) -> bool {
-        self.owner_map.is_empty()
+        self.labels.is_empty()
+    }
+
+    /// The (shard, local index) of global node `gid`. A lone shard keeps
+    /// no table: its local indices are the global ones.
+    fn owner_of(&self, gid: usize) -> (usize, usize) {
+        if self.shards.len() == 1 {
+            (0, gid)
+        } else {
+            let (s, l) = self.owner_map[gid];
+            (s as usize, l as usize)
+        }
     }
 
     /// Current simulation time (the run horizon after a completed run).
@@ -690,9 +835,11 @@ where
         self.now
     }
 
-    /// Component activations serviced so far, summed over shards. By
-    /// construction equal to the single-threaded count for the same
-    /// simulation.
+    /// Component activations (deadline advances plus delivered commands)
+    /// serviced so far, summed over shards — the numerator of the
+    /// benchmarks' events/sec. Not published as telemetry (the metric
+    /// tree is pinned by golden digests), and the same at any shard
+    /// count.
     pub fn events(&self) -> u64 {
         self.shards
             .iter()
@@ -797,25 +944,22 @@ where
 
     /// The shard that owns `id`.
     pub fn shard_of(&self, id: NodeId) -> usize {
-        self.owner_map[id.0].0 as usize
+        self.owner_of(id.0).0
     }
 
     /// Shared access to a node by its global id.
     pub fn node(&self, id: NodeId) -> &C {
-        let (s, l) = self.owner_map[id.0];
-        &self.shards[s as usize]
-            .as_ref()
-            .expect("shard present")
-            .nodes[l as usize]
+        let (s, l) = self.owner_of(id.0);
+        &self.shards[s].as_ref().expect("shard present").nodes[l]
     }
 
     /// Mutable access to a node. The node is conservatively rescheduled
-    /// before the next step, as in the single-threaded harness.
+    /// before the next step, since the caller may change its deadline.
     pub fn node_mut(&mut self, id: NodeId) -> &mut C {
-        let (s, l) = self.owner_map[id.0];
-        let shard = self.shards[s as usize].as_mut().expect("shard present");
-        shard.dirty.push(l as usize);
-        &mut shard.nodes[l as usize]
+        let (s, l) = self.owner_of(id.0);
+        let shard = self.shards[s].as_mut().expect("shard present");
+        shard.dirty.push(l);
+        &mut shard.nodes[l]
     }
 
     /// Distributes the final owner map to the shards; registration is
@@ -830,9 +974,11 @@ where
                 "sync-class nodes require a positive lookahead"
             );
         }
-        let owner = Arc::new(self.owner_map.clone());
-        for s in &mut self.shards {
-            s.as_mut().expect("shard present").owner = Arc::clone(&owner);
+        if self.shards.len() > 1 {
+            let owner = Arc::new(self.owner_map.clone());
+            for s in &mut self.shards {
+                s.as_mut().expect("shard present").owner = Some(Arc::clone(&owner));
+            }
         }
         if self.influence.is_none() {
             // Generic fallback influence matrix: every shard with at
@@ -841,11 +987,7 @@ where
             let n = self.shards.len();
             let mut flat = vec![None; n * n];
             for o in 0..n {
-                if !self.shards[o]
-                    .as_ref()
-                    .expect("shard present")
-                    .has_sync_nodes()
-                {
+                if !self.shards[o].as_ref().expect("shard present").any_sync {
                     continue;
                 }
                 for k in 0..n {
@@ -868,8 +1010,8 @@ where
     {
         if self.active.len() == 1 || self.threads == 1 {
             // Inline sequential path: no worker handoff, no state
-            // collection — a single-threaded sharded run stays
-            // allocation-free in steady state.
+            // collection — a run on one thread stays allocation-free in
+            // steady state.
             for i in 0..self.active.len() {
                 let k = self.active[i];
                 f(self.shards[k].as_mut().expect("shard present"));
@@ -892,12 +1034,9 @@ where
     }
 
     /// Adopts the deterministically-first shard failure (by failing
-    /// instant, then node) as the harness failure, leaving the same
-    /// telemetry trail as the single-threaded harness.
-    fn check_failures(&mut self) -> Result<(), CascadeError>
-    where
-        R: MergeTelemetry,
-    {
+    /// instant, then node) as the harness failure, leaving its
+    /// telemetry trail.
+    fn check_failures(&mut self) -> Result<(), CascadeError> {
         if let Some(e) = self.failed {
             return Err(e);
         }
@@ -916,13 +1055,11 @@ where
         }
     }
 
-    /// Poisons the harness with `err`, leaving the single-threaded
-    /// harness's trail: an edge-signal event at the failing instant and
-    /// a final `cascade-failure` snapshot of every metric.
-    fn poison(&mut self, err: CascadeError) -> Result<(), CascadeError>
-    where
-        R: MergeTelemetry,
-    {
+    /// Poisons the harness with `err`, leaving a diagnosable trail: an
+    /// edge-signal event at the failing instant and a final
+    /// `cascade-failure` snapshot of every metric — the state the
+    /// §5.2.1 operators would have examined, not just an error value.
+    fn poison(&mut self, err: CascadeError) -> Result<(), CascadeError> {
         self.failed = Some(err);
         self.telemetry
             .event(err.at(), "sim.cascade.overflow", err.event_detail());
@@ -961,13 +1098,12 @@ where
     }
 
     /// Runs until no node has a deadline at or before `horizon`, then
-    /// leaves the clock at `horizon`. Bit-identical to
-    /// [`crate::bus::Harness::try_run_until`] over the same node set,
-    /// faster in wall clock when the partition decouples the shards.
-    pub fn try_run_until(&mut self, horizon: SimTime) -> Result<(), CascadeError>
-    where
-        R: MergeTelemetry,
-    {
+    /// leaves the clock at `horizon`. Returns a [`CascadeError`] (and
+    /// poisons the harness) if a same-instant cascade never converges;
+    /// the simulation state up to the failing instant remains readable.
+    /// The result does not depend on the shard count; the wall clock
+    /// falls when the partition decouples the shards.
+    pub fn try_run_until(&mut self, horizon: SimTime) -> Result<(), CascadeError> {
         if let Some(e) = self.failed {
             return Err(e);
         }
@@ -1000,10 +1136,7 @@ where
     /// stuck at one instant beyond the cascade limit is the cross-shard
     /// livelock (zero-lookahead mail ping-pong) and poisons the harness
     /// exactly like a cascade overflow.
-    fn run_adaptive(&mut self, horizon: SimTime, run_end: SimTime) -> Result<(), CascadeError>
-    where
-        R: MergeTelemetry,
-    {
+    fn run_adaptive(&mut self, horizon: SimTime, run_end: SimTime) -> Result<(), CascadeError> {
         let n = self.shards.len();
         let limit = u64::from(self.shards[0].as_ref().expect("shard present").limit);
         let mut streak_at: Option<SimTime> = None;
@@ -1050,7 +1183,7 @@ where
                     .or_else(|| {
                         self.shards.iter().find_map(|s| {
                             let s = s.as_ref().expect("shard present");
-                            s.heap.peek().map(|(_, l)| s.global_ids[l])
+                            s.heap.peek().map(|(_, l)| s.global_id(l))
                         })
                     })
                     .expect("a stuck instant has work somewhere");
@@ -1114,25 +1247,36 @@ where
         Ok(())
     }
 
-    /// Like [`ShardedHarness::try_run_until`] but panics on cascade
-    /// overflow.
-    pub fn run_until(&mut self, horizon: SimTime)
-    where
-        R: MergeTelemetry,
-    {
+    /// Like [`Harness::try_run_until`] but panics on cascade overflow
+    /// (for callers that treat it as the bug it is).
+    pub fn run_until(&mut self, horizon: SimTime) {
         if let Err(e) = self.try_run_until(horizon) {
             panic!("{e}");
         }
     }
 
+    /// Delivers `cmd` to `id` at the current instant and routes the
+    /// resulting cascade, exactly as if the command had been produced by
+    /// the router mid-run: the owner shard takes it with every
+    /// cross-shard command mailed, and the mail settles through the
+    /// rounds a sync instant runs. Call between runs.
+    pub fn inject(&mut self, id: NodeId, cmd: C::Cmd) -> Result<(), CascadeError> {
+        if let Some(e) = self.failed {
+            return Err(e);
+        }
+        self.seal();
+        let (s, l) = self.owner_of(id.0);
+        let shard = self.shards[s].as_mut().expect("shard present");
+        debug_assert_eq!(shard.now, self.now, "inject off a run boundary");
+        let _ = shard.inject(l, cmd);
+        self.check_failures()?;
+        self.exchange_mail(self.now)
+    }
+
     /// One sync instant at `t`: due shards take the instant with every
-    /// cross-shard command diverted to the outbox, then mail is
-    /// exchanged through the pending queues in deterministic rounds
-    /// until none is in flight.
-    fn run_sync_instant(&mut self, t: SimTime) -> Result<(), CascadeError>
-    where
-        R: MergeTelemetry,
-    {
+    /// cross-shard command diverted to the outbox, then the mail is
+    /// exchanged (see [`Harness::exchange_mail`]).
+    fn run_sync_instant(&mut self, t: SimTime) -> Result<(), CascadeError> {
         self.active.clear();
         for (k, s) in self.shards.iter().enumerate() {
             let s = s.as_ref().expect("shard present");
@@ -1148,6 +1292,12 @@ where
             });
             self.check_failures()?;
         }
+        self.exchange_mail(t)
+    }
+
+    /// Exchanges the mail emitted at `t` through the pending queues in
+    /// deterministic rounds until none is in flight.
+    fn exchange_mail(&mut self, t: SimTime) -> Result<(), CascadeError> {
         let limit = u64::from(self.shards[0].as_ref().expect("shard present").limit);
         let mut rounds = 0u64;
         while self.flush_mail() {
@@ -1176,7 +1326,9 @@ where
         Ok(())
     }
 
-    /// The run's telemetry registry as last collected.
+    /// The run's telemetry registry as last collected (events and phase
+    /// snapshots accumulate live; metrics are rebuilt by
+    /// [`Harness::collect_telemetry`]).
     pub fn telemetry(&self) -> &Registry {
         &self.telemetry
     }
@@ -1184,19 +1336,16 @@ where
     /// Rebuilds the metric tree: every node publishes under its
     /// registration label in **global** registration order, the
     /// per-shard routers publish through [`MergeTelemetry`], and the
-    /// harness adds the same `sim.*` metrics as the single-threaded
-    /// collector — so the serialized tree is byte-identical to
-    /// [`crate::bus::Harness::collect_telemetry`] over the same run.
-    pub fn collect_telemetry(&mut self) -> &mut Registry
-    where
-        R: MergeTelemetry,
-    {
+    /// harness adds its own `sim.*` metrics, then returns the registry
+    /// for further additions or serialization. Deterministic, and the
+    /// same bytes at any shard count.
+    pub fn collect_telemetry(&mut self) -> &mut Registry {
         self.telemetry.clear_metrics();
-        for gid in 0..self.owner_map.len() {
-            let (s, l) = self.owner_map[gid];
-            let shard = self.shards[s as usize].as_ref().expect("shard present");
+        for gid in 0..self.len() {
+            let (s, l) = self.owner_of(gid);
+            let shard = self.shards[s].as_ref().expect("shard present");
             let mut scope = self.telemetry.scope(&self.labels[gid]);
-            shard.nodes[l as usize].publish_telemetry(&mut scope);
+            shard.nodes[l].publish_telemetry(&mut scope);
         }
         let routers: Vec<&R> = self
             .shards
@@ -1206,38 +1355,35 @@ where
         R::publish_merged(&routers, &mut self.telemetry);
         let mut sim = self.telemetry.scope("sim");
         sim.gauge("now_ns", self.now.as_ns() as i64);
-        sim.counter("nodes", self.owner_map.len() as u64);
+        sim.counter("nodes", self.labels.len() as u64);
         sim.counter("cascade.overflows", u64::from(self.failed.is_some()));
         &mut self.telemetry
     }
 
     /// Collects the current metric tree and freezes it as a named phase
-    /// snapshot.
-    pub fn snapshot_phase(&mut self, name: impl Into<String>)
-    where
-        R: MergeTelemetry,
-    {
+    /// snapshot (serialized with the registry).
+    pub fn snapshot_phase(&mut self, name: impl Into<String>) {
         self.collect_telemetry();
         self.telemetry.snapshot_phase(name);
     }
 
     /// Collects and serializes the registry as canonical JSON.
-    pub fn telemetry_json(&mut self) -> String
-    where
-        R: MergeTelemetry,
-    {
+    pub fn telemetry_json(&mut self) -> String {
         self.collect_telemetry();
         self.telemetry.to_json()
     }
 
-    /// Streams the harness's dynamic state into `w` in the **same
-    /// format** as [`crate::bus::Harness::persist_state`]: clock, total
-    /// event count, every node in *global* registration order,
-    /// telemetry history. Nothing in the bytes mentions a shard, which
-    /// is what lets a snapshot taken here restore into a
-    /// single-threaded harness or a sharded one with any shard count.
+    /// Streams the harness's dynamic state into `w`: clock, total event
+    /// count and node count close the first chunk (together with
+    /// whatever header the caller already buffered); nodes then pack
+    /// greedily in *global* registration order, each chunk holding
+    /// whole nodes; the telemetry event/phase history is flushed as its
+    /// own chunk. Nothing in the bytes mentions a shard, which is what
+    /// lets a snapshot restore at any shard count. The scheduler heaps
+    /// are not encoded: they are a pure function of node deadlines and
+    /// are rebuilt on restore.
     ///
-    /// Must be called at a sync-instant boundary — after `try_run_until`
+    /// Must be called at a run boundary — after `try_run_until`
     /// returned, when every shard's clock sits at the horizon and no
     /// mail is in flight. Routers are persisted separately by the
     /// topology layer (which knows their concrete type and how to merge
@@ -1254,36 +1400,64 @@ where
                     && s.pending.is_empty()
                     && s.outbox.iter().all(|o| o.is_empty())
             }),
-            "checkpoint taken off a sync-instant boundary"
+            "checkpoint taken off a run boundary"
         );
-        let nodes = self.owner_map.iter().map(|&(s, l)| {
-            &self.shards[s as usize]
-                .as_ref()
-                .expect("shard present")
-                .nodes[l as usize]
-        });
-        persist_harness(w, self.now, self.events(), nodes, &self.telemetry)
+        let enc = w.enc();
+        enc.time(self.now);
+        enc.u64(self.events());
+        enc.seq_len(self.len());
+        w.flush_chunk()?;
+        for gid in 0..self.len() {
+            let (s, l) = self.owner_of(gid);
+            self.shards[s].as_ref().expect("shard present").nodes[l].persist(w.enc());
+            w.unit()?;
+        }
+        w.flush_chunk()?;
+        self.telemetry.persist(w.enc());
+        w.flush_chunk()
     }
 
-    /// Applies state written by either engine's `persist_state` onto
-    /// this freshly rebuilt harness. The node count must match; the
-    /// shard count need not. Every node is marked dirty so its shard's
+    /// Applies state written by [`Harness::persist_state`] at any shard
+    /// count onto this freshly rebuilt harness (same topology, same
+    /// registration order). Every node is marked dirty so its shard's
     /// heaps re-key it from the restored deadline, every shard's clock
     /// is set to the checkpoint instant, and the total event count is
     /// assigned to shard 0 (only the sum is observable).
+    ///
+    /// A node deadline earlier than the restored clock is a
+    /// [`PersistError::Mismatch`]: the run would service it behind the
+    /// clock.
     pub fn restore_state(&mut self, r: &mut UnitReader<'_>) -> Result<(), PersistError>
     where
         C: Persist,
     {
-        check_not_poisoned(self.failed)?;
-        let (now, events) =
-            restore_harness(r, self.owner_map.len(), &mut self.telemetry, |gid, dec| {
-                let (s, l) = self.owner_map[gid];
-                let shard = self.shards[s as usize].as_mut().expect("shard present");
-                shard.nodes[l as usize].restore(dec)?;
-                shard.dirty.push(l as usize);
-                Ok(())
-            })?;
+        if let Some(e) = self.failed {
+            return Err(PersistError::mismatch(format!(
+                "cannot restore into a poisoned harness: {e}"
+            )));
+        }
+        // A bare u32, not `seq_len`: in a stream the node payloads live
+        // in later chunks, so the remaining-bytes bound would misfire.
+        let (now, events, n) = r.unit(|d| Ok((d.time()?, d.u64()?, d.u32()? as usize)))?;
+        if n != self.len() {
+            return Err(PersistError::mismatch(format!(
+                "checkpoint has {n} nodes, rebuilt harness has {}",
+                self.len()
+            )));
+        }
+        for gid in 0..n {
+            let (s, l) = self.owner_of(gid);
+            let shard = self.shards[s].as_mut().expect("shard present");
+            let node = &mut shard.nodes[l];
+            r.unit(|dec| node.restore(dec))?;
+            if let Some(at) = node.next_deadline().filter(|&at| at < now) {
+                return Err(PersistError::mismatch(format!(
+                    "checkpoint node {gid} is due at {at}, before the clock {now}"
+                )));
+            }
+            shard.dirty.push(l);
+        }
+        r.unit(|dec| self.telemetry.restore(dec))?;
         for (k, s) in self.shards.iter_mut().enumerate() {
             let s = s.as_mut().expect("shard present");
             s.now = now;
@@ -1297,7 +1471,7 @@ where
     /// traffic, idle stalls) in a registry of their own, under a
     /// `sched` namespace with per-shard `sched.shard{k}` scopes.
     ///
-    /// Deliberately **not** part of [`ShardedHarness::telemetry`]: the
+    /// Deliberately **not** part of [`Harness::telemetry`]: the
     /// simulation's metric tree is pinned by golden digests and must
     /// not vary with the shard count; these counters exist precisely to
     /// vary with it.
@@ -1320,17 +1494,16 @@ where
     }
 }
 
-/// Merging per-shard router state into one telemetry tree.
+/// A router's statistics in the telemetry tree, merged over shards.
 ///
-/// The sharded harness gives every shard its own router instance;
-/// absorbed state (measurement taps, counters, logs) lands in the
-/// router of whichever shard routed it. To publish the same tree a
-/// single shared router would have produced, the router type merges
-/// its parts — `parts[k]` is shard `k`'s router, in shard order.
-///
-/// Implementations must reproduce the byte-exact output of
-/// [`Router::publish_telemetry`] on an equivalent single-threaded run:
-/// the golden-digest tests hold them to it.
+/// The harness gives every shard its own router instance; absorbed
+/// state (measurement taps, counters, logs) lands in the router of
+/// whichever shard routed it. The router type publishes the merged
+/// view of its parts — `parts[k]` is shard `k`'s router, in shard
+/// order; a one-shard run passes one part. Implementations must publish
+/// the same bytes at every shard count: the golden-digest tests hold
+/// them to it. Called by [`Harness::collect_telemetry`] after every
+/// node has published.
 pub trait MergeTelemetry {
     /// Publishes the merged view of `parts` into `reg`.
     fn publish_merged(parts: &[&Self], reg: &mut Registry);
@@ -1339,7 +1512,6 @@ pub trait MergeTelemetry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bus::Harness;
     use crate::persist::{Dec, Enc};
     use crate::telemetry::Value;
 
@@ -1559,8 +1731,8 @@ mod tests {
 
     // ------------------------------------------------------------------
     // A toy two-shard topology exercising windows, sync instants and
-    // mailboxes, checked for bit-identical results against the
-    // single-threaded harness running the same node set.
+    // mailboxes, checked for bit-identical results against one shard
+    // running the same node set.
     //
     // Node graph: a `Source` on shard 0 fires every `period`, routed as
     // a command into a `Relay` (sync-class, shard 0) that holds each
@@ -1741,10 +1913,6 @@ mod tests {
                 _ => {}
             }
         }
-
-        fn publish_telemetry(&self, reg: &mut Registry) {
-            reg.counter("toy.routed", self.routed);
-        }
     }
 
     impl MergeTelemetry for ToyRouter {
@@ -1776,17 +1944,17 @@ mod tests {
     #[test]
     fn sharded_toy_matches_single_threaded_harness() {
         let horizon = t(40_000);
-        // Ground truth: one harness, one thread.
-        let mut single = Harness::new(ToyRouter { routed: 0 }, 64);
+        // Ground truth: one shard, one thread.
+        let mut single = Harness::new(vec![ToyRouter { routed: 0 }], 64, Dur::ZERO);
         for (node, label) in toy_nodes().into_iter().zip(["src", "relay", "dst"]) {
-            single.add_node_labeled(node, label);
+            single.add_node_labeled(node, label, 0, false);
         }
         single.run_until(horizon);
         let single_json = single.telemetry_json();
 
         // Sharded: relay is the sync node; its 350 ns latency is the
         // lookahead. Counter lives alone on shard 1.
-        let mut sharded = ShardedHarness::new(
+        let mut sharded = Harness::new(
             vec![ToyRouter { routed: 0 }, ToyRouter { routed: 0 }],
             64,
             Dur::from_ns(350),
@@ -1833,7 +2001,7 @@ mod tests {
         impl MergeTelemetry for Absorb {
             fn publish_merged(_parts: &[&Self], _reg: &mut Registry) {}
         }
-        let mut sharded = ShardedHarness::new(vec![Absorb, Absorb], 64, Dur::ZERO);
+        let mut sharded = Harness::new(vec![Absorb, Absorb], 64, Dur::ZERO);
         for k in 0..2 {
             sharded.add_node_labeled(
                 Toy::Source {
@@ -1880,7 +2048,7 @@ mod tests {
         impl MergeTelemetry for BadRouter {
             fn publish_merged(_parts: &[&Self], _reg: &mut Registry) {}
         }
-        let mut sharded = ShardedHarness::new(vec![BadRouter, BadRouter], 64, Dur::from_ns(1));
+        let mut sharded = Harness::new(vec![BadRouter, BadRouter], 64, Dur::from_ns(1));
         sharded.add_node_labeled(
             Toy::Source {
                 next: Some(t(5)),
@@ -1924,6 +2092,58 @@ mod tests {
         let reg = sharded.telemetry();
         assert_eq!(reg.events().len(), 1);
         assert!(reg.events()[0].detail.contains("cross-shard emission"));
+    }
+
+    #[test]
+    fn injected_fallout_crosses_shards_through_mail_rounds() {
+        // An injected command whose fallout bounces between two shards
+        // at the injection instant: every hop is a cross-shard command
+        // from a non-sync node, which an injection mails and the
+        // exchange rounds deliver. The result must equal one shard's.
+        struct Bounce {
+            hits: u64,
+        }
+        impl Component for Bounce {
+            type Cmd = u32;
+            type Out = u32;
+            fn next_deadline(&self) -> Option<SimTime> {
+                None
+            }
+            fn advance(&mut self, _now: SimTime, _sink: &mut Vec<u32>) {}
+            fn handle(&mut self, _now: SimTime, v: u32, sink: &mut Vec<u32>) {
+                self.hits += 1;
+                if v < 5 {
+                    sink.push(v + 1);
+                }
+            }
+            fn publish_telemetry(&self, scope: &mut crate::telemetry::Scope<'_>) {
+                scope.counter("hits", self.hits);
+            }
+        }
+        struct Across;
+        impl Router<Bounce> for Across {
+            fn route(&mut self, _now: SimTime, src: NodeId, v: u32, sink: &mut CmdSink<u32>) {
+                sink.push(NodeId(1 - src.0), v);
+            }
+        }
+        impl MergeTelemetry for Across {
+            fn publish_merged(_parts: &[&Self], _reg: &mut Registry) {}
+        }
+        let run = |shards: usize| {
+            let mut h = Harness::new((0..shards).map(|_| Across).collect(), 64, Dur::ZERO);
+            h.add_node_labeled(Bounce { hits: 0 }, "a", 0, false);
+            h.add_node_labeled(Bounce { hits: 0 }, "b", shards - 1, false);
+            h.run_until(t(10));
+            h.inject(NodeId(0), 0).expect("bounded fallout converges");
+            h.run_until(t(20));
+            let rounds = h.exec_telemetry().counter_value("sched.mail_rounds");
+            (h.telemetry_json(), h.events(), rounds)
+        };
+        let (one, one_events, _) = run(1);
+        let (two, two_events, rounds) = run(2);
+        assert_eq!(two, one);
+        assert_eq!((two_events, one_events), (6, 6));
+        assert_eq!(rounds, Some(5), "each hop after the first is one round");
     }
 
     #[test]
@@ -1976,7 +2196,7 @@ mod tests {
         impl MergeTelemetry for PingPong {
             fn publish_merged(_parts: &[&Self], _reg: &mut Registry) {}
         }
-        let mut sharded = ShardedHarness::new(vec![PingPong, PingPong], 8, Dur::from_ns(1));
+        let mut sharded = Harness::new(vec![PingPong, PingPong], 8, Dur::from_ns(1));
         sharded.add_node_labeled(Echo { armed: true }, "a", 0, true);
         sharded.add_node_labeled(Echo { armed: false }, "b", 1, true);
         let err = sharded.try_run_until(t(100)).unwrap_err();

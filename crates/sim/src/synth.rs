@@ -13,10 +13,11 @@
 //! Used by `tests/zero_alloc.rs` (under `--features alloc-count`) and
 //! available to any harness micro-benchmark.
 
-use crate::bus::{CmdSink, Harness, NodeId, Router, DEFAULT_CASCADE_LIMIT};
+use crate::bus::{CmdSink, NodeId, Router, DEFAULT_CASCADE_LIMIT};
 use crate::engine::Component;
 use crate::persist::{Dec, Enc, Persist, PersistError};
-use crate::shard::ShardedHarness;
+use crate::shard::{Harness, MergeTelemetry};
+use crate::telemetry::Registry;
 use crate::time::{Dur, SimTime};
 
 /// A periodic ticker that emits its fire count and forwards commands
@@ -96,6 +97,10 @@ impl RingForward {
     }
 }
 
+impl MergeTelemetry for RingForward {
+    fn publish_merged(_parts: &[&Self], _reg: &mut Registry) {}
+}
+
 impl Router<SynthNode> for RingForward {
     fn route(&mut self, _now: SimTime, src: NodeId, event: u64, sink: &mut CmdSink<u64>) {
         self.routed += 1;
@@ -110,25 +115,24 @@ impl Router<SynthNode> for RingForward {
 /// Builds an `n`-node command ring with staggered periods near
 /// `base_period_ns` (staggering keeps the deadline heap busy with
 /// update-keys rather than degenerate ties) and per-fire cascades of up
-/// to `hops` hops.
+/// to `hops` hops. Runs on one shard.
 pub fn build_ring(n: usize, base_period_ns: u64, hops: u64) -> Harness<SynthNode, RingForward> {
     assert!(n > 0, "ring needs at least one node");
-    let mut h = Harness::new(
-        RingForward {
-            nodes: n,
-            hops,
-            routed: 0,
-        },
-        DEFAULT_CASCADE_LIMIT,
-    );
+    let router = RingForward {
+        nodes: n,
+        hops,
+        routed: 0,
+    };
+    let mut h = Harness::new(vec![router], DEFAULT_CASCADE_LIMIT, Dur::ZERO);
     for k in 0..n {
         let period = Dur::from_ns(base_period_ns + (k as u64 % 7) * 13);
-        h.add_node(SynthNode {
+        let node = SynthNode {
             period,
             next: SimTime::from_ns(period.as_ns()),
             fired: 0,
             handled: 0,
-        });
+        };
+        h.add_node_labeled(node, format!("node{k}"), 0, false);
     }
     h
 }
@@ -160,8 +164,8 @@ impl Persist for ShardForward {
     }
 }
 
-impl crate::shard::MergeTelemetry for ShardForward {
-    fn publish_merged(parts: &[&Self], reg: &mut crate::telemetry::Registry) {
+impl MergeTelemetry for ShardForward {
+    fn publish_merged(parts: &[&Self], reg: &mut Registry) {
         reg.scope("synth")
             .counter("routed", parts.iter().map(|p| p.routed).sum());
     }
@@ -187,82 +191,48 @@ impl Router<SynthNode> for ShardForward {
     }
 }
 
-fn synth_nodes(n: usize, base_period_ns: u64, relay_period_ns: u64) -> Vec<SynthNode> {
-    (0..2 * n + 1)
-        .map(|k| {
-            let period = if k == 2 * n {
-                Dur::from_ns(relay_period_ns)
-            } else {
-                Dur::from_ns(base_period_ns + (k as u64 % 7) * 13)
-            };
-            SynthNode {
-                period,
-                next: SimTime::from_ns(period.as_ns()),
-                fired: 0,
-                handled: 0,
-            }
-        })
-        .collect()
-}
-
-/// Builds the two-shard mirror of [`build_ring`] on the conservative
-/// parallel harness: shard 0 holds ring nodes `0..n` plus the sync
-/// relay (node `2n`), shard 1 holds ring nodes `n..2n`; the relay fires
-/// every `relay_period_ns` and each fire is delivered cross-shard.
-/// Exercises the full sharded hot path — window negotiation, outbox
-/// flush, pending-mail delivery, per-shard stepping — with nothing but
-/// `u64` payloads, so `tests/zero_alloc.rs` can pin the sharded
-/// steady state at zero allocations too.
+/// Builds the two-shard mirror of [`build_ring`]: shard 0 holds ring
+/// nodes `0..n` plus the sync relay (node `2n`), shard 1 holds ring
+/// nodes `n..2n`; the relay fires every `relay_period_ns` and each fire
+/// is delivered cross-shard. Exercises the full sharded hot path —
+/// window negotiation, outbox flush, pending-mail delivery, per-shard
+/// stepping — with nothing but `u64` payloads, so
+/// `tests/zero_alloc_sharded.rs` can pin the sharded steady state at
+/// zero allocations too. With `shards == 1` every node runs on one
+/// shard: the reference the two-shard run must reproduce.
 pub fn build_sharded_ring(
     n: usize,
     base_period_ns: u64,
     hops: u64,
     relay_period_ns: u64,
     lookahead_ns: u64,
-) -> ShardedHarness<SynthNode, ShardForward> {
+    shards: usize,
+) -> Harness<SynthNode, ShardForward> {
     assert!(n > 0, "ring needs at least one node");
-    let routers = (0..2)
+    assert!(shards == 1 || shards == 2, "one or two shards");
+    let routers = (0..shards)
         .map(|_| ShardForward {
             nodes_per_shard: n,
             hops,
             routed: 0,
         })
         .collect();
-    let mut h = ShardedHarness::new(routers, DEFAULT_CASCADE_LIMIT, Dur::from_ns(lookahead_ns));
-    for (k, node) in synth_nodes(n, base_period_ns, relay_period_ns)
-        .into_iter()
-        .enumerate()
-    {
-        let (shard, sync) = if k == 2 * n {
-            (0, true)
+    let mut h = Harness::new(routers, DEFAULT_CASCADE_LIMIT, Dur::from_ns(lookahead_ns));
+    for k in 0..2 * n + 1 {
+        let relay = k == 2 * n;
+        let period = if relay {
+            Dur::from_ns(relay_period_ns)
         } else {
-            (k / n, false)
+            Dur::from_ns(base_period_ns + (k as u64 % 7) * 13)
         };
-        h.add_node_labeled(node, format!("synth.n{k}"), shard, sync);
-    }
-    h
-}
-
-/// The single-threaded reference for [`build_sharded_ring`]: the same
-/// nodes, router rule and registration order on the ordinary
-/// [`Harness`], for bit-identity checks.
-pub fn build_sharded_ring_reference(
-    n: usize,
-    base_period_ns: u64,
-    hops: u64,
-    relay_period_ns: u64,
-) -> Harness<SynthNode, ShardForward> {
-    assert!(n > 0, "ring needs at least one node");
-    let mut h = Harness::new(
-        ShardForward {
-            nodes_per_shard: n,
-            hops,
-            routed: 0,
-        },
-        DEFAULT_CASCADE_LIMIT,
-    );
-    for node in synth_nodes(n, base_period_ns, relay_period_ns) {
-        h.add_node(node);
+        let node = SynthNode {
+            period,
+            next: SimTime::from_ns(period.as_ns()),
+            fired: 0,
+            handled: 0,
+        };
+        let shard = if shards == 1 || relay { 0 } else { k / n };
+        h.add_node_labeled(node, format!("synth.n{k}"), shard, relay && shards > 1);
     }
     h
 }
@@ -468,10 +438,6 @@ impl Router<GraphCellNode> for GraphForward {
             sink.push(dst, event);
         }
     }
-
-    fn publish_telemetry(&self, reg: &mut crate::telemetry::Registry) {
-        reg.counter("graph.routed", self.routed);
-    }
 }
 
 impl Persist for GraphForward {
@@ -484,8 +450,8 @@ impl Persist for GraphForward {
     }
 }
 
-impl crate::shard::MergeTelemetry for GraphForward {
-    fn publish_merged(parts: &[&Self], reg: &mut crate::telemetry::Registry) {
+impl MergeTelemetry for GraphForward {
+    fn publish_merged(parts: &[&Self], reg: &mut Registry) {
         reg.counter("graph.routed", parts.iter().map(|p| p.routed).sum());
     }
 }
@@ -582,7 +548,7 @@ pub fn build_straggler_graph(
     cells: usize,
     shards: usize,
     case: StragglerCase,
-) -> ShardedHarness<GraphCellNode, GraphForward> {
+) -> Harness<GraphCellNode, GraphForward> {
     assert!(shards >= 1 && shards <= cells);
     let out = graph_adjacency(shape, cells);
     let routers = (0..shards)
@@ -591,33 +557,12 @@ pub fn build_straggler_graph(
             routed: 0,
         })
         .collect();
-    let mut h = ShardedHarness::new(routers, DEFAULT_CASCADE_LIMIT, Dur::from_ns(1));
+    let mut h = Harness::new(routers, DEFAULT_CASCADE_LIMIT, Dur::from_ns(1));
     for (k, (node, label)) in graph_cell_nodes(case, cells).into_iter().enumerate() {
         let cell = k / 2;
         let shard = cell * shards / cells;
         let sync = k % 2 == 1;
         h.add_node_labeled(node, label, shard, sync);
-    }
-    h
-}
-
-/// The single-threaded reference for [`build_straggler_graph`]: same
-/// nodes, labels, registration order and routing rule on the ordinary
-/// [`Harness`], for golden-digest parity checks.
-pub fn build_straggler_reference(
-    shape: &str,
-    cells: usize,
-    case: StragglerCase,
-) -> Harness<GraphCellNode, GraphForward> {
-    let mut h = Harness::new(
-        GraphForward {
-            out: graph_adjacency(shape, cells),
-            routed: 0,
-        },
-        DEFAULT_CASCADE_LIMIT,
-    );
-    for (node, label) in graph_cell_nodes(case, cells) {
-        h.add_node_labeled(node, label);
     }
     h
 }
@@ -635,27 +580,44 @@ mod tests {
         assert!(total_fired > 0);
         // Each fire spawns at most `hops` handles around the ring.
         assert!(total_handled <= total_fired * 3);
-        assert!(h.router().routed() >= total_fired);
+        assert!(h.shard_router(0).routed() >= total_fired);
         assert_eq!(h.events(), total_fired + total_handled);
 
         // Re-running the identical workload is bit-deterministic.
         let mut h2 = build_ring(8, 1_000, 3);
         h2.run_until(SimTime::from_ns(50_000));
         assert_eq!(h2.events(), h.events());
-        assert_eq!(h2.router().routed(), h.router().routed());
+        assert_eq!(h2.shard_router(0).routed(), h.shard_router(0).routed());
     }
 
     #[test]
     fn sharded_ring_matches_the_single_threaded_reference() {
+        // The reference is the one-shard run, and the one-shard run is
+        // held to totals recorded from the sequential engine it
+        // replaced: 12,460 events, and an FNV-1a over every node's
+        // (fired, handled) pair.
         let horizon = SimTime::from_ns(200_000);
-        let mut single = build_sharded_ring_reference(8, 1_000, 3, 2_500);
+        let mut single = build_sharded_ring(8, 1_000, 3, 2_500, 2_500, 1);
         single.run_until(horizon);
         assert!(single.node(NodeId(16)).fired() > 0, "relay must fire");
         let relayed: u64 = (8..16).map(|k| single.node(NodeId(k)).handled()).sum();
         assert!(relayed > 0, "cross-shard mail must flow");
+        let totals: Vec<u8> = (0..17)
+            .flat_map(|k| {
+                let n = single.node(NodeId(k));
+                [n.fired().to_le_bytes(), n.handled().to_le_bytes()]
+            })
+            .flatten()
+            .collect();
+        assert_eq!(single.events(), 12_460);
+        assert_eq!(
+            crate::telemetry::fnv1a(&totals),
+            0x4EE5_6662_5239_4B95,
+            "per-node fired/handled totals drifted"
+        );
 
         for threads in [1, 2] {
-            let mut sharded = build_sharded_ring(8, 1_000, 3, 2_500, 2_500);
+            let mut sharded = build_sharded_ring(8, 1_000, 3, 2_500, 2_500, 2);
             sharded.set_threads(threads);
             sharded.run_until(horizon);
             assert_eq!(sharded.events(), single.events(), "threads={threads}");
@@ -667,53 +629,122 @@ mod tests {
         }
     }
 
+    /// Telemetry FNV-1a and event count of each straggler graph, recorded
+    /// from the sequential engine the one-shard run replaced.
+    const STRAGGLER_PINS: [(&str, StragglerCase, u64, u64); 12] = [
+        (
+            "chain",
+            StragglerCase::EventTie,
+            0x3052_80A7_D4FB_5725,
+            7_213,
+        ),
+        (
+            "chain",
+            StragglerCase::SameInstantStreak,
+            0xD84F_1001_4CB9_CAD1,
+            7_405,
+        ),
+        (
+            "chain",
+            StragglerCase::MultiShardCascade,
+            0x3052_80A7_D4FB_5725,
+            7_213,
+        ),
+        (
+            "tree",
+            StragglerCase::EventTie,
+            0x3052_80A7_D4FB_5725,
+            7_213,
+        ),
+        (
+            "tree",
+            StragglerCase::SameInstantStreak,
+            0xD84F_1001_4CB9_CAD1,
+            7_405,
+        ),
+        (
+            "tree",
+            StragglerCase::MultiShardCascade,
+            0x3052_80A7_D4FB_5725,
+            7_213,
+        ),
+        (
+            "mesh",
+            StragglerCase::EventTie,
+            0xE274_696A_D700_0ACE,
+            7_276,
+        ),
+        (
+            "mesh",
+            StragglerCase::SameInstantStreak,
+            0x7880_742D_77B2_4AFB,
+            7_720,
+        ),
+        (
+            "mesh",
+            StragglerCase::MultiShardCascade,
+            0xE274_696A_D700_0ACE,
+            7_276,
+        ),
+        (
+            "fddi",
+            StragglerCase::EventTie,
+            0xE274_696A_D700_0ACE,
+            7_276,
+        ),
+        (
+            "fddi",
+            StragglerCase::SameInstantStreak,
+            0x7880_742D_77B2_4AFB,
+            7_720,
+        ),
+        (
+            "fddi",
+            StragglerCase::MultiShardCascade,
+            0xE274_696A_D700_0ACE,
+            7_276,
+        ),
+    ];
+
     #[test]
     fn straggler_schedules_match_the_reference() {
         // Adversarial relay schedules at the minimal 1 ns lookahead, on
-        // every testbed shape and at 1, 2 and 4 shards: the sharded run
-        // must reproduce the single-threaded telemetry byte for byte.
+        // every testbed shape and at 1, 2 and 4 shards: every run must
+        // reproduce the pinned reference telemetry byte for byte.
         let horizon = SimTime::from_ns(30_000);
         let cells = 6;
-        for shape in ["chain", "tree", "mesh", "fddi"] {
-            for case in [
-                StragglerCase::EventTie,
-                StragglerCase::SameInstantStreak,
-                StragglerCase::MultiShardCascade,
-            ] {
-                let mut single = build_straggler_reference(shape, cells, case);
-                single.run_until(horizon);
-                let golden = single.telemetry_json();
-                assert!(single.events() > 0);
+        for (shape, case, tele_fnv, events) in STRAGGLER_PINS {
+            let mut single = build_straggler_graph(shape, cells, 1, case);
+            single.run_until(horizon);
+            let golden = single.telemetry_json();
+            assert_eq!(
+                (crate::telemetry::fnv1a(golden.as_bytes()), single.events()),
+                (tele_fnv, events),
+                "{shape}/{case:?}: one-shard run drifted from the pinned reference"
+            );
 
-                for shards in [1usize, 2, 4] {
-                    let mut sharded = build_straggler_graph(shape, cells, shards, case);
-                    sharded.set_threads(2.min(shards));
-                    sharded.run_until(horizon);
-                    assert_eq!(
-                        sharded.telemetry_json(),
-                        golden,
-                        "{shape}/{case:?}/{shards}"
-                    );
-                    assert_eq!(
-                        sharded.events(),
-                        single.events(),
-                        "{shape}/{case:?}/{shards}"
-                    );
-                    if shards > 1 {
-                        let sent: u64 = (0..shards)
-                            .map(|k| sharded.shard_stats(k).mailbox_sent)
-                            .sum();
-                        assert!(sent > 0, "{shape}/{case:?}/{shards}: mail must cross");
-                        // The streak collapses every window bound onto one
-                        // instant, so the sync-instant exchange is under
-                        // parity too, not only the window path.
-                        if case == StragglerCase::SameInstantStreak {
-                            let syncs = sharded
-                                .exec_telemetry()
-                                .counter_value("sched.sync_instants");
-                            assert!(syncs > Some(0), "{shape}/{case:?}/{shards}: {syncs:?}");
-                        }
-                    }
+            for shards in [2usize, 4] {
+                let mut sharded = build_straggler_graph(shape, cells, shards, case);
+                sharded.set_threads(2);
+                sharded.run_until(horizon);
+                assert_eq!(
+                    sharded.telemetry_json(),
+                    golden,
+                    "{shape}/{case:?}/{shards}"
+                );
+                assert_eq!(sharded.events(), events, "{shape}/{case:?}/{shards}");
+                let sent: u64 = (0..shards)
+                    .map(|k| sharded.shard_stats(k).mailbox_sent)
+                    .sum();
+                assert!(sent > 0, "{shape}/{case:?}/{shards}: mail must cross");
+                // The streak collapses every window bound onto one
+                // instant, so the sync-instant exchange is under parity
+                // too, not only the window path.
+                if case == StragglerCase::SameInstantStreak {
+                    let syncs = sharded
+                        .exec_telemetry()
+                        .counter_value("sched.sync_instants");
+                    assert!(syncs > Some(0), "{shape}/{case:?}/{shards}: {syncs:?}");
                 }
             }
         }

@@ -39,25 +39,51 @@ printf '%s\n' \
   | grep -q '"event":"restored","now_ms":1000' \
   || { echo "serve smoke: restore did not land at 1000 ms" >&2; exit 1; }
 
-echo "== ctms-serve hostile-input smoke (deep nesting, truncated, bad-magic and non-hex checkpoints, a non-UTF-8 line and an overflowing until_ms are typed errors; the session keeps serving)"
+echo "== ctms-serve hostile-input smoke (deep nesting, truncated, bad-magic, non-hex and advanced-clock checkpoints, a non-UTF-8 line and an overflowing until_ms are typed errors; the session keeps serving)"
 deep=$(head -c 100000 /dev/zero | tr '\0' '[')
+# The 1 s case-A snapshot's clock is the u64 at byte 87 (hex 174..189);
+# moving it to 1.5 s leaves node deadlines behind the clock.
+[ "${ckpt:174:16}" = "00ca9a3b00000000" ] \
+  || { echo "serve hostile smoke: the clock is not at byte 87" >&2; exit 1; }
+advanced="${ckpt:0:174}002f685900000000${ckpt:190}"
 hostile_out=$(printf '%s\n' \
   '{"scenario":"case_a","seed":42}' \
   "$deep" \
   "{\"cmd\":\"restore\",\"checkpoint\":\"${ckpt:0:$((${#ckpt} / 4 * 2))}\"}" \
   "{\"cmd\":\"restore\",\"checkpoint\":\"00${ckpt:2}\"}" \
   '{"cmd":"restore","checkpoint":"aéb"}' \
+  "{\"cmd\":\"restore\",\"checkpoint\":\"$advanced\"}" \
   $'{"cmd":"run","until_ms":5}\xff' \
   '{"cmd":"run","until_ms":18446744073710}' \
   '{"cmd":"run","until_ms":100}' \
   '{"cmd":"quit"}' \
   | cargo run --release -q -p ctms-bench --bin serve)
-for n in 2 3 4 5 6 7; do
+for n in 2 3 4 5 6 7 8; do
   printf '%s\n' "$hostile_out" | sed -n "${n}p" | grep -q '"ok":false' \
     || { echo "serve hostile smoke: reply $n is not a typed error" >&2; exit 1; }
 done
-printf '%s\n' "$hostile_out" | sed -n 8p | grep -q '"event":"ran","now_ms":100' \
+printf '%s\n' "$hostile_out" | sed -n 9p | grep -q '"event":"ran","now_ms":100' \
   || { echo "serve hostile smoke: the session stopped serving" >&2; exit 1; }
+
+echo "== ctms-serve steer smoke (one steer+fork script at 1 and 2 shards: byte-identical replies after ready)"
+steer_script() {
+  printf '%s\n' \
+    "{\"scenario\":\"chain\",\"rings\":8,\"shards\":$1}" \
+    '{"cmd":"run","until_ms":300}' \
+    '{"cmd":"steer","mutations":[{"kind":"station_churn","ring":2},{"kind":"purge_storm","ring":5,"count":2},{"kind":"dma_stall","host":0,"extra_us":500}]}' \
+    '{"cmd":"fork","branches":[[],[{"kind":"station_churn","ring":1}]],"until_ms":500}' \
+    '{"cmd":"run","until_ms":500}' \
+    '{"cmd":"telemetry"}' \
+    '{"cmd":"checkpoint"}' \
+    '{"cmd":"quit"}' \
+    | cargo run --release -q -p ctms-bench --bin serve | tail -n +2
+}
+steer_one=$(steer_script 1)
+steer_two=$(steer_script 2)
+printf '%s\n' "$steer_one" | sed -n 2p | grep -q '"event":"steered","applied":3' \
+  || { echo "serve steer smoke: the steer did not apply" >&2; exit 1; }
+[ "$steer_one" = "$steer_two" ] \
+  || { echo "serve steer smoke: replies differ between 1 and 2 shards" >&2; exit 1; }
 
 echo "== ctms-serve smoke (streamed checkpoint chunks concatenate to the monolithic hex)"
 stream_out=$(printf '%s\n' \

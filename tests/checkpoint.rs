@@ -11,8 +11,8 @@
 //! digest and fails here.
 //!
 //! The format is also shard-agnostic: a snapshot taken at 4 shards must
-//! restore into 1- and 2-shard rebuilds (and the plain single-threaded
-//! bus) and still continue onto the single-threaded goldens.
+//! restore into 1- and 2-shard rebuilds and still continue onto the
+//! one-shard goldens.
 
 use ctms_core::{
     apply_mutations, fork, ForkSpec, Mutation, RingChainTestbed, RingGraph, Scenario, Testbed,
@@ -236,13 +236,13 @@ fn sharded_snapshot_restores_at_any_shard_count() {
 
 #[test]
 fn sharded_fallback_buses_share_the_checkpoint_format() {
-    // Cases A and B are single-ring topologies: `ctms_sharded` falls
-    // back to the single-threaded harness at every requested shard
-    // count. Snapshot through the ShardedBus API at "4 shards" and
-    // restore at 1 and 2 — the fallback must be transparent to the
-    // checkpoint layer too.
+    // Cases A and B are single-ring topologies: `build_sharded` builds
+    // one shard at every requested shard count. Snapshot a build asked
+    // for 4 shards and restore at 1 and 2 — the fallback must be
+    // transparent to the checkpoint layer too.
+    let build = |sc: &Scenario, shards: usize| Testbed::ctms_topology(sc).0.build_sharded(shards);
     for sc in [Scenario::test_case_a(42), Scenario::test_case_b(42)] {
-        let (mut origin, _roles) = Testbed::ctms_sharded(&sc, 4);
+        let mut origin = build(&sc, 4);
         origin.run_until(SimTime::from_secs(5));
         let snapshot = origin.checkpoint();
 
@@ -251,7 +251,7 @@ fn sharded_fallback_buses_share_the_checkpoint_format() {
         let straight_json = straight.telemetry_json();
 
         for shards in [1usize, 2] {
-            let (mut bus, _roles) = Testbed::ctms_sharded(&sc, shards);
+            let mut bus = build(&sc, shards);
             bus.restore_checkpoint(&snapshot)
                 .unwrap_or_else(|e| panic!("restore at {shards} shards: {e}"));
             bus.run_until(SimTime::from_secs(10));
@@ -335,6 +335,18 @@ fn mutations_steer_deterministically() {
         }]
     )
     .is_err());
+    // A batch with a bad index applies nothing, not its valid prefix.
+    let before = bed.bus().checkpoint();
+    let batch = [
+        Mutation::StationChurn { ring: 0 },
+        Mutation::StationChurn { ring: 9 },
+    ];
+    assert!(apply_mutations(bed.bus_mut(), &batch).is_err());
+    assert_eq!(
+        bed.bus().checkpoint(),
+        before,
+        "a rejected batch must change nothing"
+    );
 }
 
 #[test]
@@ -442,10 +454,98 @@ fn corrupt_and_mismatched_checkpoints_are_rejected() {
         "want Mismatch, got {err:?}"
     );
 
+    // Advanced clock: the persisted instant moved from 1 s to 1.5 s
+    // leaves node deadlines (the next at about 1.000025 s) behind it,
+    // where the run would service them backwards in time — on one shard
+    // and on two.
+    let advance = |mut bytes: Vec<u8>| {
+        let sig_len = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
+        let clock = 16 + sig_len;
+        assert_eq!(
+            u64::from_le_bytes(bytes[clock..clock + 8].try_into().unwrap()),
+            1_000_000_000,
+            "the clock sits right after the signature"
+        );
+        bytes[clock..clock + 8].copy_from_slice(&1_500_000_000u64.to_le_bytes());
+        bytes
+    };
+    let err = fresh
+        .bus_mut()
+        .restore_checkpoint(&advance(good.clone()))
+        .expect_err("an advanced clock must be rejected");
+    assert!(
+        matches!(err, PersistError::Mismatch(_)),
+        "want Mismatch, got {err:?}"
+    );
+    let chain_sc = Scenario::scaled_chain(42);
+    let kind = BridgeKind::cut_through_bridge();
+    for shards in [1usize, 2] {
+        let mut origin = RingChainTestbed::chain_sharded(&chain_sc, kind, 16, shards);
+        origin.run_until(SimTime::from_secs(1));
+        let bad = advance(origin.bus().checkpoint());
+        let mut target = RingChainTestbed::chain_sharded(&chain_sc, kind, 16, shards);
+        let err = target
+            .bus_mut()
+            .restore_checkpoint(&bad)
+            .expect_err("an advanced clock must be rejected");
+        assert!(
+            matches!(err, PersistError::Mismatch(_)),
+            "shards={shards}: want Mismatch, got {err:?}"
+        );
+    }
+
     // Wrong topology: a single-ring case-A snapshot cannot land on a
     // 16-ring chain (node count mismatch).
     let mut chain = RingChainTestbed::chain(&sc, BridgeKind::cut_through_bridge(), 16);
     assert!(chain.bus_mut().restore_checkpoint(&good).is_err());
+}
+
+#[test]
+fn steering_in_place_matches_at_every_shard_count() {
+    // A 16-ring chain runs to 1 s, takes one mutation of each kind in
+    // place, and runs on to 2 s. The continuation — checkpoint bytes
+    // and telemetry JSON — must be identical at 1, 2 and 4 shards, and
+    // equal to FNV-1a pins recorded by steering the same state through
+    // the sequential engine before steering worked at any shard count.
+    let sc = Scenario::scaled_chain(42);
+    let kind = BridgeKind::cut_through_bridge();
+    let mutations = [
+        Mutation::StationChurn { ring: 3 },
+        Mutation::PurgeStorm { ring: 9, count: 2 },
+        Mutation::DmaStall {
+            host: 0,
+            extra: Dur::from_us(500),
+        },
+    ];
+    let mut reference: Option<(Vec<u8>, String)> = None;
+    for shards in [1usize, 2, 4] {
+        let mut bed = RingChainTestbed::chain_sharded(&sc, kind, 16, shards);
+        assert_eq!(bed.shard_count(), shards);
+        bed.run_until(SimTime::from_secs(1));
+        apply_mutations(bed.bus_mut(), &mutations)
+            .unwrap_or_else(|e| panic!("steer at {shards} shards: {e}"));
+        bed.run_until(SimTime::from_secs(2));
+        let got = (bed.bus().checkpoint(), bed.telemetry_json());
+        assert_eq!(
+            (
+                got.0.len(),
+                fnv1a(&got.0),
+                fnv1a(got.1.as_bytes()),
+                bed.events()
+            ),
+            (
+                121_775,
+                0x2874_13C7_4B27_700E,
+                0x335A_1604_D63B_611E,
+                27_865
+            ),
+            "steered continuation drifted from the pinned reference (shards={shards})"
+        );
+        match &reference {
+            None => reference = Some(got),
+            Some(want) => assert!(*want == got, "shards={shards} diverged"),
+        }
+    }
 }
 
 #[test]

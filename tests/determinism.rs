@@ -9,7 +9,11 @@
 //! and therefore every recorded edge — is unchanged. If a change to the
 //! scheduler, the ring model, or the kernel model shifts even one edge
 //! by one nanosecond, these digests move and the diff is caught here
-//! rather than as a silent drift in the reproduced figures.
+//! rather than as a silent drift in the reproduced figures. The
+//! multi-ring references (the 16-ring chain, the tree, mesh and FDDI
+//! graphs) are pinned too: they were recorded from the sequential
+//! engine the one-shard run replaced, so every shard count is held to
+//! that engine's output, not only to itself.
 
 use ctms_core::{Scenario, Testbed};
 use ctms_sim::SimTime;
@@ -67,11 +71,12 @@ fn sharded_harness_shares_the_golden_truth() {
     // never change the answer, only the wall clock. Three layers pin it:
     //
     // * Cases A and B are single-ring topologies, so `build_sharded`
-    //   transparently falls back — and must still reproduce the exact
-    //   golden digests and telemetry tree pinned above.
+    //   builds one shard — and must still reproduce the exact golden
+    //   digests and telemetry tree pinned above.
     // * A 16-ring chain genuinely partitions across 2 and 4 shards; its
     //   edge logs and canonical telemetry JSON must be byte-identical
-    //   to the single-threaded chain, window protocol and all.
+    //   to the one-shard chain, window protocol and all, and the
+    //   one-shard chain to its pinned reference.
     use ctms_core::RingChainTestbed;
     use ctms_router::BridgeKind;
 
@@ -97,8 +102,8 @@ fn sharded_harness_shares_the_golden_truth() {
     ] {
         let single_json = ctms_bench::telemetry_case(&sc);
         for shards in [1usize, 2, 4] {
-            let (mut bus, _roles) = Testbed::ctms_sharded(&sc, shards);
-            assert!(bus.is_single(), "single ring must fall back");
+            let mut bus = Testbed::ctms_topology(&sc).0.build_sharded(shards);
+            assert_eq!(bus.shard_count(), 1, "single ring must build one shard");
             bus.run_until(SimTime::from_secs(10));
             let get = |host: usize, point: MeasurePoint| {
                 bus.truth_log(host, point)
@@ -142,6 +147,24 @@ fn sharded_harness_shares_the_golden_truth() {
             .map(|log| log.digest())
             .unwrap_or(0)
     });
+    assert_eq!(
+        single_digests,
+        [
+            0xC78D83894A74D333,
+            0x274A165F15C7B978,
+            0x9E819E14C64487C0,
+            0x0164DB4376E35DFC,
+        ],
+        "chain/16 truth drifted from the pinned reference"
+    );
+    assert_eq!(
+        (
+            ctms_sim::telemetry::fnv1a(single_json.as_bytes()),
+            single.events()
+        ),
+        (0x86F2_765B_D608_BA47, 27_861),
+        "chain/16 telemetry or event count drifted from the pinned reference"
+    );
     for shards in [1usize, 2, 4] {
         let mut bed = RingChainTestbed::chain_sharded(&sc, kind, 16, shards);
         assert_eq!(bed.shard_count(), shards, "16 rings split into {shards}");
@@ -168,22 +191,39 @@ fn sharded_harness_shares_the_golden_truth() {
 fn topology_variants_share_the_golden_truth() {
     // The graph generalization of the chain parity test: a tree, a mesh
     // with a redundant parallel bridge, and an FDDI-style dual-backbone
-    // each run single-threaded and at 1, 2, and 4 graph-partitioned
-    // shards. For every shape, every shard count must reproduce the
-    // single-threaded run byte for byte — truth-log digests, counters,
-    // event counts, and the whole canonical telemetry tree. This is the
-    // license for `perf --topology` to compare wall clocks across
-    // shapes: the per-cut-edge lookahead windows are pure scheduling.
+    // each run on one shard — held to pinned reference truth digests,
+    // telemetry FNV-1a and event counts — and at 1, 2, and 4
+    // graph-partitioned shards. For every shape, every shard count must
+    // reproduce the one-shard run byte for byte — truth-log digests,
+    // counters, event counts, and the whole canonical telemetry tree.
+    // This is the license for `perf --topology` to compare wall clocks
+    // across shapes: the per-cut-edge lookahead windows are pure
+    // scheduling.
     use ctms_core::{RingChainTestbed, RingGraph};
     use ctms_router::BridgeKind;
 
     let sc = Scenario::scaled_chain(42);
     let kind = BridgeKind::cut_through_bridge();
     let horizon = SimTime::from_secs(2);
-    for (name, graph) in [
-        ("tree", RingGraph::tree(13, 3)),
-        ("mesh", RingGraph::mesh(12, 42)),
-        ("fddi", RingGraph::fddi(12)),
+    // Per shape: the fourth (receiver) truth digest — the first three
+    // are the transmitter's and match the chain's — then the telemetry
+    // FNV-1a and the event count.
+    for (name, graph, (rx_digest, tele_fnv, events)) in [
+        (
+            "tree",
+            RingGraph::tree(13, 3),
+            (0x0B4CF9C3C47CBC8D, 0x7732_5FDA_8F13_DCEF, 11_964),
+        ),
+        (
+            "mesh",
+            RingGraph::mesh(12, 42),
+            (0x4934F9E92FBA7A7E, 0x428D_27C2_ED97_1CDD, 11_484),
+        ),
+        (
+            "fddi",
+            RingGraph::fddi(12),
+            (0x0E379EE4ECA12930, 0xE6D1_00DD_9E60_BC4D, 11_484),
+        ),
     ] {
         let mut single = RingChainTestbed::graph(&sc, kind, &graph);
         single.run_until(horizon);
@@ -196,6 +236,24 @@ fn topology_variants_share_the_golden_truth() {
             single.measurement_set().pre_tx.digest(),
             single.measurement_set().ctmsp_rx.digest(),
         ];
+        assert_eq!(
+            single_digests,
+            [
+                0xC78D83894A74D333,
+                0x274A165F15C7B978,
+                0x9E819E14C64487C0,
+                rx_digest
+            ],
+            "{name} truth drifted from the pinned reference"
+        );
+        assert_eq!(
+            (
+                ctms_sim::telemetry::fnv1a(single_json.as_bytes()),
+                single_events
+            ),
+            (tele_fnv, events),
+            "{name} telemetry or event count drifted from the pinned reference"
+        );
         let (sent, received, _) = single_counters;
         assert!(sent > 100, "{name}: stream must actually flow ({sent})");
         assert!(
