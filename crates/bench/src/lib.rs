@@ -1,24 +1,15 @@
 //! # ctms-bench — benchmark harness
 //!
-//! Four entry points:
+//! Two entry points:
 //!
 //! * the **`repro` binary** regenerates every table and figure of the
 //!   paper (experiments E1–E11 of DESIGN.md) and prints paper-vs-measured
 //!   claim tables plus ASCII renderings of Figures 5-2/5-3/5-4;
-//! * the **`perf` binary** measures scheduler throughput (cases A/B,
-//!   single vs sharded chains, and `--topology` tree/mesh/fddi graph
-//!   shapes) with ground-truth parity asserted
-//!   before any timing, writing the checked-in `BENCH_PR*.json`
-//!   trajectory reports;
 //! * the **`serve` binary** is the line-oriented JSON service runtime
-//!   (run/telemetry/checkpoint/restore/steer/fork) over a live bus;
-//! * the **benches** (`cargo bench --features bench`) measure the
-//!   simulator's wall-clock cost per scenario and per substrate
-//!   operation, and run the §5.3 ablation grid on the std-only
-//!   [`harness`] (no external benchmark crate, so the default offline
-//!   build needs nothing beyond the workspace).
-
-pub mod harness;
+//!   (run/telemetry/checkpoint/restore/steer/fork) over a live bus.
+//!
+//! Wall-clock timing is not done here: `perfbench/` at the repository
+//! root is the one benchmark (DESIGN.md §9).
 
 use ctms_core::{ExpCfg, Scenario};
 use ctms_stats::Report;
@@ -46,14 +37,6 @@ pub fn registry() -> Vec<(&'static str, Runner)> {
         ("ring16", e::e14_ring_speed),
         ("spl_audit", e::e15_spl_audit),
     ]
-}
-
-/// Runs a short slice of a scenario (used by the Criterion benches so a
-/// sample stays in the milliseconds range).
-pub fn run_slice(sc: &Scenario, secs: u64) -> usize {
-    let mut bed = ctms_core::Testbed::ctms(sc);
-    bed.run_until(ctms_sim::SimTime::from_secs(secs));
-    bed.presented().len()
 }
 
 /// Simulated horizon of [`telemetry_case`]: fixed regardless of
@@ -171,13 +154,5 @@ mod tests {
         ] {
             assert!(names.contains(&required), "missing {required}");
         }
-    }
-
-    #[test]
-    fn run_slice_delivers_packets() {
-        let sc = Scenario::test_case_a(7);
-        let n = run_slice(&sc, 2);
-        // ~83 packets/s for 2 s, minus in-flight.
-        assert!((150..=170).contains(&n), "{n}");
     }
 }

@@ -152,8 +152,8 @@ impl RingGraph {
     }
 
     /// Generator lookup by shape name (`chain`, `tree`, `mesh`, `fddi`)
-    /// — the `ctms-perf --topology` entry point. `None` for an unknown
-    /// name.
+    /// — how perfbench's graph workloads build their topology. `None`
+    /// for an unknown name.
     pub fn named(shape: &str, n: usize, seed: u64) -> Option<RingGraph> {
         Some(match shape {
             "chain" => RingGraph::chain(n),

@@ -859,9 +859,9 @@ impl Bus {
         self.ring_nodes.len()
     }
 
-    /// Component activations serviced so far (scheduler throughput
-    /// numerator for the perf harness; not part of telemetry; the same
-    /// at every shard count).
+    /// Component activations serviced so far (perfbench's
+    /// `events_per_s` numerator; not part of telemetry; the same at
+    /// every shard count).
     pub fn events(&self) -> u64 {
         self.h.events()
     }

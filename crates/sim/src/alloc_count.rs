@@ -1,4 +1,4 @@
-//! An opt-in counting global allocator (feature `alloc-count`).
+//! A counting global allocator for the zero-allocation proofs.
 //!
 //! Wrap the system allocator in [`CountingAlloc`] and install it with
 //! `#[global_allocator]` to count every heap allocation in the process:
@@ -9,45 +9,35 @@
 //! ```
 //!
 //! [`allocations`](CountingAlloc::allocations) reads the running count,
-//! so a test (or the `ctms-bench` `perf` binary) can snapshot it around
-//! a measured region and assert — not merely claim — that the
-//! scheduler's steady state performs zero allocations per event.
-//! Reallocation (`Vec` growth) counts too: capacity retained across
-//! steps is precisely what the hot path promises.
+//! so a test can snapshot it around a measured region and assert — not
+//! merely claim — that the scheduler's steady state performs zero
+//! allocations per event. Reallocation (`Vec` growth) counts too:
+//! capacity retained across steps is precisely what the hot path
+//! promises.
 //!
-//! Besides the count, the allocator tracks **live bytes** and their
-//! **high-water mark**: [`current_bytes`](CountingAlloc::current_bytes)
-//! is the total outstanding (allocated minus freed) and
-//! [`peak_bytes`](CountingAlloc::peak_bytes) the maximum it has reached
-//! since the last [`reset_peak`](CountingAlloc::reset_peak). The scale
-//! section of the perf harness brackets a topology build or a streamed
-//! checkpoint with these to measure peak memory, not just churn.
+//! The module is always compiled but installs nothing by itself: only
+//! `tests/zero_alloc.rs` and `tests/zero_alloc_sharded.rs` declare it
+//! their global allocator, each in its own test binary, so no other
+//! test writes to the process-wide counter.
 //!
-//! The counters use relaxed atomics: the measured regions are
-//! single-threaded simulations, and cross-thread precision is not needed
-//! — only monotonic per-thread accuracy. The peak update is a
-//! `fetch_max`, so concurrent allocations can under-report a transient
-//! peak by at most the in-flight amount — fine for a measurement
-//! harness, and exact in the single-threaded regions it brackets.
+//! The counter is a relaxed atomic: the measured regions are
+//! single-threaded simulations, and cross-thread precision is not
+//! needed — only monotonic per-thread accuracy.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// The system allocator with allocation and live-byte counters bolted on.
+/// The system allocator with an allocation counter bolted on.
 pub struct CountingAlloc {
     allocs: AtomicU64,
-    live: AtomicU64,
-    peak: AtomicU64,
 }
 
 impl CountingAlloc {
-    /// A fresh counting allocator (all counters start at zero).
+    /// A fresh counting allocator (the counter starts at zero).
     #[allow(clippy::new_without_default)]
     pub const fn new() -> Self {
         CountingAlloc {
             allocs: AtomicU64::new(0),
-            live: AtomicU64::new(0),
-            peak: AtomicU64::new(0),
         }
     }
 
@@ -55,72 +45,27 @@ impl CountingAlloc {
     pub fn allocations(&self) -> u64 {
         self.allocs.load(Ordering::Relaxed)
     }
-
-    /// Bytes currently outstanding (allocated and not yet freed).
-    pub fn current_bytes(&self) -> u64 {
-        self.live.load(Ordering::Relaxed)
-    }
-
-    /// High-water mark of [`current_bytes`](CountingAlloc::current_bytes)
-    /// since the last [`reset_peak`](CountingAlloc::reset_peak).
-    pub fn peak_bytes(&self) -> u64 {
-        self.peak.load(Ordering::Relaxed)
-    }
-
-    /// Restarts the high-water mark from the current live total, so a
-    /// harness can measure the peak of one bracketed region.
-    pub fn reset_peak(&self) {
-        self.peak
-            .store(self.live.load(Ordering::Relaxed), Ordering::Relaxed);
-    }
-
-    fn grow(&self, bytes: usize) {
-        let live = self
-            .live
-            .fetch_add(bytes as u64, Ordering::Relaxed)
-            .wrapping_add(bytes as u64);
-        self.peak.fetch_max(live, Ordering::Relaxed);
-    }
-
-    fn shrink(&self, bytes: usize) {
-        self.live.fetch_sub(bytes as u64, Ordering::Relaxed);
-    }
 }
 
-// SAFETY: defers entirely to `System`; the counters have no effect on
-// the returned memory.
+// SAFETY: defers entirely to `System`; the counter has no effect on the
+// returned memory.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         self.allocs.fetch_add(1, Ordering::Relaxed);
-        let ptr = System.alloc(layout);
-        if !ptr.is_null() {
-            self.grow(layout.size());
-        }
-        ptr
+        System.alloc(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        self.shrink(layout.size());
         System.dealloc(ptr, layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         self.allocs.fetch_add(1, Ordering::Relaxed);
-        let ptr = System.alloc_zeroed(layout);
-        if !ptr.is_null() {
-            self.grow(layout.size());
-        }
-        ptr
+        System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         self.allocs.fetch_add(1, Ordering::Relaxed);
-        let new_ptr = System.realloc(ptr, layout, new_size);
-        if !new_ptr.is_null() {
-            // The old block is gone, the new one is live.
-            self.shrink(layout.size());
-            self.grow(new_size);
-        }
-        new_ptr
+        System.realloc(ptr, layout, new_size)
     }
 }

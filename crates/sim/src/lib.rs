@@ -21,8 +21,8 @@
 //!   by an influence fixpoint over the cut-edge lookaheads, and
 //!   deterministic cross-shard mailboxes that only sync-class nodes may
 //!   post to — the same answer at every shard count by construction,
-//! * [`synth`] — synthetic allocation-free workloads for the perf
-//!   harness and the zero-allocation steady-state test,
+//! * [`synth`] — synthetic allocation-free workloads for the
+//!   zero-allocation steady-state tests and the shard parity tests,
 //! * [`persist`] — canonical binary state serialization ([`persist::Persist`])
 //!   for checkpoint/restore with byte-identical resume,
 //! * [`sweep`] — a `std::thread` fan-out for independent simulations with
@@ -30,9 +30,10 @@
 //! * [`trace`] — ground-truth signal edge logs for the measurement points,
 //! * [`telemetry`] — the workspace-wide deterministic metrics registry
 //!   (counters, gauges, fixed-bin histograms, edge-signal events) with
-//!   canonical, byte-stable JSON serialization.
+//!   canonical, byte-stable JSON serialization,
+//! * [`alloc_count`] — a counting global allocator for the
+//!   zero-allocation steady-state tests.
 
-#[cfg(feature = "alloc-count")]
 pub mod alloc_count;
 pub mod bus;
 pub mod engine;

@@ -64,8 +64,8 @@
 //! **zero heap allocations**. The indexed heap keeps one entry per node
 //! with update-key in place, and the wave, due, touched, mail and
 //! per-node output buffers retain their capacity across steps.
-//! `cargo test -p ctms-sim --features alloc-count` proves it at one and
-//! at two shards with a counting global allocator.
+//! `tests/zero_alloc.rs` and `tests/zero_alloc_sharded.rs` prove it at
+//! one and at two shards with a counting global allocator.
 //!
 //! # Telemetry
 //!

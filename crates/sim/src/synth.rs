@@ -1,8 +1,7 @@
 //! Synthetic allocation-free scheduler workloads.
 //!
-//! The `ctms-bench` `perf` binary measures the real case-A/case-B
-//! testbeds, but proving the *scheduler's* steady state allocation-free
-//! needs a workload whose components provably never allocate themselves
+//! Proving the *scheduler's* steady state allocation-free needs a
+//! workload whose components provably never allocate themselves
 //! — otherwise an allocation in a component would be indistinguishable
 //! from one in the harness. [`build_ring`] wires `n` periodic tickers
 //! into a command ring: every fire is routed as a command to the next
@@ -10,8 +9,8 @@
 //! full hot path (deadline pop, advance, route, handle, same-instant
 //! cascade, reschedule/update-key) with nothing but `u64` payloads.
 //!
-//! Used by `tests/zero_alloc.rs` (under `--features alloc-count`) and
-//! available to any harness micro-benchmark.
+//! Used by `tests/zero_alloc.rs` and `tests/zero_alloc_sharded.rs`,
+//! which run in tier-1 `cargo test`.
 
 use crate::bus::{CmdSink, NodeId, Router, DEFAULT_CASCADE_LIMIT};
 use crate::engine::Component;

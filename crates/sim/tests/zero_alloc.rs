@@ -1,13 +1,12 @@
 //! Tier-1 proof of the scheduler's zero-allocation steady state.
 //!
-//! Runs only under `--features alloc-count`, which swaps in the counting
-//! global allocator. The test lives alone in its own integration-test
+//! Installs the counting global allocator, so it runs in every
+//! `cargo test`. The test lives alone in its own integration-test
 //! binary so no concurrent test can pollute the process-wide counter.
 //!
 //! The workload is `ctms_sim::synth::build_ring` — components and router
 //! that provably never allocate — so any allocation observed during the
 //! measured window belongs to the harness hot path itself.
-#![cfg(feature = "alloc-count")]
 
 use ctms_sim::alloc_count::CountingAlloc;
 use ctms_sim::SimTime;

@@ -1,17 +1,16 @@
 //! Tier-1 proof of the *sharded* scheduler's zero-allocation steady
 //! state.
 //!
-//! Runs only under `--features alloc-count`, which swaps in the counting
-//! global allocator. Like `zero_alloc.rs`, this test lives alone in its
-//! own integration-test binary: the allocation counter is process-wide,
-//! so a concurrently running test would pollute the measured window.
+//! Installs the counting global allocator, so it runs in every
+//! `cargo test`. Like `zero_alloc.rs`, this test lives alone in its own
+//! integration-test binary: the allocation counter is process-wide, so
+//! a concurrently running test would pollute the measured window.
 //!
 //! The workload is `ctms_sim::synth::build_sharded_ring` — two disjoint
 //! ticker rings (one per shard) plus a sync-class relay whose fires
 //! cross the shard cut — so the measured window exercises window
 //! negotiation, outbox flushing and pending-mail delivery, not just the
 //! per-shard stepping loop.
-#![cfg(feature = "alloc-count")]
 
 use ctms_sim::alloc_count::CountingAlloc;
 use ctms_sim::SimTime;

@@ -7,20 +7,14 @@ cd "$(dirname "$0")/.."
 echo "== cargo fmt --check"
 cargo fmt --all -- --check
 
-echo "== cargo clippy (workspace, deny warnings; or_fun_call catches an eager allocation in ok_or/unwrap_or)"
-cargo clippy --workspace -- -D warnings -W clippy::or_fun_call
+echo "== cargo clippy (workspace, all targets, deny warnings; or_fun_call catches an eager allocation in ok_or/unwrap_or)"
+cargo clippy --workspace --all-targets -- -D warnings -W clippy::or_fun_call
 
 echo "== tier-1: cargo build --release"
 cargo build --release
 
-echo "== tier-1: cargo test -q (every workspace crate: shard parity, checkpoints, serve)"
+echo "== tier-1: cargo test -q (every workspace crate: shard parity, checkpoints, serve, zero-alloc steady state at 1 and 2 shards)"
 cargo test -q
-
-echo "== zero-alloc scheduler steady state (alloc-count)"
-cargo test -q -p ctms-sim --features alloc-count --test zero_alloc
-
-echo "== zero-alloc sharded steady state (alloc-count)"
-cargo test -q -p ctms-sim --features alloc-count --test zero_alloc_sharded
 
 echo "== ctms-serve smoke (session, run, checkpoint/restore round trip)"
 serve_out=$(printf '%s\n' \
@@ -103,21 +97,11 @@ chunks=$(printf '%s' "$stream_out" \
 printf '%s' "$stream_out" | grep -q '"event":"checkpoint_done"' \
   || { echo "serve smoke: missing checkpoint_done line" >&2; exit 1; }
 
-echo "== sharded perf smoke (parity-asserting, report-only vs BENCH_PR5.json)"
-cargo run --release -q -p ctms-bench --features alloc-count --bin perf -- \
-  --quick --shards 4 --rings 32 --compare BENCH_PR5.json
-
-echo "== topology perf smoke (tree+mesh+fddi parity at 1 and 4 shards, vs BENCH_PR7.json)"
-cargo run --release -q -p ctms-bench --features alloc-count --bin perf -- \
-  --quick --shards 4 --rings 32 \
-  --topology tree:16 --topology mesh:12 --topology fddi:8 \
-  --compare BENCH_PR7.json
-
-echo "== scale perf smoke (capacity section at small N: build, streamed-checkpoint parity at 1/2/4 shards, vs BENCH_PR10.json)"
-cargo run --release -q -p ctms-bench --features alloc-count --bin perf -- \
-  --quick --scale --compare BENCH_PR10.json
-
-echo "== bench_trend selftest (malformed reports must fail; /7 rows render)"
-python3 scripts/bench_trend.py --selftest
+echo "== perfbench smoke (fddi/32 at 2 shards on 2 threads; the correctness gate must pass)"
+bench_out=$(bash perfbench/run.sh --workload fddi-thin --seed 1 --seconds 1 --trace 0 | tail -n 1)
+case "$bench_out" in
+  *'"correct": true'*'"failed": 0'*) ;;
+  *) echo "perfbench smoke: correctness gate failed: $bench_out" >&2; exit 1 ;;
+esac
 
 echo "verify: OK"

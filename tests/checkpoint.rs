@@ -589,7 +589,9 @@ fn streamed_checkpoint_concatenates_to_the_monolithic_snapshot() {
     // **exactly** the bytes of the monolithic `checkpoint()`, on the
     // single-threaded bus and on genuinely sharded builds at every
     // shard count. The writer must also actually chunk — a snapshot
-    // bigger than the chunk size may not arrive as one buffer.
+    // bigger than the chunk size may not arrive as one buffer. And the
+    // image is shard-agnostic: every shard count snapshots to the bytes
+    // of the one-shard `graph` build run to the same instant.
     let sc = Scenario::test_case_a(42);
     let mut bed = Testbed::ctms(&sc);
     bed.run_until(SimTime::from_secs(5));
@@ -604,10 +606,17 @@ fn streamed_checkpoint_concatenates_to_the_monolithic_snapshot() {
     let chain_sc = Scenario::scaled_chain(42);
     let kind = BridgeKind::cut_through_bridge();
     let tree = RingGraph::tree(12, 3);
+    let mut one_shard = RingChainTestbed::graph(&chain_sc, kind, &tree);
+    one_shard.run_until(SimTime::from_ms(1000));
+    let one_shard_image = one_shard.bus().checkpoint();
     for shards in [1usize, 2, 4] {
         let mut origin = RingChainTestbed::graph_sharded(&chain_sc, kind, &tree, shards);
         origin.run_until(SimTime::from_ms(1000));
         let mono = origin.bus().checkpoint();
+        assert!(
+            mono == one_shard_image,
+            "image differs from the one-shard run's (shards={shards})"
+        );
         let mut sink = CollectSink::new();
         let (payload, _) = origin
             .bus()

@@ -19,9 +19,15 @@ use ctms_core::{Scenario, Testbed};
 use ctms_sim::SimTime;
 use ctms_unixkern::MeasurePoint;
 
-fn digests(sc: &Scenario) -> [u64; 4] {
+/// Runs a paper case to the 10 s horizon the goldens were recorded at.
+fn run(sc: &Scenario) -> Testbed {
     let mut bed = Testbed::ctms(sc);
     bed.run_until(SimTime::from_secs(10));
+    bed
+}
+
+fn digests(sc: &Scenario) -> [u64; 4] {
+    let bed = run(sc);
     let get = |host: usize, point: MeasurePoint| {
         bed.truth_log(host, point)
             .map(|log| log.digest())
@@ -196,15 +202,18 @@ fn topology_variants_share_the_golden_truth() {
     // graph-partitioned shards. For every shape, every shard count must
     // reproduce the one-shard run byte for byte — truth-log digests,
     // counters, event counts, and the whole canonical telemetry tree.
-    // This is the license for `perf --topology` to compare wall clocks
-    // across shapes: the per-cut-edge lookahead windows are pure
-    // scheduling.
+    // This is the license for perfbench's graph workloads to compare
+    // wall clocks across shard counts: the per-cut-edge lookahead
+    // windows are pure scheduling. The window schedule itself (the
+    // execution counters) must not vary between two builds of the same
+    // configuration; its values are not pinned, only its repeatability.
     use ctms_core::{RingChainTestbed, RingGraph};
     use ctms_router::BridgeKind;
 
     let sc = Scenario::scaled_chain(42);
     let kind = BridgeKind::cut_through_bridge();
     let horizon = SimTime::from_secs(2);
+    let exec_json = |bed: &RingChainTestbed| bed.bus().exec_telemetry().map(|r| r.to_json());
     // Per shape: the fourth (receiver) truth digest — the first three
     // are the transmitter's and match the chain's — then the telemetry
     // FNV-1a and the event count.
@@ -293,6 +302,13 @@ fn topology_variants_share_the_golden_truth() {
                 single_json,
                 "{name} telemetry drifted (shards={shards})"
             );
+            let mut again = RingChainTestbed::graph_sharded(&sc, kind, &graph, shards);
+            again.run_until(horizon);
+            assert_eq!(
+                exec_json(&again),
+                exec_json(&bed),
+                "{name}: window schedule varied between builds (shards={shards})"
+            );
         }
     }
 }
@@ -300,10 +316,18 @@ fn topology_variants_share_the_golden_truth() {
 #[test]
 fn repeated_runs_are_bit_identical() {
     // Same seed, same process, two independently built testbeds: every
-    // digest must agree (no hidden global state, no allocator or
-    // HashMap-iteration dependence in the event order).
+    // digest and the serviced event count must agree (no hidden global
+    // state, no allocator or HashMap-iteration dependence in the event
+    // order).
     let sc = Scenario::test_case_b(7);
     assert_eq!(digests(&sc), digests(&sc));
+    for sc in [Scenario::test_case_a(42), Scenario::test_case_b(42)] {
+        assert_eq!(
+            run(&sc).bus().events(),
+            run(&sc).bus().events(),
+            "repetition changed the event count"
+        );
+    }
 }
 
 #[test]

@@ -45,6 +45,17 @@ fn different_seed_different_run() {
     );
 }
 
+/// A 2 s slice of case A presents the stream at its nominal rate.
+#[test]
+fn run_slice_delivers_packets() {
+    let sc = Scenario::test_case_a(7);
+    let mut bed = Testbed::ctms(&sc);
+    bed.run_until(SimTime::from_secs(2));
+    let n = bed.presented().len();
+    // ~83 packets/s for 2 s, minus in-flight.
+    assert!((150..=170).contains(&n), "{n}");
+}
+
 /// Case A sustains the stream with essentially no loss and a tight
 /// latency distribution (Figure 5-3's headline shape).
 #[test]
