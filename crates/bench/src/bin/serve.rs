@@ -16,7 +16,12 @@
 //!  "rings": 16, "shards": 4, "cascade_limit": 64}
 //! ```
 //!
-//! `seed` defaults to 42; `rings` (chain only) to 16; `shards` to 1.
+//! `seed` defaults to 42; `rings` (chain only) to 16; `shards` to 1. A
+//! chain build may take at most 256 MiB by a measured model (about
+//! 4 KiB per ring, 256 bytes more per ring for each shard past the
+//! first, 64 bytes per ordered pair of distinct shards): past it the
+//! line is `"rings" out of range` (above 65,536 rings, even at one
+//! shard) or `"shards" out of range`, and nothing is built.
 //! Single-ring scenarios always run as one shard regardless of
 //! `shards`, mirroring `Topology::build_sharded`. `cascade_limit`
 //! overrides the same-instant cascade bound — mostly useful for
@@ -586,6 +591,36 @@ struct Spec {
     cascade_limit: Option<u32>,
 }
 
+/// Memory one chain build may take; a session line asking for more is
+/// refused before anything is built. A session holds up to two builds
+/// at once (a restore lands on a fresh one before the old one goes),
+/// and fork branches add theirs.
+const BUILD_BUDGET_BYTES: u64 = 256 << 20;
+/// Peak memory per ring at one shard, rounded up from 3.8 KiB.
+const CHAIN_BYTES_PER_RING: u64 = 4 << 10;
+/// Peak memory per ring for each shard past the first, rounded up from
+/// 212–235 bytes: every shard's router keeps a TAP slot per node and a
+/// truth log per host.
+const BYTES_PER_RING_PER_SHARD: u64 = 256;
+/// Peak memory per ordered pair of distinct shards, rounded up from
+/// about 55 bytes: each shard's outbox per destination shard and the window
+/// protocol's `n × n` influence matrix.
+const BYTES_PER_SHARD_PAIR: u64 = 64;
+
+/// Peak memory of a chain build of `rings` rings on `shards` shards
+/// (clamped to the ring count, as the build clamps it). The three
+/// terms were measured as the growth of `serve`'s peak RSS between
+/// builds of 10^3 to 6.5·10^4 rings on 1 to 2,048 shards.
+fn chain_build_bytes(rings: usize, shards: usize) -> u64 {
+    let r = rings as u64;
+    let s = shards.min(rings).max(1) as u64;
+    let per_ring = (s - 1)
+        .saturating_mul(BYTES_PER_RING_PER_SHARD)
+        .saturating_add(CHAIN_BYTES_PER_RING);
+    let pairs = s.saturating_mul(s - 1).saturating_mul(BYTES_PER_SHARD_PAIR);
+    r.saturating_mul(per_ring).saturating_add(pairs)
+}
+
 /// Every key a session line may carry.
 const SESSION_KEYS: [&str; 5] = ["scenario", "seed", "rings", "shards", "cascade_limit"];
 
@@ -610,14 +645,23 @@ impl Spec {
         // A present key must hold a non-negative integer; only an absent
         // one falls back to its default.
         let rings = opt(v, "rings")?.unwrap_or(16);
-        if matches!(kind, ScenarioKind::Chain) && rings < 2 {
+        let chain = matches!(kind, ScenarioKind::Chain);
+        if chain && chain_build_bytes(rings, 1) > BUILD_BUDGET_BYTES {
+            return Err(out_of_range("rings"));
+        }
+        if chain && rings < 2 {
             return Err("chain needs rings >= 2".to_string());
+        }
+        let seed = opt(v, "seed")?.unwrap_or(42);
+        let shards = opt(v, "shards")?.unwrap_or(1);
+        if chain && chain_build_bytes(rings, shards) > BUILD_BUDGET_BYTES {
+            return Err(out_of_range("shards"));
         }
         Ok(Spec {
             kind,
-            seed: opt(v, "seed")?.unwrap_or(42),
+            seed,
             rings,
-            shards: opt(v, "shards")?.unwrap_or(1),
+            shards,
             cascade_limit: opt::<u32>(v, "cascade_limit")?.map(|n| n.max(1)),
         })
     }
@@ -1248,6 +1292,55 @@ mod tests {
             .lines()
             .map(str::to_string)
             .collect()
+    }
+
+    /// A chain whose build would pass the memory budget is refused
+    /// before anything is built, and the session still starts on the
+    /// next valid line. One-ring scenarios ignore both size keys.
+    #[test]
+    fn oversized_chains_are_refused_before_the_build() {
+        let chain = |rings: usize, shards: usize| {
+            spec(&format!(
+                r#"{{"scenario":"chain","rings":{rings},"shards":{shards}}}"#
+            ))
+            .map(|s| (s.rings, s.shards))
+        };
+        // The largest one-shard chain fills the budget exactly.
+        assert_eq!(chain_build_bytes(65_536, 1), BUILD_BUDGET_BYTES);
+        for (rings, shards) in [(65_536, 1), (4_096, 128), (1_024, 800), (16, 50_000_000)] {
+            assert_eq!(chain(rings, shards), Ok((rings, shards)));
+        }
+        for (rings, shards, key) in [
+            (65_537, 1, "rings"),
+            (50_000_000, 1, "rings"),
+            (65_536, 2, "shards"),
+            (4_096, 256, "shards"),
+            (1_024, 1_024, "shards"),
+        ] {
+            assert_eq!(
+                chain(rings, shards),
+                Err(format!("\"{key}\" out of range")),
+                "rings={rings} shards={shards}"
+            );
+        }
+        let one_ring = spec(r#"{"scenario":"case_a","rings":50000000,"shards":50000000}"#);
+        assert!(one_ring.is_ok(), "{:?}", one_ring.err());
+
+        let replies = session(
+            b"{\"scenario\":\"chain\",\"rings\":65537}\n\
+              {\"scenario\":\"chain\",\"rings\":2}\n\
+              {\"cmd\":\"quit\"}\n",
+        );
+        assert_eq!(replies.len(), 3, "{replies:#?}");
+        assert_eq!(
+            replies[0],
+            r#"{"ok":false,"error":"bad session line: \"rings\" out of range"}"#
+        );
+        assert!(
+            replies[1].starts_with(r#"{"ok":true,"event":"ready""#),
+            "{}",
+            replies[1]
+        );
     }
 
     /// Every non-blank line gets exactly one reply, including one that

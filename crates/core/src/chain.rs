@@ -117,11 +117,6 @@ impl RingChainTestbed {
         self.bus.shard_count()
     }
 
-    /// Caps how many pool workers a window dispatch invites.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.bus.set_threads(threads);
-    }
-
     /// Component activations serviced so far.
     pub fn events(&self) -> u64 {
         self.bus.events()

@@ -833,11 +833,10 @@ impl Bus {
         self.h.shard_count()
     }
 
-    /// Caps how many pool workers a window dispatch invites; the
-    /// results do not depend on it.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.h.set_threads(threads);
-    }
+    /// Accepts a worker-thread count and ignores it: every shard runs
+    /// on the calling thread (DESIGN.md §13). Kept so that callers
+    /// which pick a count still build.
+    pub fn set_threads(&mut self, _threads: usize) {}
 
     /// Current simulation time.
     pub fn now(&self) -> SimTime {

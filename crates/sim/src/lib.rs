@@ -16,8 +16,8 @@
 //! * [`heap`] — the indexed d-ary min-heap behind the scheduler
 //!   (update-key per node, no stale entries, allocation-free stepping),
 //! * [`shard`] — the scheduler ([`shard::Harness`]): per-shard deadline
-//!   heaps with deterministic tie-breaking, run on one thread at one
-//!   shard and on the sweep pool at several, per-shard windows bounded
+//!   heaps with deterministic tie-breaking, run on the calling thread
+//!   at any shard count, per-shard windows bounded
 //!   by an influence fixpoint over the cut-edge lookaheads, and
 //!   deterministic cross-shard mailboxes that only sync-class nodes may
 //!   post to — the same answer at every shard count by construction,

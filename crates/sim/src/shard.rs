@@ -11,10 +11,9 @@
 //!
 //! A topology that cannot, or need not, be partitioned runs as **one
 //! shard**: every node local, no sync-class node, no mail, one window
-//! per run on the calling thread. Several shards run on workers of the
-//! persistent [`crate::sweep`] pool under an adaptive conservative
-//! window protocol (the caller supplies the partition — `ctms-core`
-//! cuts the ring graph into balanced parts):
+//! per run on the calling thread. Several shards run under an adaptive
+//! conservative window protocol (the caller supplies the partition —
+//! `ctms-core` cuts the ring graph into balanced parts):
 //!
 //! * A small set of nodes is declared **sync-class** at registration —
 //!   in `ctms-core` these are the bridges whose port rings landed in
@@ -40,14 +39,18 @@
 //!   injected from outside ([`Harness::inject`]) takes the same rounds.
 //! * Every outbox flush sorts the receiving pending queue with
 //!   [`merge_mail`] into [`MailKey`] order (`(time, src_shard, seq)` —
-//!   a total order, so delivery is deterministic no matter which
-//!   worker finished first).
+//!   a total order, so delivery is deterministic no matter which shard
+//!   emitted first).
 //!
-//! Determinism is the contract: the shard count and the thread count
-//! may change the wall clock, never the answer. The tier-1 parity tests
-//! pin byte-identical telemetry at 1, 2 and 4 shards against golden
-//! digests and against references recorded from the sequential engine
-//! this one replaced (DESIGN.md §14).
+//! Every window, sync instant and mail round runs on the calling
+//! thread, shard after shard in shard order: a handoff to another
+//! thread costs more than a thin window holds (DESIGN.md §13).
+//!
+//! Determinism is the contract: the shard count may change the wall
+//! clock, never the answer. The tier-1 parity tests pin byte-identical
+//! telemetry at 1, 2 and 4 shards against golden digests and against
+//! references recorded from the sequential engine this one replaced
+//! (DESIGN.md §14).
 //!
 //! A node that is not sync-class and emits a cross-shard command inside
 //! a window has violated the lookahead contract (the partition put
@@ -82,7 +85,6 @@ use crate::bus::{CascadeError, CmdSink, NodeId, Router};
 use crate::engine::Component;
 use crate::heap::IndexedHeap;
 use crate::persist::{ChunkedWriter, Persist, PersistError, UnitReader};
-use crate::sweep::parallel_map;
 use crate::telemetry::Registry;
 use crate::time::{Dur, SimTime};
 use std::sync::Arc;
@@ -90,8 +92,7 @@ use std::sync::Arc;
 /// Merge key of one cross-shard command: commands are delivered in
 /// ascending `(at, src_shard, seq)` order. `seq` is a per-source-shard
 /// monotonic counter, so keys are globally unique and the order is
-/// total — two runs (or two thread schedules) always deliver the same
-/// mail in the same order.
+/// total — two runs always deliver the same mail in the same order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct MailKey {
     /// The instant the command was emitted (and is delivered).
@@ -173,8 +174,7 @@ fn mailboxes<M>(n_shards: usize) -> Vec<Vec<M>> {
 }
 
 /// One shard: a slice of the node set with its own heap, router, and
-/// reusable scratch buffers. Moves wholesale between the coordinating
-/// thread and pool workers.
+/// reusable scratch buffers.
 struct ShardState<C: Component, R> {
     idx: u32,
     /// Nodes local to this shard, in global registration order.
@@ -210,8 +210,7 @@ struct ShardState<C: Component, R> {
     pending: Vec<Mail<C::Cmd>>,
     seq: u64,
     /// This shard's end for the current window, set by the
-    /// coordinator right before dispatch (a field rather than a closure
-    /// capture so per-shard windows stay allocation-free).
+    /// coordinator right before the window runs.
     w_end: SimTime,
     // Reusable hot-path buffers: drained every step, capacity retained,
     // so steady-state stepping performs no heap allocation.
@@ -682,7 +681,7 @@ pub(crate) fn adaptive_bounds(
 /// registration and each shard gets its own router instance; router
 /// state is merged for telemetry through [`MergeTelemetry`].
 pub struct Harness<C: Component, R: Router<C>> {
-    shards: Vec<Option<ShardState<C, R>>>,
+    shards: Vec<ShardState<C, R>>,
     /// Global registration-order labels (telemetry namespaces).
     labels: Vec<String>,
     /// Global node id → (shard, local index); empty at one shard (see
@@ -705,7 +704,6 @@ pub struct Harness<C: Component, R: Router<C>> {
     /// bounded mailbox memory. `None` (default) leaves windows
     /// unbounded.
     max_window_span: Option<Dur>,
-    threads: usize,
     now: SimTime,
     failed: Option<CascadeError>,
     telemetry: Registry,
@@ -727,10 +725,8 @@ pub struct Harness<C: Component, R: Router<C>> {
 
 impl<C, R> Harness<C, R>
 where
-    C: Component + Send + 'static,
-    C::Cmd: Send + 'static,
-    C::Out: Send + 'static,
-    R: Router<C> + MergeTelemetry + Send + 'static,
+    C: Component,
+    R: Router<C> + MergeTelemetry,
 {
     /// Creates a harness with one shard per router in `routers`.
     /// `lookahead` is a lower bound on every sync node's forwarding
@@ -746,7 +742,7 @@ where
             shards: routers
                 .into_iter()
                 .enumerate()
-                .map(|(k, r)| Some(ShardState::new(k as u32, r, cascade_limit, n)))
+                .map(|(k, r)| ShardState::new(k as u32, r, cascade_limit, n))
                 .collect(),
             labels: Vec::new(),
             owner_map: Vec::new(),
@@ -755,14 +751,6 @@ where
             lookahead,
             influence: None,
             max_window_span: None,
-            // One shard never dispatches to the pool, and asking the OS
-            // for its parallelism would cost more than building a
-            // small topology.
-            threads: if n == 1 {
-                1
-            } else {
-                crate::sweep::default_threads(n)
-            },
             now: SimTime::ZERO,
             failed: None,
             telemetry: Registry::new(),
@@ -794,7 +782,7 @@ where
     ) -> NodeId {
         assert!(!self.sealed, "cannot add nodes after the first run");
         let id = NodeId(self.labels.len());
-        let s = self.shards[shard].as_mut().expect("shard present");
+        let s = &mut self.shards[shard];
         let local = s.add_node(node, id, sync);
         if self.shards.len() > 1 {
             self.owner_map.push((shard as u32, local));
@@ -841,10 +829,7 @@ where
     /// tree is pinned by golden digests), and the same at any shard
     /// count.
     pub fn events(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.as_ref().expect("shard present").events)
-            .sum()
+        self.shards.iter().map(|s| s.events).sum()
     }
 
     /// The error that poisoned this harness, if any shard's cascade
@@ -905,18 +890,9 @@ where
         self.influence = Some(flat);
     }
 
-    /// Caps how many pool workers a dispatch invites (the coordinator
-    /// always participates). Defaults to the hardware parallelism
-    /// capped at the shard count; at 1 every window runs inline on the
-    /// caller, which measures pure protocol overhead (the schedule —
-    /// and therefore every result — is identical at any thread count).
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1);
-    }
-
     /// Execution counters for shard `k`.
     pub fn shard_stats(&self, k: usize) -> ShardStats {
-        let s = self.shards[k].as_ref().expect("shard present");
+        let s = &self.shards[k];
         let mut stats = s.stats;
         stats.events = s.events;
         stats
@@ -924,22 +900,18 @@ where
 
     /// Shared access to shard `k`'s router.
     pub fn shard_router(&self, k: usize) -> &R {
-        &self.shards[k].as_ref().expect("shard present").router
+        &self.shards[k].router
     }
 
     /// Every shard's router, in shard order.
     pub fn routers(&self) -> impl Iterator<Item = &R> {
-        self.shards
-            .iter()
-            .map(|s| &s.as_ref().expect("shard present").router)
+        self.shards.iter().map(|s| &s.router)
     }
 
     /// Every shard's router, mutably, in shard order (checkpoint
     /// restoration distributes decoded router state across them).
     pub fn routers_mut(&mut self) -> impl Iterator<Item = &mut R> {
-        self.shards
-            .iter_mut()
-            .map(|s| &mut s.as_mut().expect("shard present").router)
+        self.shards.iter_mut().map(|s| &mut s.router)
     }
 
     /// The shard that owns `id`.
@@ -950,14 +922,14 @@ where
     /// Shared access to a node by its global id.
     pub fn node(&self, id: NodeId) -> &C {
         let (s, l) = self.owner_of(id.0);
-        &self.shards[s].as_ref().expect("shard present").nodes[l]
+        &self.shards[s].nodes[l]
     }
 
     /// Mutable access to a node. The node is conservatively rescheduled
     /// before the next step, since the caller may change its deadline.
     pub fn node_mut(&mut self, id: NodeId) -> &mut C {
         let (s, l) = self.owner_of(id.0);
-        let shard = self.shards[s].as_mut().expect("shard present");
+        let shard = &mut self.shards[s];
         shard.dirty.push(l);
         &mut shard.nodes[l]
     }
@@ -977,7 +949,7 @@ where
         if self.shards.len() > 1 {
             let owner = Arc::new(self.owner_map.clone());
             for s in &mut self.shards {
-                s.as_mut().expect("shard present").owner = Some(Arc::clone(&owner));
+                s.owner = Some(Arc::clone(&owner));
             }
         }
         if self.influence.is_none() {
@@ -987,7 +959,7 @@ where
             let n = self.shards.len();
             let mut flat = vec![None; n * n];
             for o in 0..n {
-                if !self.shards[o].as_ref().expect("shard present").any_sync {
+                if !self.shards[o].any_sync {
                     continue;
                 }
                 for k in 0..n {
@@ -1001,35 +973,12 @@ where
         self.sealed = true;
     }
 
-    /// Runs the indices in `self.active` through `f`, inline when only
-    /// one shard participates, on the sweep pool otherwise. Shard
-    /// states move to the workers and come back in place.
-    fn dispatch<F>(&mut self, f: F)
-    where
-        F: Fn(&mut ShardState<C, R>) + Send + Sync + 'static,
-    {
-        if self.active.len() == 1 || self.threads == 1 {
-            // Inline sequential path: no worker handoff, no state
-            // collection — a run on one thread stays allocation-free in
-            // steady state.
-            for i in 0..self.active.len() {
-                let k = self.active[i];
-                f(self.shards[k].as_mut().expect("shard present"));
-            }
-            return;
-        }
-        let states: Vec<(usize, ShardState<C, R>)> = self
-            .active
-            .iter()
-            .map(|&k| (k, self.shards[k].take().expect("shard present")))
-            .collect();
-        let threads = self.threads;
-        let done = parallel_map(states, threads, move |(k, mut s)| {
-            f(&mut s);
-            (k, s)
-        });
-        for (k, s) in done {
-            self.shards[k] = Some(s);
+    /// Runs `f` on each shard in `self.active`, in shard order, on the
+    /// calling thread.
+    fn run_active(&mut self, mut f: impl FnMut(&mut ShardState<C, R>)) {
+        for i in 0..self.active.len() {
+            let k = self.active[i];
+            f(&mut self.shards[k]);
         }
     }
 
@@ -1042,7 +991,7 @@ where
         }
         let mut first: Option<CascadeError> = None;
         for s in &self.shards {
-            if let Some(e) = s.as_ref().expect("shard present").failed {
+            if let Some(e) = s.failed {
                 first = Some(match first {
                     Some(f) if (f.at(), f.node()) <= (e.at(), e.node()) => f,
                     _ => e,
@@ -1070,12 +1019,11 @@ where
     /// Moves every outbox (already per-(src,dst) batched) into its
     /// destination's pending queue and re-sorts each receiving queue
     /// with [`merge_mail`]; keys are unique, so the order does not
-    /// depend on which worker finished first. Returns whether any mail
+    /// depend on which shard emitted first. Returns whether any mail
     /// moved — each flush that moves mail is one mail round.
     fn flush_mail(&mut self) -> bool {
         let mut moved = false;
         for s in &mut self.shards {
-            let s = s.as_mut().expect("shard present");
             for (dst, out) in s.outbox.iter_mut().enumerate() {
                 if !out.is_empty() {
                     moved = true;
@@ -1089,7 +1037,6 @@ where
         self.mail_rounds += 1;
         for (s, mail) in self.shards.iter_mut().zip(&mut self.merge_buf) {
             if !mail.is_empty() {
-                let s = s.as_mut().expect("shard present");
                 s.pending.append(mail);
                 merge_mail(&mut s.pending);
             }
@@ -1114,7 +1061,6 @@ where
         let run_end = horizon.saturating_add(Dur::from_ns(1));
         self.run_adaptive(horizon, run_end)?;
         for s in &mut self.shards {
-            let s = s.as_mut().expect("shard present");
             if s.now < horizon {
                 s.now = horizon;
             }
@@ -1129,7 +1075,7 @@ where
     /// destination shards' sorted pending queues, publish each shard's
     /// earliest actionable instant `t[k]` and sync deadline `b[k]`,
     /// compute per-shard window bounds through the [`adaptive_bounds`]
-    /// influence fixpoint, and dispatch every shard with work strictly
+    /// influence fixpoint, and run every shard with work strictly
     /// inside its bound. When no shard can make progress (every bound
     /// collapses onto `T`), fall back to one global sync instant at
     /// `T`, which always advances. A run of consecutive iterations
@@ -1138,7 +1084,7 @@ where
     /// exactly like a cascade overflow.
     fn run_adaptive(&mut self, horizon: SimTime, run_end: SimTime) -> Result<(), CascadeError> {
         let n = self.shards.len();
-        let limit = u64::from(self.shards[0].as_ref().expect("shard present").limit);
+        let limit = u64::from(self.shards[0].limit);
         let mut streak_at: Option<SimTime> = None;
         let mut streak = 0u64;
         loop {
@@ -1148,7 +1094,7 @@ where
             self.b_buf.clear();
             let mut t_min: Option<SimTime> = None;
             for k in 0..n {
-                let s = self.shards[k].as_mut().expect("shard present");
+                let s = &mut self.shards[k];
                 s.flush_dirty();
                 let tk = crate::engine::earliest([s.peek(), s.peek_pending()]);
                 t_min = crate::engine::earliest([t_min, tk]);
@@ -1172,19 +1118,12 @@ where
                 let node = self
                     .shards
                     .iter()
-                    .filter_map(|s| {
-                        s.as_ref()
-                            .expect("shard present")
-                            .pending
-                            .first()
-                            .map(|m| m.1 .0)
-                    })
+                    .filter_map(|s| s.pending.first().map(|m| m.1 .0))
                     .next()
                     .or_else(|| {
-                        self.shards.iter().find_map(|s| {
-                            let s = s.as_ref().expect("shard present");
-                            s.heap.peek().map(|(_, l)| s.global_id(l))
-                        })
+                        self.shards
+                            .iter()
+                            .find_map(|s| s.heap.peek().map(|(_, l)| s.global_id(l)))
                     })
                     .expect("a stuck instant has work somewhere");
                 return self.poison(CascadeError::overflow(t, node, streak as u32));
@@ -1208,7 +1147,7 @@ where
             self.active.clear();
             for k in 0..n {
                 if self.t_buf[k].is_some_and(|tk| tk < self.e_buf[k]) {
-                    let s = self.shards[k].as_mut().expect("shard present");
+                    let s = &mut self.shards[k];
                     s.w_end = self.e_buf[k];
                     self.active.push(k);
                 }
@@ -1223,7 +1162,7 @@ where
             self.windows += 1;
             let mut next_active = 0;
             for k in 0..n {
-                let s = self.shards[k].as_mut().expect("shard present");
+                let s = &mut self.shards[k];
                 if next_active < self.active.len() && self.active[next_active] == k {
                     next_active += 1;
                     s.stats.window_advances += 1;
@@ -1231,17 +1170,13 @@ where
                     s.stats.idle_windows += 1;
                 }
             }
-            self.dispatch(move |s| {
-                let w = s.w_end;
-                s.run_window(w);
-            });
+            self.run_active(|s| s.run_window(s.w_end));
             self.check_failures()?;
         }
         debug_assert!(
-            self.shards.iter().all(|s| {
-                let s = s.as_ref().expect("shard present");
-                s.pending.is_empty() && s.outbox.iter().all(|o| o.is_empty())
-            }),
+            self.shards
+                .iter()
+                .all(|s| s.pending.is_empty() && s.outbox.iter().all(|o| o.is_empty())),
             "run ended with mail in flight"
         );
         Ok(())
@@ -1266,7 +1201,7 @@ where
         }
         self.seal();
         let (s, l) = self.owner_of(id.0);
-        let shard = self.shards[s].as_mut().expect("shard present");
+        let shard = &mut self.shards[s];
         debug_assert_eq!(shard.now, self.now, "inject off a run boundary");
         let _ = shard.inject(l, cmd);
         self.check_failures()?;
@@ -1279,7 +1214,6 @@ where
     fn run_sync_instant(&mut self, t: SimTime) -> Result<(), CascadeError> {
         self.active.clear();
         for (k, s) in self.shards.iter().enumerate() {
-            let s = s.as_ref().expect("shard present");
             // Pending mail emitted exactly at `t` joins the opening
             // round alongside the due deadlines.
             if s.peek() == Some(t) || s.peek_pending() == Some(t) {
@@ -1287,7 +1221,7 @@ where
             }
         }
         if !self.active.is_empty() {
-            self.dispatch(move |s| {
+            self.run_active(|s| {
                 let _ = s.run_instant(t, Cross::Allow);
             });
             self.check_failures()?;
@@ -1298,14 +1232,14 @@ where
     /// Exchanges the mail emitted at `t` through the pending queues in
     /// deterministic rounds until none is in flight.
     fn exchange_mail(&mut self, t: SimTime) -> Result<(), CascadeError> {
-        let limit = u64::from(self.shards[0].as_ref().expect("shard present").limit);
+        let limit = u64::from(self.shards[0].limit);
         let mut rounds = 0u64;
         while self.flush_mail() {
             // Every shard delivered all of its mail due at `t` in the
             // previous round, so a pending head at `t` is this round's.
             self.active.clear();
             for (k, s) in self.shards.iter().enumerate() {
-                if s.as_ref().expect("shard present").peek_pending() == Some(t) {
+                if s.peek_pending() == Some(t) {
                     self.active.push(k);
                 }
             }
@@ -1313,12 +1247,12 @@ where
             if rounds > limit {
                 // Mail ping-pong at one instant that never converges is
                 // the cross-shard flavor of a cascade livelock.
-                let first = self.shards[self.active[0]].as_ref().expect("shard present");
+                let first = &self.shards[self.active[0]];
                 let (_, (dst, _)) = &first.pending[0];
                 let dst = *dst;
                 return self.poison(CascadeError::overflow(t, dst, rounds as u32));
             }
-            self.dispatch(move |s| {
+            self.run_active(|s| {
                 let _ = s.deliver_due_pending(t, Cross::Allow);
             });
             self.check_failures()?;
@@ -1343,15 +1277,11 @@ where
         self.telemetry.clear_metrics();
         for gid in 0..self.len() {
             let (s, l) = self.owner_of(gid);
-            let shard = self.shards[s].as_ref().expect("shard present");
+            let shard = &self.shards[s];
             let mut scope = self.telemetry.scope(&self.labels[gid]);
             shard.nodes[l].publish_telemetry(&mut scope);
         }
-        let routers: Vec<&R> = self
-            .shards
-            .iter()
-            .map(|s| &s.as_ref().expect("shard present").router)
-            .collect();
+        let routers: Vec<&R> = self.shards.iter().map(|s| &s.router).collect();
         R::publish_merged(&routers, &mut self.telemetry);
         let mut sim = self.telemetry.scope("sim");
         sim.gauge("now_ns", self.now.as_ns() as i64);
@@ -1394,7 +1324,6 @@ where
     {
         debug_assert!(
             self.shards.iter().all(|s| {
-                let s = s.as_ref().expect("shard present");
                 s.wave.is_empty()
                     && s.out_buf.is_empty()
                     && s.pending.is_empty()
@@ -1409,7 +1338,7 @@ where
         w.flush_chunk()?;
         for gid in 0..self.len() {
             let (s, l) = self.owner_of(gid);
-            self.shards[s].as_ref().expect("shard present").nodes[l].persist(w.enc());
+            self.shards[s].nodes[l].persist(w.enc());
             w.unit()?;
         }
         w.flush_chunk()?;
@@ -1447,7 +1376,7 @@ where
         }
         for gid in 0..n {
             let (s, l) = self.owner_of(gid);
-            let shard = self.shards[s].as_mut().expect("shard present");
+            let shard = &mut self.shards[s];
             let node = &mut shard.nodes[l];
             r.unit(|dec| node.restore(dec))?;
             if let Some(at) = node.next_deadline().filter(|&at| at < now) {
@@ -1459,7 +1388,6 @@ where
         }
         r.unit(|dec| self.telemetry.restore(dec))?;
         for (k, s) in self.shards.iter_mut().enumerate() {
-            let s = s.as_mut().expect("shard present");
             s.now = now;
             s.events = if k == 0 { events } else { 0 };
         }
@@ -1547,7 +1475,7 @@ mod tests {
     fn mail_merge_order_is_total_for_all_arrival_orders() {
         // Keys with deliberate collisions on every prefix: equal times
         // across shards, equal (time, shard) pairs with distinct seqs.
-        // Whatever order the workers delivered their outboxes in, the
+        // Whatever order the shards delivered their outboxes in, the
         // merged mailbox must come out in one canonical order.
         let keys = [
             MailKey {
@@ -1963,10 +1891,6 @@ mod tests {
         sharded.add_node_labeled(src, "src", 0, false);
         sharded.add_node_labeled(relay, "relay", 0, true);
         sharded.add_node_labeled(dst, "dst", 1, false);
-        // Force pool dispatch even on single-core machines (the default
-        // caps threads at hardware parallelism): the parallel code path
-        // must produce the same bytes as the inline one.
-        sharded.set_threads(2);
         sharded.run_until(horizon);
 
         assert_eq!(sharded.telemetry_json(), single_json);

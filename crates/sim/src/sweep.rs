@@ -289,8 +289,8 @@ mod tests {
 
     #[test]
     fn default_threads_is_positive_and_capped() {
-        assert!(default_threads(0) >= 1);
-        assert!(default_threads(3) <= 3 || default_threads(3) >= 1);
+        assert_eq!(default_threads(0), 1);
+        assert!((1..=3).contains(&default_threads(3)));
         assert_eq!(default_threads(1), 1);
     }
 }

@@ -615,16 +615,13 @@ mod tests {
             "per-node fired/handled totals drifted"
         );
 
-        for threads in [1, 2] {
-            let mut sharded = build_sharded_ring(8, 1_000, 3, 2_500, 2_500, 2);
-            sharded.set_threads(threads);
-            sharded.run_until(horizon);
-            assert_eq!(sharded.events(), single.events(), "threads={threads}");
-            for k in 0..17 {
-                let (s, r) = (sharded.node(NodeId(k)), single.node(NodeId(k)));
-                assert_eq!(s.fired(), r.fired(), "threads={threads} node {k}");
-                assert_eq!(s.handled(), r.handled(), "threads={threads} node {k}");
-            }
+        let mut sharded = build_sharded_ring(8, 1_000, 3, 2_500, 2_500, 2);
+        sharded.run_until(horizon);
+        assert_eq!(sharded.events(), single.events());
+        for k in 0..17 {
+            let (s, r) = (sharded.node(NodeId(k)), single.node(NodeId(k)));
+            assert_eq!(s.fired(), r.fired(), "node {k}");
+            assert_eq!(s.handled(), r.handled(), "node {k}");
         }
     }
 
@@ -724,7 +721,6 @@ mod tests {
 
             for shards in [2usize, 4] {
                 let mut sharded = build_straggler_graph(shape, cells, shards, case);
-                sharded.set_threads(2);
                 sharded.run_until(horizon);
                 assert_eq!(
                     sharded.telemetry_json(),

@@ -20,12 +20,8 @@ static ALLOC: CountingAlloc = CountingAlloc::new();
 
 #[test]
 fn steady_state_sharded_hot_path_allocates_nothing() {
-    // Two shards on one thread (the inline dispatch path — worker
-    // threads have their own stacks and queues, which would charge
-    // pool machinery, not the scheduler, to the counter), with live
-    // cross-shard mail every relay period.
+    // Two shards with live cross-shard mail every relay period.
     let mut h = ctms_sim::synth::build_sharded_ring(16, 1_000, 4, 2_500, 2_500, 2);
-    h.set_threads(1);
     // Nothing influences shard 0 (the cut is one-way), so without a
     // span cap its window would run clear to the horizon and its outbox
     // would grow with the run length — the cap keeps mailbox memory

@@ -294,8 +294,8 @@ impl Ctx<'_> {
 ///
 /// All methods have do-nothing defaults so drivers implement only what
 /// their hardware uses. Drivers are `Send` so a kernel (and the nodes
-/// built from it) can migrate between worker threads of the sharded
-/// scheduler; driver state is plain data, never thread-affine.
+/// built from it) can move to another thread; driver state is plain
+/// data, never thread-affine.
 pub trait Driver: Any + Send {
     /// Short name for diagnostics.
     fn name(&self) -> &'static str;

@@ -18,11 +18,14 @@
 #
 # For every end-to-end metric the table gives both sides' median and
 # quartiles (as statistics.quantiles(n=4) gives them), the number of
-# pairs the working tree won (ties count for neither side), and whether
-# its median is within the metric's bound of BASE's.
+# pairs the working tree won (ties count for neither side), whether its
+# median is within the metric's bound of BASE's, and whether it is a
+# gain: at least nine tenths of the pairs won, and the medians apart in
+# the better direction by more than BASE's q3 - q1.
 #
 # Exits 0 when every run passed its correctness gate with no failed
-# operation and every median is within its bound; 1 otherwise.
+# operation and every median is within its bound; 1 otherwise. The gain
+# column does not affect the exit status.
 set -euo pipefail
 cd "$(git rev-parse --show-toplevel)"
 
@@ -94,7 +97,7 @@ for side, by_seed in runs.items():
 
 seeds = sorted(runs["base"])
 print(f"# {workload}: head (working tree) vs base {base[:12]}, {len(seeds)} pairs")
-print(f"{'metric':<14} {'base median [q1, q3]':>32} {'head median [q1, q3]':>32} {'change':>8} {'wins':>6} {'bound':>6}  verdict")
+print(f"{'metric':<14} {'base median [q1, q3]':>32} {'head median [q1, q3]':>32} {'change':>8} {'wins':>6} {'bound':>6}  {'verdict':<16}  gain")
 for m in metrics:
     name, sign = m["name"], (1 if m["better"] == "higher" else -1)
     pairs = [(runs["base"][s]["metrics"].get(name), runs["head"][s]["metrics"].get(name)) for s in seeds]
@@ -111,7 +114,8 @@ for m in metrics:
     within = sign * change >= -m["bound"]
     ok &= within
     verdict = "within bound" if within else "WORSE than bound"
+    gain = "yes" if 10 * wins >= 9 * len(seeds) and sign * (hm - bm) > bq3 - bq1 else "no"
     side = lambda med, q1, q3: f"{med:.4g} [{q1:.4g}, {q3:.4g}]"
-    print(f"{name:<14} {side(bm, bq1, bq3):>32} {side(hm, hq1, hq3):>32} {change:>+8.1%} {wins:>3}/{len(seeds):<2} {m['bound']:>6}  {verdict}")
+    print(f"{name:<14} {side(bm, bq1, bq3):>32} {side(hm, hq1, hq3):>32} {change:>+8.1%} {wins:>3}/{len(seeds):<2} {m['bound']:>6}  {verdict:<16}  {gain}")
 sys.exit(0 if ok else 1)
 EOF

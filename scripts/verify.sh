@@ -33,7 +33,7 @@ printf '%s\n' \
   | grep -q '"event":"restored","now_ms":1000' \
   || { echo "serve smoke: restore did not land at 1000 ms" >&2; exit 1; }
 
-echo "== ctms-serve hostile-input smoke (deep nesting, truncated, bad-magic, non-hex and advanced-clock checkpoints, a non-UTF-8 line and an overflowing until_ms are typed errors; the session keeps serving)"
+echo "== ctms-serve hostile-input smoke (an oversized ring count, deep nesting, truncated, bad-magic, non-hex and advanced-clock checkpoints, a non-UTF-8 line and an overflowing until_ms are typed errors; the session keeps serving)"
 deep=$(head -c 100000 /dev/zero | tr '\0' '[')
 # The 1 s case-A snapshot's clock is the u64 at byte 87 (hex 174..189);
 # moving it to 1.5 s leaves node deadlines behind the clock.
@@ -41,6 +41,7 @@ deep=$(head -c 100000 /dev/zero | tr '\0' '[')
   || { echo "serve hostile smoke: the clock is not at byte 87" >&2; exit 1; }
 advanced="${ckpt:0:174}002f685900000000${ckpt:190}"
 hostile_out=$(printf '%s\n' \
+  '{"scenario":"chain","rings":65537}' \
   '{"scenario":"case_a","seed":42}' \
   "$deep" \
   "{\"cmd\":\"restore\",\"checkpoint\":\"${ckpt:0:$((${#ckpt} / 4 * 2))}\"}" \
@@ -52,11 +53,13 @@ hostile_out=$(printf '%s\n' \
   '{"cmd":"run","until_ms":100}' \
   '{"cmd":"quit"}' \
   | cargo run --release -q -p ctms-bench --bin serve)
-for n in 2 3 4 5 6 7 8; do
+printf '%s\n' "$hostile_out" | sed -n 1p | grep -qF 'bad session line: \"rings\" out of range' \
+  || { echo "serve hostile smoke: an oversized ring count was not refused" >&2; exit 1; }
+for n in 3 4 5 6 7 8 9; do
   printf '%s\n' "$hostile_out" | sed -n "${n}p" | grep -q '"ok":false' \
     || { echo "serve hostile smoke: reply $n is not a typed error" >&2; exit 1; }
 done
-printf '%s\n' "$hostile_out" | sed -n 9p | grep -q '"event":"ran","now_ms":100' \
+printf '%s\n' "$hostile_out" | sed -n 10p | grep -q '"event":"ran","now_ms":100' \
   || { echo "serve hostile smoke: the session stopped serving" >&2; exit 1; }
 
 echo "== ctms-serve steer smoke (one steer+fork script at 1 and 2 shards: byte-identical replies after ready)"
