@@ -18,7 +18,7 @@
 //!
 //! `seed` defaults to 42; `rings` (chain only) to 16; `shards` to 1. A
 //! chain build may take at most 256 MiB by a measured model (about
-//! 4 KiB per ring, 256 bytes more per ring for each shard past the
+//! 4 KiB per ring, 64 bytes more per ring for each shard past the
 //! first, 64 bytes per ordered pair of distinct shards): past it the
 //! line is `"rings" out of range` (above 65,536 rings, even at one
 //! shard) or `"shards" out of range`, and nothing is built.
@@ -70,8 +70,13 @@
 //! Every reply carries `"ok"`; failures are reported as
 //! `{"ok":false,"error":"..."}` and the session keeps serving. Every
 //! non-blank line gets a reply: one that is not UTF-8 is a `bad command
-//! line: not UTF-8` error. A number is read exactly from its digits;
-//! one that does not fit its field, or overflows once scaled to
+//! line: not UTF-8` error, and one longer than 64 MiB
+//! (`MAX_LINE_BYTES`) is a `bad command line: longer than …` error,
+//! read past without being buffered. A `fork` whose branches, each a
+//! one-shard build of the session's scenario, would together pass the
+//! 256 MiB build budget is a `"branches" out of range` error. A number
+//! is read exactly from its digits; one that does not fit its field, or
+//! overflows once scaled to
 //! nanoseconds, is a `"<key>" out of range` error. A read error on
 //! stdin ends the session, like end of input.
 //! Scheduling failures carry a machine-readable tag alongside the
@@ -82,23 +87,26 @@
 //!
 //! ## Request path
 //!
-//! A `restore` line carries the whole snapshot as hex (over a megabyte
-//! on a 16-ring chain), so its cost is kept to about one pass over its
-//! bytes: one read into a line buffer that lives for the session, one
+//! A session's builds keep no measurement samples, so a snapshot holds
+//! state only (checkpoint format v3): about 9 KB on a 16-ring chain
+//! however long the session has run, and at most about 29 MB on the
+//! largest chain admitted. A `restore` line carries the whole snapshot
+//! as hex, so its cost is kept to about one pass over its bytes: one
+//! bounded read into a line buffer that lives for the session, one
 //! UTF-8 check, a parse whose strings borrow from the line, and one
 //! table decode into a reused snapshot buffer. A `checkpoint` encodes
 //! through one table into a reused hex buffer, a chunk at a time.
 
 use ctms_core::{
-    apply_mutations, fork, Bus, ForkSpec, Measurements, Mutation, RingChainTestbed, Scenario,
-    Testbed,
+    apply_mutations, fork, graph_topology, Bus, ForkSpec, Measurements, Mutation, RingGraph,
+    Scenario, Testbed,
 };
 use ctms_router::BridgeKind;
 use ctms_sim::telemetry::{fnv1a, json_string};
 use ctms_sim::{ChunkSink, Dur, PersistError, SimTime};
 use std::borrow::Cow;
 use std::fmt;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 
 // --- Minimal JSON ---------------------------------------------------------
 //
@@ -599,9 +607,10 @@ const BUILD_BUDGET_BYTES: u64 = 256 << 20;
 /// Peak memory per ring at one shard, rounded up from 3.8 KiB.
 const CHAIN_BYTES_PER_RING: u64 = 4 << 10;
 /// Peak memory per ring for each shard past the first, rounded up from
-/// 212–235 bytes: every shard's router keeps a TAP slot per node and a
-/// truth log per host.
-const BYTES_PER_RING_PER_SHARD: u64 = 256;
+/// 32–62 bytes (1.6·10^4 and 3.3·10^4 rings on 2 to 16 shards): every
+/// shard's router keeps one pointer-sized TAP slot per node, and each
+/// shard's scheduler tables cover the nodes it was handed.
+const BYTES_PER_RING_PER_SHARD: u64 = 64;
 /// Peak memory per ordered pair of distinct shards, rounded up from
 /// about 55 bytes: each shard's outbox per destination shard and the window
 /// protocol's `n × n` influence matrix.
@@ -620,6 +629,19 @@ fn chain_build_bytes(rings: usize, shards: usize) -> u64 {
     let pairs = s.saturating_mul(s - 1).saturating_mul(BYTES_PER_SHARD_PAIR);
     r.saturating_mul(per_ring).saturating_add(pairs)
 }
+
+/// Peak memory of one build of a one-ring scenario (case A or B),
+/// rounded up from the 0.33 MB a case A or B session's peak RSS grows
+/// over a 100 s run.
+const ONE_RING_BUILD_BYTES: u64 = 512 << 10;
+
+/// Longest line `serve` reads, newline excluded: the hex of the largest
+/// admitted session's snapshot, with room to spare. A 65,536-ring chain
+/// snapshots to 25.0 MB at t = 0 and 26.6 MB at 4 s, and to about
+/// 28.7 MB once every ring and bridge has carried traffic (437.8 bytes
+/// per warm ring on 10^3- and 4·10^3-ring chains), so its `restore`
+/// line is at most about 57.4 MB (DESIGN.md §11).
+const MAX_LINE_BYTES: usize = 64 << 20;
 
 /// Every key a session line may carry.
 const SESSION_KEYS: [&str; 5] = ["scenario", "seed", "rings", "shards", "cascade_limit"];
@@ -666,6 +688,15 @@ impl Spec {
         })
     }
 
+    /// Peak memory of one fork branch: a one-shard build of the
+    /// session's scenario.
+    fn branch_bytes(&self) -> u64 {
+        match self.kind {
+            ScenarioKind::CaseA | ScenarioKind::CaseB => ONE_RING_BUILD_BYTES,
+            ScenarioKind::Chain => chain_build_bytes(self.rings, 1),
+        }
+    }
+
     fn scenario(&self) -> Scenario {
         let mut sc = match self.kind {
             ScenarioKind::CaseA => Scenario::test_case_a(self.seed),
@@ -681,15 +712,19 @@ impl Spec {
     /// A fresh build of the session's scenario on `shards` shards
     /// (one-ring scenarios always build one). Checkpoints are
     /// shard-agnostic, so any build restores a snapshot from any other.
+    /// A bare topology build keeps no measurement samples: nothing
+    /// `serve` replies with needs one, so a session's memory and its
+    /// snapshots stay the same size however long it runs.
     fn build(&self, shards: usize) -> Bus {
         let sc = self.scenario();
-        match self.kind {
-            ScenarioKind::CaseA | ScenarioKind::CaseB => Testbed::ctms(&sc).into_bus(),
+        let topo = match self.kind {
+            ScenarioKind::CaseA | ScenarioKind::CaseB => Testbed::ctms_topology(&sc).0,
             ScenarioKind::Chain => {
                 let kind = BridgeKind::cut_through_bridge();
-                RingChainTestbed::chain_sharded(&sc, kind, self.rings, shards).into_bus()
+                graph_topology(&sc, kind, &RingGraph::chain(self.rings)).0
             }
-        }
+        };
+        topo.build_sharded(shards)
     }
 }
 
@@ -784,21 +819,36 @@ const PIPE_CAPACITY: usize = 64 * 1024;
 
 /// Reads the next line into `line`, which the caller keeps for the
 /// whole session so a long line allocates only while the buffer grows,
-/// and returns it trimmed, as a slice of `line`. `None` at end of input
-/// or on a read error, either of which ends the session; `Err` for a
-/// line that is not UTF-8.
+/// and returns it trimmed, as a slice of `line`. At most
+/// [`MAX_LINE_BYTES`] bytes (plus the newline) are buffered: a longer
+/// line is read past to its newline without being kept. `None` at end
+/// of input or on a read error, either of which ends the session;
+/// `Err` for a line that is too long or not UTF-8.
 fn read_line<'b>(
     input: &mut impl BufRead,
     line: &'b mut Vec<u8>,
 ) -> Option<Result<&'b str, String>> {
     line.clear();
-    match input.read_until(b'\n', line) {
-        Ok(0) => None,
-        Ok(_) => Some(
+    let bounded = (MAX_LINE_BYTES + 1) as u64;
+    let read = Read::take(&mut *input, bounded)
+        .read_until(b'\n', line)
+        .and_then(|n| {
+            if line.len() > MAX_LINE_BYTES && line.last() != Some(&b'\n') {
+                line.clear();
+                input.skip_until(b'\n')?;
+                Ok(Err(format!("longer than {MAX_LINE_BYTES} bytes")))
+            } else {
+                Ok(Ok(n))
+            }
+        });
+    match read {
+        Ok(Ok(0)) => None,
+        Ok(Ok(_)) => Some(
             std::str::from_utf8(line)
                 .map(str::trim)
                 .map_err(|_| "not UTF-8".to_string()),
         ),
+        Ok(Err(too_long)) => Some(Err(too_long)),
         Err(e) => {
             eprintln!("serve: reading stdin failed ({e}); ending the session");
             None
@@ -1004,6 +1054,11 @@ fn command(
                 })
                 .collect::<Result<Vec<ForkSpec>, String>>()?;
             let n = branches.len();
+            // Each branch is a one-shard build of the session's
+            // scenario; together they stay within the build budget.
+            if (n as u64).saturating_mul(spec.branch_bytes()) > BUILD_BUDGET_BYTES {
+                return Err(out_of_range("branches"));
+            }
             let snapshot = bus.checkpoint();
             let build_spec = spec.clone();
             let summaries = fork(
@@ -1048,7 +1103,6 @@ fn command(
 mod tests {
     use super::*;
     use ctms_sim::{CascadeError, NodeId};
-    use std::io::Read;
 
     fn line(e: &CascadeError) -> String {
         let mut buf = Vec::new();
@@ -1307,15 +1361,15 @@ mod tests {
         };
         // The largest one-shard chain fills the budget exactly.
         assert_eq!(chain_build_bytes(65_536, 1), BUILD_BUDGET_BYTES);
-        for (rings, shards) in [(65_536, 1), (4_096, 128), (1_024, 800), (16, 50_000_000)] {
+        for (rings, shards) in [(65_536, 1), (4_096, 256), (1_024, 1_024), (16, 50_000_000)] {
             assert_eq!(chain(rings, shards), Ok((rings, shards)));
         }
         for (rings, shards, key) in [
             (65_537, 1, "rings"),
             (50_000_000, 1, "rings"),
             (65_536, 2, "shards"),
-            (4_096, 256, "shards"),
-            (1_024, 1_024, "shards"),
+            (4_096, 1_024, "shards"),
+            (2_048, 2_048, "shards"),
         ] {
             assert_eq!(
                 chain(rings, shards),
@@ -1341,6 +1395,92 @@ mod tests {
             "{}",
             replies[1]
         );
+    }
+
+    /// Yields `len` bytes of `x` on demand, then a newline: an
+    /// over-long line that is never held in memory at once.
+    struct LongLine {
+        left: u64,
+    }
+
+    impl Read for LongLine {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            if self.left == 0 {
+                return Ok(0);
+            }
+            let n = buf
+                .len()
+                .min(usize::try_from(self.left).unwrap_or(usize::MAX));
+            if n == 0 {
+                return Ok(0);
+            }
+            buf[..n].fill(b'x');
+            self.left -= n as u64;
+            if self.left == 0 {
+                buf[n - 1] = b'\n';
+            }
+            Ok(n)
+        }
+    }
+
+    /// A line one byte past the cap gets exactly one typed reply, before
+    /// and after the session line, and the session keeps serving; the
+    /// line is read past, not buffered.
+    #[test]
+    fn over_long_lines_get_one_typed_reply() {
+        let too_long = || LongLine {
+            left: MAX_LINE_BYTES as u64 + 2,
+        };
+        let input = too_long()
+            .chain(b"{\"scenario\":\"case_a\"}\n".as_slice())
+            .chain(too_long())
+            .chain(b"{\"cmd\":\"run\",\"until_ms\":5}\n{\"cmd\":\"quit\"}\n".as_slice());
+        let mut out = Vec::new();
+        serve(BufReader::new(input), &mut out);
+        let replies: Vec<String> = String::from_utf8(out)
+            .unwrap()
+            .lines()
+            .map(str::to_string)
+            .collect();
+        let cap = format!("longer than {MAX_LINE_BYTES} bytes");
+        assert_eq!(replies.len(), 5, "{replies:#?}");
+        assert_eq!(
+            replies[0],
+            format!("{{\"ok\":false,\"error\":\"bad session line: {cap}\"}}")
+        );
+        assert!(replies[1].starts_with(r#"{"ok":true,"event":"ready""#));
+        assert_eq!(
+            replies[2],
+            format!("{{\"ok\":false,\"error\":\"bad command line: {cap}\"}}")
+        );
+        assert!(replies[3].starts_with(r#"{"ok":true,"event":"ran","now_ms":5,"#));
+        assert_eq!(replies[4], r#"{"ok":true,"event":"bye"}"#);
+    }
+
+    /// A fork whose branches, each a one-shard build, would together
+    /// pass the build budget is refused before any branch runs.
+    #[test]
+    fn fork_branch_counts_are_capped() {
+        let case_a = spec(r#"{"scenario":"case_a"}"#).unwrap();
+        assert_eq!(case_a.branch_bytes() * 512, BUILD_BUDGET_BYTES);
+        let chain = spec(r#"{"scenario":"chain","rings":16,"shards":2}"#).unwrap();
+        assert_eq!(chain.branch_bytes() * 4_096, BUILD_BUDGET_BYTES);
+        let fork = |n: usize| {
+            let branches = vec!["[]"; n].join(",");
+            format!("{{\"cmd\":\"fork\",\"until_ms\":0,\"branches\":[{branches}]}}\n")
+        };
+        for (session_line, n) in [
+            (r#"{"scenario":"case_a"}"#, 513),
+            (r#"{"scenario":"chain","rings":16,"shards":2}"#, 4_097),
+        ] {
+            let input = format!("{session_line}\n{}{{\"cmd\":\"quit\"}}\n", fork(n));
+            let replies = session(input.as_bytes());
+            assert_eq!(replies.len(), 3, "{replies:#?}");
+            assert_eq!(
+                replies[1],
+                r#"{"ok":false,"error":"\"branches\" out of range"}"#
+            );
+        }
     }
 
     /// Every non-blank line gets exactly one reply, including one that

@@ -85,8 +85,12 @@ impl RingChainTestbed {
         shards: usize,
     ) -> RingChainTestbed {
         let (topo, vca_src, vca_sink) = graph_topology(sc, kind, graph);
+        // The testbed hands samples out (`measurement_set`), so it keeps
+        // them; a bare `build_sharded` bus does not.
+        let mut bus = topo.build_sharded(shards);
+        bus.attach_history();
         RingChainTestbed {
-            bus: topo.build_sharded(shards),
+            bus,
             vca_src,
             vca_sink,
         }

@@ -4,8 +4,11 @@
 //! A checkpoint captures **every** piece of dynamic run state — the
 //! clock, each node's component state (rings, full host kernels,
 //! bridges, background traffic), the RNG streams, the telemetry
-//! event/phase history, and the router's measurement ground truth — in
-//! one canonical byte stream behind a magic/version header. Restore
+//! event/phase history, and the router's measurement accumulators — in
+//! one canonical byte stream behind a magic/version header. Raw
+//! measurement samples are history, not state: a restored bus counts,
+//! digests and bins from t = 0, and keeps samples (where its build keeps
+//! any) only from the restore point on. Restore
 //! rebuilds the identical topology from the same scenario description
 //! and applies the stream in place, after which continuing the run is
 //! indistinguishable from never having stopped: telemetry JSON and
@@ -47,7 +50,14 @@ pub const CHECKPOINT_MAGIC: [u8; 8] = *b"CTMSCKPT";
 ///   built from the same graph description — at *any* shard count —
 ///   and a tree snapshot aimed at a mesh build fails loudly instead of
 ///   desynchronizing.
-pub const CHECKPOINT_VERSION: u32 = 2;
+/// * **3** — the router chunk holds state, not history: per TAP its
+///   capture, class and stream-order accumulators instead of every
+///   capture record; per truth log its count, running FNV-1a digest
+///   and first/last instant instead of every edge; per measurement
+///   stream a count instead of every sample; plus the
+///   presentation-gap histogram and the last folded presentation. A
+///   snapshot's size no longer grows with simulated time.
+pub const CHECKPOINT_VERSION: u32 = 3;
 
 /// Header, topology signature, then the bus's dynamic state. The
 /// header and signature close the first chunk together with the

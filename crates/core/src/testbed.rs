@@ -18,7 +18,7 @@ use ctms_devices::{
 };
 use ctms_measure::{MeasurementSet, Tap};
 use ctms_rtpc::{Machine, MachineConfig, MemRegion};
-use ctms_sim::{CascadeError, Dur, EdgeLog, Pcg32, SimTime};
+use ctms_sim::{CascadeError, Dur, EdgeLog, History, Pcg32, SimTime};
 use ctms_tokenring::{RingCmd, StationId, TokenRing};
 use ctms_unixkern::{
     DriverId, DropSite, Host, KernConfig, Kernel, MeasurePoint, Pid, Port, Program, Sock,
@@ -62,6 +62,16 @@ pub struct Roles {
     pub stock_procs: Option<(Pid, Pid)>,
 }
 
+/// Builds `topo` on one shard with the history sink attached: a
+/// testbed hands samples out ([`Testbed::measurement_set`],
+/// [`Testbed::presented`], [`Testbed::tap`]'s records), so it keeps
+/// them from t = 0.
+fn recording(topo: Topology) -> Bus {
+    let mut bus = topo.build();
+    bus.attach_history();
+    bus
+}
+
 /// The assembled single-ring testbed. See module docs.
 pub struct Testbed {
     bus: Bus,
@@ -80,7 +90,7 @@ impl Testbed {
     pub fn ctms(sc: &Scenario) -> Testbed {
         let (topo, roles) = Self::ctms_topology(sc);
         Testbed {
-            bus: topo.build(),
+            bus: recording(topo),
             roles,
             streams: Vec::new(),
         }
@@ -330,7 +340,7 @@ impl Testbed {
 
         let roles = streams[0];
         Testbed {
-            bus: topo.build(),
+            bus: recording(topo),
             roles,
             streams,
         }
@@ -435,7 +445,7 @@ impl Testbed {
         }
 
         Testbed {
-            bus: topo.build(),
+            bus: recording(topo),
             roles: Roles {
                 tx_host: 0,
                 rx_host: 1,
@@ -584,12 +594,14 @@ impl Testbed {
         self.bus.measurements().truth_log(host, point)
     }
 
-    /// All recorded drops.
-    pub fn drops(&self) -> &[DropRec] {
+    /// Recorded drops. Like every sample stream here, its `len` counts
+    /// from t = 0 and its samples run from the build or the last
+    /// restore.
+    pub fn drops(&self) -> &History<DropRec> {
         self.bus.measurements().drops()
     }
 
-    /// Bytes lost at a specific site, summed.
+    /// Bytes lost at a specific site, summed over the kept drops.
     pub fn dropped_bytes(&self, site: DropSite) -> u64 {
         self.drops()
             .iter()
@@ -599,22 +611,22 @@ impl Testbed {
     }
 
     /// CTMS payload presentations at the sink: `(time, tag, bytes)`.
-    pub fn presented(&self) -> &[(SimTime, u64, u32)] {
+    pub fn presented(&self) -> &History<(SimTime, u64, u32)> {
         self.bus.measurements().presented()
     }
 
     /// Socket deliveries (stock path): `(time, port, bytes)`.
-    pub fn sock_delivered(&self) -> &[(SimTime, Port, u32)] {
+    pub fn sock_delivered(&self) -> &History<(SimTime, Port, u32)> {
         self.bus.measurements().sock_delivered()
     }
 
     /// Purge-sequence start times.
-    pub fn purge_starts(&self) -> &[SimTime] {
+    pub fn purge_starts(&self) -> &History<SimTime> {
         self.bus.measurements().purge_starts()
     }
 
     /// Frames destroyed by purges: `(time, tag)`.
-    pub fn lost_to_purge(&self) -> &[(SimTime, u64)] {
+    pub fn lost_to_purge(&self) -> &History<(SimTime, u64)> {
         self.bus.measurements().lost_to_purge()
     }
 

@@ -25,9 +25,10 @@
 use crate::testbed::DropRec;
 use ctms_measure::{Tap, TapCfg};
 use ctms_router::{Bridge, BridgeCmd, BridgeOut};
+use ctms_sim::telemetry::Hist;
 use ctms_sim::{
-    CascadeError, CmdSink, Component, Dur, EdgeLog, Harness, NodeId, PersistError, Registry,
-    Router, ShardStats, SimTime,
+    CascadeError, CmdSink, Component, Dur, EdgeLog, Harness, History, NodeId, PersistError,
+    Registry, Router, ShardStats, SimTime,
 };
 use ctms_tokenring::{RingCmd, RingOut, StationId, TokenRing};
 use ctms_unixkern::{
@@ -184,25 +185,102 @@ enum Slot {
 /// Ground truth recorded while routing: every measurement stream the
 /// experiment suite consumes, absorbed by the router so measurement
 /// infrastructure needs no scheduling of its own.
-#[derive(Default)]
+///
+/// Each stream is state plus history (DESIGN.md §8): running
+/// accumulators — counts, truth-log digests, the presentation-gap
+/// histogram — that a checkpoint carries and that never grow, and the
+/// raw samples, which only a build with a history sink attached keeps
+/// (the testbeds that hand samples out: [`crate::Testbed`],
+/// [`crate::RingChainTestbed`]). A bare [`Topology::build_sharded`] bus
+/// keeps no samples. Counts always run from t = 0; samples run from
+/// the build or the last restore.
 pub struct Measurements {
     /// Per-host trace points (the paper's measurement points 1–4).
     truth: Vec<HashMap<MeasurePoint, EdgeLog>>,
     /// Every recorded loss, across hosts and ring queues.
-    drops: Vec<DropRec>,
+    drops: History<DropRec>,
     /// CTMS payload presentations at sinks: `(time, tag, bytes)`.
-    presented: Vec<(SimTime, u64, u32)>,
+    presented: History<(SimTime, u64, u32)>,
     /// Socket deliveries (stock path): `(time, port, bytes)`.
-    sock_delivered: Vec<(SimTime, Port, u32)>,
+    sock_delivered: History<(SimTime, Port, u32)>,
     /// Purge-sequence start instants.
-    purge_starts: Vec<SimTime>,
+    purge_starts: History<SimTime>,
     /// Frames destroyed by purges: `(time, tag)`.
-    lost_to_purge: Vec<(SimTime, u64)>,
+    lost_to_purge: History<(SimTime, u64)>,
     /// Frames dropped inside bridges (queue overflow).
     bridge_drops: u64,
+    /// Presentation instants of the current run call, not yet folded
+    /// into the gap histogram ([`Bus`] folds them once every shard has
+    /// settled).
+    unfolded: Vec<SimTime>,
+    /// Inter-presentation gaps in ms (1 ms bins up to 64 ms), folded in
+    /// global time order. Only shard 0's part folds; the others stay
+    /// empty.
+    gaps: Hist,
+    /// The last folded presentation instant (shard 0's part).
+    last_presented: Option<SimTime>,
+    /// Whether truth logs created from now on keep their edges.
+    history: bool,
+}
+
+/// A host's truth log for one point, keeping its edges or not.
+fn truth_log(host: usize, point: MeasurePoint, history: bool) -> EdgeLog {
+    let name = format!("h{host}-{point:?}");
+    if history {
+        EdgeLog::new(name)
+    } else {
+        EdgeLog::summary(name)
+    }
+}
+
+/// The presentation-gap histogram's shape: 1 ms bins up to 64 ms.
+fn gap_hist() -> Hist {
+    Hist::new(1, 64)
+}
+
+/// Folds presentation `instants`, in time order and none before `last`,
+/// into `gaps`, moving `last` to the latest.
+fn fold_gaps(gaps: &mut Hist, last: &mut Option<SimTime>, instants: &[SimTime]) {
+    for &t in instants {
+        if let Some(prev) = *last {
+            gaps.record(t.since(prev).as_ns() / 1_000_000);
+        }
+        *last = Some(t);
+    }
 }
 
 impl Measurements {
+    /// Empty ground truth for `n_hosts` hosts, keeping no samples.
+    fn new(n_hosts: usize) -> Self {
+        Measurements {
+            truth: (0..n_hosts).map(|_| HashMap::new()).collect(),
+            drops: History::summary(),
+            presented: History::summary(),
+            sock_delivered: History::summary(),
+            purge_starts: History::summary(),
+            lost_to_purge: History::summary(),
+            bridge_drops: 0,
+            unfolded: Vec::new(),
+            gaps: gap_hist(),
+            last_presented: None,
+            history: false,
+        }
+    }
+
+    /// Attaches the history sink: every stream keeps its samples from
+    /// now on.
+    fn attach_history(&mut self) {
+        self.history = true;
+        for log in self.truth.iter_mut().flat_map(HashMap::values_mut) {
+            log.attach_history();
+        }
+        self.drops.attach_history();
+        self.presented.attach_history();
+        self.sock_delivered.attach_history();
+        self.purge_starts.attach_history();
+        self.lost_to_purge.attach_history();
+    }
+
     /// Per-host trace log for one measurement point, if recorded.
     pub fn truth_log(&self, host: usize, point: MeasurePoint) -> Option<&EdgeLog> {
         self.truth.get(host).and_then(|m| m.get(&point))
@@ -213,31 +291,31 @@ impl Measurements {
     pub fn truth_log_or_empty(&self, host: usize, point: MeasurePoint) -> EdgeLog {
         self.truth_log(host, point)
             .cloned()
-            .unwrap_or_else(|| EdgeLog::new(format!("h{host}-{point:?}")))
+            .unwrap_or_else(|| truth_log(host, point, true))
     }
 
-    /// All recorded drops.
-    pub fn drops(&self) -> &[DropRec] {
+    /// Recorded drops.
+    pub fn drops(&self) -> &History<DropRec> {
         &self.drops
     }
 
     /// CTMS payload presentations at sinks.
-    pub fn presented(&self) -> &[(SimTime, u64, u32)] {
+    pub fn presented(&self) -> &History<(SimTime, u64, u32)> {
         &self.presented
     }
 
     /// Socket deliveries (stock path).
-    pub fn sock_delivered(&self) -> &[(SimTime, Port, u32)] {
+    pub fn sock_delivered(&self) -> &History<(SimTime, Port, u32)> {
         &self.sock_delivered
     }
 
     /// Purge-sequence start instants.
-    pub fn purge_starts(&self) -> &[SimTime] {
+    pub fn purge_starts(&self) -> &History<SimTime> {
         &self.purge_starts
     }
 
     /// Frames destroyed by purges.
-    pub fn lost_to_purge(&self) -> &[(SimTime, u64)] {
+    pub fn lost_to_purge(&self) -> &History<(SimTime, u64)> {
         &self.lost_to_purge
     }
 
@@ -252,8 +330,10 @@ impl Measurements {
 pub struct CtmsRouter {
     /// The wiring table, shared (not cloned) across shard routers.
     slots: Arc<[Slot]>,
-    /// TAP monitor per ring node (same index space as `slots`).
-    taps: Vec<Option<Tap>>,
+    /// TAP monitor per node (same index space as `slots`): `Some` for
+    /// the rings this shard owns. Boxed, so a node another shard owns
+    /// costs one pointer here, not a whole monitor.
+    taps: Vec<Option<Box<Tap>>>,
     /// Hosts notified (as a driver call) when a ring purge starts.
     purge_subscribers: Vec<(NodeId, DriverId)>,
     m: Measurements,
@@ -267,9 +347,16 @@ impl CtmsRouter {
 
     /// The TAP attached to a ring node.
     fn tap(&self, ring: NodeId) -> &Tap {
-        self.taps[ring.0]
-            .as_ref()
-            .expect("node is a ring with a tap")
+        self.own_tap(ring.0).expect("node is a ring with a tap")
+    }
+
+    /// The TAP of node `node` if it is a ring this shard owns.
+    fn own_tap(&self, node: usize) -> Option<&Tap> {
+        self.taps[node].as_deref()
+    }
+
+    fn own_tap_mut(&mut self, node: usize) -> Option<&mut Tap> {
+        self.taps[node].as_deref_mut()
     }
 }
 
@@ -290,51 +377,45 @@ impl Router<Node> for CtmsRouter {
 /// order), and the inter-presentation histogram the paper's glitch
 /// analysis reads (1 ms bins up to 64 ms) — the same tree at every
 /// shard count (the shard-parity tests pin it). Aggregate counters are
-/// sums over the shard routers; presentations are re-merged by time
-/// (each sink's stream is already chronological, and tie order cannot
-/// change the gap histogram); each TAP and each truth log is owned by
-/// exactly one shard (the ring's or host's owner), so merging is
-/// selection, not summation.
+/// sums over the shard routers; the gap histogram was folded in global
+/// time order by [`Bus`] after the last run call (each sink's stream is
+/// chronological, and tie order cannot change the gaps); each TAP and
+/// each truth log is owned by exactly one shard (the ring's or host's
+/// owner), so merging is selection, not summation.
 impl ctms_sim::MergeTelemetry for CtmsRouter {
     fn publish_merged(parts: &[&Self], reg: &mut Registry) {
         use ctms_sim::Instrument as _;
+        let total = |count: fn(&Measurements) -> usize| -> u64 {
+            parts.iter().map(|p| count(&p.m) as u64).sum()
+        };
         let mut m = reg.scope("measure");
-        m.counter("drops", parts.iter().map(|p| p.m.drops.len() as u64).sum());
-        m.counter(
-            "presented",
-            parts.iter().map(|p| p.m.presented.len() as u64).sum(),
-        );
-        m.counter(
-            "sock_delivered",
-            parts.iter().map(|p| p.m.sock_delivered.len() as u64).sum(),
-        );
-        m.counter(
-            "purge_starts",
-            parts.iter().map(|p| p.m.purge_starts.len() as u64).sum(),
-        );
-        m.counter(
-            "lost_to_purge",
-            parts.iter().map(|p| p.m.lost_to_purge.len() as u64).sum(),
-        );
+        m.counter("drops", total(|m| m.drops.len()));
+        m.counter("presented", total(|m| m.presented.len()));
+        m.counter("sock_delivered", total(|m| m.sock_delivered.len()));
+        m.counter("purge_starts", total(|m| m.purge_starts.len()));
+        m.counter("lost_to_purge", total(|m| m.lost_to_purge.len()));
         m.counter("bridge_drops", parts.iter().map(|p| p.m.bridge_drops).sum());
-        let mut presented: Vec<SimTime> = parts
+        // A cascade failure snapshots the tree mid-call, before `Bus`
+        // folds the call's presentations; fold them into a copy.
+        let mut unfolded: Vec<SimTime> = parts
             .iter()
-            .flat_map(|p| p.m.presented.iter().map(|e| e.0))
+            .flat_map(|p| p.m.unfolded.iter().copied())
             .collect();
-        presented.sort();
-        if presented.len() >= 2 {
-            let mut gaps = ctms_sim::telemetry::Hist::new(1, 64);
-            for w in presented.windows(2) {
-                gaps.record(w[1].since(w[0]).as_ns() / 1_000_000);
-            }
-            m.hist("presented_gap_ms", gaps);
+        let mut gaps = std::borrow::Cow::Borrowed(&parts[0].m.gaps);
+        if !unfolded.is_empty() {
+            unfolded.sort_unstable();
+            let mut last = parts[0].m.last_presented;
+            fold_gaps(gaps.to_mut(), &mut last, &unfolded);
+        }
+        if gaps.total() > 0 {
+            m.hist("presented_gap_ms", gaps.into_owned());
         }
         // Every ring slot has its TAP in exactly one part; numbering
         // follows slot order.
         let n_slots = parts.first().map_or(0, |p| p.slots.len());
         let mut k = 0;
         for i in 0..n_slots {
-            if let Some(tap) = parts.iter().find_map(|p| p.taps[i].as_ref()) {
+            if let Some(tap) = parts.iter().find_map(|p| p.own_tap(i)) {
                 tap.publish(&mut m.scope(&format!("tap.ring{k}")));
                 k += 1;
             }
@@ -385,7 +466,7 @@ impl CtmsRouter {
                 }
             }
             RingOut::Observed(view) => {
-                if let Some(tap) = self.taps[src.0].as_mut() {
+                if let Some(tap) = self.own_tap_mut(src.0) {
                     tap.observe(now, &view);
                 }
             }
@@ -428,9 +509,10 @@ impl CtmsRouter {
         match out {
             HostOut::RingSubmit(frame) => sink.push(ring, Cmd::Ring(RingCmd::Submit(frame))),
             HostOut::Trace { point, tag } => {
+                let history = self.m.history;
                 self.m.truth[index]
                     .entry(point)
-                    .or_insert_with(|| EdgeLog::new(format!("h{index}-{point:?}")))
+                    .or_insert_with(|| truth_log(index, point, history))
                     .record(now, tag);
             }
             HostOut::Drop { site, tag, bytes } => {
@@ -444,6 +526,7 @@ impl CtmsRouter {
             }
             HostOut::Presented { tag, bytes } => {
                 self.m.presented.push((now, tag, bytes));
+                self.m.unfolded.push(now);
             }
             HostOut::SockDelivered { port, bytes } => {
                 self.m.sock_delivered.push((now, port, bytes));
@@ -753,15 +836,12 @@ impl Topology {
                     .enumerate()
                     .map(|(i, sl)| {
                         (matches!(sl, Slot::Ring { .. }) && ring_shard(i) == shard)
-                            .then(|| Tap::new(TapCfg::default()))
+                            .then(|| Box::new(Tap::summary(TapCfg::default())))
                     })
                     .collect(),
                 // Only a one-shard build has subscribers (see above).
                 purge_subscribers: purge_subscribers.clone(),
-                m: Measurements {
-                    truth: (0..n_hosts).map(|_| HashMap::new()).collect(),
-                    ..Measurements::default()
-                },
+                m: Measurements::new(n_hosts),
             })
             .collect();
 
@@ -845,12 +925,51 @@ impl Bus {
 
     /// Runs until `horizon`; panics on cascade overflow.
     pub fn run_until(&mut self, horizon: SimTime) {
-        self.h.run_until(horizon);
+        if let Err(e) = self.try_run_until(horizon) {
+            panic!("{e}");
+        }
     }
 
     /// Runs until `horizon`, reporting cascade overflow as an error.
     pub fn try_run_until(&mut self, horizon: SimTime) -> Result<(), CascadeError> {
-        self.h.try_run_until(horizon)
+        let ran = self.h.try_run_until(horizon);
+        self.fold_presentations();
+        ran
+    }
+
+    /// Keeps every measurement sample from now on: TAP records, truth
+    /// edges, drops, presentations, socket deliveries and purges. The
+    /// testbeds whose API hands samples out attach it right after the
+    /// build; nothing else does, and it is never checkpointed.
+    pub(crate) fn attach_history(&mut self) {
+        for part in self.h.routers_mut() {
+            part.m.attach_history();
+            for tap in part.taps.iter_mut().flatten() {
+                tap.attach_history();
+            }
+        }
+    }
+
+    /// Folds the presentations of the last run call or injection into
+    /// shard 0's gap histogram in global time order. Every shard has
+    /// settled at the call's end, so no later presentation can precede
+    /// one folded here.
+    fn fold_presentations(&mut self) {
+        let mut parts = self.h.routers_mut();
+        let first = &mut parts.next().expect("a bus has a router per shard").m;
+        let mut merged = false;
+        for part in parts {
+            if !part.m.unfolded.is_empty() {
+                first.unfolded.extend_from_slice(&part.m.unfolded);
+                part.m.unfolded.clear();
+                merged = true;
+            }
+        }
+        if merged {
+            first.unfolded.sort_unstable();
+        }
+        fold_gaps(&mut first.gaps, &mut first.last_presented, &first.unfolded);
+        first.unfolded.clear();
     }
 
     /// Number of rings.
@@ -959,7 +1078,9 @@ impl Bus {
     /// current instant, routing its fallout like any other event — at
     /// any shard count.
     pub fn inject_ring(&mut self, k: usize, cmd: RingCmd) -> Result<(), CascadeError> {
-        self.h.inject(self.ring_nodes[k], Cmd::Ring(cmd))
+        let injected = self.h.inject(self.ring_nodes[k], Cmd::Ring(cmd));
+        self.fold_presentations();
+        injected
     }
 
     /// The telemetry registry as last collected (see
@@ -1030,7 +1151,8 @@ impl Bus {
     ) -> Result<(), PersistError> {
         self.h.restore_state(r)?;
         let now = self.h.now();
-        let ckpt = r.unit(decode_router_state)?;
+        let (rings, hosts) = (self.ring_count(), self.host_count());
+        let ckpt = r.unit(|dec| decode_router_state(dec, rings, hosts))?;
         apply_router_ckpt(&mut self.h.routers_mut().collect::<Vec<_>>(), ckpt, now)
     }
 }
@@ -1042,8 +1164,10 @@ impl Bus {
 // nodes in global registration order; the router side is handled here by
 // merging the per-shard parts into one canonical stream at persist time
 // and re-distributing at restore time (taps to the ring's owner, truth
-// logs to the host's owner, flat lists to shard 0 — merged telemetry is
-// order-insensitive by construction).
+// logs to the host's owner, counts and the presentation-gap state to
+// shard 0 — merged telemetry sums counts, so their placement is
+// unobservable). The router chunk carries state only (format v3): no
+// sample a history sink kept is ever written.
 
 impl ctms_sim::Persist for Node {
     /// One kind tag (checked against the rebuilt topology on restore)
@@ -1139,65 +1263,29 @@ fn restore_measure_point(
     })
 }
 
-fn persist_drop_site(enc: &mut ctms_sim::Enc, site: DropSite) {
-    enc.u8(match site {
-        DropSite::VcaOverrun => 0,
-        DropSite::MbufExhausted => 1,
-        DropSite::IfqFull => 2,
-        DropSite::SockbufFull => 3,
-        DropSite::RingQueue => 4,
-        DropSite::Purge => 5,
-        DropSite::Duplicate => 6,
-        DropSite::Underrun => 7,
-        DropSite::AdapterOverrun => 8,
-        DropSite::UnknownProto => 9,
-    });
-}
-
-fn restore_drop_site(dec: &mut ctms_sim::Dec<'_>) -> Result<DropSite, ctms_sim::PersistError> {
-    Ok(match dec.u8()? {
-        0 => DropSite::VcaOverrun,
-        1 => DropSite::MbufExhausted,
-        2 => DropSite::IfqFull,
-        3 => DropSite::SockbufFull,
-        4 => DropSite::RingQueue,
-        5 => DropSite::Purge,
-        6 => DropSite::Duplicate,
-        7 => DropSite::Underrun,
-        8 => DropSite::AdapterOverrun,
-        9 => DropSite::UnknownProto,
-        tag => {
-            return Err(ctms_sim::PersistError::BadTag {
-                what: "drop site",
-                tag,
-            })
-        }
-    })
-}
-
 /// Decoded router-side checkpoint state, ready for [`apply_router_ckpt`]
 /// to distribute across one or more router parts.
 pub(crate) struct RouterCkpt {
     /// One TAP per ring slot, in slot order.
-    pub(crate) taps: Vec<Tap>,
+    taps: Vec<Tap>,
     /// Per-host truth logs, points in canonical tag order.
-    pub(crate) truth: Vec<Vec<(MeasurePoint, EdgeLog)>>,
-    pub(crate) drops: Vec<DropRec>,
-    pub(crate) presented: Vec<(SimTime, u64, u32)>,
-    pub(crate) sock_delivered: Vec<(SimTime, Port, u32)>,
-    pub(crate) purge_starts: Vec<SimTime>,
-    pub(crate) lost_to_purge: Vec<(SimTime, u64)>,
-    pub(crate) bridge_drops: u64,
+    truth: Vec<Vec<(MeasurePoint, EdgeLog)>>,
+    drops: u64,
+    presented: u64,
+    sock_delivered: u64,
+    purge_starts: u64,
+    lost_to_purge: u64,
+    bridge_drops: u64,
+    gaps: Hist,
+    last_presented: Option<SimTime>,
 }
 
 /// Appends the canonical merged router state of `parts` (one part per
-/// shard) to `w` as its own
-/// chunk. Each TAP and each host's truth logs live in exactly one part;
-/// flat event lists are chronological within each part and are merged
-/// by a stable sort on time, so the bytes do not depend on the shard
-/// count beyond same-instant tie order — which nothing downstream
-/// observes (merged telemetry uses only counts and the sorted time
-/// multiset).
+/// shard) to `w` as its own chunk: each TAP's and each truth log's
+/// accumulators (each lives in exactly one part), the stream counts
+/// summed over the parts, and the presentation-gap histogram with the
+/// last folded presentation. The bytes do not depend on the shard
+/// count, and none of them is a sample.
 pub(crate) fn persist_router_parts(
     parts: &[&CtmsRouter],
     w: &mut ctms_sim::ChunkedWriter<'_>,
@@ -1211,7 +1299,7 @@ pub(crate) fn persist_router_parts(
     for slot in ring_slots {
         let tap = parts
             .iter()
-            .find_map(|p| p.taps[slot].as_ref())
+            .find_map(|p| p.own_tap(slot))
             .expect("every ring slot has its tap in exactly one part");
         tap.persist(enc);
     }
@@ -1231,204 +1319,193 @@ pub(crate) fn persist_router_parts(
         }
     }
 
-    let mut drops: Vec<&DropRec> = parts.iter().flat_map(|p| p.m.drops.iter()).collect();
-    drops.sort_by_key(|d| d.at);
-    enc.seq_len(drops.len());
-    for d in drops {
-        enc.time(d.at);
-        enc.u32(d.host as u32);
-        persist_drop_site(enc, d.site);
-        enc.u64(d.tag);
-        enc.u32(d.bytes);
-    }
-
-    let mut presented: Vec<(SimTime, u64, u32)> = parts
-        .iter()
-        .flat_map(|p| p.m.presented.iter().copied())
-        .collect();
-    presented.sort_by_key(|e| e.0);
-    enc.seq_len(presented.len());
-    for (at, tag, bytes) in presented {
-        enc.time(at);
-        enc.u64(tag);
-        enc.u32(bytes);
-    }
-
-    let mut sock: Vec<(SimTime, Port, u32)> = parts
-        .iter()
-        .flat_map(|p| p.m.sock_delivered.iter().copied())
-        .collect();
-    sock.sort_by_key(|e| e.0);
-    enc.seq_len(sock.len());
-    for (at, port, bytes) in sock {
-        enc.time(at);
-        enc.u16(port.0);
-        enc.u32(bytes);
-    }
-
-    let mut purges: Vec<SimTime> = parts
-        .iter()
-        .flat_map(|p| p.m.purge_starts.iter().copied())
-        .collect();
-    purges.sort();
-    enc.seq_len(purges.len());
-    for at in purges {
-        enc.time(at);
-    }
-
-    let mut lost: Vec<(SimTime, u64)> = parts
-        .iter()
-        .flat_map(|p| p.m.lost_to_purge.iter().copied())
-        .collect();
-    lost.sort_by_key(|e| e.0);
-    enc.seq_len(lost.len());
-    for (at, tag) in lost {
-        enc.time(at);
-        enc.u64(tag);
-    }
-
+    let total = |count: fn(&Measurements) -> usize| -> u64 {
+        parts.iter().map(|p| count(&p.m) as u64).sum()
+    };
+    enc.u64(total(|m| m.drops.len()));
+    enc.u64(total(|m| m.presented.len()));
+    enc.u64(total(|m| m.sock_delivered.len()));
+    enc.u64(total(|m| m.purge_starts.len()));
+    enc.u64(total(|m| m.lost_to_purge.len()));
     enc.u64(parts.iter().map(|p| p.m.bridge_drops).sum());
+    debug_assert!(
+        parts.iter().all(|p| p.m.unfolded.is_empty()),
+        "checkpoint taken before the presentation fold"
+    );
+    first.m.gaps.persist(enc);
+    enc.opt(first.m.last_presented.as_ref(), |e, t| e.time(*t));
     w.flush_chunk()
 }
 
-/// Decodes router state written by [`persist_router_parts`].
-pub(crate) fn decode_router_state(dec: &mut ctms_sim::Dec<'_>) -> Result<RouterCkpt, PersistError> {
+/// Decodes router state written by [`persist_router_parts`] for a bus
+/// of `rings` rings and `hosts` hosts. Counts are checked before
+/// anything is allocated for them, so a corrupt length cannot ask for
+/// more memory than the topology needs.
+pub(crate) fn decode_router_state(
+    dec: &mut ctms_sim::Dec<'_>,
+    rings: usize,
+    hosts: usize,
+) -> Result<RouterCkpt, PersistError> {
     use ctms_sim::Persist as _;
-    let taps = dec.seq(|d| {
-        let mut tap = Tap::new(TapCfg::default());
-        tap.restore(d)?;
-        Ok(tap)
-    })?;
-    let truth = dec.seq(|d| {
-        d.seq(|d| {
-            let point = restore_measure_point(d)?;
-            let mut log = EdgeLog::new("");
-            log.restore(d)?;
-            Ok((point, log))
-        })
-    })?;
-    let drops = dec.seq(|d| {
-        Ok(DropRec {
-            at: d.time()?,
-            host: d.u32()? as usize,
-            site: restore_drop_site(d)?,
-            tag: d.u64()?,
-            bytes: d.u32()?,
-        })
-    })?;
-    let presented = dec.seq(|d| Ok((d.time()?, d.u64()?, d.u32()?)))?;
-    let sock_delivered = dec.seq(|d| Ok((d.time()?, Port(d.u16()?), d.u32()?)))?;
-    let purge_starts = dec.seq(|d| d.time())?;
-    let lost_to_purge = dec.seq(|d| Ok((d.time()?, d.u64()?)))?;
-    let bridge_drops = dec.u64()?;
-    Ok(RouterCkpt {
+    let n = dec.seq_len()?;
+    if n != rings {
+        return Err(PersistError::mismatch(format!(
+            "checkpoint has {n} taps, topology has {rings} rings"
+        )));
+    }
+    let mut taps = Vec::with_capacity(rings);
+    for _ in 0..rings {
+        let mut tap = Tap::summary(TapCfg::default());
+        tap.restore(dec)?;
+        taps.push(tap);
+    }
+    let n = dec.seq_len()?;
+    if n != hosts {
+        return Err(PersistError::mismatch(format!(
+            "checkpoint has {n} truth maps, topology has {hosts} hosts"
+        )));
+    }
+    let mut truth = Vec::with_capacity(hosts);
+    for host in 0..hosts {
+        let n = dec.seq_len()?;
+        let mut logs: Vec<(MeasurePoint, EdgeLog)> = Vec::new();
+        for _ in 0..n {
+            let point = restore_measure_point(dec)?;
+            // Strictly ascending keys: the canonical order, no repeats
+            // (which also bounds the loop by the number of points).
+            if logs
+                .last()
+                .is_some_and(|(prev, _)| measure_point_key(*prev) >= measure_point_key(point))
+            {
+                return Err(PersistError::mismatch(format!(
+                    "checkpoint truth logs of host {host} are out of order at {point:?}"
+                )));
+            }
+            let mut log = truth_log(host, point, false);
+            log.restore(dec)?;
+            logs.push((point, log));
+        }
+        truth.push(logs);
+    }
+    let mut ckpt = RouterCkpt {
         taps,
         truth,
-        drops,
-        presented,
-        sock_delivered,
-        purge_starts,
-        lost_to_purge,
-        bridge_drops,
-    })
+        drops: dec.u64()?,
+        presented: dec.u64()?,
+        sock_delivered: dec.u64()?,
+        purge_starts: dec.u64()?,
+        lost_to_purge: dec.u64()?,
+        bridge_drops: dec.u64()?,
+        gaps: gap_hist(),
+        last_presented: None,
+    };
+    ckpt.gaps.restore(dec)?;
+    ckpt.last_presented = dec.opt(|d| d.time())?;
+    Ok(ckpt)
 }
 
 /// Distributes a decoded router snapshot across `parts` — the shard
 /// routers of a [`Bus`] in shard order: each TAP to its ring's owner
-/// part, each host's truth
-/// logs to the part that owns the host's ring (and therefore routes
-/// the host), flat event lists and the bridge-drop count to part 0
-/// (merged telemetry reads only counts and sorted times, so their
-/// placement is unobservable).
+/// part, each host's truth logs to the part that owns the host's ring
+/// (and therefore routes the host), the counts and the
+/// presentation-gap state to part 0. Each part keeps its history sink
+/// if it had one, emptied: samples start again here.
 ///
-/// Every recorded instant must be in time order and at or before the
-/// restored clock `now`; anything else is a [`PersistError::Mismatch`],
-/// since continuing would record behind it.
+/// Every kept instant must be at or before the restored clock `now`,
+/// and the gap histogram must hold one gap fewer than the
+/// presentations, none longer in sum than the last presentation's
+/// instant; anything else is a [`PersistError::Mismatch`], since
+/// continuing would record behind the clock or publish a histogram no
+/// run can produce.
 pub(crate) fn apply_router_ckpt(
     parts: &mut [&mut CtmsRouter],
     ckpt: RouterCkpt,
     now: SimTime,
 ) -> Result<(), PersistError> {
+    let after = |what: &str, t: SimTime| {
+        PersistError::mismatch(format!("checkpoint {what} at {t} is after the clock {now}"))
+    };
     for tap in &ckpt.taps {
-        check_chronological("TAP record", now, tap.records().iter().map(|r| r.at))?;
+        if let Some(t) = tap.instants().into_iter().flatten().find(|&t| t > now) {
+            return Err(after("TAP instant", t));
+        }
     }
     for (_, log) in ckpt.truth.iter().flatten() {
-        check_chronological("truth edge", now, log.edges().iter().map(|e| e.at))?;
+        if let Some(t) = log.last().filter(|&t| t > now) {
+            return Err(after("truth edge", t));
+        }
     }
-    check_chronological("drop", now, ckpt.drops.iter().map(|d| d.at))?;
-    check_chronological("presentation", now, ckpt.presented.iter().map(|e| e.0))?;
-    check_chronological(
-        "socket delivery",
-        now,
-        ckpt.sock_delivered.iter().map(|e| e.0),
-    )?;
-    check_chronological("purge start", now, ckpt.purge_starts.iter().copied())?;
-    check_chronological("purge loss", now, ckpt.lost_to_purge.iter().map(|e| e.0))?;
+    if let Some(t) = ckpt.last_presented.filter(|&t| t > now) {
+        return Err(after("presentation", t));
+    }
+    let gaps_fit = match ckpt.last_presented {
+        None => ckpt.presented == 0 && ckpt.gaps.total() == 0,
+        Some(last) => {
+            ckpt.presented > 0
+                && ckpt.gaps.total() == ckpt.presented - 1
+                && ckpt.gaps.sum() <= last.as_ns() / 1_000_000
+        }
+    };
+    if !gaps_fit {
+        return Err(PersistError::mismatch(format!(
+            "checkpoint gap histogram ({} gaps, {} ms) does not fit {} presentations, the last at {:?}",
+            ckpt.gaps.total(),
+            ckpt.gaps.sum(),
+            ckpt.presented,
+            ckpt.last_presented
+        )));
+    }
 
     let slots = Arc::clone(&parts[0].slots);
-    let ring_slots = parts[0].ring_slot_indices();
-    if ring_slots.len() != ckpt.taps.len() {
-        return Err(PersistError::mismatch(format!(
-            "checkpoint has {} taps, topology has {} rings",
-            ckpt.taps.len(),
-            ring_slots.len()
-        )));
-    }
-    let n_hosts = parts[0].m.truth.len();
-    if n_hosts != ckpt.truth.len() {
-        return Err(PersistError::mismatch(format!(
-            "checkpoint has {} truth maps, topology has {n_hosts} hosts",
-            ckpt.truth.len()
-        )));
-    }
     let owner = |parts: &[&mut CtmsRouter], ring: usize| {
         parts
             .iter()
-            .position(|p| p.taps[ring].is_some())
+            .position(|p| p.own_tap(ring).is_some())
             .expect("every ring slot has its tap in exactly one part")
     };
-    for p in parts.iter_mut() {
-        p.m = Measurements {
-            truth: (0..n_hosts).map(|_| HashMap::new()).collect(),
-            ..Measurements::default()
-        };
-    }
-    for (slot, tap) in ring_slots.into_iter().zip(ckpt.taps) {
+    for (slot, mut tap) in parts[0].ring_slot_indices().into_iter().zip(ckpt.taps) {
         let k = owner(parts, slot);
-        parts[k].taps[slot] = Some(tap);
+        let own = parts[k].own_tap_mut(slot).expect("the owner holds the tap");
+        if own.keeps_history() {
+            tap.attach_history();
+        }
+        *own = tap;
     }
     let mut truth = ckpt.truth;
+    for p in parts.iter_mut() {
+        p.m.truth.iter_mut().for_each(HashMap::clear);
+    }
     for slot in slots.iter() {
         if let Slot::Host { index, ring } = *slot {
             let k = owner(parts, ring.0);
-            parts[k].m.truth[index] = std::mem::take(&mut truth[index]).into_iter().collect();
+            let m = &mut parts[k].m;
+            m.truth[index] = std::mem::take(&mut truth[index])
+                .into_iter()
+                .map(|(point, mut log)| {
+                    if m.history {
+                        log.attach_history();
+                    }
+                    (point, log)
+                })
+                .collect();
         }
     }
-    let m = &mut parts[0].m;
-    m.drops = ckpt.drops;
-    m.presented = ckpt.presented;
-    m.sock_delivered = ckpt.sock_delivered;
-    m.purge_starts = ckpt.purge_starts;
-    m.lost_to_purge = ckpt.lost_to_purge;
-    m.bridge_drops = ckpt.bridge_drops;
-    Ok(())
-}
-
-/// A [`PersistError::Mismatch`] unless `times` never goes backwards and
-/// ends at or before `now`.
-fn check_chronological(
-    what: &str,
-    now: SimTime,
-    times: impl IntoIterator<Item = SimTime>,
-) -> Result<(), PersistError> {
-    let mut last = SimTime::ZERO;
-    for t in times {
-        if t < last || t > now {
-            return Err(PersistError::mismatch(format!(
-                "checkpoint {what} at {t} is out of time order or after the clock {now}"
-            )));
-        }
-        last = t;
+    for (k, p) in parts.iter_mut().enumerate() {
+        let m = &mut p.m;
+        let mine = |n: u64| if k == 0 { n } else { 0 };
+        m.drops.restart(mine(ckpt.drops));
+        m.presented.restart(mine(ckpt.presented));
+        m.sock_delivered.restart(mine(ckpt.sock_delivered));
+        m.purge_starts.restart(mine(ckpt.purge_starts));
+        m.lost_to_purge.restart(mine(ckpt.lost_to_purge));
+        m.bridge_drops = mine(ckpt.bridge_drops);
+        m.unfolded.clear();
+        m.gaps = if k == 0 {
+            ckpt.gaps.clone()
+        } else {
+            gap_hist()
+        };
+        m.last_presented = if k == 0 { ckpt.last_presented } else { None };
     }
     Ok(())
 }

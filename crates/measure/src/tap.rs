@@ -11,7 +11,7 @@
 //! ordering/loss detection for CTMSP streams, Ring Purge counting, and
 //! the traffic-class breakdown of §5.3.
 
-use ctms_sim::SimTime;
+use ctms_sim::{History, SimTime};
 use ctms_tokenring::{fc_is_mac, FrameKind, FrameView, MacKind, Proto};
 
 /// One TAP capture record.
@@ -82,31 +82,81 @@ pub struct StreamAnalysis {
     pub duplicates: u64,
 }
 
+/// The stream-order state behind [`Tap::analyze_stream`]: the analysis
+/// so far (its `captured` is the CTMSP class count) and the last
+/// in-order packet number.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct StreamState {
+    analysis: StreamAnalysis,
+    last_seq: Option<u64>,
+}
+
+impl StreamState {
+    /// Folds one captured CTMSP packet number into the analysis.
+    fn push(&mut self, tag: u64) {
+        let a = &mut self.analysis;
+        a.captured += 1;
+        if let Some(prev) = self.last_seq {
+            if tag == prev {
+                a.duplicates += 1;
+                return;
+            } else if tag < prev {
+                a.out_of_order += 1;
+                return;
+            } else if tag - prev > 1 {
+                a.gaps += 1;
+                a.missing += tag - prev - 1;
+            }
+        }
+        self.last_seq = Some(tag);
+    }
+}
+
 /// The TAP monitor.
+///
+/// Its §5 analyses are running accumulators — capture count, class
+/// counts, stream-order state — updated as each record is captured, so
+/// they cost the same and checkpoint to the same size at any run
+/// length. The capture records themselves are history: kept by a
+/// monitor built with [`Tap::new`], not by one built with
+/// [`Tap::summary`], and never checkpointed.
 #[derive(Debug)]
 pub struct Tap {
     cfg: TapCfg,
-    records: Vec<TapRecord>,
+    records: History<TapRecord>,
     purges: u64,
     missed: u64,
     last_record: Option<SimTime>,
     busy_ns: u64,
     first_at: Option<SimTime>,
     last_at: Option<SimTime>,
+    classes: TrafficBreakdown,
+    stream: StreamState,
 }
 
 impl Tap {
-    /// Creates the monitor.
+    /// Creates the monitor, keeping its capture records.
     pub fn new(cfg: TapCfg) -> Self {
         Tap {
+            records: History::new(),
+            ..Tap::summary(cfg)
+        }
+    }
+
+    /// Creates the monitor with its analyses only: no capture records
+    /// are kept.
+    pub fn summary(cfg: TapCfg) -> Self {
+        Tap {
             cfg,
-            records: Vec::new(),
+            records: History::summary(),
             purges: 0,
             missed: 0,
             last_record: None,
             busy_ns: 0,
             first_at: None,
             last_at: None,
+            classes: TrafficBreakdown::default(),
+            stream: StreamState::default(),
         }
     }
 
@@ -131,6 +181,24 @@ impl Tap {
             return;
         }
         self.last_record = Some(at);
+        debug_assert_eq!(fc_is_mac(view.fc), matches!(view.kind, FrameKind::Mac(_)));
+        let b = &mut self.classes;
+        match view.kind {
+            FrameKind::Mac(_) => b.mac += 1,
+            FrameKind::Llc(Proto::Ctmsp) => {
+                b.ctmsp += 1;
+                self.stream.push(view.tag);
+            }
+            FrameKind::Llc(_) => {
+                if (60..=321).contains(&view.wire_bytes) {
+                    b.small += 1;
+                } else if (1500..=1550).contains(&view.wire_bytes) {
+                    b.file_transfer += 1;
+                } else {
+                    b.other += 1;
+                }
+            }
+        }
         self.records.push(TapRecord {
             at,
             ac: view.ac,
@@ -141,9 +209,20 @@ impl Tap {
         });
     }
 
-    /// Captured records.
-    pub fn records(&self) -> &[TapRecord] {
+    /// Capture records: [`History::len`] counts every capture since
+    /// t = 0; [`History::samples`] holds the kept records.
+    pub fn records(&self) -> &History<TapRecord> {
         &self.records
+    }
+
+    /// True if the monitor keeps its capture records.
+    pub fn keeps_history(&self) -> bool {
+        self.records.keeps_history()
+    }
+
+    /// Keeps the capture records from now on.
+    pub fn attach_history(&mut self) {
+        self.records.attach_history();
     }
 
     /// Frames seen but not recorded (capture limitation).
@@ -156,6 +235,12 @@ impl Tap {
         self.purges
     }
 
+    /// When the last record was captured, when the first and the last
+    /// frame were seen.
+    pub fn instants(&self) -> [Option<SimTime>; 3] {
+        [self.last_record, self.first_at, self.last_at]
+    }
+
     /// Fraction of wire time occupied by observed frames over the
     /// observation window.
     pub fn utilization(&self) -> f64 {
@@ -165,97 +250,117 @@ impl Tap {
         }
     }
 
-    /// §5.3 traffic-class breakdown of captured records.
+    /// §5.3 traffic-class breakdown of every captured record.
     pub fn breakdown(&self) -> TrafficBreakdown {
-        let mut b = TrafficBreakdown::default();
-        for r in &self.records {
-            match r.kind {
-                FrameKind::Mac(_) => b.mac += 1,
-                FrameKind::Llc(Proto::Ctmsp) => b.ctmsp += 1,
-                FrameKind::Llc(_) => {
-                    if (60..=321).contains(&r.total_len) {
-                        b.small += 1;
-                    } else if (1500..=1550).contains(&r.total_len) {
-                        b.file_transfer += 1;
-                    } else {
-                        b.other += 1;
-                    }
-                }
-            }
-        }
-        debug_assert!(self
-            .records
-            .iter()
-            .all(|r| fc_is_mac(r.fc) == matches!(r.kind, FrameKind::Mac(_))));
-        b
+        self.classes
     }
 
     /// Ordering/loss analysis of the captured CTMSP stream (§5: "Using
     /// the TAP tool, we were able to detect when packets were out of
     /// order and lost").
     pub fn analyze_stream(&self) -> StreamAnalysis {
-        let mut a = StreamAnalysis::default();
-        let mut last_seq: Option<u64> = None;
-        for r in &self.records {
-            if r.kind != FrameKind::Llc(Proto::Ctmsp) {
-                continue;
-            }
-            a.captured += 1;
-            if let Some(prev) = last_seq {
-                if r.tag == prev {
-                    a.duplicates += 1;
-                    continue;
-                } else if r.tag < prev {
-                    a.out_of_order += 1;
-                    continue;
-                } else if r.tag > prev + 1 {
-                    a.gaps += 1;
-                    a.missing += r.tag - prev - 1;
-                }
-            }
-            last_seq = Some(r.tag);
-        }
-        a
+        self.stream.analysis
     }
 }
 
 impl ctms_sim::Persist for Tap {
-    /// The capture buffer and counters; `cfg` is structural.
+    /// The accumulators: capture count, counters, instants, class
+    /// counts and stream-order state. `cfg` and whether records are kept
+    /// are structural; the kept records are history and are not
+    /// encoded.
     fn persist(&self, enc: &mut ctms_sim::Enc) {
-        enc.seq_len(self.records.len());
-        for r in &self.records {
-            enc.time(r.at);
-            enc.u8(r.ac);
-            enc.u8(r.fc);
-            enc.u32(r.total_len);
-            ctms_tokenring::persist_frame_kind(enc, r.kind);
-            enc.u64(r.tag);
-        }
+        enc.u64(self.records.len() as u64);
         enc.u64(self.purges);
         enc.u64(self.missed);
         enc.opt(self.last_record.as_ref(), |e, t| e.time(*t));
         enc.u64(self.busy_ns);
         enc.opt(self.first_at.as_ref(), |e, t| e.time(*t));
         enc.opt(self.last_at.as_ref(), |e, t| e.time(*t));
+        let b = &self.classes;
+        for n in [b.mac, b.small, b.file_transfer, b.ctmsp, b.other] {
+            enc.u64(n);
+        }
+        let a = &self.stream.analysis;
+        for n in [a.gaps, a.missing, a.out_of_order, a.duplicates] {
+            enc.u64(n);
+        }
+        enc.opt(self.stream.last_seq.as_ref(), |e, s| e.u64(*s));
     }
 
+    /// Restores the accumulators and empties the kept records. State no
+    /// run of the monitor can reach is a [`PersistError::Mismatch`]:
+    /// class counts that do not sum to the capture count, captures past
+    /// the buffer or without a capture instant, instants out of order
+    /// (first seen ≤ last captured ≤ last seen), stream-order counts
+    /// beyond the CTMSP captures, or counters with nothing seen.
     fn restore(&mut self, dec: &mut ctms_sim::Dec<'_>) -> Result<(), ctms_sim::PersistError> {
-        self.records = dec.seq(|d| {
-            Ok(TapRecord {
-                at: d.time()?,
-                ac: d.u8()?,
-                fc: d.u8()?,
-                total_len: d.u32()?,
-                kind: ctms_tokenring::decode_frame_kind(d)?,
-                tag: d.u64()?,
-            })
-        })?;
-        self.purges = dec.u64()?;
-        self.missed = dec.u64()?;
-        self.last_record = dec.opt(|d| d.time())?;
-        self.busy_ns = dec.u64()?;
-        self.first_at = dec.opt(|d| d.time())?;
-        self.last_at = dec.opt(|d| d.time())?;
+        let captured = dec.u64()?;
+        let purges = dec.u64()?;
+        let missed = dec.u64()?;
+        let last_record = dec.opt(|d| d.time())?;
+        let busy_ns = dec.u64()?;
+        let first_at = dec.opt(|d| d.time())?;
+        let last_at = dec.opt(|d| d.time())?;
+        let classes = TrafficBreakdown {
+            mac: dec.u64()?,
+            small: dec.u64()?,
+            file_transfer: dec.u64()?,
+            ctmsp: dec.u64()?,
+            other: dec.u64()?,
+        };
+        let analysis = StreamAnalysis {
+            captured: classes.ctmsp,
+            gaps: dec.u64()?,
+            missing: dec.u64()?,
+            out_of_order: dec.u64()?,
+            duplicates: dec.u64()?,
+        };
+        let last_seq = dec.opt(|d| d.u64())?;
+
+        let b = &classes;
+        let class_sum = [b.mac, b.small, b.file_transfer, b.ctmsp, b.other]
+            .into_iter()
+            .try_fold(0u64, u64::checked_add);
+        let instants_ok = match (first_at, last_at) {
+            (None, None) => last_record.is_none() && purges == 0 && missed == 0 && busy_ns == 0,
+            (Some(first), Some(last)) => {
+                first <= last && last_record.is_none_or(|r| first <= r && r <= last)
+            }
+            _ => false,
+        };
+        let a = &analysis;
+        let stream_ok = last_seq.is_some() == (b.ctmsp > 0)
+            && a.out_of_order
+                .checked_add(a.duplicates)
+                .is_some_and(|n| n < b.ctmsp.max(1))
+            && a.gaps <= a.missing;
+        let problem = if class_sum != Some(captured) {
+            Some("class counts do not sum to the capture count")
+        } else if captured > self.cfg.buffer_records as u64
+            || last_record.is_some() != (captured > 0)
+        {
+            Some("capture count does not fit the buffer or the capture instant")
+        } else if !instants_ok {
+            Some("instants or counters are inconsistent")
+        } else if !stream_ok {
+            Some("stream-order state exceeds the CTMSP captures")
+        } else {
+            None
+        };
+        if let Some(problem) = problem {
+            return Err(ctms_sim::PersistError::mismatch(format!(
+                "checkpoint TAP: {problem}"
+            )));
+        }
+        self.records.restart(captured);
+        self.purges = purges;
+        self.missed = missed;
+        self.last_record = last_record;
+        self.busy_ns = busy_ns;
+        self.first_at = first_at;
+        self.last_at = last_at;
+        self.classes = classes;
+        self.stream = StreamState { analysis, last_seq };
         Ok(())
     }
 }
@@ -430,5 +535,75 @@ mod tests {
         }
         assert_eq!(tap.records().len(), 2);
         assert_eq!(tap.missed(), 3);
+    }
+
+    /// A fixed mix of frames: every class, a repeat, a reordering and a
+    /// purge, some of them too close together to be captured.
+    fn feed(tap: &mut Tap) {
+        let frames = [
+            (0, mac_view(MacKind::ActiveMonitorPresent)),
+            (1_000, ctmsp_view(1)),
+            (1_010, ctmsp_view(2)),
+            (2_000, ctmsp_view(4)),
+            (3_000, ctmsp_view(4)),
+            (4_000, ctmsp_view(3)),
+            (5_000, mac_view(MacKind::RingPurge)),
+            (6_000, ctmsp_view(9)),
+        ];
+        for (us, view) in frames {
+            tap.observe(SimTime::from_us(us), &view);
+        }
+    }
+
+    #[test]
+    fn summary_tap_publishes_what_the_records_gave() {
+        let (mut full, mut summary) =
+            (Tap::new(TapCfg::default()), Tap::summary(TapCfg::default()));
+        feed(&mut full);
+        feed(&mut summary);
+        let a = full.analyze_stream();
+        assert_eq!((a.captured, a.gaps, a.missing), (5, 2, 6));
+        assert_eq!((a.duplicates, a.out_of_order), (1, 1));
+        assert_eq!(summary.analyze_stream(), a);
+        assert_eq!(summary.breakdown(), full.breakdown());
+        assert_eq!(summary.records().len(), 7);
+        assert_eq!(full.records().samples().len(), 7);
+        assert!(summary.records().samples().is_empty());
+        assert_eq!(summary.missed(), 1);
+    }
+
+    #[test]
+    fn persisted_state_restores_and_continues() {
+        use ctms_sim::{Dec, Enc, Persist};
+        let mut tap = Tap::new(TapCfg::default());
+        feed(&mut tap);
+        let mut enc = Enc::new();
+        tap.persist(&mut enc);
+        let bytes = enc.into_bytes();
+        let mut back = Tap::new(TapCfg::default());
+        back.restore(&mut Dec::new(&bytes)).unwrap();
+        assert!(back.records().samples().is_empty() && back.keeps_history());
+        for t in [&mut tap, &mut back] {
+            t.observe(SimTime::from_us(9_000), &ctmsp_view(10));
+        }
+        assert_eq!(back.analyze_stream(), tap.analyze_stream());
+        assert_eq!(back.records().len(), tap.records().len());
+        let mut again = Enc::new();
+        back.persist(&mut again);
+        let mut want = Enc::new();
+        tap.persist(&mut want);
+        assert_eq!(again.into_bytes(), want.into_bytes());
+
+        // One class count off: the classes no longer sum to the captures.
+        // The MAC count leads the five class counts, which precede four
+        // stream counters and the optional last packet number.
+        let mut bad = bytes.clone();
+        let mac_count = bytes.len() - 9 - 4 * 8 - 5 * 8;
+        bad[mac_count] += 1;
+        let err = Tap::summary(TapCfg::default()).restore(&mut Dec::new(&bad));
+        assert!(
+            matches!(err, Err(ctms_sim::PersistError::Mismatch(_))),
+            "{err:?}"
+        );
     }
 }

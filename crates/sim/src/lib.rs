@@ -59,4 +59,4 @@ pub use shard::{merge_mail, Harness, MailKey, MergeTelemetry, ShardStats};
 pub use sweep::{default_threads, parallel_map};
 pub use telemetry::{Instrument, Registry};
 pub use time::{Dur, SimTime};
-pub use trace::{Edge, EdgeLog};
+pub use trace::{Edge, EdgeLog, History};

@@ -151,6 +151,41 @@ impl Hist {
     }
 }
 
+impl Persist for Hist {
+    /// The registry's own layout: bin width, bins, overflow, total, sum.
+    fn persist(&self, enc: &mut Enc) {
+        self.persist_bytes(enc);
+    }
+
+    /// Restores onto a histogram of the same shape. Another bin width
+    /// or bin count, or a total that is not the bins plus the overflow,
+    /// is a [`PersistError::Mismatch`].
+    fn restore(&mut self, dec: &mut Dec<'_>) -> Result<(), PersistError> {
+        let h = Hist::restore_bytes(dec)?;
+        if h.bin_width != self.bin_width || h.counts.len() != self.counts.len() {
+            return Err(PersistError::mismatch(format!(
+                "checkpoint histogram has {} bins of {}, expected {} of {}",
+                h.counts.len(),
+                h.bin_width,
+                self.counts.len(),
+                self.bin_width
+            )));
+        }
+        let binned = h
+            .counts
+            .iter()
+            .try_fold(h.overflow, |sum, &c| sum.checked_add(c));
+        if binned != Some(h.total) {
+            return Err(PersistError::mismatch(format!(
+                "checkpoint histogram total {} is not its bins plus overflow",
+                h.total
+            )));
+        }
+        *self = h;
+        Ok(())
+    }
+}
+
 impl Value {
     fn persist_bytes(&self, enc: &mut Enc) {
         match self {

@@ -7,6 +7,14 @@
 //! ground-truth record; the measurement-tool models in `ctms-measure` read
 //! it through their own error models (clock quantization, service-loop
 //! delay, …).
+//!
+//! A log is **state plus history**. The state is a handful of running
+//! accumulators (count, FNV-1a digest, first and last instant) that never
+//! grow and are all a checkpoint carries. The history is the edges
+//! themselves, kept in a [`History`] sample buffer only where one is
+//! attached: a log built by [`EdgeLog::new`] keeps its edges; one built
+//! by [`EdgeLog::summary`] keeps the accumulators alone, so its memory and
+//! its snapshot stay the same size however long the run goes.
 
 use crate::persist::{Dec, Enc, Persist, PersistError};
 use crate::time::{Dur, SimTime};
@@ -22,19 +30,152 @@ pub struct Edge {
     pub tag: u64,
 }
 
-/// An append-only log of edges on one signal.
-#[derive(Clone, Debug, Default)]
+/// A sample stream's count since t = 0, plus the samples themselves
+/// while a history sink is attached.
+///
+/// The count is state: it is checkpointed and survives a restore. The
+/// samples are history: kept only where a sink is attached
+/// ([`History::new`], [`History::attach_history`]), never checkpointed,
+/// and after a restore they start again at the restore point. So
+/// [`History::len`] always counts from t = 0, while
+/// [`History::samples`] holds what was recorded since the sink was
+/// attached or the state last restored — the same thing on a build run
+/// from t = 0.
+#[derive(Clone, Debug)]
+pub struct History<T> {
+    total: u64,
+    kept: Option<Vec<T>>,
+}
+
+impl<T> Default for History<T> {
+    /// A count with no sink attached.
+    fn default() -> Self {
+        History::summary()
+    }
+}
+
+impl<T> History<T> {
+    /// An empty stream that keeps its samples.
+    pub fn new() -> Self {
+        History {
+            total: 0,
+            kept: Some(Vec::new()),
+        }
+    }
+
+    /// An empty stream that only counts.
+    pub fn summary() -> Self {
+        History {
+            total: 0,
+            kept: None,
+        }
+    }
+
+    /// Counts one sample and keeps it if a sink is attached.
+    pub fn push(&mut self, sample: T) {
+        self.total += 1;
+        if let Some(kept) = &mut self.kept {
+            kept.push(sample);
+        }
+    }
+
+    /// Samples counted since t = 0, kept or not.
+    pub fn len(&self) -> usize {
+        self.total as usize
+    }
+
+    /// True if nothing was counted since t = 0.
+    pub fn is_empty(&self) -> bool {
+        self.total == 0
+    }
+
+    /// The kept samples, in arrival order: empty without a sink.
+    pub fn samples(&self) -> &[T] {
+        self.kept.as_deref().unwrap_or(&[])
+    }
+
+    /// Iterates the kept samples.
+    pub fn iter(&self) -> std::slice::Iter<'_, T> {
+        self.samples().iter()
+    }
+
+    /// True if a sink is attached.
+    pub fn keeps_history(&self) -> bool {
+        self.kept.is_some()
+    }
+
+    /// Attaches a sink: samples counted from now on are kept too.
+    pub fn attach_history(&mut self) {
+        self.kept.get_or_insert_with(Vec::new);
+    }
+
+    /// Sets the count to `total` (a restored state) and empties the
+    /// sink, which stays attached if it was.
+    pub fn restart(&mut self, total: u64) {
+        self.total = total;
+        if let Some(kept) = &mut self.kept {
+            kept.clear();
+        }
+    }
+}
+
+impl<'a, T> IntoIterator for &'a History<T> {
+    type Item = &'a T;
+    type IntoIter = std::slice::Iter<'a, T>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+/// FNV-1a offset basis: the digest of an empty log.
+const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
+
+/// Folds `v`'s little-endian bytes into the FNV-1a state `h`.
+fn fnv_u64(mut h: u64, v: u64) -> u64 {
+    for b in v.to_le_bytes() {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    h
+}
+
+/// An append-only log of edges on one signal: running accumulators,
+/// plus the edges themselves where a history sink is attached (see the
+/// module docs).
+#[derive(Clone, Debug)]
 pub struct EdgeLog {
     name: String,
-    edges: Vec<Edge>,
+    edges: History<Edge>,
+    digest: u64,
+    first: Option<SimTime>,
+    last: Option<SimTime>,
+}
+
+impl Default for EdgeLog {
+    fn default() -> Self {
+        EdgeLog::new("")
+    }
 }
 
 impl EdgeLog {
-    /// Creates an empty log for the named signal.
+    /// Creates an empty log for the named signal that keeps its edges.
     pub fn new(name: impl Into<String>) -> Self {
         EdgeLog {
+            edges: History::new(),
+            ..EdgeLog::summary(name)
+        }
+    }
+
+    /// Creates an empty log that keeps only the accumulators: count,
+    /// digest, first and last instant. [`EdgeLog::edges`] stays empty.
+    pub fn summary(name: impl Into<String>) -> Self {
+        EdgeLog {
             name: name.into(),
-            edges: Vec::new(),
+            edges: History::summary(),
+            digest: FNV_OFFSET,
+            first: None,
+            last: None,
         }
     }
 
@@ -50,23 +191,26 @@ impl EdgeLog {
     /// Panics if `at` precedes the previous edge: signals are recorded in
     /// simulation order.
     pub fn record(&mut self, at: SimTime, tag: u64) {
-        if let Some(last) = self.edges.last() {
+        if let Some(last) = self.last {
             assert!(
-                at >= last.at,
-                "EdgeLog {}: non-monotonic record {at} after {}",
-                self.name,
-                last.at
+                at >= last,
+                "EdgeLog {}: non-monotonic record {at} after {last}",
+                self.name
             );
         }
+        self.first.get_or_insert(at);
+        self.last = Some(at);
+        self.digest = fnv_u64(fnv_u64(self.digest, at.as_ns()), tag);
         self.edges.push(Edge { at, tag });
     }
 
-    /// All recorded edges, in time order.
+    /// The kept edges, in time order: every edge on a log that keeps
+    /// its history and was never restored, none on a summary log.
     pub fn edges(&self) -> &[Edge] {
-        &self.edges
+        self.edges.samples()
     }
 
-    /// Number of recorded edges.
+    /// Number of edges recorded since t = 0, kept or not.
     pub fn len(&self) -> usize {
         self.edges.len()
     }
@@ -76,18 +220,39 @@ impl EdgeLog {
         self.edges.is_empty()
     }
 
-    /// Inter-occurrence intervals (the paper's histograms 1–4 are exactly
-    /// this on the four measurement points).
+    /// Instant of the first edge since t = 0.
+    pub fn first(&self) -> Option<SimTime> {
+        self.first
+    }
+
+    /// Instant of the latest edge.
+    pub fn last(&self) -> Option<SimTime> {
+        self.last
+    }
+
+    /// True if the log keeps its edges.
+    pub fn keeps_history(&self) -> bool {
+        self.edges.keeps_history()
+    }
+
+    /// Keeps the edges recorded from now on.
+    pub fn attach_history(&mut self) {
+        self.edges.attach_history();
+    }
+
+    /// Inter-occurrence intervals of the kept edges (the paper's
+    /// histograms 1–4 are exactly this on the four measurement points).
     pub fn inter_occurrence(&self) -> Vec<Dur> {
-        self.edges
+        self.edges()
             .windows(2)
             .map(|w| w[1].at.since(w[0].at))
             .collect()
     }
 
     /// Differences between *like occurrences* of two signals (the paper's
-    /// histograms 5–7): for every tag present in both logs, the delta from
-    /// this log's edge to `later`'s edge with the same tag.
+    /// histograms 5–7), over the kept edges: for every tag present in
+    /// both logs, the delta from this log's edge to `later`'s edge with
+    /// the same tag.
     ///
     /// Edges whose counterpart is missing (lost packets) are skipped.
     /// If a tag repeats (duplicate packets), occurrences are paired in
@@ -96,11 +261,11 @@ impl EdgeLog {
         use std::collections::HashMap;
         // Index `later`'s edges by tag, preserving order per tag.
         let mut by_tag: HashMap<u64, std::collections::VecDeque<SimTime>> = HashMap::new();
-        for e in &later.edges {
+        for e in later.edges() {
             by_tag.entry(e.tag).or_default().push_back(e.at);
         }
         let mut out = Vec::new();
-        for e in &self.edges {
+        for e in self.edges() {
             if let Some(q) = by_tag.get_mut(&e.tag) {
                 if let Some(t) = q.pop_front() {
                     if let Some(d) = t.checked_since(e.at) {
@@ -112,57 +277,63 @@ impl EdgeLog {
         out
     }
 
-    /// Pairs edges positionally with `later` (k-th with k-th), for signals
-    /// without meaningful tags. Unpaired trailing edges are skipped, as are
-    /// negative deltas.
+    /// Pairs kept edges positionally with `later`'s (k-th with k-th),
+    /// for signals without meaningful tags. Unpaired trailing edges are
+    /// skipped, as are negative deltas.
     pub fn deltas_positional(&self, later: &EdgeLog) -> Vec<Dur> {
-        self.edges
+        self.edges()
             .iter()
-            .zip(later.edges.iter())
+            .zip(later.edges())
             .filter_map(|(a, b)| b.at.checked_since(a.at))
             .collect()
     }
 
-    /// A 64-bit FNV-1a digest over every `(at, tag)` pair (the name is
-    /// excluded, so relabelling a signal does not change its digest).
-    /// Used by determinism regression tests: a fixed seed must produce a
-    /// bit-identical log, hence a stable digest.
+    /// A 64-bit FNV-1a digest over every `(at, tag)` pair since t = 0,
+    /// kept or not (the name is excluded, so relabelling a signal does
+    /// not change its digest). Folded as edges arrive, so it survives a
+    /// checkpoint. Used by determinism regression tests: a fixed seed
+    /// must produce a bit-identical log, hence a stable digest.
     pub fn digest(&self) -> u64 {
-        let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-        let mut eat = |v: u64| {
-            for b in v.to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-        };
-        for e in &self.edges {
-            eat(e.at.as_ns());
-            eat(e.tag);
-        }
-        h
+        self.digest
     }
 }
 
 impl Persist for EdgeLog {
-    /// Encodes the name and every `(at, tag)` pair; restore replaces the
-    /// whole log (including the name, so `EdgeLog::new("")` is a valid
-    /// decode target).
+    /// Encodes the accumulators: count, digest, first and last instant.
+    /// The name and whether edges are kept are structural; the kept
+    /// edges are history and are not encoded.
     fn persist(&self, enc: &mut Enc) {
-        enc.str(&self.name);
-        enc.seq_len(self.edges.len());
-        for e in &self.edges {
-            enc.time(e.at);
-            enc.u64(e.tag);
-        }
+        enc.u64(self.edges.len() as u64);
+        enc.u64(self.digest);
+        enc.opt(self.first.as_ref(), |e, t| e.time(*t));
+        enc.opt(self.last.as_ref(), |e, t| e.time(*t));
     }
+
+    /// Restores the accumulators and empties the kept edges. An empty
+    /// log must have no instants and the empty digest; a non-empty one
+    /// both instants, in order, and one edge only at one instant —
+    /// anything else is a [`PersistError::Mismatch`].
     fn restore(&mut self, dec: &mut Dec<'_>) -> Result<(), PersistError> {
-        self.name = dec.str()?;
-        self.edges = dec.seq(|d| {
-            Ok(Edge {
-                at: d.time()?,
-                tag: d.u64()?,
-            })
-        })?;
+        let count = dec.u64()?;
+        let digest = dec.u64()?;
+        let first = dec.opt(|d| d.time())?;
+        let last = dec.opt(|d| d.time())?;
+        let consistent = match (first, last) {
+            (None, None) => count == 0 && digest == FNV_OFFSET,
+            (Some(a), Some(b)) => count > 0 && a <= b && (count > 1 || a == b),
+            _ => false,
+        };
+        if !consistent {
+            return Err(PersistError::mismatch(format!(
+                "checkpoint edge log {}: {count} edges do not fit first {first:?}, last {last:?} \
+                 and digest {digest:#018X}",
+                self.name
+            )));
+        }
+        self.edges.restart(count);
+        self.digest = digest;
+        self.first = first;
+        self.last = last;
         Ok(())
     }
 }
@@ -170,14 +341,14 @@ impl Persist for EdgeLog {
 impl crate::telemetry::Instrument for EdgeLog {
     /// Registers the log's summary: edge count, first/last instants, and
     /// the FNV-1a content digest (as hex text, so the full 64 bits
-    /// survive). Full edge streams stay in the log itself — the registry
+    /// survive). Edge streams stay in the log itself — the registry
     /// carries the diffable fingerprint.
     fn publish(&self, scope: &mut crate::telemetry::Scope<'_>) {
         scope.counter("edges", self.edges.len() as u64);
-        scope.text("digest", format!("{:#018X}", self.digest()));
-        if let (Some(first), Some(last)) = (self.edges.first(), self.edges.last()) {
-            scope.gauge("first_ns", first.at.as_ns() as i64);
-            scope.gauge("last_ns", last.at.as_ns() as i64);
+        scope.text("digest", format!("{:#018X}", self.digest));
+        if let (Some(first), Some(last)) = (self.first, self.last) {
+            scope.gauge("first_ns", first.as_ns() as i64);
+            scope.gauge("last_ns", last.as_ns() as i64);
         }
     }
 }
@@ -263,5 +434,92 @@ mod tests {
         b.record(t(50), 1);
         assert!(a.deltas_to(&b).is_empty());
         assert!(a.deltas_positional(&b).is_empty());
+    }
+
+    /// The digest recomputed from scratch as a fold over `(at, tag)` pairs.
+    fn fold(edges: &[(u64, u64)]) -> u64 {
+        edges
+            .iter()
+            .fold(FNV_OFFSET, |h, &(at, tag)| fnv_u64(fnv_u64(h, at), tag))
+    }
+
+    #[test]
+    fn summary_log_keeps_state_not_edges() {
+        let mut full = EdgeLog::new("x");
+        let mut summary = EdgeLog::summary("x");
+        assert_eq!(full.digest(), fold(&[]));
+        let edges = [(5, 1), (5, 2), (17, 9)];
+        for &(us, tag) in &edges {
+            full.record(t(us), tag);
+            summary.record(t(us), tag);
+        }
+        let ns: Vec<(u64, u64)> = edges.iter().map(|&(us, tag)| (us * 1_000, tag)).collect();
+        assert_eq!(full.digest(), fold(&ns));
+        assert_eq!(summary.digest(), full.digest());
+        assert_eq!((summary.len(), full.len()), (3, 3));
+        assert_eq!(full.edges().len(), 3);
+        assert!(summary.edges().is_empty());
+        assert_eq!((summary.first(), summary.last()), (Some(t(5)), Some(t(17))));
+    }
+
+    #[test]
+    fn restore_keeps_the_state_and_restarts_the_history() {
+        let mut log = EdgeLog::new("x");
+        log.record(t(1), 1);
+        log.record(t(2), 2);
+        let mut enc = Enc::new();
+        log.persist(&mut enc);
+        let bytes = enc.into_bytes();
+
+        let mut back = EdgeLog::new("x");
+        back.restore(&mut Dec::new(&bytes)).unwrap();
+        assert_eq!((back.len(), back.digest()), (2, log.digest()));
+        assert!(back.edges().is_empty() && back.keeps_history());
+        back.record(t(3), 3);
+        log.record(t(3), 3);
+        assert_eq!(back.digest(), log.digest());
+        assert_eq!(back.edges(), &[Edge { at: t(3), tag: 3 }]);
+    }
+
+    #[test]
+    fn restore_rejects_inconsistent_accumulators() {
+        let state = |count: u64, digest: u64, first: Option<u64>, last: Option<u64>| {
+            let mut enc = Enc::new();
+            enc.u64(count);
+            enc.u64(digest);
+            enc.opt(first.as_ref(), |e, us| e.time(t(*us)));
+            enc.opt(last.as_ref(), |e, us| e.time(t(*us)));
+            enc.into_bytes()
+        };
+        for (bytes, ok) in [
+            (state(0, FNV_OFFSET, None, None), true),
+            (state(2, 7, Some(1), Some(4)), true),
+            (state(1, 7, Some(4), Some(4)), true),
+            (state(0, 7, None, None), false),
+            (state(1, FNV_OFFSET, None, None), false),
+            (state(0, FNV_OFFSET, Some(1), Some(1)), false),
+            (state(2, 7, Some(4), Some(1)), false),
+            (state(1, 7, Some(1), Some(4)), false),
+            (state(2, 7, Some(1), None), false),
+        ] {
+            let got = EdgeLog::summary("x").restore(&mut Dec::new(&bytes));
+            assert_eq!(got.is_ok(), ok, "{got:?}");
+            if !ok {
+                assert!(matches!(got, Err(PersistError::Mismatch(_))));
+            }
+        }
+    }
+
+    #[test]
+    fn history_counts_from_zero_and_keeps_from_attach() {
+        let mut h = History::summary();
+        h.push(1);
+        h.attach_history();
+        h.push(2);
+        assert_eq!((h.len(), h.samples()), (2, &[2][..]));
+        h.restart(10);
+        assert_eq!((h.len(), h.samples().len()), (10, 0));
+        h.push(3);
+        assert_eq!(h.iter().copied().collect::<Vec<_>>(), vec![3]);
     }
 }

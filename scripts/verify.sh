@@ -107,4 +107,11 @@ case "$bench_out" in
   *) echo "perfbench smoke: correctness gate failed: $bench_out" >&2; exit 1 ;;
 esac
 
+echo "== perfbench serve-steer smoke (traced: every cycle the in-process replay restores a fresh sample-less bus and its presentation and purge counts must match serve's status lines; the correctness gate must pass)"
+steer_bench=$(bash perfbench/run.sh --workload serve-steer --seed 1 --seconds 1 --trace 1 | tail -n 1)
+case "$steer_bench" in
+  *'"correct": true'*'"failed": 0'*) ;;
+  *) echo "perfbench serve-steer smoke: correctness gate failed: $steer_bench" >&2; exit 1 ;;
+esac
+
 echo "verify: OK"

@@ -15,10 +15,12 @@
 //! one-shard goldens.
 
 use ctms_core::{
-    apply_mutations, fork, ForkSpec, Mutation, RingChainTestbed, RingGraph, Scenario, Testbed,
+    apply_mutations, fork, graph_topology, Bus, ForkSpec, Mutation, RingChainTestbed, RingGraph,
+    Scenario, Testbed,
 };
 use ctms_router::BridgeKind;
 use ctms_sim::telemetry::fnv1a;
+use ctms_sim::telemetry::Value;
 use ctms_sim::{ChunkSink, Dur, PersistError, SimTime};
 use ctms_unixkern::MeasurePoint;
 
@@ -421,10 +423,18 @@ fn corrupt_and_mismatched_checkpoints_are_rejected() {
     bad[0] ^= 0xFF;
     assert!(fresh.bus_mut().restore_checkpoint(&bad).is_err());
 
-    // Unknown version.
+    // Unknown version, and a v2 image: its router chunk held samples,
+    // which a v3 build cannot read as accumulators.
     let mut bad = good.clone();
     bad[8] = bad[8].wrapping_add(1);
     assert!(fresh.bus_mut().restore_checkpoint(&bad).is_err());
+    assert_eq!(u32::from_le_bytes(good[8..12].try_into().unwrap()), 3);
+    let mut v2 = good.clone();
+    v2[8..12].copy_from_slice(&2u32.to_le_bytes());
+    assert!(matches!(
+        fresh.bus_mut().restore_checkpoint(&v2),
+        Err(PersistError::Mismatch(m)) if m.contains("version 2")
+    ));
 
     // Truncated stream.
     assert!(fresh
@@ -505,8 +515,10 @@ fn steering_in_place_matches_at_every_shard_count() {
     // A 16-ring chain runs to 1 s, takes one mutation of each kind in
     // place, and runs on to 2 s. The continuation — checkpoint bytes
     // and telemetry JSON — must be identical at 1, 2 and 4 shards, and
-    // equal to FNV-1a pins recorded by steering the same state through
-    // the sequential engine before steering worked at any shard count.
+    // equal to FNV-1a pins: the telemetry and event count as recorded by
+    // steering the same state through the sequential engine before
+    // steering worked at any shard count, the checkpoint bytes as
+    // re-recorded for format v3.
     let sc = Scenario::scaled_chain(42);
     let kind = BridgeKind::cut_through_bridge();
     let mutations = [
@@ -533,12 +545,7 @@ fn steering_in_place_matches_at_every_shard_count() {
                 fnv1a(got.1.as_bytes()),
                 bed.events()
             ),
-            (
-                121_775,
-                0x2874_13C7_4B27_700E,
-                0x335A_1604_D63B_611E,
-                27_865
-            ),
+            (8_973, 0xE7AD_4A7D_B131_3F22, 0x335A_1604_D63B_611E, 27_865),
             "steered continuation drifted from the pinned reference (shards={shards})"
         );
         match &reference {
@@ -552,8 +559,8 @@ fn steering_in_place_matches_at_every_shard_count() {
 fn checkpoint_bytes_match_the_recorded_format() {
     // Every other test here compares the code with itself, so a silent
     // format change would pass them all. These FNV-1a digests of the
-    // image and framed bytes were recorded before the codec was folded
-    // into one streamed path; any byte of drift fails here.
+    // image and framed bytes were recorded when format v3 made the
+    // router chunk state only; any byte of drift fails here.
     let bytes_digests =
         |image: Vec<u8>, framed: Vec<u8>| (image.len(), fnv1a(&image), fnv1a(&framed));
 
@@ -564,7 +571,7 @@ fn checkpoint_bytes_match_the_recorded_format() {
     let got = bytes_digests(bed.bus().checkpoint(), framed);
     assert_eq!(
         got,
-        (11_852, 0xA351_95B0_5FA1_19F9, 0xB363_1A95_9960_7A2F),
+        (2_551, 0xE868_EE9A_037C_BC4C, 0x49C6_3B28_DFC9_4085),
         "case A checkpoint bytes drifted: {got:#X?}"
     );
 
@@ -578,7 +585,7 @@ fn checkpoint_bytes_match_the_recorded_format() {
     let got = bytes_digests(origin.bus().checkpoint(), framed);
     assert_eq!(
         got,
-        (32_502, 0x3CEB_C05A_AD83_980E, 0x570E_60E9_68C7_C515),
+        (6_916, 0x6782_9E2E_3557_6E4E, 0x2885_AD33_2748_16DE),
         "4-shard tree checkpoint bytes drifted: {got:#X?}"
     );
 }
@@ -812,4 +819,262 @@ fn graph_snapshot_restores_across_shard_counts() {
     );
     let mut fddi = RingChainTestbed::graph(&sc, kind, &RingGraph::fddi(12));
     assert!(fddi.bus_mut().restore_checkpoint(&snapshot).is_err());
+}
+
+/// The bare, sample-less builds `serve` makes: case A on one shard and
+/// the 16-ring chain on `shards`.
+fn bare_case_a(seed: u64) -> Bus {
+    Testbed::ctms_topology(&Scenario::test_case_a(seed))
+        .0
+        .build_sharded(1)
+}
+
+fn bare_chain(seed: u64, shards: usize) -> Bus {
+    let sc = Scenario::scaled_chain(seed);
+    graph_topology(&sc, BridgeKind::cut_through_bridge(), &RingGraph::chain(16))
+        .0
+        .build_sharded(shards)
+}
+
+/// The four truth-log digests of a bus at any shard count.
+fn bus_digests(bus: &Bus) -> [u64; 4] {
+    let get = |host: usize, point: MeasurePoint| {
+        bus.truth_log(host, point)
+            .map(|log| log.digest())
+            .unwrap_or(0)
+    };
+    [
+        get(0, MeasurePoint::VcaIrq),
+        get(0, MeasurePoint::VcaHandlerEntry),
+        get(0, MeasurePoint::PreTransmit),
+        get(1, MeasurePoint::CtmspIdentified),
+    ]
+}
+
+#[test]
+fn snapshots_hold_state_not_history() {
+    // A checkpoint carries accumulators, not samples: run a hundred
+    // times longer and the image stays within 2x of its size — on the
+    // testbeds that do keep samples in memory, and at 2 shards.
+    let sc_a = Scenario::test_case_a(42);
+    let sc_b = Scenario::test_case_b(42);
+    let sc_chain = Scenario::scaled_chain(42);
+    let kind = BridgeKind::cut_through_bridge();
+    let cases: [(&str, Bus); 3] = [
+        ("case A", Testbed::ctms(&sc_a).into_bus()),
+        ("case B", Testbed::ctms(&sc_b).into_bus()),
+        (
+            "chain/16 at 2 shards",
+            RingChainTestbed::chain_sharded(&sc_chain, kind, 16, 2).into_bus(),
+        ),
+    ];
+    for (name, mut bus) in cases {
+        bus.run_until(SimTime::from_secs(1));
+        let early = bus.checkpoint().len();
+        bus.run_until(SimTime::from_secs(100));
+        let late = bus.checkpoint().len();
+        assert!(
+            late <= 2 * early && early <= 2 * late,
+            "{name}: {early} B at 1 s, {late} B at 100 s"
+        );
+        let kept: usize = bus
+            .measure_parts()
+            .iter()
+            .map(|m| m.presented().samples().len())
+            .sum();
+        assert!(
+            kept > 8_000,
+            "{name}: the testbed keeps its samples ({kept})"
+        );
+    }
+}
+
+#[test]
+fn the_history_sink_does_not_perturb_the_run() {
+    // A testbed that keeps every sample and a bare bus that keeps none
+    // run the same simulation: the same checkpoint bytes, telemetry and
+    // truth digests. Only the samples differ.
+    let sc_a = Scenario::test_case_a(7);
+    let sc_chain = Scenario::scaled_chain(7);
+    let kind = BridgeKind::cut_through_bridge();
+    let pairs: [(Bus, Bus); 2] = [
+        (Testbed::ctms(&sc_a).into_bus(), bare_case_a(7)),
+        (
+            RingChainTestbed::chain_sharded(&sc_chain, kind, 16, 2).into_bus(),
+            bare_chain(7, 2),
+        ),
+    ];
+    for (mut recording, mut bare) in pairs {
+        for bus in [&mut recording, &mut bare] {
+            bus.run_until(SimTime::from_secs(3));
+        }
+        assert!(
+            recording.checkpoint() == bare.checkpoint(),
+            "checkpoint bytes"
+        );
+        assert_eq!(recording.telemetry_json(), bare.telemetry_json());
+        assert_eq!(bus_digests(&recording), bus_digests(&bare));
+        let count = |bus: &Bus| -> (usize, usize) {
+            bus.measure_parts()
+                .iter()
+                .map(|m| (m.presented().len(), m.presented().samples().len()))
+                .fold((0, 0), |a, b| (a.0 + b.0, a.1 + b.1))
+        };
+        let (total, kept) = count(&recording);
+        assert!(
+            total > 200 && kept == total,
+            "{total} presented, {kept} kept"
+        );
+        assert_eq!(
+            count(&bare),
+            (total, 0),
+            "a bare bus counts but keeps nothing"
+        );
+        let tap = bare.tap(0);
+        assert!(!tap.records().is_empty() && tap.records().samples().is_empty());
+    }
+}
+
+#[test]
+fn restore_counts_from_zero_and_samples_from_the_restore_point() {
+    // A restored testbed reports totals and digests since t = 0, and
+    // samples only from the restore point on.
+    let sc = Scenario::test_case_a(42);
+    let mut straight = Testbed::ctms(&sc);
+    straight.run_until(SimTime::from_secs(4));
+    let mut origin = Testbed::ctms(&sc);
+    origin.run_until(SimTime::from_secs(2));
+    let mut resumed = Testbed::ctms(&sc);
+    resumed
+        .bus_mut()
+        .restore_checkpoint(&origin.bus().checkpoint())
+        .expect("restore");
+    resumed.run_until(SimTime::from_secs(4));
+    assert_eq!(resumed.presented().len(), straight.presented().len());
+    assert_eq!(digests(&resumed), digests(&straight));
+    let kept = resumed.presented().samples();
+    assert!(kept.len() < straight.presented().len() && kept.len() > 100);
+    assert!(kept.iter().all(|p| p.0 > SimTime::from_secs(2)));
+    assert_eq!(
+        kept,
+        &straight.presented().samples()[straight.presented().len() - kept.len()..]
+    );
+}
+
+/// The last chunk of `bus`'s checkpoint stream: the router state.
+fn router_chunk_len(bus: &Bus) -> usize {
+    let mut sink = CollectSink::new();
+    bus.checkpoint_stream(&mut sink).expect("stream");
+    sink.chunks.last().expect("a router chunk").len()
+}
+
+/// Every accumulator invariant restore promises, read back through the
+/// public API of a restored bus: TAP class counts sum to the captures
+/// and its instants are ordered and not past the clock, every truth
+/// log's first ≤ last ≤ clock, and the gap histogram holds one gap
+/// fewer than the presentations.
+fn accumulators_hold(bus: &mut Bus) -> Result<(), String> {
+    let now = bus.now();
+    for k in 0..bus.ring_count() {
+        let tap = bus.tap(k);
+        let b = tap.breakdown();
+        let classes = [b.mac, b.small, b.file_transfer, b.ctmsp, b.other];
+        if classes.iter().try_fold(0u64, |a, &c| a.checked_add(c))
+            != Some(tap.records().len() as u64)
+        {
+            return Err(format!("ring {k}: class counts do not sum to the captures"));
+        }
+        let [last_record, first_at, last_at] = tap.instants();
+        let ordered = match (first_at, last_at) {
+            (None, None) => last_record.is_none(),
+            (Some(a), Some(b)) => {
+                a <= b && b <= now && last_record.is_none_or(|r| a <= r && r <= b)
+            }
+            _ => false,
+        };
+        if !ordered {
+            return Err(format!(
+                "ring {k}: TAP instants out of order or past the clock"
+            ));
+        }
+    }
+    for host in 0..bus.host_count() {
+        for point in [
+            MeasurePoint::VcaIrq,
+            MeasurePoint::VcaHandlerEntry,
+            MeasurePoint::PreTransmit,
+            MeasurePoint::CtmspIdentified,
+            MeasurePoint::Presented,
+        ] {
+            if let Some(log) = bus.truth_log(host, point) {
+                let ok = match (log.first(), log.last()) {
+                    (None, None) => log.is_empty(),
+                    (Some(a), Some(b)) => a <= b && b <= now && !log.is_empty(),
+                    _ => false,
+                };
+                if !ok {
+                    return Err(format!("h{host} {point:?}: instants out of order"));
+                }
+            }
+        }
+    }
+    let presented: u64 = bus
+        .measure_parts()
+        .iter()
+        .map(|m| m.presented().len() as u64)
+        .sum();
+    let gaps = match bus.collect_telemetry().get("measure.presented_gap_ms") {
+        Some(Value::Hist(h)) => h.total(),
+        _ => 0,
+    };
+    if gaps != presented.saturating_sub(1) {
+        return Err(format!("{gaps} gaps for {presented} presentations"));
+    }
+    Ok(())
+}
+
+#[test]
+fn corrupt_router_state_is_rejected_or_consistent() {
+    // Every byte of the router chunk, +0x01 and +0x80: restore either
+    // fails with a typed error, or yields accumulators that keep every
+    // invariant above and run on for 100 ms. Nothing panics.
+    let case_a: fn() -> Bus = || bare_case_a(42);
+    let chain: fn() -> Bus = || bare_chain(42, 2);
+    for (name, build) in [("case A", case_a), ("chain/16 at 2 shards", chain)] {
+        let mut origin = build();
+        origin.run_until(SimTime::from_secs(1));
+        let good = origin.checkpoint();
+        let router = good.len() - router_chunk_len(&origin);
+        let (mut rejected, mut accepted) = (0, 0);
+        for at in router..good.len() {
+            for delta in [0x01u8, 0x80] {
+                let mut bad = good.clone();
+                bad[at] = bad[at].wrapping_add(delta);
+                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    let mut bus = build();
+                    match bus.restore_checkpoint(&bad) {
+                        Err(e) => Err(e),
+                        Ok(()) => {
+                            let held = accumulators_hold(&mut bus);
+                            let until = bus.now() + Dur::from_ms(100);
+                            let _ = bus.try_run_until(until);
+                            Ok(held)
+                        }
+                    }
+                }));
+                match outcome {
+                    Err(_) => panic!("{name}: byte {at} +{delta:#04x} panicked"),
+                    Ok(Err(_)) => rejected += 1,
+                    Ok(Ok(Err(broken))) => {
+                        panic!("{name}: byte {at} +{delta:#04x} was accepted with {broken}")
+                    }
+                    Ok(Ok(Ok(()))) => accepted += 1,
+                }
+            }
+        }
+        assert!(
+            rejected > 0 && accepted > 0,
+            "{name}: {rejected} rejected, {accepted} accepted"
+        );
+    }
 }
