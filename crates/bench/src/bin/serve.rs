@@ -72,9 +72,15 @@
 //! non-blank line gets a reply: one that is not UTF-8 is a `bad command
 //! line: not UTF-8` error, and one longer than 64 MiB
 //! (`MAX_LINE_BYTES`) is a `bad command line: longer than …` error,
-//! read past without being buffered. A `fork` whose branches, each a
-//! one-shard build of the session's scenario, would together pass the
-//! 256 MiB build budget is a `"branches" out of range` error. A number
+//! read past without being buffered. A line holding more JSON values
+//! than the largest admitted command needs (`MAX_VALUES`, 294,916) is a
+//! `bad command line: more than … values` error, refused as soon as the
+//! parse passes the count, so parsing costs at most about 30 MB whatever
+//! the line's length. A `steer` or `fork` line carrying more than
+//! 65,536 mutations in all is a `"mutations" out of range` error. A
+//! `fork` whose branches, each a one-shard build of the session's
+//! scenario, would together pass the 256 MiB build budget is a
+//! `"branches" out of range` error. A number
 //! is read exactly from its digits; one that does not fit its field, or
 //! overflows once scaled to
 //! nanoseconds, is a `"<key>" out of range` error. A read error on
@@ -215,18 +221,44 @@ fn to_ns(n: u64, unit_ns: u64, key: &str) -> Result<u64, String> {
 /// the stack of the recursive parser.
 const MAX_DEPTH: usize = 16;
 
+/// Most branches an admitted `fork` can carry: the budget's worth of
+/// one-shard builds of the smallest chain (2 rings).
+const MAX_FORK_BRANCHES: usize = (BUILD_BUDGET_BYTES / (2 * CHAIN_BYTES_PER_RING)) as usize;
+
+/// Most mutations one `steer` or `fork` line may carry in all: one per
+/// ring of the largest chain the budget admits.
+const MAX_MUTATIONS: usize = (BUILD_BUDGET_BYTES / CHAIN_BYTES_PER_RING) as usize;
+
+/// Most JSON values a line may hold, counted as the parser meets them,
+/// like [`MAX_DEPTH`] counts nesting. The largest line an admitted
+/// command needs is a `fork` of [`MAX_FORK_BRANCHES`] branch arrays
+/// carrying [`MAX_MUTATIONS`] mutations of an object and three fields
+/// each, inside the command object and its three fields. At 32 bytes a
+/// parsed value, 56 in an object, a line within the count costs at most
+/// about 30 MB to parse, however long it is.
+const MAX_VALUES: usize = 4 + MAX_FORK_BRANCHES + 4 * MAX_MUTATIONS;
+
 struct Parser<'a> {
     src: &'a str,
     pos: usize,
     depth: usize,
+    /// Values met so far.
+    values: usize,
+}
+
+impl<'a> Parser<'a> {
+    fn new(src: &'a str) -> Self {
+        Parser {
+            src,
+            pos: 0,
+            depth: 0,
+            values: 0,
+        }
+    }
 }
 
 fn parse_json(s: &str) -> Result<Json<'_>, String> {
-    let mut p = Parser {
-        src: s,
-        pos: 0,
-        depth: 0,
-    };
+    let mut p = Parser::new(s);
     let v = p.value()?;
     p.skip_ws();
     if p.pos != s.len() {
@@ -268,6 +300,13 @@ impl<'a> Parser<'a> {
     }
 
     fn value(&mut self) -> Result<Json<'a>, String> {
+        self.values += 1;
+        if self.values > MAX_VALUES {
+            return Err(format!(
+                "more than {MAX_VALUES} values at offset {}",
+                self.pos
+            ));
+        }
         match self.peek()? {
             b'{' | b'[' if self.depth == MAX_DEPTH => Err(format!(
                 "nesting deeper than {MAX_DEPTH} at offset {}",
@@ -750,12 +789,14 @@ fn parse_mutation(v: &Json) -> Result<Mutation, String> {
     }
 }
 
-fn parse_mutations(v: &Json) -> Result<Vec<Mutation>, String> {
-    v.as_arr()
-        .ok_or("\"mutations\" must be an array")?
-        .iter()
-        .map(parse_mutation)
-        .collect()
+/// One mutation list, charged against `left`, the mutations its line
+/// may still carry (see [`MAX_MUTATIONS`]).
+fn parse_mutations(v: &Json, left: &mut usize) -> Result<Vec<Mutation>, String> {
+    let list = v.as_arr().ok_or("\"mutations\" must be an array")?;
+    *left = left
+        .checked_sub(list.len())
+        .ok_or_else(|| out_of_range("mutations"))?;
+    list.iter().map(parse_mutation).collect()
 }
 
 // --- Replies --------------------------------------------------------------
@@ -1024,7 +1065,10 @@ fn command(
             );
         }
         Some("steer") => {
-            let muts = parse_mutations(cmd.get("mutations").ok_or("steer needs \"mutations\"")?)?;
+            let muts = parse_mutations(
+                cmd.get("mutations").ok_or("steer needs \"mutations\"")?,
+                &mut { MAX_MUTATIONS },
+            )?;
             apply_mutations(bus, &muts).map_err(|e| format!("steer failed: {e}"))?;
             emit(
                 out,
@@ -1040,6 +1084,7 @@ fn command(
             if run_to < bus.now() {
                 return Err("\"until_ms\" is in the simulated past".to_string());
             }
+            let mut left = MAX_MUTATIONS;
             let branches = cmd
                 .get("branches")
                 .and_then(Json::as_arr)
@@ -1048,7 +1093,7 @@ fn command(
                 .iter()
                 .map(|l| {
                     Ok(ForkSpec {
-                        mutations: parse_mutations(l)?,
+                        mutations: parse_mutations(l, &mut left)?,
                         run_to,
                     })
                 })
@@ -1150,7 +1195,117 @@ mod tests {
         let fork = r#"{"cmd":"fork","until_ms":2000,"branches":[[{"kind":"purge_storm","ring":0,"count":2}]]}"#;
         let v = parse_json(fork).expect("the deepest protocol line parses");
         let branch = &v.get("branches").and_then(Json::as_arr).expect("branches")[0];
-        assert_eq!(parse_mutations(branch).map(|m| m.len()), Ok(1));
+        assert_eq!(
+            parse_mutations(branch, &mut { MAX_MUTATIONS }).map(|m| m.len()),
+            Ok(1)
+        );
+    }
+
+    /// A line's parse is bounded by a count of values, not by its
+    /// length: the 6 MB `fork` line of two million empty branches is
+    /// refused at the first value past [`MAX_VALUES`] with one typed
+    /// reply, and the session keeps serving. The largest admitted
+    /// `fork` line (every branch the smallest chain admits, carrying
+    /// every mutation a line may) parses within the count, and a
+    /// `restore` line costs three values whatever the length of its hex.
+    #[test]
+    fn value_count_is_capped() {
+        assert_eq!((MAX_FORK_BRANCHES, MAX_MUTATIONS), (32_768, 65_536));
+        let smallest_chain = spec(r#"{"scenario":"chain","rings":2}"#).unwrap();
+        assert_eq!(
+            smallest_chain.branch_bytes() * MAX_FORK_BRANCHES as u64,
+            BUILD_BUDGET_BYTES
+        );
+        assert_eq!(chain_build_bytes(MAX_MUTATIONS, 1), BUILD_BUDGET_BYTES);
+
+        let fork = |branches: &[String]| {
+            format!(
+                "{{\"cmd\":\"fork\",\"until_ms\":0,\"branches\":[{}]}}",
+                branches.join(",")
+            )
+        };
+        let hostile = fork(&vec!["[]".to_string(); 2_000_000]);
+        assert!(hostile.len() > 6_000_000);
+        let mut p = Parser::new(&hostile);
+        let err = p.value().expect_err("two million branches are refused");
+        assert!(
+            err.starts_with(&format!("more than {MAX_VALUES} values")),
+            "{err}"
+        );
+        assert_eq!(
+            p.values,
+            MAX_VALUES + 1,
+            "refused at the first value past the count"
+        );
+        let replies = session(
+            format!("{{\"scenario\":\"case_a\"}}\n{hostile}\n{{\"cmd\":\"quit\"}}\n").as_bytes(),
+        );
+        assert_eq!(replies.len(), 3, "{replies:#?}");
+        assert!(
+            replies[1].starts_with(&format!(
+                "{{\"ok\":false,\"error\":\"bad command line: more than {MAX_VALUES} values"
+            )),
+            "{}",
+            replies[1]
+        );
+
+        let mutation = r#"{"kind":"dma_stall","host":0,"extra_us":1}"#;
+        let per_branch = MAX_MUTATIONS / MAX_FORK_BRANCHES;
+        let branch = format!("[{}]", vec![mutation; per_branch].join(","));
+        let largest = fork(&vec![branch; MAX_FORK_BRANCHES]);
+        let mut p = Parser::new(&largest);
+        let v = p.value().expect("the largest admitted fork line parses");
+        assert_eq!(p.values, MAX_VALUES);
+        let mut left = MAX_MUTATIONS;
+        for list in v.get("branches").and_then(Json::as_arr).unwrap() {
+            assert_eq!(
+                parse_mutations(list, &mut left).map(|m| m.len()),
+                Ok(per_branch)
+            );
+        }
+        assert_eq!(left, 0);
+        let one_more = Json::Arr(vec![Json::Null]);
+        assert_eq!(
+            parse_mutations(&one_more, &mut left),
+            Err(r#""mutations" out of range"#.to_string())
+        );
+
+        let restore = format!(
+            "{{\"cmd\":\"restore\",\"checkpoint\":\"{}\"}}",
+            "ab".repeat(1 << 20)
+        );
+        let mut p = Parser::new(&restore);
+        p.value().expect("a restore line parses");
+        assert_eq!(p.values, 3);
+    }
+
+    /// A `steer` line with more mutations than any admitted chain has
+    /// rings is refused whole, before any is applied.
+    #[test]
+    fn mutation_counts_are_capped() {
+        let churn = r#"{"kind":"station_churn","ring":0}"#;
+        let steer = |n: usize| {
+            format!(
+                "{{\"cmd\":\"steer\",\"mutations\":[{}]}}\n",
+                vec![churn; n].join(",")
+            )
+        };
+        let input = format!(
+            "{{\"scenario\":\"case_a\"}}\n{}{}{{\"cmd\":\"quit\"}}\n",
+            steer(MAX_MUTATIONS + 1),
+            steer(2)
+        );
+        let replies = session(input.as_bytes());
+        assert_eq!(replies.len(), 4, "{replies:#?}");
+        assert_eq!(
+            replies[1],
+            r#"{"ok":false,"error":"\"mutations\" out of range"}"#
+        );
+        assert!(
+            replies[2].starts_with(r#"{"ok":true,"event":"steered","applied":2,"#),
+            "{}",
+            replies[2]
+        );
     }
 
     fn spec(line: &str) -> Result<Spec, String> {

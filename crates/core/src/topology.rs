@@ -913,9 +913,11 @@ impl Bus {
         self.h.shard_count()
     }
 
-    /// Accepts a worker-thread count and ignores it: every shard runs
-    /// on the calling thread (DESIGN.md §13). Kept so that callers
-    /// which pick a count still build.
+    /// Accepts a worker-thread count and ignores it. The harness picks
+    /// its own threads: a fat window runs shard 0 on the caller and
+    /// each other shard on a long-lived worker, up to the core count
+    /// minus one, and every other window runs on the caller (DESIGN.md
+    /// §13). Kept because the benchmark calls it.
     pub fn set_threads(&mut self, _threads: usize) {}
 
     /// Current simulation time.

@@ -16,9 +16,9 @@
 //! * [`heap`] — the indexed d-ary min-heap behind the scheduler
 //!   (update-key per node, no stale entries, allocation-free stepping),
 //! * [`shard`] — the scheduler ([`shard::Harness`]): per-shard deadline
-//!   heaps with deterministic tie-breaking, run on the calling thread
-//!   at any shard count, per-shard windows bounded
-//!   by an influence fixpoint over the cut-edge lookaheads, and
+//!   heaps with deterministic tie-breaking, per-shard windows bounded
+//!   by an influence fixpoint over the cut-edge lookaheads and a
+//!   runahead span, fat windows on long-lived shard workers, and
 //!   deterministic cross-shard mailboxes that only sync-class nodes may
 //!   post to — the same answer at every shard count by construction,
 //! * [`synth`] — synthetic allocation-free workloads for the

@@ -42,9 +42,33 @@
 //!   a total order, so delivery is deterministic no matter which shard
 //!   emitted first).
 //!
-//! Every window, sync instant and mail round runs on the calling
-//! thread, shard after shard in shard order: a handoff to another
-//! thread costs more than a thin window holds (DESIGN.md §13).
+//! * **Runahead.** Each shard's window also ends at most a span `S`
+//!   past its own earliest instant, with `S = max(2λ, F_s / ρ)`: `λ` is
+//!   the smallest cut-edge lookahead, `ρ` the events per simulated
+//!   nanosecond per shard serviced so far and `F_s`
+//!   ([`RUNAHEAD_MIN_EVENTS`]) a floor on a window's events. An
+//!   upstream shard therefore simulates span `k + 1` while the shards
+//!   it feeds simulate span `k`, instead of running a whole run call
+//!   alone first; and the mail one shard buffers for another covers at
+//!   most about `S + λ` of simulated time, however long the run call.
+//!   Both inputs are deterministic, so the window schedule repeats, and
+//!   the cap only ever shrinks a window, so soundness rests on the
+//!   fixpoint bound alone.
+//!
+//! Sync instants and mail rounds run on the calling thread, shard after
+//! shard in shard order, and so does every window unless it is fat: a
+//! window whose active shards (at least two) each serviced at least
+//! `F_d` ([`DISPATCH_MIN_EVENTS`]) events in their previous window runs
+//! on long-lived workers, one per shard past the first up to the core
+//! count minus one, while the caller runs shard 0 and any shard without
+//! a worker. A worker is spawned at its harness's first dispatched
+//! window and joined when the harness drops; a dispatch publishes the
+//! window end, bumps a generation counter and unparks the worker, which
+//! spins briefly before it parks again, and the caller waits on a
+//! completion counter. Nothing allocates per window, and a panic inside
+//! a worker's window is re-raised on the caller. A thin window stays on
+//! the caller: its handoff would cost more than it holds (DESIGN.md
+//! §13 derives both floors from measured costs).
 //!
 //! Determinism is the contract: the shard count may change the wall
 //! clock, never the answer. The tier-1 parity tests pin byte-identical
@@ -87,7 +111,42 @@ use crate::heap::IndexedHeap;
 use crate::persist::{ChunkedWriter, Persist, PersistError, UnitReader};
 use crate::telemetry::Registry;
 use crate::time::{Dur, SimTime};
-use std::sync::Arc;
+use std::any::Any;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
+
+/// `F_s`: the events per shard a window should carry at least. The
+/// runahead span grows past `2λ` until a window holds this many at the
+/// run's average rate, so the coordinator's 320–360 ns per window stays
+/// under about 2% of a window's work at 350–440 ns per event.
+pub const RUNAHEAD_MIN_EVENTS: u64 = 64;
+
+/// `F_d`: the events each active shard must have serviced in its
+/// previous window before a window runs on workers. At 350–440 ns per
+/// event that is 90–113 µs of work per shard: a parked worker's wake-up
+/// round trip (5.0–20.7 µs) costs at most about a fifth of it, and even
+/// a harness's first dispatch, which spawns the worker (38–53 µs), is
+/// repaid within the window. It sits well above `F_s`, so windows the
+/// runahead floor alone sizes stay on the caller.
+pub const DISPATCH_MIN_EVENTS: u64 = 4 * RUNAHEAD_MIN_EVENTS;
+
+/// How long a waiting thread spins before it blocks: no longer than a
+/// parked wake-up round trip (5.0–20.7 µs), so spinning first never
+/// costs much more than blocking at once would have.
+const SPIN_FOR: Duration = Duration::from_micros(10);
+
+/// The generation that tells a worker to exit.
+const SHUTDOWN: u64 = u64::MAX;
+
+/// The machine's parallelism, asked of the OS once per process and only
+/// when a window is fat enough to dispatch.
+fn cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
 
 /// Merge key of one cross-shard command: commands are delivered in
 /// ascending `(at, src_shard, seq)` order. `seq` is a per-source-shard
@@ -201,6 +260,8 @@ struct ShardState<C: Component, R> {
     failed: Option<CascadeError>,
     dirty: Vec<usize>,
     events: u64,
+    /// Events serviced in this shard's most recent window.
+    window_events: u64,
     stats: ShardStats,
     /// Outgoing mail per destination shard, drained by the coordinator.
     outbox: Vec<Vec<Mail<C::Cmd>>>,
@@ -244,6 +305,7 @@ impl<C: Component, R: Router<C>> ShardState<C, R> {
             failed: None,
             dirty: Vec::new(),
             events: 0,
+            window_events: 0,
             stats: ShardStats::default(),
             outbox: mailboxes(n_shards),
             pending: Vec::new(),
@@ -465,6 +527,7 @@ impl<C: Component, R: Router<C>> ShardState<C, R> {
     ///
     /// [`run_instant`]: ShardState::run_instant
     fn run_window(&mut self, w_end: SimTime) {
+        let before = self.events;
         // Two copies of the loop, each with its policy fixed at compile
         // time: a lone shard's skips every cross-shard check.
         if self.solo {
@@ -472,6 +535,7 @@ impl<C: Component, R: Router<C>> ShardState<C, R> {
         } else {
             self.run_window_as(w_end, Cross::SyncOnly);
         }
+        self.window_events = self.events - before;
     }
 
     #[inline(always)]
@@ -587,6 +651,191 @@ impl<C: Component, R: Router<C>> ShardState<C, R> {
     }
 }
 
+/// Runs the window of the shard behind `shard` to its published end.
+///
+/// # Safety
+///
+/// `shard` must point to a live `ShardState<C, R>` that no other thread
+/// touches until the call returns.
+unsafe fn run_shard_window<C: Component, R: Router<C>>(shard: *mut ()) {
+    // SAFETY: the caller hands this thread the shard exclusively.
+    let s = unsafe { &mut *shard.cast::<ShardState<C, R>>() };
+    s.run_window(s.w_end);
+}
+
+/// What the coordinator shares with one worker. The coordinator's
+/// Release store of `generation` pairs with the worker's Acquire load,
+/// publishing `shard` and everything the coordinator wrote into that
+/// shard; the worker's Release store of `done` pairs with the
+/// coordinator's Acquire load, publishing the window's writes back.
+struct Slot {
+    /// The shard of the current window; written before `generation`.
+    shard: AtomicPtr<()>,
+    /// `run_shard_window` for the harness's node and router types. The
+    /// pointer erases them, lifetimes included; that is sound because
+    /// the worker calls it only between a dispatch and its completion,
+    /// while the caller holds the harness borrowed and waits.
+    run: unsafe fn(*mut ()),
+    /// Bumped once per dispatched window; [`SHUTDOWN`] ends the worker.
+    generation: AtomicU64,
+    /// The last generation whose window the worker finished.
+    done: AtomicU64,
+    /// A panic caught inside a window, for the coordinator to re-raise.
+    panic: Mutex<Option<Box<dyn Any + Send>>>,
+}
+
+/// Spin-then-block waiting: each [`Backoff::snooze`] spins once until
+/// [`SPIN_FOR`] has passed, and blocks from then on.
+struct Backoff {
+    start: Instant,
+    spins: u32,
+}
+
+impl Backoff {
+    fn new() -> Self {
+        Backoff {
+            start: Instant::now(),
+            spins: 0,
+        }
+    }
+
+    fn snooze(&mut self, block: impl FnOnce()) {
+        if self.spins == u32::MAX {
+            block();
+            return;
+        }
+        self.spins += 1;
+        std::hint::spin_loop();
+        if self.spins.is_multiple_of(64) && self.start.elapsed() >= SPIN_FOR {
+            self.spins = u32::MAX;
+        }
+    }
+}
+
+impl Slot {
+    /// The worker's side: waits for a generation other than `seen`,
+    /// then parks. A dispatch always unparks after its bump, so a park
+    /// that races it returns at once.
+    fn next_generation(&self, seen: u64) -> u64 {
+        let mut backoff = Backoff::new();
+        loop {
+            let generation = self.generation.load(Ordering::Acquire);
+            if generation != seen {
+                return generation;
+            }
+            backoff.snooze(std::thread::park);
+        }
+    }
+}
+
+/// The body of a worker thread: run each dispatched window, record a
+/// panic instead of dying of it, and report completion.
+fn worker_main(slot: Arc<Slot>) {
+    let mut seen = 0;
+    loop {
+        let generation = slot.next_generation(seen);
+        if generation == SHUTDOWN {
+            return;
+        }
+        seen = generation;
+        let shard = slot.shard.load(Ordering::Relaxed);
+        // SAFETY: the coordinator handed over `shard` with this
+        // generation and touches it again only once `done` moves.
+        let ran = catch_unwind(AssertUnwindSafe(|| unsafe { (slot.run)(shard) }));
+        if let Err(payload) = ran {
+            *slot.panic.lock().unwrap_or_else(PoisonError::into_inner) = Some(payload);
+        }
+        slot.done.store(generation, Ordering::Release);
+    }
+}
+
+/// One long-lived worker thread; it serves the same shard for its
+/// harness's life.
+struct Worker {
+    slot: Arc<Slot>,
+    thread: Option<JoinHandle<()>>,
+    /// The last generation dispatched to this worker.
+    generation: u64,
+}
+
+impl Worker {
+    fn spawn<C: Component, R: Router<C>>(shard: usize) -> std::io::Result<Worker> {
+        let slot = Arc::new(Slot {
+            shard: AtomicPtr::new(std::ptr::null_mut()),
+            run: run_shard_window::<C, R>,
+            generation: AtomicU64::new(0),
+            done: AtomicU64::new(0),
+            panic: Mutex::new(None),
+        });
+        let shared = Arc::clone(&slot);
+        let thread = std::thread::Builder::new()
+            .name(format!("ctms-shard-{shard}"))
+            .spawn(move || worker_main(shared))?;
+        Ok(Worker {
+            slot,
+            thread: Some(thread),
+            generation: 0,
+        })
+    }
+
+    /// Hands `shard` to the worker for one window.
+    fn dispatch(&mut self, shard: *mut ()) {
+        self.generation += 1;
+        self.slot.shard.store(shard, Ordering::Relaxed);
+        self.slot
+            .generation
+            .store(self.generation, Ordering::Release);
+        if let Some(thread) = &self.thread {
+            thread.thread().unpark();
+        }
+    }
+
+    /// Waits until the worker has finished every window dispatched to
+    /// it, spinning and then yielding the core: the caller's own
+    /// windows hold about as much work, so the wait is short.
+    fn wait(&self) {
+        let mut backoff = Backoff::new();
+        while self.slot.done.load(Ordering::Acquire) != self.generation {
+            backoff.snooze(std::thread::yield_now);
+        }
+    }
+
+    /// The panic the worker caught in its last window, if any.
+    fn take_panic(&self) -> Option<Box<dyn Any + Send>> {
+        self.slot
+            .panic
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take()
+    }
+
+    /// Lets any window in flight finish, then ends and joins the thread.
+    fn join(&mut self) {
+        self.wait();
+        self.slot.generation.store(SHUTDOWN, Ordering::Release);
+        if let Some(thread) = self.thread.take() {
+            thread.thread().unpark();
+            // The worker catches every window's panic, so joining only
+            // fails if the thread died outside a window; `Drop` must
+            // not panic over it.
+            let _ = thread.join();
+        }
+    }
+}
+
+/// Waits for the workers it holds when dropped, so a window in flight
+/// ends before the coordinator goes on, even if the coordinator's own
+/// window panicked.
+struct InFlight<'a>(&'a [Worker]);
+
+impl Drop for InFlight<'_> {
+    fn drop(&mut self) {
+        for w in self.0 {
+            w.wait();
+        }
+    }
+}
+
 /// The per-shard window bounds, as a standalone function so the
 /// property tests can drive it over enumerated inputs.
 ///
@@ -697,17 +946,18 @@ pub struct Harness<C: Component, R: Router<C>> {
     /// `k`, `None` when it cannot. Derived generically at seal when the
     /// topology layer installs nothing explicit.
     influence: Option<Vec<Option<Dur>>>,
-    /// Optional cap on window length past the global minimum `T`. An
-    /// uninfluenced shard's window is otherwise bounded only by the run
-    /// end, so its outbox (and the receiver's pending queue) would grow
-    /// with the horizon; the cap trades a few extra barriers for
-    /// bounded mailbox memory. `None` (default) leaves windows
-    /// unbounded.
-    max_window_span: Option<Dur>,
+    /// `λ`, the smallest cut-edge lookahead in `influence`; `None` when
+    /// no shard can mail another, and no runahead cap applies.
+    min_lookahead: Option<Dur>,
+    /// Workers for shards `1..=workers.len()`, spawned at the first
+    /// dispatched window. `Drop` joins them before `shards` is freed.
+    workers: Vec<Worker>,
     now: SimTime,
     failed: Option<CascadeError>,
     telemetry: Registry,
     windows: u64,
+    /// Windows in which at least one shard ran on a worker.
+    worker_windows: u64,
     sync_instants: u64,
     mail_rounds: u64,
     /// Per-destination merge scratch for mailbox exchange rounds.
@@ -725,8 +975,10 @@ pub struct Harness<C: Component, R: Router<C>> {
 
 impl<C, R> Harness<C, R>
 where
-    C: Component,
-    R: Router<C> + MergeTelemetry,
+    C: Component + Send,
+    C::Cmd: Send,
+    C::Out: Send,
+    R: Router<C> + MergeTelemetry + Send,
 {
     /// Creates a harness with one shard per router in `routers`.
     /// `lookahead` is a lower bound on every sync node's forwarding
@@ -750,11 +1002,13 @@ where
             has_sync: false,
             lookahead,
             influence: None,
-            max_window_span: None,
+            min_lookahead: None,
+            workers: Vec::new(),
             now: SimTime::ZERO,
             failed: None,
             telemetry: Registry::new(),
             windows: 0,
+            worker_windows: 0,
             sync_instants: 0,
             mail_rounds: 0,
             merge_buf: mailboxes(n),
@@ -836,19 +1090,6 @@ where
     /// overflowed.
     pub fn failure(&self) -> Option<CascadeError> {
         self.failed
-    }
-
-    /// Caps every window at `span` past the global minimum instant `T`.
-    /// Results do not depend on the cap (the parity tests hold any span
-    /// to bit-identity), but without a cap an *uninfluenced* shard may
-    /// run clear to the horizon in one window, growing its outbox — and
-    /// the receiving shard's pending queue — linearly with the run
-    /// length. Long-running callers that care about bounded mailbox
-    /// memory (e.g. the zero-allocation steady-state test) install a
-    /// span; `span` must be positive.
-    pub fn set_max_window_span(&mut self, span: Dur) {
-        assert!(span > Dur::ZERO, "a zero span would stall every window");
-        self.max_window_span = Some(span);
     }
 
     /// Installs the per-edge influence matrix: `lookahead[o][k]` is the
@@ -970,6 +1211,7 @@ where
             }
             self.influence = Some(flat);
         }
+        self.min_lookahead = self.influence.iter().flatten().flatten().copied().min();
         self.sealed = true;
     }
 
@@ -1138,10 +1380,12 @@ where
                 &mut self.a_buf,
                 &mut self.e_buf,
             );
-            if let Some(span) = self.max_window_span {
-                let cap = t.saturating_add(span);
-                for e in self.e_buf.iter_mut() {
-                    *e = (*e).min(cap);
+            if let Some(lambda) = self.min_lookahead {
+                let span = self.runahead(t, lambda);
+                for (e, tk) in self.e_buf.iter_mut().zip(&self.t_buf) {
+                    if let Some(tk) = tk {
+                        *e = (*e).min(tk.saturating_add(span));
+                    }
                 }
             }
             self.active.clear();
@@ -1170,7 +1414,11 @@ where
                     s.stats.idle_windows += 1;
                 }
             }
-            self.run_active(|s| s.run_window(s.w_end));
+            if self.fat_window() {
+                self.run_on_workers();
+            } else {
+                self.run_active(|s| s.run_window(s.w_end));
+            }
             self.check_failures()?;
         }
         debug_assert!(
@@ -1180,6 +1428,80 @@ where
             "run ended with mail in flight"
         );
         Ok(())
+    }
+
+    /// The runahead span `S = max(2λ, F_s / ρ)` at global minimum `t`,
+    /// with `ρ` the events per simulated nanosecond per shard serviced
+    /// so far; `2λ` until the first event.
+    fn runahead(&self, t: SimTime, lambda: Dur) -> Dur {
+        let floor = Dur::from_ns(lambda.as_ns().saturating_mul(2));
+        let events = u128::from(self.events());
+        if events == 0 {
+            return floor;
+        }
+        let shards = self.shards.len() as u128;
+        let span = u128::from(RUNAHEAD_MIN_EVENTS) * shards * u128::from(t.as_ns()) / events;
+        Dur::from_ns(u64::try_from(span).unwrap_or(u64::MAX)).max(floor)
+    }
+
+    /// True when this window runs on workers: at least two shards are
+    /// active, each serviced at least [`DISPATCH_MIN_EVENTS`] events in
+    /// its previous window, and the machine has a second core.
+    fn fat_window(&self) -> bool {
+        self.active.len() >= 2
+            && self
+                .active
+                .iter()
+                .all(|&k| self.shards[k].window_events >= DISPATCH_MIN_EVENTS)
+            && cores() >= 2
+    }
+
+    /// Runs the active shards' windows with every shard that has a
+    /// worker on it and the rest, shard 0 among them, on the calling
+    /// thread; returns once all have ended, re-raising a worker's panic.
+    fn run_on_workers(&mut self) {
+        let wanted = (self.shards.len() - 1).min(cores() - 1);
+        while self.workers.len() < wanted {
+            // A failed spawn leaves that shard on the caller; the next
+            // fat window tries again.
+            match Worker::spawn::<C, R>(self.workers.len() + 1) {
+                Ok(w) => self.workers.push(w),
+                Err(_) => break,
+            }
+        }
+        let served = self.workers.len();
+        let base = self.shards.as_mut_ptr();
+        let mut handed = false;
+        for &k in &self.active {
+            if (1..=served).contains(&k) {
+                // SAFETY: `k` is in bounds, and the shard vector is never
+                // reallocated after seal. From here until `in_flight`
+                // has waited, only the worker touches shard `k`: the
+                // caller reaches its own shards through `base`, never
+                // through a borrow of the whole vector.
+                self.workers[k - 1].dispatch(unsafe { base.add(k) }.cast());
+                handed = true;
+            }
+        }
+        self.worker_windows += u64::from(handed);
+        let in_flight = InFlight(&self.workers);
+        for &k in &self.active {
+            if k == 0 || k > served {
+                // SAFETY: as above; no worker serves shard `k`.
+                let s = unsafe { &mut *base.add(k) };
+                s.run_window(s.w_end);
+            }
+        }
+        drop(in_flight);
+        let mut panicked = None;
+        for w in &self.workers {
+            if let Some(payload) = w.take_panic() {
+                panicked.get_or_insert(payload);
+            }
+        }
+        if let Some(payload) = panicked {
+            resume_unwind(payload);
+        }
     }
 
     /// Like [`Harness::try_run_until`] but panics on cascade overflow
@@ -1407,6 +1729,7 @@ where
         let mut reg = Registry::new();
         let mut sched = reg.scope("sched");
         sched.counter("windows", self.windows);
+        sched.counter("worker_windows", self.worker_windows);
         sched.counter("sync_instants", self.sync_instants);
         sched.counter("mail_rounds", self.mail_rounds);
         for k in 0..self.shards.len() {
@@ -1419,6 +1742,16 @@ where
             shard.counter("window_advances", stats.window_advances);
         }
         reg
+    }
+}
+
+impl<C: Component, R: Router<C>> Drop for Harness<C, R> {
+    /// Joins the workers, each after its window in flight, before the
+    /// shards they point into are freed.
+    fn drop(&mut self) {
+        for w in &mut self.workers {
+            w.join();
+        }
     }
 }
 
@@ -1899,12 +2232,69 @@ mod tests {
         // The cross-shard path really was exercised through mailboxes.
         let sent: u64 = (0..2).map(|k| sharded.shard_stats(k).mailbox_sent).sum();
         assert_eq!(sent, 40, "every relayed item crossed the boundary");
-        // The windows pipeline the whole chain: shard 0 runs to the
-        // horizon in one window (nothing influences it), then shard 1
-        // drains the 40 mailed items in a second — no barrier needed.
+        // The windows pipeline the whole chain without a barrier: shard
+        // 0 (which nothing influences) runs at most one runahead span
+        // past its own clock per window while shard 1 drains the mail of
+        // the span before, in 6 windows.
         let reg = sharded.exec_telemetry();
         assert_eq!(reg.counter_value("sched.sync_instants"), Some(0));
-        assert_eq!(reg.counter_value("sched.windows"), Some(2));
+        assert_eq!(reg.counter_value("sched.windows"), Some(6));
+        // A handful of events per window stays on the caller.
+        assert_eq!(reg.counter_value("sched.worker_windows"), Some(0));
+    }
+
+    #[test]
+    fn a_panic_in_a_worker_window_reaches_the_caller() {
+        // Two uncoupled shards of 10 ns tickers: with no cut edge the
+        // run call is one window, and the second call's window is fat
+        // (500 events per shard before it), so on a multi-core machine
+        // shard 1 runs it on a worker — where its node panics.
+        struct Bomb {
+            next: SimTime,
+            fuse: SimTime,
+        }
+        impl Component for Bomb {
+            type Cmd = u32;
+            type Out = u32;
+            fn next_deadline(&self) -> Option<SimTime> {
+                Some(self.next)
+            }
+            fn advance(&mut self, now: SimTime, _sink: &mut Vec<u32>) {
+                assert!(now < self.fuse, "bomb went off at {now}");
+                self.next = now + Dur::from_ns(10);
+            }
+            fn handle(&mut self, _now: SimTime, _cmd: u32, _sink: &mut Vec<u32>) {}
+        }
+        struct Quiet;
+        impl Router<Bomb> for Quiet {
+            fn route(&mut self, _now: SimTime, _src: NodeId, _e: u32, _sink: &mut CmdSink<u32>) {}
+        }
+        impl MergeTelemetry for Quiet {
+            fn publish_merged(_parts: &[&Self], _reg: &mut Registry) {}
+        }
+        let mut h = Harness::new(vec![Quiet, Quiet], 64, Dur::ZERO);
+        for (shard, fuse) in [(0, SimTime::MAX), (1, t(15_000))] {
+            let bomb = Bomb { next: t(10), fuse };
+            h.add_node_labeled(bomb, format!("b{shard}"), shard, false);
+        }
+        h.run_until(t(5_000));
+        let caught = catch_unwind(AssertUnwindSafe(|| h.run_until(t(20_000))));
+        let payload = caught.expect_err("the panic must reach the caller");
+        let msg = payload
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_default();
+        assert_eq!(msg, format!("bomb went off at {}", t(15_000)));
+        let on_worker = h
+            .exec_telemetry()
+            .counter_value("sched.worker_windows")
+            .unwrap_or(0);
+        if cores() >= 2 {
+            assert_eq!(on_worker, 1, "the fat window ran on the worker");
+        }
+        // Dropping the harness joins the worker; the test ending proves
+        // it did not hang.
+        drop(h);
     }
 
     #[test]

@@ -13,7 +13,7 @@ cargo clippy --workspace --all-targets -- -D warnings -W clippy::or_fun_call
 echo "== tier-1: cargo build --release"
 cargo build --release
 
-echo "== tier-1: cargo test -q (every workspace crate: shard parity, checkpoints, serve, zero-alloc steady state at 1 and 2 shards)"
+echo "== tier-1: cargo test -q (every workspace crate: shard parity on and off the shard workers, checkpoints, serve, zero-alloc steady state at 1 and 2 shards on 2 threads)"
 cargo test -q
 
 echo "== ctms-serve smoke (session, run, checkpoint/restore round trip)"
@@ -105,6 +105,13 @@ bench_out=$(bash perfbench/run.sh --workload fddi-thin --seed 1 --seconds 1 --tr
 case "$bench_out" in
   *'"correct": true'*'"failed": 0'*) ;;
   *) echo "perfbench smoke: correctness gate failed: $bench_out" >&2; exit 1 ;;
+esac
+
+echo "== perfbench city-tree smoke (traced tree/10^4 at 2 shards, its fat windows on a shard worker: every threaded repetition and every traced single-threaded run must match the single-threaded reference)"
+tree_bench=$(bash perfbench/run.sh --workload city-tree --seed 1 --seconds 1 --trace 1 | tail -n 1)
+case "$tree_bench" in
+  *'"correct": true'*'"failed": 0'*) ;;
+  *) echo "perfbench city-tree smoke: correctness gate failed: $tree_bench" >&2; exit 1 ;;
 esac
 
 echo "== perfbench serve-steer smoke (traced: every cycle the in-process replay restores a fresh sample-less bus and its presentation and purge counts must match serve's status lines; the correctness gate must pass)"

@@ -314,6 +314,62 @@ fn topology_variants_share_the_golden_truth() {
 }
 
 #[test]
+fn windows_on_workers_share_the_golden_truth() {
+    // A 4,096-ring tree at 2 shards carries several hundred events per
+    // shard in each runahead window, so on a machine with two or more
+    // cores most windows run shard 1 on a worker thread. Digests, the
+    // telemetry tree and the checkpoint bytes must still equal the
+    // one-shard run's, over run calls that leave the worker parked in
+    // between.
+    use ctms_core::{RingChainTestbed, RingGraph};
+    use ctms_router::BridgeKind;
+
+    let sc = Scenario::scaled_chain(42);
+    let kind = BridgeKind::cut_through_bridge();
+    let graph = RingGraph::tree(4_096, 3);
+    let horizon_ms = 200;
+    let truth = |bed: &mut RingChainTestbed| {
+        let set = bed.measurement_set();
+        (
+            [
+                set.vca_irq.digest(),
+                set.handler.digest(),
+                set.pre_tx.digest(),
+                set.ctmsp_rx.digest(),
+            ],
+            bed.events(),
+            bed.telemetry_json(),
+            bed.bus().checkpoint(),
+        )
+    };
+    let mut single = RingChainTestbed::graph(&sc, kind, &graph);
+    single.run_until(SimTime::from_ms(horizon_ms));
+    let want = truth(&mut single);
+    assert!(single.counters().1 > 0, "the stream must arrive");
+
+    let mut bed = RingChainTestbed::graph_sharded(&sc, kind, &graph, 2);
+    assert_eq!(bed.shard_count(), 2);
+    for ms in (50..=horizon_ms).step_by(50) {
+        bed.run_until(SimTime::from_ms(ms));
+    }
+    let got = truth(&mut bed);
+    assert_eq!(got.0, want.0, "truth digests drifted on workers");
+    assert_eq!(got.1, want.1, "event count drifted on workers");
+    assert_eq!(got.2, want.2, "telemetry drifted on workers");
+    assert!(got.3 == want.3, "checkpoint bytes drifted on workers");
+
+    let reg = bed.bus().exec_telemetry().expect("a sharded bus");
+    let on_workers = reg.counter_value("sched.worker_windows").unwrap_or(0);
+    let windows = reg.counter_value("sched.windows").unwrap_or(0);
+    if std::thread::available_parallelism().map_or(1, |n| n.get()) >= 2 {
+        assert!(
+            on_workers > 0,
+            "no window of {windows} ran on a worker on a multi-core machine"
+        );
+    }
+}
+
+#[test]
 fn repeated_runs_are_bit_identical() {
     // Same seed, same process, two independently built testbeds: every
     // digest and the serviced event count must agree (no hidden global
