@@ -643,7 +643,13 @@ struct Spec {
 /// at once (a restore lands on a fresh one before the old one goes),
 /// and fork branches add theirs.
 const BUILD_BUDGET_BYTES: u64 = 256 << 20;
-/// Peak memory per ring at one shard, rounded up from 3.8 KiB.
+/// Peak memory per ring at one shard. A chain session's peak RSS
+/// (seed 42) reads 2.75 KiB per ring at `ready` and 2.95 after a 1 s
+/// `run` at 16,384 rings, and 2.65 and 2.85 at 32,768, the run's
+/// station queues and output scratch included (DESIGN.md §11). It
+/// stays 4 KiB, above every figure, because [`MAX_MUTATIONS`] and
+/// [`MAX_VALUES`] derive from it, and [`MAX_LINE_BYTES`] from the
+/// largest chain it admits.
 const CHAIN_BYTES_PER_RING: u64 = 4 << 10;
 /// Peak memory per ring for each shard past the first, rounded up from
 /// 32–62 bytes (1.6·10^4 and 3.3·10^4 rings on 2 to 16 shards): every
@@ -1007,11 +1013,19 @@ fn command(
         }
         Some("telemetry") => {
             // The canonical tree is pretty-printed; collapse it to
-            // one line so the reply stays a single stdout record.
+            // one line in place (each newline and the indentation
+            // after it go) so the reply stays a single stdout record.
             // Safe because the emitter escapes every control
             // character inside strings — no literal newlines exist.
-            let tree: String = bus.telemetry_json().lines().map(str::trim_start).collect();
-            emit(out, &format!("{{\"ok\":true,\"telemetry\":{tree}}}"));
+            let mut tree = bus.telemetry_json();
+            let mut indent = false;
+            tree.retain(|c| {
+                indent = c == '\n' || (indent && c == ' ');
+                !indent
+            });
+            write_or_exit(out, b"{\"ok\":true,\"telemetry\":");
+            write_or_exit(out, tree.as_bytes());
+            emit(out, "}");
         }
         Some("checkpoint") => {
             // The hex streams straight onto the reply line chunk by

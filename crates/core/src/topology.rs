@@ -40,21 +40,23 @@ use std::sync::Arc;
 
 /// A registered component: the one node type the CTMS bus schedules.
 ///
-/// Variants differ a lot in size (a `Host` carries a whole kernel), but
-/// nodes are constructed once and live in the harness registry for the
-/// whole run — boxing the large variants would only add an indirection
-/// on the per-event advance path.
+/// Every node takes a slot the size of the largest variant, so the
+/// large one is boxed. A `Host` carries a whole kernel (1,256 bytes),
+/// and inline it made every slot 1,280 bytes, though a topology holds
+/// a few hosts beside up to 10^4 rings (400 bytes with their scratch)
+/// and bridges (216): the 10^4-ring tree's 20,001 slots took 25.6 MB,
+/// and take 8.0 MB with the box. The indirection falls only on the
+/// hosts' events.
 ///
 /// Each variant carries a retained scratch `Vec` of its substrate's own
 /// output type: `advance`/`handle` drain the substrate into the scratch
 /// and map into [`Event`] from there, so the translation allocates
 /// nothing once the scratch has reached its peak burst size.
-#[allow(clippy::large_enum_variant)]
 pub enum Node {
     /// A Token Ring medium.
     Ring(TokenRing, Vec<RingOut>),
-    /// A full host (machine + kernel).
-    Host(Host, Vec<HostOut>),
+    /// A full host (machine + kernel), boxed: see above.
+    Host(Box<Host>, Vec<HostOut>),
     /// A two-port ring-to-ring forwarder.
     Bridge(Bridge, Vec<BridgeOut>),
     /// Background campus traffic bound to one ring.
@@ -849,33 +851,54 @@ impl Topology {
         if let Some(influence) = influence {
             h.set_influence_lookaheads(influence);
         }
-        let mut ring_nodes = Vec::new();
-        for (k, ring) in self.rings.into_iter().enumerate() {
-            ring_nodes.push(h.add_node_labeled(
-                Node::Ring(ring, Vec::new()),
-                format!("tokenring.ring{k}"),
-                ring_shard(k),
-                false,
-            ));
+        let mut per_shard = vec![0; s];
+        for k in (0..n_rings).chain(self.hosts.iter().map(|(ring, _, _)| *ring)) {
+            per_shard[ring_shard(k)] += 1;
         }
-        let mut bridge_nodes = Vec::new();
-        for (k, spec) in self.bridges.into_iter().enumerate() {
-            bridge_nodes.push(h.add_node_labeled(
-                Node::Bridge(spec.bridge, Vec::new()),
-                format!("router.bridge{k}"),
-                bridge_shard[k],
-                bridge_sync[k],
-            ));
+        for &k in &bridge_shard {
+            per_shard[k] += 1;
         }
-        let mut host_nodes = Vec::new();
-        for (k, (ring, _, host)) in self.hosts.into_iter().enumerate() {
-            host_nodes.push(h.add_node_labeled(
-                Node::Host(host, Vec::new()),
-                format!("unixkern.h{k}"),
-                ring_shard(ring),
-                false,
-            ));
-        }
+        per_shard[0] += usize::from(self.phantom.is_some());
+        h.reserve_nodes(&per_shard);
+        let ring_nodes = self
+            .rings
+            .into_iter()
+            .enumerate()
+            .map(|(k, ring)| {
+                h.add_node_labeled(
+                    Node::Ring(ring, Vec::new()),
+                    format!("tokenring.ring{k}"),
+                    ring_shard(k),
+                    false,
+                )
+            })
+            .collect();
+        let bridge_nodes = self
+            .bridges
+            .into_iter()
+            .enumerate()
+            .map(|(k, spec)| {
+                h.add_node_labeled(
+                    Node::Bridge(spec.bridge, Vec::new()),
+                    format!("router.bridge{k}"),
+                    bridge_shard[k],
+                    bridge_sync[k],
+                )
+            })
+            .collect();
+        let host_nodes = self
+            .hosts
+            .into_iter()
+            .enumerate()
+            .map(|(k, (ring, _, host))| {
+                h.add_node_labeled(
+                    Node::Host(Box::new(host), Vec::new()),
+                    format!("unixkern.h{k}"),
+                    ring_shard(ring),
+                    false,
+                )
+            })
+            .collect();
         let phantom_node = self.phantom.map(|(_, p)| {
             h.add_node_labeled(Node::Phantom(p, Vec::new()), "workloads.phantom", 0, false)
         });
@@ -1579,5 +1602,24 @@ impl CtmsRouter {
             }
         }
         enc.into_bytes()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::mem::size_of;
+
+    /// A node slot is sized for a ring and its scratch: a variant that
+    /// outgrows that (an inline `Host`, with its whole kernel, made
+    /// every slot 1,280 bytes) is boxed.
+    #[test]
+    fn a_node_slot_is_sized_for_a_ring() {
+        let ring = size_of::<TokenRing>() + size_of::<Vec<RingOut>>();
+        assert!(
+            size_of::<Node>() <= ring + 8,
+            "a node slot takes {} bytes; a ring with its scratch takes {ring}",
+            size_of::<Node>()
+        );
     }
 }

@@ -66,6 +66,13 @@ impl IndexedHeap {
         IndexedHeap::default()
     }
 
+    /// Makes room for `n` more nodes without regrowing the arrays.
+    pub fn reserve(&mut self, n: usize) {
+        self.heap_key.reserve_exact(n);
+        self.heap_node.reserve_exact(n);
+        self.pos.reserve_exact(n);
+    }
+
     /// Number of scheduled nodes.
     pub fn len(&self) -> usize {
         self.heap_node.len()

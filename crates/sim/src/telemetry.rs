@@ -513,48 +513,111 @@ impl Persist for Registry {
     }
 }
 
+/// Writes `metrics` as a JSON object whose entries sit at `depth`
+/// indentation levels. Keys and integers go straight into `out`,
+/// reserved once for the whole map from its key lengths and an
+/// estimate per value (a longer value only grows `out` past it).
 fn write_metric_map(out: &mut String, metrics: &BTreeMap<String, Value>, depth: usize) {
-    let pad = "  ".repeat(depth);
+    let pad = 2 * depth + 2;
+    out.reserve(
+        metrics
+            .iter()
+            .map(|(path, v)| {
+                let value = match v {
+                    Value::Hist(h) => 96 + 22 * h.counts.len(),
+                    Value::Text(t) => 16 + t.len(),
+                    Value::Counter(_) | Value::Gauge(_) => 36,
+                };
+                pad + path.len() + value
+            })
+            .sum::<usize>()
+            + pad,
+    );
     out.push('{');
     for (k, (path, v)) in metrics.iter().enumerate() {
         if k > 0 {
             out.push(',');
         }
-        let _ = write!(out, "\n{pad}  {}: ", json_string(path));
+        out.push('\n');
+        push_spaces(out, pad);
+        push_json_string(out, path);
+        out.push_str(": ");
         match v {
             Value::Counter(c) => {
-                let _ = write!(out, "{{\"counter\": {c}}}");
+                out.push_str("{\"counter\": ");
+                push_u64(out, *c);
+                out.push('}');
             }
             Value::Gauge(g) => {
-                let _ = write!(out, "{{\"gauge\": {g}}}");
+                out.push_str("{\"gauge\": ");
+                if *g < 0 {
+                    out.push('-');
+                }
+                push_u64(out, g.unsigned_abs());
+                out.push('}');
             }
             Value::Text(t) => {
-                let _ = write!(out, "{{\"text\": {}}}", json_string(t));
+                out.push_str("{\"text\": ");
+                push_json_string(out, t);
+                out.push('}');
             }
             Value::Hist(h) => {
-                let _ = write!(
-                    out,
-                    "{{\"hist\": {{\"bin_width\": {}, \"counts\": [",
-                    h.bin_width
-                );
+                out.push_str("{\"hist\": {\"bin_width\": ");
+                push_u64(out, h.bin_width);
+                out.push_str(", \"counts\": [");
                 for (i, c) in h.counts.iter().enumerate() {
                     if i > 0 {
                         out.push_str(", ");
                     }
-                    let _ = write!(out, "{c}");
+                    push_u64(out, *c);
                 }
-                let _ = write!(
-                    out,
-                    "], \"overflow\": {}, \"total\": {}, \"sum\": {}}}}}",
-                    h.overflow, h.total, h.sum
-                );
+                out.push_str("], \"overflow\": ");
+                push_u64(out, h.overflow);
+                out.push_str(", \"total\": ");
+                push_u64(out, h.total);
+                out.push_str(", \"sum\": ");
+                push_u64(out, h.sum);
+                out.push_str("}}");
             }
         }
     }
     if !metrics.is_empty() {
-        let _ = write!(out, "\n{pad}");
+        out.push('\n');
+        push_spaces(out, pad - 2);
     }
     out.push('}');
+}
+
+fn push_spaces(out: &mut String, n: usize) {
+    out.extend(std::iter::repeat_n(' ', n));
+}
+
+/// Appends `v` in decimal, as `{v}` formats it.
+fn push_u64(out: &mut String, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[start..]).expect("ASCII digits"));
+}
+
+/// Appends `s` as a JSON string literal: verbatim between quotes when
+/// nothing in it needs an escape (no metric path does), through
+/// [`json_string`] otherwise.
+fn push_json_string(out: &mut String, s: &str) {
+    if s.bytes().any(|b| b < 0x20 || b == b'"' || b == b'\\') {
+        out.push_str(&json_string(s));
+    } else {
+        out.push('"');
+        out.push_str(s);
+        out.push('"');
+    }
 }
 
 /// 64-bit FNV-1a over raw bytes (the same function [`crate::EdgeLog`]
@@ -616,10 +679,13 @@ pub struct Scope<'a> {
 impl Scope<'_> {
     fn path(&self, name: &str) -> String {
         if self.prefix.is_empty() {
-            name.to_string()
-        } else {
-            format!("{}.{name}", self.prefix)
+            return name.to_string();
         }
+        let mut path = String::with_capacity(self.prefix.len() + 1 + name.len());
+        path.push_str(&self.prefix);
+        path.push('.');
+        path.push_str(name);
+        path
     }
 
     /// Registers a counter under this scope.
@@ -731,6 +797,35 @@ mod tests {
         assert!(a.contains("\"counts\": [1, 0, 1], \"overflow\": 1, \"total\": 3, \"sum\": 124"));
         assert!(a.contains("\"at_ns\": 5000000"));
         assert_eq!(build().digest(), build().digest());
+    }
+
+    #[test]
+    fn keys_and_texts_serialize_exactly_as_json_string_does() {
+        for s in [
+            "a.b",
+            "q\"uote",
+            "back\\slash",
+            "ctl\u{1}x",
+            "tab\tnl\ncr\r",
+            "é\u{7f}",
+        ] {
+            let mut r = Registry::new();
+            r.text(s, s);
+            let want = format!(
+                "{{\n  \"metrics\": {{\n    {}: {{\"text\": {}}}\n  }},\n  \"events\": [],\n  \"phases\": []\n}}",
+                json_string(s),
+                json_string(s)
+            );
+            assert_eq!(r.to_json(), want, "{s:?}");
+        }
+        let mut r = Registry::new();
+        r.counter("max", u64::MAX);
+        r.gauge("min", i64::MIN);
+        r.gauge("zero", 0);
+        let json = r.to_json();
+        assert!(json.contains(&format!("\"max\": {{\"counter\": {}}}", u64::MAX)));
+        assert!(json.contains(&format!("\"min\": {{\"gauge\": {}}}", i64::MIN)));
+        assert!(json.contains("\"zero\": {\"gauge\": 0}"));
     }
 
     #[test]
