@@ -1135,7 +1135,7 @@ fn command(
                         branch.events(),
                         measured(&branch, |m| m.presented().len()),
                         measured(&branch, |m| m.purge_starts().len()),
-                        measured(&branch, |m| m.drops().len())
+                        measured(&branch, |m| m.drops() as usize)
                     )
                 },
             )

@@ -23,9 +23,9 @@ use crate::topology::Bus;
 use ctms_devices::{CtmsVcaSink, CtmsVcaSource};
 use ctms_measure::MeasurementSet;
 use ctms_router::BridgeKind;
-use ctms_sim::{CascadeError, EdgeLog, SimTime};
+use ctms_sim::{CascadeError, SimTime};
 use ctms_tokenring::TokenRing;
-use ctms_unixkern::{DriverId, Host, MeasurePoint};
+use ctms_unixkern::{DriverId, Host};
 
 /// The N-ring chain testbed. See module docs.
 pub struct RingChainTestbed {
@@ -171,19 +171,8 @@ impl RingChainTestbed {
     /// The measurement set: points 1–3 from the transmitter (ring 0),
     /// point 4 from the receiver (last ring). H7 spans every ring and
     /// router in the chain.
-    pub fn measurement_set(&self) -> MeasurementSet {
-        let log = |host: usize, point: MeasurePoint| {
-            self.bus
-                .truth_log(host, point)
-                .cloned()
-                .unwrap_or_else(|| EdgeLog::new(format!("h{host}-{point:?}")))
-        };
-        MeasurementSet {
-            vca_irq: log(0, MeasurePoint::VcaIrq),
-            handler: log(0, MeasurePoint::VcaHandlerEntry),
-            pre_tx: log(0, MeasurePoint::PreTransmit),
-            ctmsp_rx: log(1, MeasurePoint::CtmspIdentified),
-        }
+    pub fn measurement_set(&self) -> MeasurementSet<'_> {
+        self.bus.measurement_set(0, 1)
     }
 
     /// Packets sent / received / dropped. Drops count every loss along
@@ -210,7 +199,7 @@ impl RingChainTestbed {
             .bus
             .measure_parts()
             .iter()
-            .map(|m| m.drops().len() as u64 + m.lost_to_purge().len() as u64 + m.bridge_drops())
+            .map(|m| m.drops() + m.lost_to_purge() + m.bridge_drops())
             .sum();
         (sent, received, measured + overflow)
     }

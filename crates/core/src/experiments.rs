@@ -218,7 +218,7 @@ pub fn e3_logic_analyzer(cfg: ExpCfg) -> Report {
     let mut bed = Testbed::ctms(&sc);
     bed.run_until(SimTime::from_secs(cfg.short_secs));
     let set = bed.measurement_set();
-    let pa = analyze_period(&set.vca_irq, Dur::from_ms(12));
+    let pa = analyze_period(set.vca_irq, Dur::from_ms(12));
     r.claim(Claim::new(
         "vca.period_dev_ns",
         "VCA IRQ period deviation ≤ 500 ns ('completely solid')",
@@ -708,8 +708,8 @@ pub fn e10_conclusions(cfg: ExpCfg) -> Report {
     ));
     r.note(format!(
         "losses: purge={} other_drops={} (of {} produced)",
-        bed.lost_to_purge().len(),
-        bed.drops().len(),
+        bed.lost_to_purge(),
+        bed.drops(),
         produced
     ));
     r

@@ -36,5 +36,5 @@ pub use checkpoint::{
 pub use experiments::{ablation_row, all as run_all_experiments, copy_census, AblationRow, ExpCfg};
 pub use graph::{graph_topology, partition_rings, GraphEdge, RingGraph};
 pub use scenario::{HostLoad, Network, Scenario};
-pub use testbed::{DropRec, Roles, Testbed};
+pub use testbed::{Roles, Testbed};
 pub use topology::{Bus, CtmsRouter, Measurements, ShardedBus, Topology};

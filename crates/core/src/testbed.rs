@@ -21,27 +21,11 @@ use ctms_rtpc::{Machine, MachineConfig, MemRegion};
 use ctms_sim::{CascadeError, Dur, EdgeLog, History, Pcg32, SimTime};
 use ctms_tokenring::{RingCmd, StationId, TokenRing};
 use ctms_unixkern::{
-    DriverId, DropSite, Host, KernConfig, Kernel, MeasurePoint, Pid, Port, Program, Sock,
-    SockProto, Step,
+    DriverId, Host, KernConfig, Kernel, MeasurePoint, Pid, Port, Program, Sock, SockProto, Step,
 };
 use ctms_workloads::{
     default_classes, HostTrafficCfg, HostTrafficGen, PhantomCfg, PhantomTraffic, SplLoad,
 };
-
-/// A recorded data loss.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct DropRec {
-    /// When.
-    pub at: SimTime,
-    /// Which host observed it.
-    pub host: usize,
-    /// Where in the stack.
-    pub site: DropSite,
-    /// Packet tag.
-    pub tag: u64,
-    /// Bytes lost.
-    pub bytes: u32,
-}
 
 /// Well-known driver ids of the CTMS roles (for stats extraction).
 #[derive(Clone, Copy, Debug, Default)]
@@ -64,7 +48,7 @@ pub struct Roles {
 
 /// Builds `topo` on one shard with the history sink attached: a
 /// testbed hands samples out ([`Testbed::measurement_set`],
-/// [`Testbed::presented`], [`Testbed::tap`]'s records), so it keeps
+/// [`Testbed::presented`], [`Testbed::purge_starts`]), so it keeps
 /// them from t = 0.
 fn recording(topo: Topology) -> Bus {
     let mut bus = topo.build();
@@ -578,15 +562,10 @@ impl Testbed {
     }
 
     /// The ground-truth measurement set (points 1–3 from the transmitter,
-    /// point 4 from the receiver).
-    pub fn measurement_set(&self) -> MeasurementSet {
-        let m = self.bus.measurements();
-        MeasurementSet {
-            vca_irq: m.truth_log_or_empty(self.roles.tx_host, MeasurePoint::VcaIrq),
-            handler: m.truth_log_or_empty(self.roles.tx_host, MeasurePoint::VcaHandlerEntry),
-            pre_tx: m.truth_log_or_empty(self.roles.tx_host, MeasurePoint::PreTransmit),
-            ctmsp_rx: m.truth_log_or_empty(self.roles.rx_host, MeasurePoint::CtmspIdentified),
-        }
+    /// point 4 from the receiver), borrowed from the truth logs.
+    pub fn measurement_set(&self) -> MeasurementSet<'_> {
+        self.bus
+            .measurement_set(self.roles.tx_host, self.roles.rx_host)
     }
 
     /// A specific ground-truth log.
@@ -594,29 +573,20 @@ impl Testbed {
         self.bus.measurements().truth_log(host, point)
     }
 
-    /// Recorded drops. Like every sample stream here, its `len` counts
-    /// from t = 0 and its samples run from the build or the last
-    /// restore.
-    pub fn drops(&self) -> &History<DropRec> {
+    /// Losses recorded across hosts and ring queues since t = 0.
+    pub fn drops(&self) -> u64 {
         self.bus.measurements().drops()
     }
 
-    /// Bytes lost at a specific site, summed over the kept drops.
-    pub fn dropped_bytes(&self, site: DropSite) -> u64 {
-        self.drops()
-            .iter()
-            .filter(|d| d.site == site)
-            .map(|d| u64::from(d.bytes))
-            .sum()
-    }
-
     /// CTMS payload presentations at the sink: `(time, tag, bytes)`.
+    /// Like every sample stream here, its `len` counts from t = 0 and
+    /// its samples run from the build or the last restore.
     pub fn presented(&self) -> &History<(SimTime, u64, u32)> {
         self.bus.measurements().presented()
     }
 
-    /// Socket deliveries (stock path): `(time, port, bytes)`.
-    pub fn sock_delivered(&self) -> &History<(SimTime, Port, u32)> {
+    /// Socket deliveries (stock path) since t = 0.
+    pub fn sock_delivered(&self) -> u64 {
         self.bus.measurements().sock_delivered()
     }
 
@@ -625,8 +595,8 @@ impl Testbed {
         self.bus.measurements().purge_starts()
     }
 
-    /// Frames destroyed by purges: `(time, tag)`.
-    pub fn lost_to_purge(&self) -> &History<(SimTime, u64)> {
+    /// Frames destroyed by purges since t = 0.
+    pub fn lost_to_purge(&self) -> u64 {
         self.bus.measurements().lost_to_purge()
     }
 

@@ -22,18 +22,15 @@
 //! then phantom — which is also the deadline-tie service order, so runs
 //! are bit-identical to the old fixed advance orders.
 
-use crate::testbed::DropRec;
-use ctms_measure::{Tap, TapCfg};
+use ctms_measure::{MeasurementSet, Tap, TapCfg};
 use ctms_router::{Bridge, BridgeCmd, BridgeOut};
 use ctms_sim::telemetry::Hist;
 use ctms_sim::{
-    CascadeError, CmdSink, Component, Dur, EdgeLog, Harness, History, NodeId, PersistError,
+    CascadeError, CmdSink, Component, Dur, EdgeLog, Harness, History, Label, NodeId, PersistError,
     Registry, Router, ShardStats, SimTime,
 };
 use ctms_tokenring::{RingCmd, RingOut, StationId, TokenRing};
-use ctms_unixkern::{
-    DriverCall, DriverId, DropSite, Host, HostCmd, HostOut, KernCmd, MeasurePoint, Port,
-};
+use ctms_unixkern::{DriverCall, DriverId, Host, HostCmd, HostOut, KernCmd, MeasurePoint};
 use ctms_workloads::{PhantomOut, PhantomTraffic};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -190,25 +187,26 @@ enum Slot {
 ///
 /// Each stream is state plus history (DESIGN.md §8): running
 /// accumulators — counts, truth-log digests, the presentation-gap
-/// histogram — that a checkpoint carries and that never grow, and the
-/// raw samples, which only a build with a history sink attached keeps
-/// (the testbeds that hand samples out: [`crate::Testbed`],
-/// [`crate::RingChainTestbed`]). A bare [`Topology::build_sharded`] bus
-/// keeps no samples. Counts always run from t = 0; samples run from
-/// the build or the last restore.
+/// histogram — that a checkpoint carries and that never grow, and, for
+/// the streams someone reads sample by sample (the truth logs,
+/// presentations and purge starts), the raw samples, which only a build
+/// with a history sink attached keeps (the testbeds that hand samples
+/// out: [`crate::Testbed`], [`crate::RingChainTestbed`]). A bare
+/// [`Topology::build_sharded`] bus keeps no samples. Counts always run
+/// from t = 0; samples run from the build or the last restore.
 pub struct Measurements {
     /// Per-host trace points (the paper's measurement points 1–4).
     truth: Vec<HashMap<MeasurePoint, EdgeLog>>,
-    /// Every recorded loss, across hosts and ring queues.
-    drops: History<DropRec>,
+    /// Losses recorded across hosts and ring queues.
+    drops: u64,
     /// CTMS payload presentations at sinks: `(time, tag, bytes)`.
     presented: History<(SimTime, u64, u32)>,
-    /// Socket deliveries (stock path): `(time, port, bytes)`.
-    sock_delivered: History<(SimTime, Port, u32)>,
+    /// Socket deliveries (stock path).
+    sock_delivered: u64,
     /// Purge-sequence start instants.
     purge_starts: History<SimTime>,
-    /// Frames destroyed by purges: `(time, tag)`.
-    lost_to_purge: History<(SimTime, u64)>,
+    /// Frames destroyed by purges.
+    lost_to_purge: u64,
     /// Frames dropped inside bridges (queue overflow).
     bridge_drops: u64,
     /// Presentation instants of the current run call, not yet folded
@@ -256,11 +254,11 @@ impl Measurements {
     fn new(n_hosts: usize) -> Self {
         Measurements {
             truth: (0..n_hosts).map(|_| HashMap::new()).collect(),
-            drops: History::summary(),
+            drops: 0,
             presented: History::summary(),
-            sock_delivered: History::summary(),
+            sock_delivered: 0,
             purge_starts: History::summary(),
-            lost_to_purge: History::summary(),
+            lost_to_purge: 0,
             bridge_drops: 0,
             unfolded: Vec::new(),
             gaps: gap_hist(),
@@ -269,18 +267,15 @@ impl Measurements {
         }
     }
 
-    /// Attaches the history sink: every stream keeps its samples from
-    /// now on.
+    /// Attaches the history sink: the truth logs, presentations and
+    /// purge starts keep their samples from now on.
     fn attach_history(&mut self) {
         self.history = true;
         for log in self.truth.iter_mut().flat_map(HashMap::values_mut) {
             log.attach_history();
         }
-        self.drops.attach_history();
         self.presented.attach_history();
-        self.sock_delivered.attach_history();
         self.purge_starts.attach_history();
-        self.lost_to_purge.attach_history();
     }
 
     /// Per-host trace log for one measurement point, if recorded.
@@ -288,17 +283,9 @@ impl Measurements {
         self.truth.get(host).and_then(|m| m.get(&point))
     }
 
-    /// Per-host trace log for one measurement point, cloned, or an empty
-    /// log named after the pair.
-    pub fn truth_log_or_empty(&self, host: usize, point: MeasurePoint) -> EdgeLog {
-        self.truth_log(host, point)
-            .cloned()
-            .unwrap_or_else(|| truth_log(host, point, true))
-    }
-
-    /// Recorded drops.
-    pub fn drops(&self) -> &History<DropRec> {
-        &self.drops
+    /// Losses recorded across hosts and ring queues.
+    pub fn drops(&self) -> u64 {
+        self.drops
     }
 
     /// CTMS payload presentations at sinks.
@@ -307,8 +294,8 @@ impl Measurements {
     }
 
     /// Socket deliveries (stock path).
-    pub fn sock_delivered(&self) -> &History<(SimTime, Port, u32)> {
-        &self.sock_delivered
+    pub fn sock_delivered(&self) -> u64 {
+        self.sock_delivered
     }
 
     /// Purge-sequence start instants.
@@ -317,8 +304,8 @@ impl Measurements {
     }
 
     /// Frames destroyed by purges.
-    pub fn lost_to_purge(&self) -> &History<(SimTime, u64)> {
-        &self.lost_to_purge
+    pub fn lost_to_purge(&self) -> u64 {
+        self.lost_to_purge
     }
 
     /// Count of frames dropped inside bridges.
@@ -387,15 +374,14 @@ impl Router<Node> for CtmsRouter {
 impl ctms_sim::MergeTelemetry for CtmsRouter {
     fn publish_merged(parts: &[&Self], reg: &mut Registry) {
         use ctms_sim::Instrument as _;
-        let total = |count: fn(&Measurements) -> usize| -> u64 {
-            parts.iter().map(|p| count(&p.m) as u64).sum()
-        };
+        let total =
+            |count: fn(&Measurements) -> u64| -> u64 { parts.iter().map(|p| count(&p.m)).sum() };
         let mut m = reg.scope("measure");
-        m.counter("drops", total(|m| m.drops.len()));
-        m.counter("presented", total(|m| m.presented.len()));
-        m.counter("sock_delivered", total(|m| m.sock_delivered.len()));
-        m.counter("purge_starts", total(|m| m.purge_starts.len()));
-        m.counter("lost_to_purge", total(|m| m.lost_to_purge.len()));
+        m.counter("drops", total(|m| m.drops));
+        m.counter("presented", total(|m| m.presented.len() as u64));
+        m.counter("sock_delivered", total(|m| m.sock_delivered));
+        m.counter("purge_starts", total(|m| m.purge_starts.len() as u64));
+        m.counter("lost_to_purge", total(|m| m.lost_to_purge));
         m.counter("bridge_drops", parts.iter().map(|p| p.m.bridge_drops).sum());
         // A cascade failure snapshots the tree mid-call, before `Bus`
         // folds the call's presentations; fold them into a copy.
@@ -472,8 +458,8 @@ impl CtmsRouter {
                     tap.observe(now, &view);
                 }
             }
-            RingOut::LostToPurge { tag, .. } => {
-                self.m.lost_to_purge.push((now, tag));
+            RingOut::LostToPurge { .. } => {
+                self.m.lost_to_purge += 1;
             }
             RingOut::PurgeStarted { .. } => {
                 self.m.purge_starts.push(now);
@@ -491,14 +477,8 @@ impl CtmsRouter {
                 }
             }
             RingOut::PurgeEnded => {}
-            RingOut::QueueDrop { station, .. } => {
-                self.m.drops.push(DropRec {
-                    at: now,
-                    host: station.0 as usize,
-                    site: DropSite::RingQueue,
-                    tag: 0,
-                    bytes: 0,
-                });
+            RingOut::QueueDrop { .. } => {
+                self.m.drops += 1;
             }
         }
     }
@@ -517,21 +497,15 @@ impl CtmsRouter {
                     .or_insert_with(|| truth_log(index, point, history))
                     .record(now, tag);
             }
-            HostOut::Drop { site, tag, bytes } => {
-                self.m.drops.push(DropRec {
-                    at: now,
-                    host: index,
-                    site,
-                    tag,
-                    bytes,
-                });
+            HostOut::Drop { .. } => {
+                self.m.drops += 1;
             }
             HostOut::Presented { tag, bytes } => {
                 self.m.presented.push((now, tag, bytes));
                 self.m.unfolded.push(now);
             }
-            HostOut::SockDelivered { port, bytes } => {
-                self.m.sock_delivered.push((now, port, bytes));
+            HostOut::SockDelivered { .. } => {
+                self.m.sock_delivered += 1;
             }
             HostOut::ProcExited { .. } => {}
         }
@@ -838,7 +812,7 @@ impl Topology {
                     .enumerate()
                     .map(|(i, sl)| {
                         (matches!(sl, Slot::Ring { .. }) && ring_shard(i) == shard)
-                            .then(|| Box::new(Tap::summary(TapCfg::default())))
+                            .then(|| Box::new(Tap::new(TapCfg::default())))
                     })
                     .collect(),
                 // Only a one-shard build has subscribers (see above).
@@ -867,7 +841,7 @@ impl Topology {
             .map(|(k, ring)| {
                 h.add_node_labeled(
                     Node::Ring(ring, Vec::new()),
-                    format!("tokenring.ring{k}"),
+                    Label::Indexed("tokenring.ring", k),
                     ring_shard(k),
                     false,
                 )
@@ -880,7 +854,7 @@ impl Topology {
             .map(|(k, spec)| {
                 h.add_node_labeled(
                     Node::Bridge(spec.bridge, Vec::new()),
-                    format!("router.bridge{k}"),
+                    Label::Indexed("router.bridge", k),
                     bridge_shard[k],
                     bridge_sync[k],
                 )
@@ -893,7 +867,7 @@ impl Topology {
             .map(|(k, (ring, _, host))| {
                 h.add_node_labeled(
                     Node::Host(Box::new(host), Vec::new()),
-                    format!("unixkern.h{k}"),
+                    Label::Indexed("unixkern.h", k),
                     ring_shard(ring),
                     false,
                 )
@@ -962,16 +936,13 @@ impl Bus {
         ran
     }
 
-    /// Keeps every measurement sample from now on: TAP records, truth
-    /// edges, drops, presentations, socket deliveries and purges. The
-    /// testbeds whose API hands samples out attach it right after the
-    /// build; nothing else does, and it is never checkpointed.
+    /// Keeps the samples someone reads from now on: truth edges,
+    /// presentations and purge starts. The testbeds whose API hands
+    /// samples out attach it right after the build; nothing else does,
+    /// and it is never checkpointed.
     pub(crate) fn attach_history(&mut self) {
         for part in self.h.routers_mut() {
             part.m.attach_history();
-            for tap in part.taps.iter_mut().flatten() {
-                tap.attach_history();
-            }
         }
     }
 
@@ -1092,6 +1063,20 @@ impl Bus {
             .shard_router(shard)
             .measurements()
             .truth_log(host, point)
+    }
+
+    /// The measurement set of a stream from host `tx` to host `rx`:
+    /// points 1–3 on `tx`, point 4 on `rx`, borrowed from the truth logs
+    /// (a point that never fired reads as an empty log).
+    pub fn measurement_set(&self, tx: usize, rx: usize) -> MeasurementSet<'_> {
+        static NEVER_FIRED: EdgeLog = EdgeLog::empty();
+        let log = |host, point| self.truth_log(host, point).unwrap_or(&NEVER_FIRED);
+        MeasurementSet {
+            vca_irq: log(tx, MeasurePoint::VcaIrq),
+            handler: log(tx, MeasurePoint::VcaHandlerEntry),
+            pre_tx: log(tx, MeasurePoint::PreTransmit),
+            ctmsp_rx: log(rx, MeasurePoint::CtmspIdentified),
+        }
     }
 
     /// The cascade failure that poisoned this bus, if any.
@@ -1344,14 +1329,13 @@ pub(crate) fn persist_router_parts(
         }
     }
 
-    let total = |count: fn(&Measurements) -> usize| -> u64 {
-        parts.iter().map(|p| count(&p.m) as u64).sum()
-    };
-    enc.u64(total(|m| m.drops.len()));
-    enc.u64(total(|m| m.presented.len()));
-    enc.u64(total(|m| m.sock_delivered.len()));
-    enc.u64(total(|m| m.purge_starts.len()));
-    enc.u64(total(|m| m.lost_to_purge.len()));
+    let total =
+        |count: fn(&Measurements) -> u64| -> u64 { parts.iter().map(|p| count(&p.m)).sum() };
+    enc.u64(total(|m| m.drops));
+    enc.u64(total(|m| m.presented.len() as u64));
+    enc.u64(total(|m| m.sock_delivered));
+    enc.u64(total(|m| m.purge_starts.len() as u64));
+    enc.u64(total(|m| m.lost_to_purge));
     enc.u64(parts.iter().map(|p| p.m.bridge_drops).sum());
     debug_assert!(
         parts.iter().all(|p| p.m.unfolded.is_empty()),
@@ -1380,7 +1364,7 @@ pub(crate) fn decode_router_state(
     }
     let mut taps = Vec::with_capacity(rings);
     for _ in 0..rings {
-        let mut tap = Tap::summary(TapCfg::default());
+        let mut tap = Tap::new(TapCfg::default());
         tap.restore(dec)?;
         taps.push(tap);
     }
@@ -1488,13 +1472,9 @@ pub(crate) fn apply_router_ckpt(
             .position(|p| p.own_tap(ring).is_some())
             .expect("every ring slot has its tap in exactly one part")
     };
-    for (slot, mut tap) in parts[0].ring_slot_indices().into_iter().zip(ckpt.taps) {
+    for (slot, tap) in parts[0].ring_slot_indices().into_iter().zip(ckpt.taps) {
         let k = owner(parts, slot);
-        let own = parts[k].own_tap_mut(slot).expect("the owner holds the tap");
-        if own.keeps_history() {
-            tap.attach_history();
-        }
-        *own = tap;
+        *parts[k].own_tap_mut(slot).expect("the owner holds the tap") = tap;
     }
     let mut truth = ckpt.truth;
     for p in parts.iter_mut() {
@@ -1518,11 +1498,11 @@ pub(crate) fn apply_router_ckpt(
     for (k, p) in parts.iter_mut().enumerate() {
         let m = &mut p.m;
         let mine = |n: u64| if k == 0 { n } else { 0 };
-        m.drops.restart(mine(ckpt.drops));
+        m.drops = mine(ckpt.drops);
         m.presented.restart(mine(ckpt.presented));
-        m.sock_delivered.restart(mine(ckpt.sock_delivered));
+        m.sock_delivered = mine(ckpt.sock_delivered);
         m.purge_starts.restart(mine(ckpt.purge_starts));
-        m.lost_to_purge.restart(mine(ckpt.lost_to_purge));
+        m.lost_to_purge = mine(ckpt.lost_to_purge);
         m.bridge_drops = mine(ckpt.bridge_drops);
         m.unfolded.clear();
         m.gaps = if k == 0 {

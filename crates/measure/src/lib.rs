@@ -25,5 +25,5 @@ pub use logic::{analyze_period, irq_to_handler_variation, PeriodAnalysis};
 pub use pcat::{PcAt, PcAtCapture, PcAtCfg, PcAtRecord, MARKER_CHANNEL};
 pub use points::{HistId, MeasurementSet};
 pub use pseudo::{PseudoCfg, PseudoDriver};
-pub use tap::{StreamAnalysis, Tap, TapCfg, TapRecord, TrafficBreakdown};
+pub use tap::{StreamAnalysis, Tap, TapCfg, TrafficBreakdown};
 pub use watchdog::{Anomaly, WatchEvent, Watchdog, WatchdogCfg};

@@ -58,20 +58,21 @@ impl HistId {
 }
 
 /// The four measurement-point logs of one run (source side 1–3, receive
-/// side 4), as captured by some instrument.
-#[derive(Clone, Debug, Default)]
-pub struct MeasurementSet {
+/// side 4), as captured by some instrument. The set borrows the logs
+/// from whoever keeps them, so handing one out copies no edge.
+#[derive(Clone, Copy, Debug)]
+pub struct MeasurementSet<'a> {
     /// Point 1: VCA IRQ line.
-    pub vca_irq: EdgeLog,
+    pub vca_irq: &'a EdgeLog,
     /// Point 2: VCA handler entry.
-    pub handler: EdgeLog,
+    pub handler: &'a EdgeLog,
     /// Point 3: pre-transmit.
-    pub pre_tx: EdgeLog,
+    pub pre_tx: &'a EdgeLog,
     /// Point 4: CTMSP identified at the receiver.
-    pub ctmsp_rx: EdgeLog,
+    pub ctmsp_rx: &'a EdgeLog,
 }
 
-impl MeasurementSet {
+impl MeasurementSet<'_> {
     /// Sample values (microseconds) for the selected histogram.
     pub fn samples_us(&self, which: HistId) -> Vec<f64> {
         let durs = match which {
@@ -79,9 +80,9 @@ impl MeasurementSet {
             HistId::H2 => self.handler.inter_occurrence(),
             HistId::H3 => self.pre_tx.inter_occurrence(),
             HistId::H4 => self.ctmsp_rx.inter_occurrence(),
-            HistId::H5 => self.vca_irq.deltas_to(&self.handler),
-            HistId::H6 => self.handler.deltas_to(&self.pre_tx),
-            HistId::H7 => self.pre_tx.deltas_to(&self.ctmsp_rx),
+            HistId::H5 => self.vca_irq.deltas_to(self.handler),
+            HistId::H6 => self.handler.deltas_to(self.pre_tx),
+            HistId::H7 => self.pre_tx.deltas_to(self.ctmsp_rx),
         };
         durs.into_iter().map(|d| d.as_us_f64()).collect()
     }
@@ -98,14 +99,20 @@ mod tests {
 
     #[test]
     fn histogram_definitions() {
-        let mut m = MeasurementSet::default();
+        let mut logs: [EdgeLog; 4] = Default::default();
         for k in 0..3u64 {
             let base = 12_000 * k;
-            m.vca_irq.record(t(base), k + 1);
-            m.handler.record(t(base + 25), k + 1);
-            m.pre_tx.record(t(base + 2_625), k + 1);
-            m.ctmsp_rx.record(t(base + 13_400), k + 1);
+            for (log, offset) in logs.iter_mut().zip([0, 25, 2_625, 13_400]) {
+                log.record(t(base + offset), k + 1);
+            }
         }
+        let [vca_irq, handler, pre_tx, ctmsp_rx] = &logs;
+        let m = MeasurementSet {
+            vca_irq,
+            handler,
+            pre_tx,
+            ctmsp_rx,
+        };
         assert_eq!(m.samples_us(HistId::H1), vec![12_000.0, 12_000.0]);
         assert_eq!(m.samples_us(HistId::H2), vec![12_000.0, 12_000.0]);
         assert_eq!(m.samples_us(HistId::H5), vec![25.0, 25.0, 25.0]);
@@ -115,10 +122,16 @@ mod tests {
 
     #[test]
     fn lost_packet_skipped_in_deltas() {
-        let mut m = MeasurementSet::default();
-        m.pre_tx.record(t(0), 1);
-        m.pre_tx.record(t(12_000), 2);
-        m.ctmsp_rx.record(t(10_740), 1);
+        let [vca_irq, handler, mut pre_tx, mut ctmsp_rx]: [EdgeLog; 4] = Default::default();
+        pre_tx.record(t(0), 1);
+        pre_tx.record(t(12_000), 2);
+        ctmsp_rx.record(t(10_740), 1);
+        let m = MeasurementSet {
+            vca_irq: &vca_irq,
+            handler: &handler,
+            pre_tx: &pre_tx,
+            ctmsp_rx: &ctmsp_rx,
+        };
         // Packet 2 lost to a purge: H7 has one sample.
         assert_eq!(m.samples_us(HistId::H7).len(), 1);
     }

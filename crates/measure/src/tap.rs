@@ -11,26 +11,8 @@
 //! ordering/loss detection for CTMSP streams, Ring Purge counting, and
 //! the traffic-class breakdown of §5.3.
 
-use ctms_sim::{History, SimTime};
+use ctms_sim::SimTime;
 use ctms_tokenring::{fc_is_mac, FrameKind, FrameView, MacKind, Proto};
-
-/// One TAP capture record.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TapRecord {
-    /// Capture timestamp.
-    pub at: SimTime,
-    /// Access Control byte.
-    pub ac: u8,
-    /// Frame Control byte.
-    pub fc: u8,
-    /// Total frame length on the wire.
-    pub total_len: u32,
-    /// First bytes of the frame (modelled as the classification + tag the
-    /// real 96-byte prefix would reveal).
-    pub kind: FrameKind,
-    /// CTMSP packet number (0 otherwise).
-    pub tag: u64,
-}
 
 /// TAP configuration.
 #[derive(Clone, Copy, Debug)]
@@ -117,13 +99,13 @@ impl StreamState {
 /// Its §5 analyses are running accumulators — capture count, class
 /// counts, stream-order state — updated as each record is captured, so
 /// they cost the same and checkpoint to the same size at any run
-/// length. The capture records themselves are history: kept by a
-/// monitor built with [`Tap::new`], not by one built with
-/// [`Tap::summary`], and never checkpointed.
+/// length. The records themselves are not kept: every analysis the
+/// paper ran on them offline is one of those accumulators here.
 #[derive(Debug)]
 pub struct Tap {
     cfg: TapCfg,
-    records: History<TapRecord>,
+    /// Records captured since t = 0.
+    records: u64,
     purges: u64,
     missed: u64,
     last_record: Option<SimTime>,
@@ -135,20 +117,11 @@ pub struct Tap {
 }
 
 impl Tap {
-    /// Creates the monitor, keeping its capture records.
+    /// Creates the monitor.
     pub fn new(cfg: TapCfg) -> Self {
         Tap {
-            records: History::new(),
-            ..Tap::summary(cfg)
-        }
-    }
-
-    /// Creates the monitor with its analyses only: no capture records
-    /// are kept.
-    pub fn summary(cfg: TapCfg) -> Self {
-        Tap {
             cfg,
-            records: History::summary(),
+            records: 0,
             purges: 0,
             missed: 0,
             last_record: None,
@@ -176,7 +149,7 @@ impl Tap {
                 return;
             }
         }
-        if self.records.len() >= self.cfg.buffer_records {
+        if self.records >= self.cfg.buffer_records as u64 {
             self.missed += 1;
             return;
         }
@@ -199,30 +172,12 @@ impl Tap {
                 }
             }
         }
-        self.records.push(TapRecord {
-            at,
-            ac: view.ac,
-            fc: view.fc,
-            total_len: view.wire_bytes,
-            kind: view.kind,
-            tag: view.tag,
-        });
+        self.records += 1;
     }
 
-    /// Capture records: [`History::len`] counts every capture since
-    /// t = 0; [`History::samples`] holds the kept records.
-    pub fn records(&self) -> &History<TapRecord> {
-        &self.records
-    }
-
-    /// True if the monitor keeps its capture records.
-    pub fn keeps_history(&self) -> bool {
-        self.records.keeps_history()
-    }
-
-    /// Keeps the capture records from now on.
-    pub fn attach_history(&mut self) {
-        self.records.attach_history();
+    /// Records captured since t = 0.
+    pub fn records(&self) -> u64 {
+        self.records
     }
 
     /// Frames seen but not recorded (capture limitation).
@@ -265,11 +220,9 @@ impl Tap {
 
 impl ctms_sim::Persist for Tap {
     /// The accumulators: capture count, counters, instants, class
-    /// counts and stream-order state. `cfg` and whether records are kept
-    /// are structural; the kept records are history and are not
-    /// encoded.
+    /// counts and stream-order state. `cfg` is structural.
     fn persist(&self, enc: &mut ctms_sim::Enc) {
-        enc.u64(self.records.len() as u64);
+        enc.u64(self.records);
         enc.u64(self.purges);
         enc.u64(self.missed);
         enc.opt(self.last_record.as_ref(), |e, t| e.time(*t));
@@ -287,12 +240,12 @@ impl ctms_sim::Persist for Tap {
         enc.opt(self.stream.last_seq.as_ref(), |e, s| e.u64(*s));
     }
 
-    /// Restores the accumulators and empties the kept records. State no
-    /// run of the monitor can reach is a [`PersistError::Mismatch`]:
-    /// class counts that do not sum to the capture count, captures past
-    /// the buffer or without a capture instant, instants out of order
-    /// (first seen ≤ last captured ≤ last seen), stream-order counts
-    /// beyond the CTMSP captures, or counters with nothing seen.
+    /// Restores the accumulators. State no run of the monitor can reach
+    /// is a [`PersistError::Mismatch`]: class counts that do not sum to
+    /// the capture count, captures past the buffer or without a capture
+    /// instant, instants out of order (first seen ≤ last captured ≤ last
+    /// seen), stream-order counts beyond the CTMSP captures, or counters
+    /// with nothing seen.
     fn restore(&mut self, dec: &mut ctms_sim::Dec<'_>) -> Result<(), ctms_sim::PersistError> {
         let captured = dec.u64()?;
         let purges = dec.u64()?;
@@ -352,7 +305,7 @@ impl ctms_sim::Persist for Tap {
                 "checkpoint TAP: {problem}"
             )));
         }
-        self.records.restart(captured);
+        self.records = captured;
         self.purges = purges;
         self.missed = missed;
         self.last_record = last_record;
@@ -371,7 +324,7 @@ impl ctms_sim::Instrument for Tap {
     /// the CTMSP stream analysis under `stream.*`, and utilization as an
     /// integer parts-per-million gauge (the registry carries no floats).
     fn publish(&self, scope: &mut ctms_sim::telemetry::Scope<'_>) {
-        scope.counter("records", self.records.len() as u64);
+        scope.counter("records", self.records);
         scope.counter("missed", self.missed);
         scope.counter("purges", self.purges);
         scope.counter("busy_ns", self.busy_ns);
@@ -469,7 +422,7 @@ mod tests {
         assert_eq!(b.ctmsp, 1);
         assert_eq!(b.file_transfer, 1);
         assert_eq!(b.small, 1);
-        assert_eq!(tap.records().len(), 4);
+        assert_eq!(tap.records(), 4);
     }
 
     #[test]
@@ -496,7 +449,7 @@ mod tests {
         tap.observe(SimTime::from_us(0), &ctmsp_view(1));
         tap.observe(SimTime::from_us(50), &ctmsp_view(2)); // too close
         tap.observe(SimTime::from_us(200), &ctmsp_view(3));
-        assert_eq!(tap.records().len(), 2);
+        assert_eq!(tap.records(), 2);
         assert_eq!(tap.missed(), 1);
     }
 
@@ -510,7 +463,7 @@ mod tests {
         tap.observe(SimTime::from_us(10), &ctmsp_view(1));
         tap.observe(SimTime::from_us(20), &mac_view(MacKind::RingPurge));
         assert_eq!(tap.purges(), 1);
-        assert_eq!(tap.records().len(), 1);
+        assert_eq!(tap.records(), 1);
     }
 
     #[test]
@@ -533,7 +486,7 @@ mod tests {
         for k in 0..5u64 {
             tap.observe(SimTime::from_ms(k), &ctmsp_view(k));
         }
-        assert_eq!(tap.records().len(), 2);
+        assert_eq!(tap.records(), 2);
         assert_eq!(tap.missed(), 3);
     }
 
@@ -557,19 +510,20 @@ mod tests {
 
     #[test]
     fn summary_tap_publishes_what_the_records_gave() {
-        let (mut full, mut summary) =
-            (Tap::new(TapCfg::default()), Tap::summary(TapCfg::default()));
-        feed(&mut full);
-        feed(&mut summary);
-        let a = full.analyze_stream();
+        // The seven records `feed` captures, classified and ordered by
+        // hand: the accumulators must give what the records would.
+        let mut tap = Tap::new(TapCfg::default());
+        feed(&mut tap);
+        let a = tap.analyze_stream();
         assert_eq!((a.captured, a.gaps, a.missing), (5, 2, 6));
         assert_eq!((a.duplicates, a.out_of_order), (1, 1));
-        assert_eq!(summary.analyze_stream(), a);
-        assert_eq!(summary.breakdown(), full.breakdown());
-        assert_eq!(summary.records().len(), 7);
-        assert_eq!(full.records().samples().len(), 7);
-        assert!(summary.records().samples().is_empty());
-        assert_eq!(summary.missed(), 1);
+        let b = tap.breakdown();
+        assert_eq!(
+            (b.mac, b.ctmsp, b.small, b.file_transfer, b.other),
+            (2, 5, 0, 0, 0)
+        );
+        assert_eq!(tap.records(), 7);
+        assert_eq!(tap.missed(), 1);
     }
 
     #[test]
@@ -582,12 +536,11 @@ mod tests {
         let bytes = enc.into_bytes();
         let mut back = Tap::new(TapCfg::default());
         back.restore(&mut Dec::new(&bytes)).unwrap();
-        assert!(back.records().samples().is_empty() && back.keeps_history());
         for t in [&mut tap, &mut back] {
             t.observe(SimTime::from_us(9_000), &ctmsp_view(10));
         }
         assert_eq!(back.analyze_stream(), tap.analyze_stream());
-        assert_eq!(back.records().len(), tap.records().len());
+        assert_eq!(back.records(), tap.records());
         let mut again = Enc::new();
         back.persist(&mut again);
         let mut want = Enc::new();
@@ -600,7 +553,7 @@ mod tests {
         let mut bad = bytes.clone();
         let mac_count = bytes.len() - 9 - 4 * 8 - 5 * 8;
         bad[mac_count] += 1;
-        let err = Tap::summary(TapCfg::default()).restore(&mut Dec::new(&bad));
+        let err = Tap::new(TapCfg::default()).restore(&mut Dec::new(&bad));
         assert!(
             matches!(err, Err(ctms_sim::PersistError::Mismatch(_))),
             "{err:?}"

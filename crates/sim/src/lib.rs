@@ -55,7 +55,7 @@ pub use persist::{
     PersistError, UnitReader, STREAM_CHUNK,
 };
 pub use rng::{Pcg32, SplitMix64};
-pub use shard::{merge_mail, Harness, MailKey, MergeTelemetry, ShardStats};
+pub use shard::{merge_mail, Harness, Label, MailKey, MergeTelemetry, ShardStats};
 pub use sweep::{default_threads, parallel_map};
 pub use telemetry::{Instrument, Registry};
 pub use time::{Dur, SimTime};

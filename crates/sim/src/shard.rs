@@ -112,6 +112,8 @@ use crate::persist::{ChunkedWriter, Persist, PersistError, UnitReader};
 use crate::telemetry::Registry;
 use crate::time::{Dur, SimTime};
 use std::any::Any;
+use std::borrow::Cow;
+use std::fmt::Write as _;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
@@ -936,6 +938,44 @@ pub(crate) fn adaptive_bounds(
     }
 }
 
+/// A node's telemetry namespace, given at registration: a whole name,
+/// or a fixed prefix and the node's index among its kind
+/// (`Label::Indexed("tokenring.ring", 12)` is `tokenring.ring12`). An
+/// indexed label allocates nothing; the harness writes its path out
+/// only when it collects telemetry.
+#[derive(Clone, Debug)]
+pub enum Label {
+    /// A whole name.
+    Name(Cow<'static, str>),
+    /// A prefix, followed by an index.
+    Indexed(&'static str, usize),
+}
+
+impl Label {
+    /// Appends the label's path to `out`.
+    fn write_to(&self, out: &mut String) {
+        match self {
+            Label::Name(name) => out.push_str(name),
+            Label::Indexed(prefix, k) => {
+                out.push_str(prefix);
+                write!(out, "{k}").expect("writing to a String cannot fail");
+            }
+        }
+    }
+}
+
+impl From<&'static str> for Label {
+    fn from(name: &'static str) -> Self {
+        Label::Name(Cow::Borrowed(name))
+    }
+}
+
+impl From<String> for Label {
+    fn from(name: String) -> Self {
+        Label::Name(Cow::Owned(name))
+    }
+}
+
 /// The scheduler/event bus. See the module docs.
 ///
 /// Nodes declare their shard (and whether they are sync-class) at
@@ -944,7 +984,7 @@ pub(crate) fn adaptive_bounds(
 pub struct Harness<C: Component, R: Router<C>> {
     shards: Vec<ShardState<C, R>>,
     /// Global registration-order labels (telemetry namespaces).
-    labels: Vec<String>,
+    labels: Vec<Label>,
     /// Global node id → (shard, local index); empty at one shard (see
     /// `owner_of`).
     owner_map: Vec<(u32, u32)>,
@@ -1042,7 +1082,7 @@ where
     pub fn add_node_labeled(
         &mut self,
         node: C,
-        label: impl Into<String>,
+        label: impl Into<Label>,
         shard: usize,
         sync: bool,
     ) -> NodeId {
@@ -1625,10 +1665,13 @@ where
     /// same bytes at any shard count.
     pub fn collect_telemetry(&mut self) -> &mut Registry {
         self.telemetry.clear_metrics();
+        let mut path = String::new();
         for gid in 0..self.len() {
             let (s, l) = self.owner_of(gid);
             let shard = &self.shards[s];
-            let mut scope = self.telemetry.scope(&self.labels[gid]);
+            path.clear();
+            self.labels[gid].write_to(&mut path);
+            let mut scope = self.telemetry.scope(&path);
             shard.nodes[l].publish_telemetry(&mut scope);
         }
         let routers: Vec<&R> = self.shards.iter().map(|s| &s.router).collect();

@@ -64,7 +64,7 @@ impl<T> History<T> {
     }
 
     /// An empty stream that only counts.
-    pub fn summary() -> Self {
+    pub const fn summary() -> Self {
         History {
             total: 0,
             kept: None,
@@ -128,6 +128,32 @@ impl<'a, T> IntoIterator for &'a History<T> {
     }
 }
 
+/// Pairs each edge of `from`, in order, with the first unused entry of
+/// its tag in `index`, which is sorted by tag with ties in time order;
+/// `entry` reads an entry's tag and instant. The cursor of a tag sits at
+/// the index position where the tag's entries start. Negative deltas
+/// are skipped.
+fn pair_by_tag<T>(from: &[Edge], index: &[T], entry: impl Fn(&T) -> (u64, SimTime)) -> Vec<Dur> {
+    let mut used = vec![0usize; index.len()];
+    let mut out = Vec::with_capacity(from.len().min(index.len()));
+    for e in from {
+        let start = index.partition_point(|x| entry(x).0 < e.tag);
+        let Some(cursor) = used.get_mut(start) else {
+            continue;
+        };
+        match index.get(start + *cursor).map(&entry) {
+            Some((tag, at)) if tag == e.tag => {
+                *cursor += 1;
+                if let Some(d) = at.checked_since(e.at) {
+                    out.push(d);
+                }
+            }
+            _ => {}
+        }
+    }
+    out
+}
+
 /// FNV-1a offset basis: the digest of an empty log.
 const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
 
@@ -172,6 +198,15 @@ impl EdgeLog {
     pub fn summary(name: impl Into<String>) -> Self {
         EdgeLog {
             name: name.into(),
+            ..EdgeLog::empty()
+        }
+    }
+
+    /// An unnamed summary log with nothing recorded: what a reader is
+    /// handed for a signal that never fired (it can sit in a `static`).
+    pub const fn empty() -> Self {
+        EdgeLog {
+            name: String::new(),
             edges: History::summary(),
             digest: FNV_OFFSET,
             first: None,
@@ -252,29 +287,26 @@ impl EdgeLog {
     /// Differences between *like occurrences* of two signals (the paper's
     /// histograms 5–7), over the kept edges: for every tag present in
     /// both logs, the delta from this log's edge to `later`'s edge with
-    /// the same tag.
+    /// the same tag, in this log's edge order.
     ///
     /// Edges whose counterpart is missing (lost packets) are skipped.
     /// If a tag repeats (duplicate packets), occurrences are paired in
-    /// order of appearance.
+    /// order of appearance. A pair whose `later` edge comes first gives
+    /// no delta, but uses that edge up.
+    ///
+    /// `later`'s edges are found through one index of `(tag, position)`
+    /// sorted by tag, with a cursor per tag. When `later`'s tags never
+    /// decrease, as a packet stream's do, its edges already are that
+    /// index, and nothing is sorted or copied.
     pub fn deltas_to(&self, later: &EdgeLog) -> Vec<Dur> {
-        use std::collections::HashMap;
-        // Index `later`'s edges by tag, preserving order per tag.
-        let mut by_tag: HashMap<u64, std::collections::VecDeque<SimTime>> = HashMap::new();
-        for e in later.edges() {
-            by_tag.entry(e.tag).or_default().push_back(e.at);
+        let edges = later.edges();
+        if edges.windows(2).all(|w| w[0].tag <= w[1].tag) {
+            return pair_by_tag(self.edges(), edges, |e| (e.tag, e.at));
         }
-        let mut out = Vec::new();
-        for e in self.edges() {
-            if let Some(q) = by_tag.get_mut(&e.tag) {
-                if let Some(t) = q.pop_front() {
-                    if let Some(d) = t.checked_since(e.at) {
-                        out.push(d);
-                    }
-                }
-            }
-        }
-        out
+        let mut index: Vec<(u64, usize)> =
+            edges.iter().enumerate().map(|(k, e)| (e.tag, k)).collect();
+        index.sort_unstable();
+        pair_by_tag(self.edges(), &index, |&(tag, k)| (tag, edges[k].at))
     }
 
     /// Pairs kept edges positionally with `later`'s (k-th with k-th),
@@ -434,6 +466,83 @@ mod tests {
         b.record(t(50), 1);
         assert!(a.deltas_to(&b).is_empty());
         assert!(a.deltas_positional(&b).is_empty());
+    }
+
+    /// `deltas_to` as it was before the sorted index, one FIFO queue of
+    /// `later`'s instants per tag: the reference the index must match.
+    /// Also counts the pairs it skipped as negative.
+    fn deltas_by_queues(from: &EdgeLog, later: &EdgeLog) -> (Vec<Dur>, usize) {
+        use std::collections::{HashMap, VecDeque};
+        let mut by_tag: HashMap<u64, VecDeque<SimTime>> = HashMap::new();
+        for e in later.edges() {
+            by_tag.entry(e.tag).or_default().push_back(e.at);
+        }
+        let (mut out, mut negative) = (Vec::new(), 0);
+        for e in from.edges() {
+            if let Some(q) = by_tag.get_mut(&e.tag) {
+                if let Some(t) = q.pop_front() {
+                    match t.checked_since(e.at) {
+                        Some(d) => out.push(d),
+                        None => negative += 1,
+                    }
+                }
+            }
+        }
+        (out, negative)
+    }
+
+    /// A random log of up to 40 edges, 0–30 µs apart. Its tags climb by
+    /// 0–2 at a time when `climbing` (repeats and gaps, never back),
+    /// else are drawn from `0..tags` (repeats, gaps and reorderings).
+    fn random_log(rng: &mut crate::rng::Pcg32, tags: u64, climbing: bool) -> EdgeLog {
+        let mut log = EdgeLog::new("x");
+        let (mut at, mut tag) = (0, 0);
+        for _ in 0..rng.index(41) {
+            at += rng.below(31);
+            tag = if climbing {
+                tag + rng.below(3)
+            } else {
+                rng.below(tags)
+            };
+            log.record(t(at), tag);
+        }
+        log
+    }
+
+    #[test]
+    fn deltas_to_matches_the_per_tag_queues() {
+        let mut rng = crate::rng::Pcg32::new(21, 5);
+        // Cases with `later`'s tags out of order (the sorted index) and
+        // in order (its edges are the index), with a repeated tag in
+        // `later`, with an edge of `from` left unpaired, and with a
+        // negative pair skipped.
+        let (mut unsorted, mut sorted, mut repeats, mut unpaired, mut negative) = (0, 0, 0, 0, 0);
+        for case in 0..2_000 {
+            let tags = 1 + rng.below(12);
+            let climbing = rng.chance(0.5);
+            let from = random_log(&mut rng, tags, climbing);
+            let later = random_log(&mut rng, tags, case % 2 == 0);
+            let (want, skipped) = deltas_by_queues(&from, &later);
+            assert_eq!(from.deltas_to(&later), want, "case {case}");
+            let l = later.edges();
+            if l.windows(2).all(|w| w[0].tag <= w[1].tag) {
+                sorted += 1;
+            } else {
+                unsorted += 1;
+            }
+            repeats += usize::from(l.windows(2).any(|w| w[0].tag == w[1].tag));
+            unpaired += usize::from(want.len() + skipped < from.len());
+            negative += usize::from(skipped > 0);
+        }
+        for (what, n) in [
+            ("unsorted", unsorted),
+            ("sorted", sorted),
+            ("repeated tag", repeats),
+            ("unpaired edge", unpaired),
+            ("negative pair", negative),
+        ] {
+            assert!(n >= 100, "only {n} cases with {what}");
+        }
     }
 
     /// The digest recomputed from scratch as a fold over `(at, tag)` pairs.

@@ -37,7 +37,7 @@ fn main() {
     let truth = bed.measurement_set();
 
     println!("== the VCA IRQ line through each instrument ==");
-    let pa = analyze_period(&truth.vca_irq, Dur::from_ms(12));
+    let pa = analyze_period(truth.vca_irq, Dur::from_ms(12));
     println!(
         "logic analyzer : period mean {:.3} ms, max deviation {} ns \
          (§5.2.2: 'completely solid')",
@@ -46,7 +46,7 @@ fn main() {
     );
 
     let mut pcat = PcAt::new(PcAtCfg::default(), Pcg32::new(5, 5));
-    let cap = pcat.observe(&[&truth.vca_irq], SimTime::from_secs(secs));
+    let cap = pcat.observe(&[truth.vca_irq], SimTime::from_secs(secs));
     let rec = cap.reconstruct();
     let (min, mean, max) = spread_us(&rec[0]);
     println!(
@@ -55,7 +55,7 @@ fn main() {
     );
 
     let mut pseudo = PseudoDriver::new(PseudoCfg::default(), Pcg32::new(6, 6));
-    let view = pseudo.observe(&truth.vca_irq);
+    let view = pseudo.observe(truth.vca_irq);
     let (min, mean, max) = spread_us(&view);
     println!(
         "pseudo driver  : intervals {min:.0}–{max:.0} µs around {mean:.0} µs \
@@ -66,7 +66,7 @@ fn main() {
     println!("== the transfer latency (histogram 7) through the PC/AT tool ==");
     let exact: Vec<f64> = truth
         .pre_tx
-        .deltas_to(&truth.ctmsp_rx)
+        .deltas_to(truth.ctmsp_rx)
         .iter()
         .map(|d| d.as_us_f64())
         .collect();
@@ -78,7 +78,7 @@ fn main() {
     // The real setup probes the transmitter and receiver with one PC/AT:
     // channels 0 and 1.
     let mut pcat = PcAt::new(PcAtCfg::default(), Pcg32::new(7, 7));
-    let cap = pcat.observe(&[&truth.pre_tx, &truth.ctmsp_rx], SimTime::from_secs(secs));
+    let cap = pcat.observe(&[truth.pre_tx, truth.ctmsp_rx], SimTime::from_secs(secs));
     let rec = cap.reconstruct();
     let measured: Vec<f64> = rec[0]
         .deltas_to(&rec[1])
@@ -98,7 +98,7 @@ fn main() {
     println!(
         "captured {} frames: {} MAC (~20 B), {} small (60–300 B), \
          {} file-transfer (~1522 B), {} CTMSP (2021 B), {} other",
-        bed.tap().records().len(),
+        bed.tap().records(),
         b.mac,
         b.small,
         b.file_transfer,

@@ -7,7 +7,7 @@
 //! pinned against the same golden truth-log digests and canonical
 //! telemetry JSON the determinism suite pins for uninterrupted runs, so
 //! a checkpoint that silently loses any piece of state (an RNG stream,
-//! a timer wheel, a TAP record, a half-open TCP retransmit) moves a
+//! a timer wheel, a TAP count, a half-open TCP retransmit) moves a
 //! digest and fails here.
 //!
 //! The format is also shard-agnostic: a snapshot taken at 4 shards must
@@ -930,8 +930,7 @@ fn the_history_sink_does_not_perturb_the_run() {
             (total, 0),
             "a bare bus counts but keeps nothing"
         );
-        let tap = bare.tap(0);
-        assert!(!tap.records().is_empty() && tap.records().samples().is_empty());
+        assert!(bare.tap(0).records() > 0, "the TAP counts its captures");
     }
 }
 
@@ -961,6 +960,58 @@ fn restore_counts_from_zero_and_samples_from_the_restore_point() {
     );
 }
 
+#[test]
+fn measurement_sets_borrow_the_truth_logs() {
+    // Handing out a measurement set copies no edge: each of its logs is
+    // the truth log itself, on a testbed and on a chain at 2 shards.
+    let points = [
+        (0, MeasurePoint::VcaIrq),
+        (0, MeasurePoint::VcaHandlerEntry),
+        (0, MeasurePoint::PreTransmit),
+        (1, MeasurePoint::CtmspIdentified),
+    ];
+    let mut bed = Testbed::ctms(&Scenario::test_case_a(42));
+    bed.run_until(SimTime::from_secs(2));
+    let mut chain = RingChainTestbed::chain_sharded(
+        &Scenario::scaled_chain(42),
+        BridgeKind::cut_through_bridge(),
+        4,
+        2,
+    );
+    chain.run_until(SimTime::from_secs(2));
+    for (set, bus) in [
+        (bed.measurement_set(), bed.bus()),
+        (chain.measurement_set(), chain.bus()),
+    ] {
+        let logs = [set.vca_irq, set.handler, set.pre_tx, set.ctmsp_rx];
+        for (log, (host, point)) in logs.into_iter().zip(points) {
+            let truth = bus.truth_log(host, point).expect("the point fired");
+            assert!(!truth.edges().is_empty(), "{point:?} keeps its edges");
+            assert_eq!(
+                log.edges().as_ptr(),
+                truth.edges().as_ptr(),
+                "{point:?} was copied"
+            );
+        }
+    }
+}
+
+#[test]
+fn a_recording_testbed_counts_tap_captures_without_keeping_them() {
+    // The TAP keeps accumulators only, on a recording testbed too (it
+    // has no record storage); its capture count is what telemetry
+    // publishes as `records`.
+    let mut bed = Testbed::ctms(&Scenario::test_case_b(42));
+    bed.run_until(SimTime::from_secs(10));
+    let captured = bed.tap().records();
+    let published = bed
+        .bus_mut()
+        .collect_telemetry()
+        .counter_value("measure.tap.ring0.records");
+    assert!(captured > 1_000, "{captured} captures");
+    assert_eq!(published, Some(captured));
+}
+
 /// The last chunk of `bus`'s checkpoint stream: the router state.
 fn router_chunk_len(bus: &Bus) -> usize {
     let mut sink = CollectSink::new();
@@ -979,9 +1030,7 @@ fn accumulators_hold(bus: &mut Bus) -> Result<(), String> {
         let tap = bus.tap(k);
         let b = tap.breakdown();
         let classes = [b.mac, b.small, b.file_transfer, b.ctmsp, b.other];
-        if classes.iter().try_fold(0u64, |a, &c| a.checked_add(c))
-            != Some(tap.records().len() as u64)
-        {
+        if classes.iter().try_fold(0u64, |a, &c| a.checked_add(c)) != Some(tap.records()) {
             return Err(format!("ring {k}: class counts do not sum to the captures"));
         }
         let [last_record, first_at, last_at] = tap.instants();

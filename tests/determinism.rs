@@ -16,6 +16,7 @@
 //! that engine's output, not only to itself.
 
 use ctms_core::{Scenario, Testbed};
+use ctms_measure::HistId;
 use ctms_sim::SimTime;
 use ctms_unixkern::MeasurePoint;
 
@@ -417,5 +418,55 @@ fn telemetry_digests_are_golden() {
     assert_eq!(
         b, 0xF9C7_8BD2_FDF4_71C1,
         "case B telemetry drifted: {b:#018X}"
+    );
+}
+
+#[test]
+fn paper_histogram_samples_are_golden() {
+    // The H1–H7 sample series the figures are drawn from, cases A and B
+    // at seed 42 run to 120 s: their count and an FNV-1a over each
+    // sample's `f64` bits (little-endian), in series order. The truth
+    // digests above pin the edges; these pin the analysis that pairs
+    // them (`inter_occurrence`, `deltas_to`), so a rewrite of it that
+    // moves one sample, reorders two or pairs a duplicate differently
+    // is caught here.
+    let pins = |sc: &Scenario| -> Vec<(usize, u64)> {
+        let mut bed = Testbed::ctms(sc);
+        bed.run_until(SimTime::from_secs(120));
+        let set = bed.measurement_set();
+        HistId::ALL
+            .iter()
+            .map(|&h| {
+                let xs = set.samples_us(h);
+                let bytes: Vec<u8> = xs.iter().flat_map(|x| x.to_bits().to_le_bytes()).collect();
+                (xs.len(), ctms_sim::telemetry::fnv1a(&bytes))
+            })
+            .collect()
+    };
+    assert_eq!(
+        pins(&Scenario::test_case_a(42)),
+        [
+            (9_999, 0x4937_322D_DF40_641A),
+            (9_998, 0xC924_69D0_B7D3_A4E0),
+            (9_998, 0xBB44_C7BC_AEB8_DCC7),
+            (9_997, 0x74C5_E96A_B63E_171E),
+            (9_999, 0x0C0E_1D72_58FA_BEA9),
+            (9_999, 0x26A2_F812_EB03_07AA),
+            (9_998, 0xD375_4B74_0534_42CF),
+        ],
+        "case A histogram samples drifted"
+    );
+    assert_eq!(
+        pins(&Scenario::test_case_b(42)),
+        [
+            (9_999, 0x4937_322D_DF40_641A),
+            (9_998, 0x68C6_379A_CE36_4A1E),
+            (9_998, 0x43AD_3541_6AF4_69BF),
+            (9_997, 0x7E0E_41F0_52A0_63B5),
+            (9_999, 0x9A51_B670_41D4_A9D4),
+            (9_999, 0xD564_35FB_2843_05EF),
+            (9_998, 0xFE82_EA3D_9E0E_3605),
+        ],
+        "case B histogram samples drifted"
     );
 }
