@@ -38,11 +38,11 @@
 //!                                          bounded step (streaming)
 //! {"cmd":"telemetry"}                      full canonical metric tree
 //! {"cmd":"checkpoint"}                     serialize state as hex
-//! {"cmd":"checkpoint_stream"}              the same bytes as a stream
-//!                                          of chunk events (bounded
-//!                                          peak memory): one
+//! {"cmd":"checkpoint_stream"}              the same bytes as chunk
+//!                                          events: one
 //!                                          checkpoint_chunk line per
-//!                                          chunk, then checkpoint_done;
+//!                                          64 KiB of snapshot, then
+//!                                          checkpoint_done;
 //!                                          concatenating the "data"
 //!                                          fields reproduces the
 //!                                          "checkpoint" hex exactly
@@ -53,8 +53,8 @@
 //! {"cmd":"steer","mutations":[...]}        apply mutations now
 //! {"cmd":"fork","branches":[[...],...],"until_ms":N}
 //!                                          checkpoint, fork one branch
-//!                                          per mutation list on the
-//!                                          sweep pool, report each
+//!                                          per mutation list on
+//!                                          sweep threads, report each
 //!                                          branch's outcome
 //! {"cmd":"quit"}                           exit
 //! ```
@@ -101,7 +101,8 @@
 //! bounded read into a line buffer that lives for the session, one
 //! UTF-8 check, a parse whose strings borrow from the line, and one
 //! table decode into a reused snapshot buffer. A `checkpoint` encodes
-//! through one table into a reused hex buffer, a chunk at a time.
+//! the snapshot once, then its hex through one table into a reused hex
+//! buffer, 64 KiB of snapshot at a time.
 
 use ctms_core::{
     apply_mutations, fork, graph_topology, Bus, ForkSpec, Measurements, Mutation, RingGraph,
@@ -109,7 +110,7 @@ use ctms_core::{
 };
 use ctms_router::BridgeKind;
 use ctms_sim::telemetry::{fnv1a, json_string};
-use ctms_sim::{ChunkSink, Dur, PersistError, SimTime};
+use ctms_sim::{Dur, SimTime};
 use std::borrow::Cow;
 use std::fmt;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -567,50 +568,10 @@ fn decode_hex(hex: &[u8], dst: &mut Vec<u8>) -> Result<(), HexError> {
     Ok(())
 }
 
-/// Streams a checkpoint's hex onto an open reply line, one chunk at a
-/// time: peak memory is one chunk's hex, not snapshot-plus-full-hex
-/// (the monolithic `to_hex` reply doubled the peak). The caller writes
-/// the JSON prefix and suffix around it.
-struct HexLineSink<'a, W: Write> {
-    out: &'a mut W,
-    hex: &'a mut Vec<u8>,
-}
-
-impl<W: Write> ChunkSink for HexLineSink<'_, W> {
-    fn chunk(&mut self, bytes: &[u8]) -> Result<(), PersistError> {
-        self.hex.clear();
-        encode_hex(bytes, self.hex);
-        write_or_exit(self.out, self.hex);
-        Ok(())
-    }
-}
-
-/// Emits each chunk as its own `checkpoint_chunk` reply line; the
-/// caller follows up with the `checkpoint_done` summary. Concatenating
-/// every `data` field reproduces the monolithic checkpoint hex.
-struct ChunkEventSink<'a, W: Write> {
-    out: &'a mut W,
-    hex: &'a mut Vec<u8>,
-    seq: u64,
-}
-
-impl<W: Write> ChunkSink for ChunkEventSink<'_, W> {
-    fn chunk(&mut self, bytes: &[u8]) -> Result<(), PersistError> {
-        self.hex.clear();
-        self.hex.extend_from_slice(
-            format!(
-                "{{\"ok\":true,\"event\":\"checkpoint_chunk\",\"seq\":{},\"data\":\"",
-                self.seq
-            )
-            .as_bytes(),
-        );
-        encode_hex(bytes, self.hex);
-        self.hex.extend_from_slice(b"\"}\n");
-        write_or_exit(self.out, self.hex);
-        self.seq += 1;
-        Ok(())
-    }
-}
+/// Snapshot bytes hex-encoded per write of a `checkpoint` reply and per
+/// `checkpoint_chunk` line: the hex buffer stays at 128 KiB however
+/// large the snapshot.
+const HEX_SLICE: usize = 64 * 1024;
 
 /// Writes raw bytes onto the reply stream with the same broken-pipe
 /// policy as [`emit`]: if the driver went away, exit quietly.
@@ -906,7 +867,7 @@ fn read_line<'b>(
 /// Byte buffers a session's checkpoint and restore requests reuse.
 #[derive(Default)]
 struct Buffers {
-    /// Checkpoint hex on its way out, one chunk at a time.
+    /// Checkpoint hex on its way out, one [`HEX_SLICE`] at a time.
     hex: Vec<u8>,
     /// A restore's decoded snapshot.
     snapshot: Vec<u8>,
@@ -1028,32 +989,42 @@ fn command(
             emit(out, "}");
         }
         Some("checkpoint") => {
-            // The hex streams straight onto the reply line chunk by
-            // chunk; `bytes` (known only at the end) follows the hex.
+            // Slice by slice, so the hex is never a second, doubled copy
+            // of the snapshot.
+            let snapshot = bus.checkpoint();
             write_or_exit(out, b"{\"ok\":true,\"checkpoint\":\"");
-            let mut sink = HexLineSink {
-                out: &mut *out,
-                hex: &mut bufs.hex,
-            };
-            let (payload, _) = bus
-                .checkpoint_stream(&mut sink)
-                .expect("in-memory persist cannot fail");
-            write_or_exit(out, format!("\",\"bytes\":{payload}}}\n").as_bytes());
+            for slice in snapshot.chunks(HEX_SLICE) {
+                bufs.hex.clear();
+                encode_hex(slice, &mut bufs.hex);
+                write_or_exit(out, &bufs.hex);
+            }
+            write_or_exit(
+                out,
+                format!("\",\"bytes\":{}}}\n", snapshot.len()).as_bytes(),
+            );
             let _ = out.flush();
         }
         Some("checkpoint_stream") => {
-            let mut sink = ChunkEventSink {
-                out: &mut *out,
-                hex: &mut bufs.hex,
-                seq: 0,
-            };
-            let (payload, chunks) = bus
-                .checkpoint_stream(&mut sink)
-                .expect("in-memory persist cannot fail");
+            // One `checkpoint_chunk` line per slice of the same hex.
+            let snapshot = bus.checkpoint();
+            for (seq, slice) in snapshot.chunks(HEX_SLICE).enumerate() {
+                bufs.hex.clear();
+                bufs.hex.extend_from_slice(
+                    format!(
+                        "{{\"ok\":true,\"event\":\"checkpoint_chunk\",\"seq\":{seq},\"data\":\""
+                    )
+                    .as_bytes(),
+                );
+                encode_hex(slice, &mut bufs.hex);
+                bufs.hex.extend_from_slice(b"\"}\n");
+                write_or_exit(out, &bufs.hex);
+            }
             emit(
                 out,
                 &format!(
-                    "{{\"ok\":true,\"event\":\"checkpoint_done\",\"chunks\":{chunks},\"bytes\":{payload}}}"
+                    "{{\"ok\":true,\"event\":\"checkpoint_done\",\"chunks\":{},\"bytes\":{}}}",
+                    snapshot.len().div_ceil(HEX_SLICE),
+                    snapshot.len()
                 ),
             );
         }
@@ -1650,6 +1621,46 @@ mod tests {
                 r#"{"ok":false,"error":"\"branches\" out of range"}"#
             );
         }
+    }
+
+    /// `checkpoint_stream` cuts the `checkpoint` hex every 64 KiB of
+    /// snapshot: on a chain whose image spans two slices, the `data`
+    /// fields concatenate to the `checkpoint` hex, and that hex decodes
+    /// to the library's image of the same bus.
+    #[test]
+    fn streamed_chunks_concatenate_to_the_checkpoint_hex() {
+        let session_line = r#"{"scenario":"chain","rings":256,"shards":2}"#;
+        let input = format!(
+            "{session_line}\n{{\"cmd\":\"run\",\"until_ms\":20}}\n\
+             {{\"cmd\":\"checkpoint\"}}\n{{\"cmd\":\"checkpoint_stream\"}}\n"
+        );
+        let replies = session(input.as_bytes());
+        let field = |line: &str, key: &str| -> String {
+            let reply = parse_json(line).expect("replies are JSON");
+            reply
+                .get(key)
+                .and_then(Json::as_str)
+                .expect(key)
+                .to_string()
+        };
+        let hex = field(&replies[2], "checkpoint");
+        let data: Vec<String> = replies[3..replies.len() - 1]
+            .iter()
+            .map(|line| field(line, "data"))
+            .collect();
+        assert!(data.len() >= 2, "{} hex digits in one slice", hex.len());
+        assert_eq!(data.concat(), hex);
+        assert!(replies[replies.len() - 1].contains(&format!(
+            "\"event\":\"checkpoint_done\",\"chunks\":{},\"bytes\":{}",
+            data.len(),
+            hex.len() / 2
+        )));
+
+        let mut image = Vec::new();
+        decode_hex(hex.as_bytes(), &mut image).expect("the reply is hex");
+        let mut bus = spec(session_line).unwrap().build(2);
+        bus.run_until(SimTime::from_ms(20));
+        assert!(image == bus.checkpoint(), "the hex is not the bus's image");
     }
 
     /// Every non-blank line gets exactly one reply, including one that

@@ -5,12 +5,13 @@
 //! clock, each node's component state (rings, full host kernels,
 //! bridges, background traffic), the RNG streams, the telemetry
 //! event/phase history, and the router's measurement accumulators — in
-//! one canonical byte stream behind a magic/version header. Raw
+//! one canonical byte image behind a magic/version header, encoded into
+//! one `Enc` and decoded from one `Dec`. Raw
 //! measurement samples are history, not state: a restored bus counts,
 //! digests and bins from t = 0, and keeps samples (where its build keeps
 //! any) only from the restore point on. Restore
 //! rebuilds the identical topology from the same scenario description
-//! and applies the stream in place, after which continuing the run is
+//! and applies the image in place, after which continuing the run is
 //! indistinguishable from never having stopped: telemetry JSON and
 //! edge-log digests are byte-identical (pinned by tier-1 tests).
 //!
@@ -25,16 +26,13 @@
 //! * [`Mutation`] — deterministic what-if perturbations applied at a
 //!   restore point (station churn, purge storms, DMA stalls),
 //! * [`fork`] — clone one checkpoint into N divergent continuations and
-//!   run them concurrently on the persistent sweep pool.
+//!   run them concurrently on scoped sweep threads.
 
 use crate::topology::Bus;
-use ctms_sim::{
-    parallel_map, ChunkSink, ChunkedWriter, Dec, Dur, FramedWrite, PersistError, SimTime,
-    UnitReader,
-};
+use ctms_sim::{parallel_map, Dec, Dur, Enc, PersistError, SimTime};
 use ctms_tokenring::{Disturb, RingCmd};
 
-/// Leading magic of every checkpoint stream.
+/// Leading magic of every checkpoint image.
 pub const CHECKPOINT_MAGIC: [u8; 8] = *b"CTMSCKPT";
 
 /// Current checkpoint format version. Bumped whenever any `Persist`
@@ -50,7 +48,7 @@ pub const CHECKPOINT_MAGIC: [u8; 8] = *b"CTMSCKPT";
 ///   built from the same graph description — at *any* shard count —
 ///   and a tree snapshot aimed at a mesh build fails loudly instead of
 ///   desynchronizing.
-/// * **3** — the router chunk holds state, not history: per TAP its
+/// * **3** — the router section holds state, not history: per TAP its
 ///   capture, class and stream-order accumulators instead of every
 ///   capture record; per truth log its count, running FNV-1a digest
 ///   and first/last instant instead of every edge; per measurement
@@ -58,54 +56,6 @@ pub const CHECKPOINT_MAGIC: [u8; 8] = *b"CTMSCKPT";
 ///   presentation-gap histogram and the last folded presentation. A
 ///   snapshot's size no longer grows with simulated time.
 pub const CHECKPOINT_VERSION: u32 = 3;
-
-/// Header, topology signature, then the bus's dynamic state. The
-/// header and signature close the first chunk together with the
-/// harness prefix.
-fn encode(bus: &Bus, w: &mut ChunkedWriter<'_>) -> Result<(), PersistError> {
-    let enc = w.enc();
-    for b in CHECKPOINT_MAGIC {
-        enc.u8(b);
-    }
-    enc.u32(CHECKPOINT_VERSION);
-    enc.bytes(&bus.topology_signature());
-    bus.persist_state(w)
-}
-
-/// The in-memory image: the streamed encoding kept in one buffer.
-fn image(bus: &Bus) -> Vec<u8> {
-    let mut w = ChunkedWriter::image();
-    encode(bus, &mut w).expect("an encode without a sink cannot fail");
-    w.into_bytes()
-}
-
-/// The encoding through `sink`; returns `(payload_bytes, chunks)`.
-fn stream(bus: &Bus, sink: &mut dyn ChunkSink) -> Result<(u64, u64), PersistError> {
-    let mut w = ChunkedWriter::new(sink);
-    encode(bus, &mut w)?;
-    w.finish()
-}
-
-/// Verifies the header and the topology signature, applies the state,
-/// and requires the encoding to end exactly there. The signature is
-/// shard-agnostic — every shard's router holds the complete slot
-/// table, so a 4-shard tree snapshot signs identically to the
-/// one-shard build of the same tree.
-fn decode(bus: &mut Bus, mut r: UnitReader<'_>) -> Result<(), PersistError> {
-    let own = bus.topology_signature();
-    r.unit(|dec| {
-        open_header(dec)?;
-        if dec.bytes()? != own {
-            return Err(PersistError::mismatch(
-                "checkpoint topology does not match this bus (different graph \
-                 shape, station layout, or host placement)",
-            ));
-        }
-        Ok(())
-    })?;
-    bus.restore_state(&mut r)?;
-    r.finish()
-}
 
 fn open_header(dec: &mut Dec<'_>) -> Result<(), PersistError> {
     for expect in CHECKPOINT_MAGIC {
@@ -124,47 +74,41 @@ fn open_header(dec: &mut Dec<'_>) -> Result<(), PersistError> {
 
 impl Bus {
     /// Serializes the complete dynamic state behind a magic/version
-    /// header — the same bytes at every shard count. Call at a run
-    /// boundary — after [`Bus::try_run_until`] has returned.
+    /// header and the topology signature — the same bytes at every
+    /// shard count. Call at a run boundary — after
+    /// [`Bus::try_run_until`] has returned.
     pub fn checkpoint(&self) -> Vec<u8> {
-        image(self)
+        let mut enc = Enc::new();
+        for b in CHECKPOINT_MAGIC {
+            enc.u8(b);
+        }
+        enc.u32(CHECKPOINT_VERSION);
+        enc.bytes(&self.topology_signature());
+        self.persist_state(&mut enc);
+        enc.into_bytes()
     }
 
     /// Applies a checkpoint onto this freshly built bus. The bus must
     /// have been built from the same topology description (same
     /// scenario, same seeds) at any shard count — the embedded graph
     /// signature is verified first, then node counts and kinds, and the
-    /// whole stream must be consumed.
+    /// whole image must be consumed. A truncated image is
+    /// [`PersistError::UnexpectedEof`], never a panic.
+    ///
+    /// The signature is shard-agnostic — every shard's router holds the
+    /// complete slot table, so a 4-shard tree snapshot signs
+    /// identically to the one-shard build of the same tree.
     pub fn restore_checkpoint(&mut self, bytes: &[u8]) -> Result<(), PersistError> {
-        decode(self, UnitReader::image(bytes))
-    }
-
-    /// Streams the checkpoint through `sink` chunk by chunk. The chunk
-    /// payloads concatenate to **exactly** the bytes of
-    /// [`Bus::checkpoint`], but peak memory stays at one chunk buffer
-    /// (~[`ctms_sim::STREAM_CHUNK`]) plus the largest single node
-    /// encoding, instead of the whole snapshot. Returns
-    /// `(payload_bytes, chunks)`.
-    pub fn checkpoint_stream(&self, sink: &mut dyn ChunkSink) -> Result<(u64, u64), PersistError> {
-        stream(self, sink)
-    }
-
-    /// Streams the checkpoint into `out` using the standard
-    /// length-prefixed chunk framing ([`ctms_sim::FramedWrite`]).
-    /// Returns `(payload_bytes, chunks)`.
-    pub fn write_checkpoint(
-        &self,
-        out: &mut dyn std::io::Write,
-    ) -> Result<(u64, u64), PersistError> {
-        stream(self, &mut FramedWrite::new(out))
-    }
-
-    /// Restores from a stream written by [`Bus::write_checkpoint`],
-    /// decoding chunk by chunk — the inverse bound: peak memory is one
-    /// chunk, not the whole snapshot. A stream truncated mid-chunk or
-    /// mid-state surfaces as a typed [`PersistError`], never a panic.
-    pub fn read_checkpoint(&mut self, inp: &mut dyn std::io::Read) -> Result<(), PersistError> {
-        decode(self, UnitReader::stream(inp))
+        let mut dec = Dec::new(bytes);
+        open_header(&mut dec)?;
+        if dec.bytes()? != self.topology_signature() {
+            return Err(PersistError::mismatch(
+                "checkpoint topology does not match this bus (different graph \
+                 shape, station layout, or host placement)",
+            ));
+        }
+        self.restore_state(&mut dec)?;
+        dec.finish()
     }
 }
 
@@ -257,8 +201,8 @@ pub struct ForkSpec {
 }
 
 /// Warm-start forking: clones one checkpoint into `branches.len()`
-/// divergent continuations and runs them concurrently on the
-/// persistent sweep pool ([`ctms_sim::parallel_map`]).
+/// divergent continuations and runs them concurrently on scoped sweep
+/// threads ([`ctms_sim::parallel_map`]).
 ///
 /// Each branch rebuilds a fresh bus via `build` (same topology as the
 /// checkpoint's origin, at any shard count), restores the shared
@@ -279,12 +223,12 @@ pub fn fork<R, B, A>(
     analyze: A,
 ) -> Result<Vec<R>, PersistError>
 where
-    R: Send + 'static,
-    B: Fn() -> Bus + Send + Sync + 'static,
-    A: Fn(usize, Bus) -> R + Send + Sync + 'static,
+    R: Send,
+    B: Fn() -> Bus + Sync,
+    A: Fn(usize, Bus) -> R + Sync,
 {
     let items: Vec<(usize, ForkSpec)> = branches.into_iter().enumerate().collect();
-    let results: Vec<Result<R, PersistError>> = parallel_map(items, threads, move |(idx, spec)| {
+    let results: Vec<Result<R, PersistError>> = parallel_map(items, threads, |(idx, spec)| {
         let mut bus = build();
         bus.restore_checkpoint(&checkpoint)?;
         apply_mutations(&mut bus, &spec.mutations)?;

@@ -32,15 +32,15 @@
 //! * the partitioner sees the edge multiset in canonical sorted order,
 //!   so its output is invariant under ring/bridge registration order.
 
-use crate::scenario::Scenario;
+use crate::scenario::{ring_with_stations, Scenario};
 use crate::topology::Topology;
-use ctms_ctmsp::{TrDriver, TrDriverCfg};
-use ctms_devices::{CtmsSinkCfg, CtmsSourceCfg, CtmsVcaSink, CtmsVcaSource};
+use ctms_ctmsp::TrDriver;
+use ctms_devices::{CtmsVcaSink, CtmsVcaSource};
 use ctms_router::{Bridge, BridgeKind, BridgePort};
-use ctms_rtpc::{Machine, MachineConfig, MemRegion};
-use ctms_sim::{Dur, Pcg32};
-use ctms_tokenring::{StationId, TokenRing};
-use ctms_unixkern::{DriverId, Host, KernConfig, Kernel};
+use ctms_rtpc::{Machine, MachineConfig};
+use ctms_sim::Pcg32;
+use ctms_tokenring::StationId;
+use ctms_unixkern::{DriverId, Host, Kernel};
 
 /// One bridge in the graph: the rings of its ports, in port order. Two
 /// rings is the classic inter-ring bridge; three is the FDDI
@@ -167,11 +167,6 @@ impl RingGraph {
     /// Number of rings.
     pub fn ring_count(&self) -> usize {
         self.n_rings
-    }
-
-    /// Number of bridges (edges).
-    pub fn edge_count(&self) -> usize {
-        self.edges.len()
     }
 
     /// The transmitter's ring.
@@ -384,80 +379,30 @@ pub fn graph_topology(
     let stream_dst = plan.port_station.get(first_edge, first_port);
 
     let root = Pcg32::new(sc.seed, 0xD2);
-    let mk_ring = |label: &str, stations: u32| {
-        let mut ring = TokenRing::new(sc.calib.ring.clone(), root.derive(label));
-        for _ in 0..stations {
-            ring.add_station();
-        }
-        ring
-    };
-
-    let mut adapter = sc.calib.adapter;
-    adapter.buffer_region = if sc.io_channel_memory {
-        MemRegion::IoChannel
-    } else {
-        MemRegion::System
-    };
-
-    let tr_cfg = |station: StationId| TrDriverCfg {
-        station,
-        adapter,
-        ctmsp_enabled: true,
-        driver_priority: sc.driver_priority,
-        precomputed_header: sc.precomputed_header,
-        tx_copy_full: sc.tx_copy_full,
-        rx_copy_to_mbufs: sc.rx_copy_to_mbufs,
-        ctmsp_sink: None,
-        ifq_cap: 50,
-        header_cost: sc.calib.header_cost,
-        precomp_header_cost: sc.calib.precomp_header_cost,
-        ctmsp_check_cost: sc.calib.ctmsp_check_cost,
-        copy_spl: 5,
-        racy_critical_sections: sc.racy_driver,
-    };
-    let kcfg = KernConfig {
-        calib: sc.calib.kern,
-        ..KernConfig::default()
-    };
+    let adapter = sc.adapter();
+    let kcfg = sc.kern();
 
     // Transmitter, streaming to the first path bridge's entry port.
     let mut ktx = Kernel::new(kcfg, root.derive("kern-tx"));
     let tr_tx = ktx.add_driver(
-        Box::new(TrDriver::new(tr_cfg(plan.tx_station))),
+        Box::new(TrDriver::new(sc.tr_driver(adapter, plan.tx_station, None))),
         Some(ctms_unixkern::LINE_TR),
     );
     ktx.set_net_if(tr_tx);
     let vca_src = ktx.add_driver(
-        Box::new(CtmsVcaSource::new(CtmsSourceCfg {
-            period: sc.period,
-            pkt_len: sc.pkt_len,
-            dst: stream_dst,
-            tr_driver: tr_tx,
-            handler_code: sc.calib.vca_handler_code,
-            copy_from_device: false,
-            pio_per_byte: Dur::ZERO,
-            ring_priority: if sc.ring_priority { 4 } else { 0 },
-            irq_jitter: Dur::ZERO,
-            autostart: true,
-            require_setup: false,
-        })),
+        Box::new(CtmsVcaSource::new(sc.vca_source(stream_dst, tr_tx))),
         Some(ctms_unixkern::LINE_VCA),
     );
 
     // Receiver on the RX ring.
     let mut krx = Kernel::new(kcfg, root.derive("kern-rx"));
-    let vca_sink = krx.add_driver(
-        Box::new(CtmsVcaSink::new(CtmsSinkCfg {
-            copy_to_device: sc.rx_copy_to_device,
-            pio_per_byte: Dur::from_ns(800),
-            copy_spl: 5,
-        })),
-        None,
-    );
-    let mut rx_cfg = tr_cfg(plan.rx_station);
-    rx_cfg.ctmsp_sink = Some(vca_sink);
+    let vca_sink = krx.add_driver(Box::new(CtmsVcaSink::new(sc.vca_sink())), None);
     let tr_rx = krx.add_driver(
-        Box::new(TrDriver::new(rx_cfg)),
+        Box::new(TrDriver::new(sc.tr_driver(
+            adapter,
+            plan.rx_station,
+            Some(vca_sink),
+        ))),
         Some(ctms_unixkern::LINE_TR),
     );
     krx.set_net_if(tr_rx);
@@ -520,7 +465,11 @@ pub fn graph_topology(
                 1 => "ring-b".to_string(),
                 _ => format!("ring-{i}"),
             };
-            topo.ring(mk_ring(&label, plan.stations[i]))
+            topo.ring(ring_with_stations(
+                sc.calib.ring.clone(),
+                root.derive(&label),
+                plan.stations[i],
+            ))
         })
         .collect();
     for (e, edge) in g.edges.iter().enumerate() {

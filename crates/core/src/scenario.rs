@@ -20,7 +20,12 @@
 //! > * Transmitter/Receiver in stand alone vs. multiprocessing modes
 
 use crate::calib::Calibration;
-use ctms_sim::Dur;
+use ctms_ctmsp::TrDriverCfg;
+use ctms_devices::{CtmsSinkCfg, CtmsSourceCfg, TrAdapterCfg};
+use ctms_rtpc::MemRegion;
+use ctms_sim::{Dur, Pcg32};
+use ctms_tokenring::{RingConfig, StationId, TokenRing};
+use ctms_unixkern::{DriverId, KernConfig};
 
 /// Private (dedicated) or public (campus) ring.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -156,6 +161,105 @@ impl Scenario {
     pub fn data_rate(&self) -> f64 {
         f64::from(self.pkt_len) * 1e9 / self.period.as_ns() as f64
     }
+
+    // Component configurations, written once for every builder
+    // (`Testbed::ctms`, `multi_stream`, `stock`, `graph_topology`). The
+    // builders keep their RNG labels and build order.
+
+    /// The ring calibration with CTMSP ring priority as the scenario says.
+    pub(crate) fn ring_cfg(&self) -> RingConfig {
+        RingConfig {
+            priority_enabled: self.ring_priority,
+            ..self.calib.ring.clone()
+        }
+    }
+
+    /// The adapter calibration with the scenario's fixed DMA buffers.
+    pub(crate) fn adapter(&self) -> TrAdapterCfg {
+        TrAdapterCfg {
+            buffer_region: if self.io_channel_memory {
+                MemRegion::IoChannel
+            } else {
+                MemRegion::System
+            },
+            ..self.calib.adapter
+        }
+    }
+
+    /// The modified (CTMSP) Token Ring driver at `station` on `adapter`,
+    /// handing CTMSP frames to `ctmsp_sink` when there is one.
+    pub(crate) fn tr_driver(
+        &self,
+        adapter: TrAdapterCfg,
+        station: StationId,
+        ctmsp_sink: Option<DriverId>,
+    ) -> TrDriverCfg {
+        TrDriverCfg {
+            station,
+            adapter,
+            ctmsp_enabled: true,
+            driver_priority: self.driver_priority,
+            precomputed_header: self.precomputed_header,
+            tx_copy_full: self.tx_copy_full,
+            rx_copy_to_mbufs: self.rx_copy_to_mbufs,
+            ctmsp_sink,
+            ifq_cap: 50,
+            header_cost: self.calib.header_cost,
+            precomp_header_cost: self.calib.precomp_header_cost,
+            ctmsp_check_cost: self.calib.ctmsp_check_cost,
+            copy_spl: 5,
+            racy_critical_sections: self.racy_driver,
+        }
+    }
+
+    /// The kernel: defaults but for the cost calibration.
+    pub(crate) fn kern(&self) -> KernConfig {
+        KernConfig {
+            calib: self.calib.kern,
+            ..KernConfig::default()
+        }
+    }
+
+    /// An autostarting VCA source streaming to `dst` through the Token
+    /// Ring driver `tr_driver`.
+    pub(crate) fn vca_source(&self, dst: StationId, tr_driver: DriverId) -> CtmsSourceCfg {
+        CtmsSourceCfg {
+            period: self.period,
+            pkt_len: self.pkt_len,
+            dst,
+            tr_driver,
+            handler_code: self.calib.vca_handler_code,
+            copy_from_device: false,
+            // The paper's own Figure 5-2 accounting (600 µs code +
+            // 2000 µs copy) places the VCA data access inside the
+            // 600 µs, so its marginal per-byte cost is zero here; the
+            // ablation benches raise it. Documented in DESIGN.md.
+            pio_per_byte: Dur::ZERO,
+            ring_priority: if self.ring_priority { 4 } else { 0 },
+            irq_jitter: Dur::ZERO,
+            autostart: true,
+            require_setup: false,
+        }
+    }
+
+    /// The VCA sink.
+    pub(crate) fn vca_sink(&self) -> CtmsSinkCfg {
+        CtmsSinkCfg {
+            copy_to_device: self.rx_copy_to_device,
+            pio_per_byte: Dur::from_ns(800),
+            copy_spl: 5,
+        }
+    }
+}
+
+/// A token ring on `cfg` drawing from `rng`, with `stations` stations
+/// inserted.
+pub(crate) fn ring_with_stations(cfg: RingConfig, rng: Pcg32, stations: u32) -> TokenRing {
+    let mut ring = TokenRing::new(cfg, rng);
+    for _ in 0..stations {
+        ring.add_station();
+    }
+    ring
 }
 
 #[cfg(test)]

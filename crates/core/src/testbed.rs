@@ -9,19 +9,19 @@
 //! exposes scenario-aware accessors over the recorded
 //! [`Measurements`](crate::Measurements).
 
-use crate::scenario::{HostLoad, Network, Scenario};
+use crate::scenario::{ring_with_stations, HostLoad, Network, Scenario};
 use crate::topology::{Bus, Topology};
 use ctms_ctmsp::{TrDriver, TrDriverCfg};
 use ctms_devices::{
-    CtmsSinkCfg, CtmsSourceCfg, CtmsVcaSink, CtmsVcaSource, DiskCfg, DiskDriver, StockAudioSink,
-    StockCfg, StockVcaSource,
+    CtmsSourceCfg, CtmsVcaSink, CtmsVcaSource, DiskCfg, DiskDriver, StockAudioSink, StockCfg,
+    StockVcaSource, TrAdapterCfg,
 };
 use ctms_measure::{MeasurementSet, Tap};
-use ctms_rtpc::{Machine, MachineConfig, MemRegion};
+use ctms_rtpc::{Machine, MachineConfig};
 use ctms_sim::{CascadeError, Dur, EdgeLog, History, Pcg32, SimTime};
-use ctms_tokenring::{RingCmd, StationId, TokenRing};
+use ctms_tokenring::{RingCmd, RingConfig, StationId, TokenRing};
 use ctms_unixkern::{
-    DriverId, Host, KernConfig, Kernel, MeasurePoint, Pid, Port, Program, Sock, SockProto, Step,
+    DriverId, Host, Kernel, MeasurePoint, Pid, Port, Program, Sock, SockProto, Step,
 };
 use ctms_workloads::{
     default_classes, HostTrafficCfg, HostTrafficGen, PhantomCfg, PhantomTraffic, SplLoad,
@@ -86,68 +86,26 @@ impl Testbed {
     /// requested shard count — which the shard-parity tests pin.
     pub fn ctms_topology(sc: &Scenario) -> (Topology, Roles) {
         let root = Pcg32::new(sc.seed, 0xC7);
-        let mut ring_cfg = sc.calib.ring.clone();
-        ring_cfg.priority_enabled = sc.ring_priority;
-        let mut ring = TokenRing::new(ring_cfg, root.derive("ring"));
-        for _ in 0..sc.station_count() {
-            ring.add_station();
-        }
-
-        let buffer_region = if sc.io_channel_memory {
-            MemRegion::IoChannel
-        } else {
-            MemRegion::System
+        let ring = ring_with_stations(sc.ring_cfg(), root.derive("ring"), sc.station_count());
+        let adapter = TrAdapterCfg {
+            purge_interrupt: sc.purge_interrupt,
+            ..sc.adapter()
         };
-        let mut adapter = sc.calib.adapter;
-        adapter.buffer_region = buffer_region;
-        adapter.purge_interrupt = sc.purge_interrupt;
-
-        let tr_cfg = |station: u32| TrDriverCfg {
-            station: StationId(station),
-            adapter,
-            ctmsp_enabled: true,
-            driver_priority: sc.driver_priority,
-            precomputed_header: sc.precomputed_header,
-            tx_copy_full: sc.tx_copy_full,
-            rx_copy_to_mbufs: sc.rx_copy_to_mbufs,
-            ctmsp_sink: None,
-            ifq_cap: 50,
-            header_cost: sc.calib.header_cost,
-            precomp_header_cost: sc.calib.precomp_header_cost,
-            ctmsp_check_cost: sc.calib.ctmsp_check_cost,
-            copy_spl: 5,
-            racy_critical_sections: sc.racy_driver,
-        };
-
-        let kcfg = KernConfig {
-            calib: sc.calib.kern,
-            ..KernConfig::default()
-        };
+        let kcfg = sc.kern();
 
         // Transmitter host (station 0).
         let mut ktx = Kernel::new(kcfg, root.derive("kern-tx"));
         let tr_tx = ktx.add_driver(
-            Box::new(TrDriver::new(tr_cfg(0))),
+            Box::new(TrDriver::new(sc.tr_driver(adapter, StationId(0), None))),
             Some(ctms_unixkern::LINE_TR),
         );
         ktx.set_net_if(tr_tx);
         let vca_src = ktx.add_driver(
             Box::new(CtmsVcaSource::new(CtmsSourceCfg {
-                period: sc.period,
-                pkt_len: sc.pkt_len,
-                dst: StationId(1),
-                tr_driver: tr_tx,
-                handler_code: sc.calib.vca_handler_code,
                 copy_from_device: sc.tx_copy_vca_to_mbufs,
-                // The paper's own Figure 5-2 accounting (600 µs code +
-                // 2000 µs copy) places the VCA data access inside the
-                // 600 µs, so its marginal per-byte cost is zero here; the
-                // ablation benches raise it. Documented in DESIGN.md.
-                pio_per_byte: Dur::ZERO,
-                ring_priority: if sc.ring_priority { 4 } else { 0 },
-                irq_jitter: Dur::ZERO,
                 autostart: !sc.explicit_setup,
                 require_setup: sc.explicit_setup,
+                ..sc.vca_source(StationId(1), tr_tx)
             })),
             Some(ctms_unixkern::LINE_VCA),
         );
@@ -160,18 +118,13 @@ impl Testbed {
 
         // Receiver host (station 1).
         let mut krx = Kernel::new(kcfg, root.derive("kern-rx"));
-        let vca_sink = krx.add_driver(
-            Box::new(CtmsVcaSink::new(CtmsSinkCfg {
-                copy_to_device: sc.rx_copy_to_device,
-                pio_per_byte: Dur::from_ns(800),
-                copy_spl: 5,
-            })),
-            None,
-        );
-        let mut rx_cfg = tr_cfg(1);
-        rx_cfg.ctmsp_sink = Some(vca_sink);
+        let vca_sink = krx.add_driver(Box::new(CtmsVcaSink::new(sc.vca_sink())), None);
         let tr_rx = krx.add_driver(
-            Box::new(TrDriver::new(rx_cfg)),
+            Box::new(TrDriver::new(sc.tr_driver(
+                adapter,
+                StationId(1),
+                Some(vca_sink),
+            ))),
             Some(ctms_unixkern::LINE_TR),
         );
         krx.set_net_if(tr_rx);
@@ -223,38 +176,9 @@ impl Testbed {
     pub fn multi_stream(sc: &Scenario, n: usize) -> Testbed {
         assert!(n >= 1, "at least one stream");
         let root = Pcg32::new(sc.seed, 0x35);
-        let mut ring_cfg = sc.calib.ring.clone();
-        ring_cfg.priority_enabled = sc.ring_priority;
-        let mut ring = TokenRing::new(ring_cfg, root.derive("ring"));
-        for _ in 0..(2 * n + 2) {
-            ring.add_station();
-        }
-        let mut adapter = sc.calib.adapter;
-        adapter.buffer_region = if sc.io_channel_memory {
-            MemRegion::IoChannel
-        } else {
-            MemRegion::System
-        };
-        let kcfg = KernConfig {
-            calib: sc.calib.kern,
-            ..KernConfig::default()
-        };
-        let tr_cfg = |station: u32, sink| TrDriverCfg {
-            station: StationId(station),
-            adapter,
-            ctmsp_enabled: true,
-            driver_priority: sc.driver_priority,
-            precomputed_header: sc.precomputed_header,
-            tx_copy_full: sc.tx_copy_full,
-            rx_copy_to_mbufs: sc.rx_copy_to_mbufs,
-            ctmsp_sink: sink,
-            ifq_cap: 50,
-            header_cost: sc.calib.header_cost,
-            precomp_header_cost: sc.calib.precomp_header_cost,
-            ctmsp_check_cost: sc.calib.ctmsp_check_cost,
-            copy_spl: 5,
-            racy_critical_sections: sc.racy_driver,
-        };
+        let ring = ring_with_stations(sc.ring_cfg(), root.derive("ring"), 2 * n as u32 + 2);
+        let adapter = sc.adapter();
+        let kcfg = sc.kern();
 
         let mut topo = Topology::new(sc.cascade_limit);
         let r = topo.ring(ring);
@@ -263,24 +187,18 @@ impl Testbed {
             // Transmitter k at station k, streaming to station n + k.
             let mut ktx = Kernel::new(kcfg, root.derive(&format!("tx{k}")));
             let tr_tx = ktx.add_driver(
-                Box::new(TrDriver::new(tr_cfg(k as u32, None))),
+                Box::new(TrDriver::new(sc.tr_driver(
+                    adapter,
+                    StationId(k as u32),
+                    None,
+                ))),
                 Some(ctms_unixkern::LINE_TR),
             );
             ktx.set_net_if(tr_tx);
             let vca_src = ktx.add_driver(
-                Box::new(CtmsVcaSource::new(CtmsSourceCfg {
-                    period: sc.period,
-                    pkt_len: sc.pkt_len,
-                    dst: StationId((n + k) as u32),
-                    tr_driver: tr_tx,
-                    handler_code: sc.calib.vca_handler_code,
-                    copy_from_device: false,
-                    pio_per_byte: Dur::ZERO,
-                    ring_priority: if sc.ring_priority { 4 } else { 0 },
-                    irq_jitter: Dur::ZERO,
-                    autostart: true,
-                    require_setup: false,
-                })),
+                Box::new(CtmsVcaSource::new(
+                    sc.vca_source(StationId((n + k) as u32), tr_tx),
+                )),
                 Some(ctms_unixkern::LINE_VCA),
             );
             topo.host(
@@ -300,16 +218,13 @@ impl Testbed {
         }
         for (k, stream) in streams.iter_mut().enumerate() {
             let mut krx = Kernel::new(kcfg, root.derive(&format!("rx{k}")));
-            let vca_sink = krx.add_driver(
-                Box::new(CtmsVcaSink::new(CtmsSinkCfg {
-                    copy_to_device: sc.rx_copy_to_device,
-                    pio_per_byte: Dur::from_ns(800),
-                    copy_spl: 5,
-                })),
-                None,
-            );
+            let vca_sink = krx.add_driver(Box::new(CtmsVcaSink::new(sc.vca_sink())), None);
             let tr_rx = krx.add_driver(
-                Box::new(TrDriver::new(tr_cfg((n + k) as u32, Some(vca_sink)))),
+                Box::new(TrDriver::new(sc.tr_driver(
+                    adapter,
+                    StationId((n + k) as u32),
+                    Some(vca_sink),
+                ))),
                 Some(ctms_unixkern::LINE_TR),
             );
             krx.set_net_if(tr_rx);
@@ -352,20 +267,16 @@ impl Testbed {
     /// processes move the data through sockets over the unmodified driver.
     pub fn stock(sc: &Scenario, bytes_per_sec: u32, proto: SockProto) -> Testbed {
         let root = Pcg32::new(sc.seed, 0x57);
-        let mut ring_cfg = sc.calib.ring.clone();
-        ring_cfg.priority_enabled = false;
-        let mut ring = TokenRing::new(ring_cfg, root.derive("ring"));
-        for _ in 0..sc.station_count() {
-            ring.add_station();
-        }
+        let ring_cfg = RingConfig {
+            priority_enabled: false,
+            ..sc.calib.ring.clone()
+        };
+        let ring = ring_with_stations(ring_cfg, root.derive("ring"), sc.station_count());
 
         let port = Port(10);
         let dev_cfg = StockCfg::for_rate(bytes_per_sec);
         let chunk = dev_cfg.chunk;
-        let kcfg = KernConfig {
-            calib: sc.calib.kern,
-            ..KernConfig::default()
-        };
+        let kcfg = sc.kern();
 
         // Transmitter: stock VCA read by a user process, sent on a socket.
         let mut ktx = Kernel::new(kcfg, root.derive("kern-tx"));

@@ -1143,26 +1143,22 @@ impl Bus {
         self.h.shard_router(0).topology_signature()
     }
 
-    /// Streams the harness state, then the merged router state, into
-    /// `w`. Call at a run boundary.
-    pub(crate) fn persist_state(
-        &self,
-        w: &mut ctms_sim::ChunkedWriter<'_>,
-    ) -> Result<(), PersistError> {
-        self.h.persist_state(w)?;
-        persist_router_parts(&self.h.routers().collect::<Vec<_>>(), w)
+    /// Appends the harness state, then the merged router state, to
+    /// `enc`. Call at a run boundary.
+    pub(crate) fn persist_state(&self, enc: &mut ctms_sim::Enc) {
+        self.h.persist_state(enc);
+        persist_router_parts(&self.h.routers().collect::<Vec<_>>(), enc);
     }
 
     /// Applies what [`Bus::persist_state`] wrote — at any shard count —
     /// onto a fresh rebuild.
     pub(crate) fn restore_state(
         &mut self,
-        r: &mut ctms_sim::UnitReader<'_>,
+        dec: &mut ctms_sim::Dec<'_>,
     ) -> Result<(), PersistError> {
-        self.h.restore_state(r)?;
+        self.h.restore_state(dec)?;
         let now = self.h.now();
-        let (rings, hosts) = (self.ring_count(), self.host_count());
-        let ckpt = r.unit(|dec| decode_router_state(dec, rings, hosts))?;
+        let ckpt = decode_router_state(dec, self.ring_count(), self.host_count())?;
         apply_router_ckpt(&mut self.h.routers_mut().collect::<Vec<_>>(), ckpt, now)
     }
 }
@@ -1172,11 +1168,11 @@ impl Bus {
 // A checkpoint must be *shard-agnostic*: bytes written by a 4-shard run
 // restore into a one-shard bus or a 2-shard one. The harness side walks
 // nodes in global registration order; the router side is handled here by
-// merging the per-shard parts into one canonical stream at persist time
+// merging the per-shard parts into one canonical section at persist time
 // and re-distributing at restore time (taps to the ring's owner, truth
 // logs to the host's owner, counts and the presentation-gap state to
 // shard 0 — merged telemetry sums counts, so their placement is
-// unobservable). The router chunk carries state only (format v3): no
+// unobservable). The router section carries state only (format v3): no
 // sample a history sink kept is ever written.
 
 impl ctms_sim::Persist for Node {
@@ -1291,18 +1287,14 @@ pub(crate) struct RouterCkpt {
 }
 
 /// Appends the canonical merged router state of `parts` (one part per
-/// shard) to `w` as its own chunk: each TAP's and each truth log's
-/// accumulators (each lives in exactly one part), the stream counts
-/// summed over the parts, and the presentation-gap histogram with the
-/// last folded presentation. The bytes do not depend on the shard
-/// count, and none of them is a sample.
-pub(crate) fn persist_router_parts(
-    parts: &[&CtmsRouter],
-    w: &mut ctms_sim::ChunkedWriter<'_>,
-) -> Result<(), PersistError> {
+/// shard) to `enc`, the last section of every image: each TAP's and
+/// each truth log's accumulators (each lives in exactly one part), the
+/// stream counts summed over the parts, and the presentation-gap
+/// histogram with the last folded presentation. The bytes do not
+/// depend on the shard count, and none of them is a sample.
+pub(crate) fn persist_router_parts(parts: &[&CtmsRouter], enc: &mut ctms_sim::Enc) {
     use ctms_sim::Persist as _;
     let first = parts.first().expect("at least one router part");
-    let enc = w.enc();
 
     let ring_slots: Vec<usize> = first.ring_slot_indices();
     enc.seq_len(ring_slots.len());
@@ -1343,7 +1335,6 @@ pub(crate) fn persist_router_parts(
     );
     first.m.gaps.persist(enc);
     enc.opt(first.m.last_presented.as_ref(), |e, t| e.time(*t));
-    w.flush_chunk()
 }
 
 /// Decodes router state written by [`persist_router_parts`] for a bus

@@ -313,11 +313,6 @@ impl Bridge {
         self.ports[port].station
     }
 
-    /// The output port frames entering at `port` leave on.
-    pub fn forward_port(&self, port: usize) -> usize {
-        self.forward[port] as usize
-    }
-
     fn engine_index(&self, port_in: u8) -> usize {
         if self.kind.shared_engine() {
             0

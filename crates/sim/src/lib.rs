@@ -50,10 +50,7 @@ pub mod trace;
 pub use bus::{CascadeError, CmdSink, NodeId, Router, DEFAULT_CASCADE_LIMIT};
 pub use engine::{drain_component, earliest, CascadeGuard, Component};
 pub use heap::IndexedHeap;
-pub use persist::{
-    decode_new, ChunkSink, ChunkedReader, ChunkedWriter, Dec, Enc, FramedWrite, Persist,
-    PersistError, UnitReader, STREAM_CHUNK,
-};
+pub use persist::{decode_new, Dec, Enc, Persist, PersistError};
 pub use rng::{Pcg32, SplitMix64};
 pub use shard::{merge_mail, Harness, Label, MailKey, MergeTelemetry, ShardStats};
 pub use sweep::{default_threads, parallel_map};

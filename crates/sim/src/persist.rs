@@ -29,7 +29,7 @@
 //!
 //! Versioning lives at the **container** level: the checkpoint header
 //! (magic + format version, written by `ctms-core`) gates the whole
-//! byte stream, so individual `Persist` impls stay tag-free and dense.
+//! image, so individual `Persist` impls stay tag-free and dense.
 //! Any change to any impl's field set is a format change and must bump
 //! the container version. Since container version 2 the header is
 //! followed by a **topology signature** — a canonical byte description
@@ -39,6 +39,10 @@
 //! before any dynamic state is touched. The signature describes the
 //! topology, never the shard count: the shard-agnostic restore
 //! property above is unchanged.
+//!
+//! A checkpoint is one byte image: the whole state is encoded into one
+//! [`Enc`] and decoded from one [`Dec`] over the complete image, which
+//! must be consumed exactly ([`Dec::finish`]).
 
 use crate::time::{Dur, SimTime};
 
@@ -47,7 +51,7 @@ use crate::time::{Dur, SimTime};
 /// a bad checkpoint and keep running.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum PersistError {
-    /// The byte stream ended before the value was complete.
+    /// The image ended before the value was complete.
     UnexpectedEof,
     /// A one-byte discriminant had no matching variant.
     BadTag {
@@ -63,11 +67,6 @@ pub enum PersistError {
     TrailingBytes(usize),
     /// A string field held invalid UTF-8.
     BadUtf8,
-    /// The underlying `io::Read`/`io::Write` of a streamed checkpoint
-    /// failed (carried as the error's display text so the variant stays
-    /// comparable; an unexpected-EOF io error maps to
-    /// [`PersistError::UnexpectedEof`] instead).
-    Io(String),
 }
 
 impl std::fmt::Display for PersistError {
@@ -82,22 +81,11 @@ impl std::fmt::Display for PersistError {
                 write!(f, "{n} trailing bytes after checkpoint payload")
             }
             PersistError::BadUtf8 => write!(f, "invalid UTF-8 in checkpoint string"),
-            PersistError::Io(e) => write!(f, "checkpoint stream io error: {e}"),
         }
     }
 }
 
 impl std::error::Error for PersistError {}
-
-impl From<std::io::Error> for PersistError {
-    fn from(e: std::io::Error) -> Self {
-        if e.kind() == std::io::ErrorKind::UnexpectedEof {
-            PersistError::UnexpectedEof
-        } else {
-            PersistError::Io(e.to_string())
-        }
-    }
-}
 
 impl PersistError {
     /// A [`PersistError::Mismatch`] from anything displayable.
@@ -121,27 +109,6 @@ impl Enc {
     /// The encoded bytes.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
-    }
-
-    /// The encoded bytes, borrowed (for copy-out reuse of the encoder).
-    pub fn as_bytes(&self) -> &[u8] {
-        &self.buf
-    }
-
-    /// Discards the contents but keeps the allocation, so a scratch
-    /// encoder can be reused without reallocating.
-    pub fn clear(&mut self) {
-        self.buf.clear();
-    }
-
-    /// Bytes written so far.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True when nothing has been written.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
     }
 
     /// Appends one byte.
@@ -433,304 +400,6 @@ impl Persist for String {
     }
 }
 
-// --- Streaming (chunked) encoding ----------------------------------------
-//
-// A monolithic checkpoint of a 10^4-ring topology is hundreds of
-// megabytes; materializing it in one `Vec` (and a second copy for hex
-// transport) defeats the point of running the topology in bounded
-// memory. The chunked writer/reader below stream the *identical* byte
-// sequence through a fixed-size buffer:
-//
-// * the payload bytes are exactly the monolithic encoding — chunking is
-//   pure transport framing, so concatenating the chunk payloads yields
-//   the monolithic checkpoint byte for byte;
-// * the writer cuts chunks only at *decode-unit* boundaries (header,
-//   whole nodes, telemetry, router parts), so the reader can decode
-//   each chunk with an ordinary in-memory [`Dec`] and never needs to
-//   resume a value mid-field;
-// * the standard transport framing ([`FramedWrite`]/[`ChunkedReader`])
-//   is `u32` LE payload length + payload per chunk, terminated by a
-//   zero length and the `u64` total payload byte count as an integrity
-//   check. Other transports (e.g. `ctms-serve`'s hex-per-line protocol)
-//   implement [`ChunkSink`] directly and frame chunks their own way;
-// * the in-memory image is the same encoding with no sink: a
-//   [`ChunkedWriter::image`] keeps every unit in its own buffer, and a
-//   [`UnitReader`] decodes units from an image or a framed stream
-//   alike, so there is one encode path and one decode path.
-
-/// Default chunk-buffer capacity for streamed checkpoints: large enough
-/// to amortize per-chunk costs, small enough that peak streaming memory
-/// stays far below the snapshot size.
-pub const STREAM_CHUNK: usize = 64 * 1024;
-
-/// Receives the consecutive payload chunks of a streamed encoding.
-/// Concatenating every `chunk` payload reproduces the monolithic
-/// encoding exactly.
-pub trait ChunkSink {
-    /// One payload chunk, in stream order. Never empty.
-    fn chunk(&mut self, bytes: &[u8]) -> Result<(), PersistError>;
-
-    /// Stream complete; `payload` is the total payload byte count.
-    fn finish(&mut self, payload: u64) -> Result<(), PersistError> {
-        let _ = payload;
-        Ok(())
-    }
-}
-
-/// The standard length-prefixed chunk framing over any [`std::io::Write`]:
-/// each chunk travels as a `u32` LE payload length followed by the
-/// payload; the stream ends with a zero length and the `u64` total
-/// payload byte count.
-pub struct FramedWrite<'a> {
-    out: &'a mut dyn std::io::Write,
-}
-
-impl<'a> FramedWrite<'a> {
-    /// A framing sink over `out`.
-    pub fn new(out: &'a mut dyn std::io::Write) -> Self {
-        FramedWrite { out }
-    }
-}
-
-impl ChunkSink for FramedWrite<'_> {
-    fn chunk(&mut self, bytes: &[u8]) -> Result<(), PersistError> {
-        debug_assert!(
-            !bytes.is_empty(),
-            "empty chunks are reserved for the terminator"
-        );
-        self.out.write_all(&(bytes.len() as u32).to_le_bytes())?;
-        self.out.write_all(bytes)?;
-        Ok(())
-    }
-
-    fn finish(&mut self, payload: u64) -> Result<(), PersistError> {
-        self.out.write_all(&0u32.to_le_bytes())?;
-        self.out.write_all(&payload.to_le_bytes())?;
-        self.out.flush()?;
-        Ok(())
-    }
-}
-
-/// Streams a canonical encoding through a bounded buffer into a
-/// [`ChunkSink`]. Producers append through [`enc`](ChunkedWriter::enc)
-/// exactly as they would for a monolithic encode, and call
-/// [`unit`](ChunkedWriter::unit) after each self-contained decode unit
-/// (a whole node, the header, the telemetry block); the writer emits
-/// the buffer as a chunk whenever a unit boundary finds it at or past
-/// capacity, so peak memory is one chunk plus the largest single unit.
-///
-/// Built by [`ChunkedWriter::image`] instead, the writer has no sink:
-/// every chunk boundary is a no-op and the whole encoding stays in the
-/// writer's own buffer, which [`into_bytes`](ChunkedWriter::into_bytes)
-/// returns as the in-memory image — the same bytes the chunks of a
-/// sink-backed writer concatenate to.
-pub struct ChunkedWriter<'a> {
-    sink: Option<&'a mut dyn ChunkSink>,
-    buf: Enc,
-    cap: usize,
-    payload: u64,
-    chunks: u64,
-}
-
-impl<'a> ChunkedWriter<'a> {
-    /// A writer with the default [`STREAM_CHUNK`] capacity.
-    pub fn new(sink: &'a mut dyn ChunkSink) -> Self {
-        ChunkedWriter::with_cap(sink, STREAM_CHUNK)
-    }
-
-    /// A writer with an explicit chunk-buffer capacity (tiny capacities
-    /// are useful in tests: every unit becomes its own chunk).
-    pub fn with_cap(sink: &'a mut dyn ChunkSink, cap: usize) -> Self {
-        ChunkedWriter {
-            sink: Some(sink),
-            buf: Enc::new(),
-            cap: cap.max(1),
-            payload: 0,
-            chunks: 0,
-        }
-    }
-
-    /// A writer with no sink that keeps the whole encoding in its own
-    /// buffer; see the type docs.
-    pub fn image() -> Self {
-        ChunkedWriter {
-            sink: None,
-            buf: Enc::new(),
-            cap: usize::MAX,
-            payload: 0,
-            chunks: 0,
-        }
-    }
-
-    /// The encoder to append the next decode unit to.
-    pub fn enc(&mut self) -> &mut Enc {
-        &mut self.buf
-    }
-
-    /// Marks a decode-unit boundary: flushes the buffer as a chunk if
-    /// it has reached capacity.
-    pub fn unit(&mut self) -> Result<(), PersistError> {
-        if self.buf.len() >= self.cap {
-            self.flush_chunk()?;
-        }
-        Ok(())
-    }
-
-    /// Emits the buffered bytes as one chunk (no-op on an empty
-    /// buffer, or without a sink). Producers call this to force a
-    /// framing boundary — e.g. after the header, after the last node.
-    pub fn flush_chunk(&mut self) -> Result<(), PersistError> {
-        let Some(sink) = self.sink.as_mut() else {
-            return Ok(());
-        };
-        if self.buf.is_empty() {
-            return Ok(());
-        }
-        sink.chunk(self.buf.as_bytes())?;
-        self.payload += self.buf.len() as u64;
-        self.chunks += 1;
-        self.buf.clear();
-        Ok(())
-    }
-
-    /// Flushes the final chunk and the terminator; returns
-    /// `(payload_bytes, chunks)`.
-    pub fn finish(mut self) -> Result<(u64, u64), PersistError> {
-        self.flush_chunk()?;
-        if let Some(sink) = self.sink.as_mut() {
-            sink.finish(self.payload)?;
-        }
-        Ok((self.payload, self.chunks))
-    }
-
-    /// The buffered bytes: the whole encoding for a writer built by
-    /// [`ChunkedWriter::image`].
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.buf.into_bytes()
-    }
-}
-
-/// Reads a stream produced through [`FramedWrite`], one chunk at a
-/// time, verifying the terminator's total byte count.
-pub struct ChunkedReader<'a> {
-    inp: &'a mut dyn std::io::Read,
-    payload: u64,
-    done: bool,
-}
-
-impl<'a> ChunkedReader<'a> {
-    /// A reader over `inp`, positioned at the first chunk's length.
-    pub fn new(inp: &'a mut dyn std::io::Read) -> Self {
-        ChunkedReader {
-            inp,
-            payload: 0,
-            done: false,
-        }
-    }
-
-    /// Reads the next chunk's payload into `buf` (contents replaced).
-    /// `Ok(false)` at the verified terminator (with `buf` emptied); a
-    /// stream truncated mid-chunk or mid-prefix surfaces as
-    /// [`PersistError::UnexpectedEof`], never a panic.
-    pub fn next_chunk_into(&mut self, buf: &mut Vec<u8>) -> Result<bool, PersistError> {
-        if self.done {
-            buf.clear();
-            return Ok(false);
-        }
-        let mut len4 = [0u8; 4];
-        self.inp.read_exact(&mut len4)?;
-        let n = u32::from_le_bytes(len4) as usize;
-        if n == 0 {
-            let mut len8 = [0u8; 8];
-            self.inp.read_exact(&mut len8)?;
-            let total = u64::from_le_bytes(len8);
-            if total != self.payload {
-                return Err(PersistError::mismatch(format!(
-                    "stream terminator claims {total} payload bytes, read {}",
-                    self.payload
-                )));
-            }
-            self.done = true;
-            buf.clear();
-            return Ok(false);
-        }
-        buf.resize(n, 0);
-        self.inp.read_exact(buf)?;
-        self.payload += n as u64;
-        Ok(true)
-    }
-}
-
-/// Reads a canonical encoding one decode unit at a time, from an
-/// in-memory image or from a [`ChunkedReader`] stream — one restore path
-/// for both. A unit never spans chunks (the writer cuts only at unit
-/// boundaries), so each decodes with an ordinary [`Dec`] over the
-/// current chunk; a unit that runs past its chunk is a truncation.
-pub struct UnitReader<'a> {
-    stream: Option<ChunkedReader<'a>>,
-    /// The image, or the current stream chunk.
-    data: std::borrow::Cow<'a, [u8]>,
-    pos: usize,
-}
-
-impl<'a> UnitReader<'a> {
-    /// A reader over a complete in-memory encoding.
-    pub fn image(bytes: &'a [u8]) -> Self {
-        UnitReader {
-            stream: None,
-            data: std::borrow::Cow::Borrowed(bytes),
-            pos: 0,
-        }
-    }
-
-    /// A reader over a [`FramedWrite`] stream.
-    pub fn stream(inp: &'a mut dyn std::io::Read) -> Self {
-        UnitReader {
-            stream: Some(ChunkedReader::new(inp)),
-            data: std::borrow::Cow::Owned(Vec::new()),
-            pos: 0,
-        }
-    }
-
-    /// Decodes the next unit through `f`, pulling in the next chunk
-    /// first when the current one is used up. The end of the encoding
-    /// is [`PersistError::UnexpectedEof`].
-    pub fn unit<T>(
-        &mut self,
-        f: impl FnOnce(&mut Dec<'_>) -> Result<T, PersistError>,
-    ) -> Result<T, PersistError> {
-        if self.pos == self.data.len() {
-            let Some(stream) = self.stream.as_mut() else {
-                return Err(PersistError::UnexpectedEof);
-            };
-            if !stream.next_chunk_into(self.data.to_mut())? {
-                return Err(PersistError::UnexpectedEof);
-            }
-            self.pos = 0;
-        }
-        let mut dec = Dec::new(&self.data[self.pos..]);
-        let v = f(&mut dec)?;
-        self.pos = self.data.len() - dec.remaining();
-        Ok(v)
-    }
-
-    /// Verifies the encoding ended with the last unit: no bytes left
-    /// in the image or chunk, and a stream's next frame is its verified
-    /// terminator.
-    pub fn finish(mut self) -> Result<(), PersistError> {
-        let left = self.data.len() - self.pos;
-        if left != 0 {
-            return Err(PersistError::TrailingBytes(left));
-        }
-        if let Some(stream) = self.stream.as_mut() {
-            if stream.next_chunk_into(self.data.to_mut())? {
-                return Err(PersistError::TrailingBytes(self.data.len()));
-            }
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -850,105 +519,5 @@ mod tests {
         let mut d = Dec::new(&bytes);
         assert_eq!(d.seq(|d| d.u64()).unwrap(), xs);
         d.finish().unwrap();
-    }
-
-    /// Streams `units` through a ChunkedWriter at `cap`, returning the
-    /// framed bytes.
-    fn stream_units(units: &[&[u8]], cap: usize) -> Vec<u8> {
-        let mut out = Vec::new();
-        let mut sink = FramedWrite::new(&mut out);
-        let mut w = ChunkedWriter::with_cap(&mut sink, cap);
-        for u in units {
-            w.enc().buf.extend_from_slice(u);
-            w.unit().unwrap();
-        }
-        w.finish().unwrap();
-        out
-    }
-
-    #[test]
-    fn chunk_payloads_concatenate_to_the_monolithic_bytes() {
-        let units: Vec<Vec<u8>> = (0u8..20).map(|i| vec![i; 7]).collect();
-        let unit_refs: Vec<&[u8]> = units.iter().map(|u| u.as_slice()).collect();
-        let monolithic: Vec<u8> = units.concat();
-        for cap in [1, 5, 16, 1024] {
-            let framed = stream_units(&unit_refs, cap);
-            let mut inp = framed.as_slice();
-            let mut r = ChunkedReader::new(&mut inp);
-            let mut buf = Vec::new();
-            let mut concat = Vec::new();
-            let mut chunks = 0;
-            while r.next_chunk_into(&mut buf).unwrap() {
-                assert!(!buf.is_empty());
-                concat.extend_from_slice(&buf);
-                chunks += 1;
-            }
-            assert_eq!(concat, monolithic, "cap {cap}");
-            // Cap 1 forces one chunk per unit; large caps batch them.
-            if cap == 1 {
-                assert_eq!(chunks, units.len());
-            }
-            if cap == 1024 {
-                assert_eq!(chunks, 1);
-            }
-            // The reader is idempotent past the terminator.
-            assert!(!r.next_chunk_into(&mut buf).unwrap());
-        }
-    }
-
-    #[test]
-    fn units_are_never_split_across_chunks() {
-        // Units larger than the cap still travel whole: the writer cuts
-        // only at unit boundaries.
-        let big = vec![0xABu8; 100];
-        let framed = stream_units(&[&big, &[1, 2], &big], 16);
-        let mut inp = framed.as_slice();
-        let mut r = ChunkedReader::new(&mut inp);
-        let mut buf = Vec::new();
-        assert!(r.next_chunk_into(&mut buf).unwrap());
-        assert_eq!(buf, big);
-        assert!(r.next_chunk_into(&mut buf).unwrap());
-        // The small unit was below cap at its boundary, so it merged
-        // with the following unit's bytes... (cap 16 < 2+100: flushes
-        // after appending `big`). Actual framing: [big][2+big].
-        assert_eq!(buf.len(), 102);
-        assert!(!r.next_chunk_into(&mut buf).unwrap());
-    }
-
-    #[test]
-    fn truncated_stream_is_a_typed_error_not_a_panic() {
-        let unit = vec![7u8; 50];
-        let framed = stream_units(&[&unit], 16);
-        // Truncate inside the chunk payload, inside the length prefix,
-        // and inside the terminator — every cut is UnexpectedEof.
-        for cut in [2, 10, framed.len() - 3] {
-            let mut inp = &framed[..cut];
-            let mut r = ChunkedReader::new(&mut inp);
-            let mut buf = Vec::new();
-            let err = loop {
-                match r.next_chunk_into(&mut buf) {
-                    Ok(true) => continue,
-                    Ok(false) => panic!("truncated stream at {cut} decoded cleanly"),
-                    Err(e) => break e,
-                }
-            };
-            assert_eq!(err, PersistError::UnexpectedEof, "cut at {cut}");
-        }
-    }
-
-    #[test]
-    fn corrupt_terminator_total_is_rejected() {
-        let unit = vec![7u8; 8];
-        let mut framed = stream_units(&[&unit], 1024);
-        let n = framed.len();
-        framed[n - 8..].copy_from_slice(&999u64.to_le_bytes());
-        let mut inp = framed.as_slice();
-        let mut r = ChunkedReader::new(&mut inp);
-        let mut buf = Vec::new();
-        assert!(r.next_chunk_into(&mut buf).unwrap());
-        assert!(matches!(
-            r.next_chunk_into(&mut buf),
-            Err(PersistError::Mismatch(_))
-        ));
     }
 }

@@ -108,7 +108,7 @@
 use crate::bus::{CascadeError, CmdSink, NodeId, Router};
 use crate::engine::Component;
 use crate::heap::IndexedHeap;
-use crate::persist::{ChunkedWriter, Persist, PersistError, UnitReader};
+use crate::persist::{Dec, Enc, Persist, PersistError};
 use crate::telemetry::Registry;
 use crate::time::{Dur, SimTime};
 use std::any::Any;
@@ -1696,22 +1696,19 @@ where
         self.telemetry.to_json()
     }
 
-    /// Streams the harness's dynamic state into `w`: clock, total event
-    /// count and node count close the first chunk (together with
-    /// whatever header the caller already buffered); nodes then pack
-    /// greedily in *global* registration order, each chunk holding
-    /// whole nodes; the telemetry event/phase history is flushed as its
-    /// own chunk. Nothing in the bytes mentions a shard, which is what
-    /// lets a snapshot restore at any shard count. The scheduler heaps
-    /// are not encoded: they are a pure function of node deadlines and
-    /// are rebuilt on restore.
+    /// Appends the harness's dynamic state to `enc`: clock, total event
+    /// count and node count, every node in *global* registration order,
+    /// then the telemetry event/phase history. Nothing in the bytes
+    /// mentions a shard, which is what lets a snapshot restore at any
+    /// shard count. The scheduler heaps are not encoded: they are a pure
+    /// function of node deadlines and are rebuilt on restore.
     ///
     /// Must be called at a run boundary — after `try_run_until`
     /// returned, when every shard's clock sits at the horizon and no
     /// mail is in flight. Routers are persisted separately by the
     /// topology layer (which knows their concrete type and how to merge
     /// the per-shard parts canonically).
-    pub fn persist_state(&self, w: &mut ChunkedWriter<'_>) -> Result<(), PersistError>
+    pub fn persist_state(&self, enc: &mut Enc)
     where
         C: Persist,
     {
@@ -1724,19 +1721,14 @@ where
             }),
             "checkpoint taken off a run boundary"
         );
-        let enc = w.enc();
         enc.time(self.now);
         enc.u64(self.events());
         enc.seq_len(self.len());
-        w.flush_chunk()?;
         for gid in 0..self.len() {
             let (s, l) = self.owner_of(gid);
-            self.shards[s].nodes[l].persist(w.enc());
-            w.unit()?;
+            self.shards[s].nodes[l].persist(enc);
         }
-        w.flush_chunk()?;
-        self.telemetry.persist(w.enc());
-        w.flush_chunk()
+        self.telemetry.persist(enc);
     }
 
     /// Applies state written by [`Harness::persist_state`] at any shard
@@ -1749,7 +1741,7 @@ where
     /// A node deadline earlier than the restored clock is a
     /// [`PersistError::Mismatch`]: the run would service it behind the
     /// clock.
-    pub fn restore_state(&mut self, r: &mut UnitReader<'_>) -> Result<(), PersistError>
+    pub fn restore_state(&mut self, dec: &mut Dec<'_>) -> Result<(), PersistError>
     where
         C: Persist,
     {
@@ -1758,9 +1750,10 @@ where
                 "cannot restore into a poisoned harness: {e}"
             )));
         }
-        // A bare u32, not `seq_len`: in a stream the node payloads live
-        // in later chunks, so the remaining-bytes bound would misfire.
-        let (now, events, n) = r.unit(|d| Ok((d.time()?, d.u64()?, d.u32()? as usize)))?;
+        let (now, events) = (dec.time()?, dec.u64()?);
+        // A bare u32, not `seq_len`: a node count that disagrees with
+        // the rebuild is a mismatch, however many bytes follow it.
+        let n = dec.u32()? as usize;
         if n != self.len() {
             return Err(PersistError::mismatch(format!(
                 "checkpoint has {n} nodes, rebuilt harness has {}",
@@ -1771,7 +1764,7 @@ where
             let (s, l) = self.owner_of(gid);
             let shard = &mut self.shards[s];
             let node = &mut shard.nodes[l];
-            r.unit(|dec| node.restore(dec))?;
+            node.restore(dec)?;
             if let Some(at) = node.next_deadline().filter(|&at| at < now) {
                 return Err(PersistError::mismatch(format!(
                     "checkpoint node {gid} is due at {at}, before the clock {now}"
@@ -1779,7 +1772,7 @@ where
             }
             shard.dirty.push(l);
         }
-        r.unit(|dec| self.telemetry.restore(dec))?;
+        self.telemetry.restore(dec)?;
         for (k, s) in self.shards.iter_mut().enumerate() {
             s.now = now;
             s.events = if k == 0 { events } else { 0 };

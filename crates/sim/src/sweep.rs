@@ -1,4 +1,4 @@
-//! Thread-parallel sweep runner backed by a persistent worker pool.
+//! Thread-parallel sweep runner on scoped threads.
 //!
 //! Scenario sweeps (ablation grids, capacity scans, seed batteries) run
 //! many *independent* single-threaded simulations; [`parallel_map`] fans
@@ -6,199 +6,68 @@
 //! returned sorted by input index, making the output byte-identical to a
 //! sequential `map` regardless of thread count or scheduling.
 //!
-//! Earlier revisions spawned a fresh scoped thread per call, so a repro
-//! run paid thread start-up once per experiment *and* once per nested
-//! sweep inside E11/E13/E14. The pool here is spawned once per process
-//! (lazily, sized to the machine) and reused by every call.
-//!
-//! Two properties keep the pool safe under the workspace's usage:
-//!
-//! * **The caller participates.** A `parallel_map` call drains the same
-//!   work cursor as the pool workers, so it completes even if every pool
-//!   worker is busy — in particular, *nested* calls (the repro binary's
-//!   outer sweep runs experiments whose inner sweeps call back in) can
-//!   never deadlock: the innermost call's caller thread makes progress
-//!   by itself in the worst case.
-//! * **Panics propagate.** A panicking item is caught on the worker,
-//!   ferried back, and re-raised on the calling thread after the batch
-//!   settles, matching `std::thread::scope` semantics.
+//! Each call spawns its helpers in a [`std::thread::scope`] and joins
+//! them before it returns, so nothing outlives the call and the items
+//! and the closure may borrow from the caller. The caller drains the
+//! shared cursor beside its helpers, and a panicking item is caught,
+//! kept as that item's outcome and re-raised on the caller once every
+//! item has run, with its own payload.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::Mutex;
 
-/// A unit of pool work: claim-and-run one batch's remaining items.
-type Job = Box<dyn FnOnce() + Send + 'static>;
-
-struct Pool {
-    jobs: Sender<Job>,
-}
-
-fn pool() -> &'static Pool {
-    static POOL: OnceLock<Pool> = OnceLock::new();
-    POOL.get_or_init(|| {
-        let (tx, rx) = channel::<Job>();
-        let rx = Arc::new(Mutex::new(rx));
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        for k in 0..workers {
-            let rx: Arc<Mutex<Receiver<Job>>> = Arc::clone(&rx);
-            std::thread::Builder::new()
-                .name(format!("ctms-sweep-{k}"))
-                .spawn(move || loop {
-                    let job = {
-                        let guard = rx.lock().expect("job queue unpoisoned");
-                        guard.recv()
-                    };
-                    match job {
-                        Ok(job) => job(),
-                        Err(_) => break, // sender dropped: process exit
-                    }
-                })
-                .expect("spawn sweep worker");
-        }
-        Pool { jobs: tx }
-    })
-}
-
-/// Shared state of one `parallel_map` batch.
-struct Batch<T, U> {
-    items: Vec<Mutex<Option<T>>>,
-    results: Vec<Mutex<Option<U>>>,
-    cursor: AtomicUsize,
-    /// Items fully processed (result stored or panic recorded).
-    done: Mutex<usize>,
-    settled: Condvar,
-    panic: Mutex<Option<Box<dyn std::any::Any + Send + 'static>>>,
-}
-
-impl<T, U> Batch<T, U> {
-    /// Claims items off the cursor and runs `f` on each until the batch
-    /// is exhausted. Returns after contributing; does not wait.
-    fn drain<F>(&self, f: &F)
-    where
-        F: Fn(T) -> U,
-    {
-        let n = self.items.len();
-        loop {
-            let k = self.cursor.fetch_add(1, Ordering::Relaxed);
-            if k >= n {
-                break;
-            }
-            let item = self.items[k]
-                .lock()
-                .expect("unpoisoned slot")
-                .take()
-                .expect("each slot is taken exactly once");
-            let out = catch_unwind(AssertUnwindSafe(|| f(item)));
-            match out {
-                Ok(out) => *self.results[k].lock().expect("unpoisoned result") = Some(out),
-                Err(payload) => {
-                    let mut slot = self.panic.lock().expect("unpoisoned panic slot");
-                    if slot.is_none() {
-                        *slot = Some(payload);
-                    }
-                }
-            }
-            let mut done = self.done.lock().expect("unpoisoned done count");
-            *done += 1;
-            if *done == n {
-                self.settled.notify_all();
-            }
-        }
-    }
-
-    fn wait_settled(&self) {
-        let n = self.items.len();
-        let mut done = self.done.lock().expect("unpoisoned done count");
-        while *done < n {
-            done = self.settled.wait(done).expect("unpoisoned done count");
-        }
-    }
-}
-
-/// Applies `f` to every item across the persistent worker pool and
-/// returns the results in input order (identical to
-/// `items.map(f).collect()`).
+/// Applies `f` to every item across scoped threads and returns the
+/// results in input order (identical to `items.map(f).collect()`).
 ///
-/// `threads` caps how many pool workers are invited to help (the calling
-/// thread always participates, so `threads <= 1` degenerates to a
-/// sequential map with no synchronization at all). `f` must be
-/// deterministic per item for the "byte-identical to sequential"
-/// guarantee to mean anything; the simulations it wraps are.
-///
-/// Nested calls are safe: the caller of every `parallel_map` drains the
-/// batch cursor itself, so completion never depends on a pool worker
-/// being free.
+/// `threads` caps how many threads work on the batch, the calling
+/// thread among them, so `threads <= 1` degenerates to a sequential map
+/// with no synchronization at all. `f` must be deterministic per item
+/// for the "byte-identical to sequential" guarantee to mean anything;
+/// the simulations it wraps are. Nested calls each spawn their own
+/// helpers.
 ///
 /// # Panics
 ///
-/// Propagates the first panic from any item after the batch settles.
+/// Once every item has run, re-raises the panic of the first item (in
+/// input order) that panicked, with its own payload.
 pub fn parallel_map<T, U, F>(items: Vec<T>, threads: usize, f: F) -> Vec<U>
 where
-    T: Send + 'static,
-    U: Send + 'static,
-    F: Fn(T) -> U + Send + Sync + 'static,
+    T: Send,
+    U: Send,
+    F: Fn(T) -> U + Sync,
 {
     let threads = threads.max(1).min(items.len().max(1));
     if threads <= 1 {
         return items.into_iter().map(f).collect();
     }
-    let n = items.len();
-    let batch = Arc::new(Batch {
-        items: items.into_iter().map(|t| Mutex::new(Some(t))).collect(),
-        results: (0..n).map(|_| Mutex::new(None)).collect(),
-        cursor: AtomicUsize::new(0),
-        done: Mutex::new(0),
-        settled: Condvar::new(),
-        panic: Mutex::new(None),
-    });
-    let f = Arc::new(f);
-    // Invite helpers (the caller is one of the `threads` participants).
-    for _ in 0..threads - 1 {
-        let batch = Arc::clone(&batch);
-        let f = Arc::clone(&f);
-        let job: Job = Box::new(move || batch.drain(f.as_ref()));
-        // A send error means the pool is gone (process teardown); the
-        // caller still drains the whole batch itself below.
-        let _ = pool().jobs.send(job);
-    }
-    batch.drain(f.as_ref());
-    batch.wait_settled();
-    let batch = match Arc::try_unwrap(batch) {
-        Ok(b) => b,
-        Err(shared) => {
-            // A helper still holds a clone (it finished draining but has
-            // not dropped its Arc yet). Results are settled either way;
-            // copy them out through the shared reference.
-            if let Some(payload) = shared.panic.lock().expect("unpoisoned panic slot").take() {
-                resume_unwind(payload);
-            }
-            return (0..n)
-                .map(|k| {
-                    shared.results[k]
-                        .lock()
-                        .expect("unpoisoned result")
-                        .take()
-                        .unwrap_or_else(|| panic!("sweep item {k} produced no result"))
-                })
-                .collect();
+    let cursor = Mutex::new(items.into_iter().enumerate());
+    // Claims items off the shared cursor until it runs dry, keeping
+    // each item's outcome (its result or its panic) with its index.
+    let drain = || {
+        let mut done = Vec::new();
+        loop {
+            let next = cursor
+                .lock()
+                .expect("the cursor is never held across f")
+                .next();
+            let Some((k, item)) = next else {
+                return done;
+            };
+            done.push((k, catch_unwind(AssertUnwindSafe(|| f(item)))));
         }
     };
-    if let Some(payload) = batch.panic.into_inner().expect("unpoisoned panic slot") {
-        resume_unwind(payload);
-    }
-    batch
-        .results
+    let mut outcomes = std::thread::scope(|s| {
+        let helpers: Vec<_> = (1..threads).map(|_| s.spawn(drain)).collect();
+        let mut outcomes = drain();
+        for h in helpers {
+            outcomes.extend(h.join().expect("drain catches every item's panic"));
+        }
+        outcomes
+    });
+    outcomes.sort_unstable_by_key(|&(k, _)| k);
+    outcomes
         .into_iter()
-        .enumerate()
-        .map(|(k, m)| {
-            m.into_inner()
-                .expect("unpoisoned result")
-                .unwrap_or_else(|| panic!("sweep item {k} produced no result"))
-        })
+        .map(|(_, outcome)| outcome.unwrap_or_else(|payload| resume_unwind(payload)))
         .collect()
 }
 
@@ -243,9 +112,8 @@ mod tests {
     #[test]
     fn nested_sweeps_complete() {
         // The repro binary nests: an outer sweep over experiments whose
-        // runners call parallel_map themselves. With a fixed pool this
-        // deadlocks unless callers participate in draining — so this
-        // test over-subscribes on purpose.
+        // runners call parallel_map themselves. This test
+        // over-subscribes on purpose.
         let outer: Vec<u64> = (0..12).collect();
         let result = parallel_map(outer, 8, |k| {
             let inner: Vec<u64> = (0..9).map(|j| k * 100 + j).collect();
@@ -255,18 +123,6 @@ mod tests {
             .map(|k| (0..9).map(|j| (k * 100 + j) * 2).sum())
             .collect();
         assert_eq!(result, expect);
-    }
-
-    #[test]
-    fn pool_is_reused_across_calls() {
-        // Consecutive calls must not accumulate threads: everything runs
-        // on the one persistent pool. (Smoke check: many batches back to
-        // back stay correct; the pool size is process-global.)
-        for round in 0..50u64 {
-            let items: Vec<u64> = (0..17).collect();
-            let out = parallel_map(items, 4, move |x| x + round);
-            assert_eq!(out[16], 16 + round, "round {round}");
-        }
     }
 
     #[test]

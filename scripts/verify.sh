@@ -82,9 +82,9 @@ printf '%s\n' "$steer_one" | sed -n 2p | grep -q '"event":"steered","applied":3'
 [ "$steer_one" = "$steer_two" ] \
   || { echo "serve steer smoke: replies differ between 1 and 2 shards" >&2; exit 1; }
 
-echo "== ctms-serve smoke (streamed checkpoint chunks concatenate to the monolithic hex)"
+echo "== ctms-serve smoke (a checkpoint_stream of at least 2 chunks, chain/256 at 2 shards, concatenates to the checkpoint hex)"
 stream_out=$(printf '%s\n' \
-  '{"scenario":"chain","rings":8,"shards":2}' \
+  '{"scenario":"chain","rings":256,"shards":2}' \
   '{"cmd":"run","until_ms":200}' \
   '{"cmd":"checkpoint"}' \
   '{"cmd":"checkpoint_stream"}' \
@@ -95,6 +95,9 @@ chunks=$(printf '%s' "$stream_out" \
   | sed -n 's/.*"event":"checkpoint_chunk".*"data":"\([0-9a-f]*\)".*/\1/p' \
   | tr -d '\n')
 [ -n "$mono" ] || { echo "serve smoke: no monolithic checkpoint hex" >&2; exit 1; }
+n_chunks=$(printf '%s\n' "$stream_out" | grep -c '"event":"checkpoint_chunk"' || true)
+[ "$n_chunks" -ge 2 ] \
+  || { echo "serve smoke: $n_chunks checkpoint_chunk lines, want at least 2" >&2; exit 1; }
 [ "$chunks" = "$mono" ] \
   || { echo "serve smoke: streamed chunks do not concatenate to the checkpoint hex" >&2; exit 1; }
 printf '%s' "$stream_out" | grep -q '"event":"checkpoint_done"' \

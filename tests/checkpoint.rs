@@ -21,37 +21,8 @@ use ctms_core::{
 use ctms_router::BridgeKind;
 use ctms_sim::telemetry::fnv1a;
 use ctms_sim::telemetry::Value;
-use ctms_sim::{ChunkSink, Dur, PersistError, SimTime};
+use ctms_sim::{Dur, PersistError, SimTime};
 use ctms_unixkern::MeasurePoint;
-
-/// Collects a chunk stream for inspection: every payload chunk in
-/// order, plus the total the writer reported at finish.
-struct CollectSink {
-    chunks: Vec<Vec<u8>>,
-    finished: Option<u64>,
-}
-
-impl CollectSink {
-    fn new() -> Self {
-        CollectSink {
-            chunks: Vec::new(),
-            finished: None,
-        }
-    }
-}
-
-impl ChunkSink for CollectSink {
-    fn chunk(&mut self, bytes: &[u8]) -> Result<(), PersistError> {
-        assert!(!bytes.is_empty(), "payload chunks are never empty");
-        self.chunks.push(bytes.to_vec());
-        Ok(())
-    }
-
-    fn finish(&mut self, payload: u64) -> Result<(), PersistError> {
-        self.finished = Some(payload);
-        Ok(())
-    }
-}
 
 /// The four truth-log digests the determinism suite pins.
 fn digests(bed: &Testbed) -> [u64; 4] {
@@ -559,19 +530,15 @@ fn steering_in_place_matches_at_every_shard_count() {
 fn checkpoint_bytes_match_the_recorded_format() {
     // Every other test here compares the code with itself, so a silent
     // format change would pass them all. These FNV-1a digests of the
-    // image and framed bytes were recorded when format v3 made the
-    // router chunk state only; any byte of drift fails here.
-    let bytes_digests =
-        |image: Vec<u8>, framed: Vec<u8>| (image.len(), fnv1a(&image), fnv1a(&framed));
-
+    // image were recorded when format v3 made the router section state
+    // only; any byte of drift fails here.
     let mut bed = Testbed::ctms(&Scenario::test_case_a(42));
     bed.run_until(SimTime::from_secs(1));
-    let mut framed = Vec::new();
-    bed.bus().write_checkpoint(&mut framed).expect("write");
-    let got = bytes_digests(bed.bus().checkpoint(), framed);
+    let image = bed.bus().checkpoint();
+    let got = (image.len(), fnv1a(&image));
     assert_eq!(
         got,
-        (2_551, 0xE868_EE9A_037C_BC4C, 0x49C6_3B28_DFC9_4085),
+        (2_551, 0xE868_EE9A_037C_BC4C),
         "case A checkpoint bytes drifted: {got:#X?}"
     );
 
@@ -580,167 +547,62 @@ fn checkpoint_bytes_match_the_recorded_format() {
     let mut origin =
         RingChainTestbed::graph_sharded(&sc, BridgeKind::cut_through_bridge(), &tree, 4);
     origin.run_until(SimTime::from_secs(1));
-    let mut framed = Vec::new();
-    origin.bus().write_checkpoint(&mut framed).expect("write");
-    let got = bytes_digests(origin.bus().checkpoint(), framed);
+    let image = origin.bus().checkpoint();
+    let got = (image.len(), fnv1a(&image));
     assert_eq!(
         got,
-        (6_916, 0x6782_9E2E_3557_6E4E, 0x2885_AD33_2748_16DE),
+        (6_916, 0x6782_9E2E_3557_6E4E),
         "4-shard tree checkpoint bytes drifted: {got:#X?}"
     );
 }
 
 #[test]
-fn streamed_checkpoint_concatenates_to_the_monolithic_snapshot() {
-    // The streaming writer's contract: chunk payloads concatenate to
-    // **exactly** the bytes of the monolithic `checkpoint()`, on the
-    // single-threaded bus and on genuinely sharded builds at every
-    // shard count. The writer must also actually chunk — a snapshot
-    // bigger than the chunk size may not arrive as one buffer. And the
-    // image is shard-agnostic: every shard count snapshots to the bytes
-    // of the one-shard `graph` build run to the same instant.
-    let sc = Scenario::test_case_a(42);
-    let mut bed = Testbed::ctms(&sc);
-    bed.run_until(SimTime::from_secs(5));
-    let mono = bed.bus().checkpoint();
-    let mut sink = CollectSink::new();
-    let (payload, chunks) = bed.bus().checkpoint_stream(&mut sink).expect("stream");
-    assert_eq!(sink.chunks.concat(), mono, "concatenation drifted (single)");
-    assert_eq!(payload as usize, mono.len());
-    assert_eq!(chunks as usize, sink.chunks.len());
-    assert_eq!(sink.finished, Some(payload), "finish not reported");
-
-    let chain_sc = Scenario::scaled_chain(42);
-    let kind = BridgeKind::cut_through_bridge();
-    let tree = RingGraph::tree(12, 3);
-    let mut one_shard = RingChainTestbed::graph(&chain_sc, kind, &tree);
-    one_shard.run_until(SimTime::from_ms(1000));
-    let one_shard_image = one_shard.bus().checkpoint();
-    for shards in [1usize, 2, 4] {
-        let mut origin = RingChainTestbed::graph_sharded(&chain_sc, kind, &tree, shards);
-        origin.run_until(SimTime::from_ms(1000));
-        let mono = origin.bus().checkpoint();
-        assert!(
-            mono == one_shard_image,
-            "image differs from the one-shard run's (shards={shards})"
-        );
-        let mut sink = CollectSink::new();
-        let (payload, _) = origin
-            .bus()
-            .checkpoint_stream(&mut sink)
-            .unwrap_or_else(|e| panic!("stream at {shards} shards: {e}"));
-        assert_eq!(
-            sink.chunks.concat(),
-            mono,
-            "concatenation drifted (shards={shards})"
-        );
-        assert_eq!(payload as usize, mono.len());
-        assert!(
-            sink.chunks.len() > 1,
-            "snapshot of {} bytes should span multiple chunks",
-            mono.len()
-        );
-    }
-}
-
-#[test]
-fn framed_stream_round_trips_across_shard_counts() {
-    // write_checkpoint at 4 shards, read_checkpoint at 1/2/4 and into
-    // the plain single-threaded build: every continuation lands on the
-    // uninterrupted run's telemetry, and the restored bus re-streams to
-    // the identical framed bytes (the encoding stays a fixed point
-    // through the chunked path).
+fn a_tree_image_is_the_same_at_every_shard_count() {
+    // The image is shard-agnostic: a 12-ring tree at 1, 2 and 4 shards
+    // snapshots to the bytes of the one-shard `graph` build run to the
+    // same instant.
     let sc = Scenario::scaled_chain(42);
     let kind = BridgeKind::cut_through_bridge();
     let tree = RingGraph::tree(12, 3);
-    let mid = SimTime::from_ms(1000);
-    let end = SimTime::from_secs(2);
-
-    let mut straight = RingChainTestbed::graph(&sc, kind, &tree);
-    straight.run_until(end);
-    let straight_json = straight.telemetry_json();
-
-    let mut origin = RingChainTestbed::graph_sharded(&sc, kind, &tree, 4);
-    assert_eq!(origin.shard_count(), 4, "tree must genuinely partition");
-    origin.run_until(mid);
-    let mut framed = Vec::new();
-    origin.bus().write_checkpoint(&mut framed).expect("write");
-
+    let mut one_shard = RingChainTestbed::graph(&sc, kind, &tree);
+    one_shard.run_until(SimTime::from_ms(1000));
+    let one_shard_image = one_shard.bus().checkpoint();
     for shards in [1usize, 2, 4] {
-        let mut bed = RingChainTestbed::graph_sharded(&sc, kind, &tree, shards);
-        bed.bus_mut()
-            .read_checkpoint(&mut framed.as_slice())
-            .unwrap_or_else(|e| panic!("read at {shards} shards: {e}"));
-        assert_eq!(bed.now(), mid);
-        let mut again = Vec::new();
-        bed.bus().write_checkpoint(&mut again).expect("re-write");
-        assert_eq!(
-            again, framed,
-            "re-streamed checkpoint is not a fixed point (shards={shards})"
-        );
-        bed.run_until(end);
-        assert_eq!(
-            bed.telemetry_json(),
-            straight_json,
-            "streamed restore drifted (shards={shards})"
+        let mut origin = RingChainTestbed::graph_sharded(&sc, kind, &tree, shards);
+        assert_eq!(origin.shard_count(), shards);
+        origin.run_until(SimTime::from_ms(1000));
+        assert!(
+            origin.bus().checkpoint() == one_shard_image,
+            "image differs from the one-shard run's (shards={shards})"
         );
     }
-
-    let mut single = RingChainTestbed::graph(&sc, kind, &tree);
-    single
-        .bus_mut()
-        .read_checkpoint(&mut framed.as_slice())
-        .expect("read into single-threaded bus");
-    single.run_until(end);
-    assert_eq!(
-        single.telemetry_json(),
-        straight_json,
-        "single-threaded streamed restore drifted"
-    );
 }
 
 #[test]
-fn truncated_stream_is_rejected_with_a_typed_error() {
-    // A framed stream cut anywhere — mid-length-prefix, mid-chunk,
-    // mid-terminator — must surface as `PersistError::UnexpectedEof`
-    // from `read_checkpoint`, never a panic and never a partial apply
-    // that leaves the bus half-restored and usable.
+fn every_truncated_image_is_rejected_as_truncation() {
+    // An image cut anywhere, from no byte at all to one byte short, is
+    // `PersistError::UnexpectedEof` — never a panic, a mismatch or a
+    // partial apply that leaves the bus usable.
     let sc = Scenario::test_case_a(42);
     let mut bed = Testbed::ctms(&sc);
     bed.run_until(SimTime::from_secs(2));
-    let mut framed = Vec::new();
-    bed.bus().write_checkpoint(&mut framed).expect("write");
-
-    let cuts = [
-        0,                // before any byte
-        2,                // inside the first chunk's length prefix
-        framed.len() / 3, // mid-chunk payload
-        framed.len() / 2,
-        framed.len() - 10, // inside the terminator
-        framed.len() - 1,
-    ];
-    for cut in cuts {
-        let mut fresh = Testbed::ctms(&sc);
-        let err = fresh
-            .bus_mut()
-            .read_checkpoint(&mut &framed[..cut])
-            .expect_err("truncated stream must be rejected");
+    let image = bed.bus().checkpoint();
+    for cut in 0..image.len() {
+        let mut fresh = bare_case_a(42);
         assert_eq!(
-            err,
-            PersistError::UnexpectedEof,
+            fresh.restore_checkpoint(&image[..cut]),
+            Err(PersistError::UnexpectedEof),
             "cut at {cut}/{} should read as truncation",
-            framed.len()
+            image.len()
         );
     }
 
-    // Corrupt magic inside an intact frame is a mismatch, not EOF —
+    // Corrupt magic in an image of full length is a mismatch, not EOF —
     // the typed distinction callers branch on.
-    let mut bad = framed.clone();
-    bad[4] ^= 0xFF; // first magic byte (after the u32 chunk length)
-    let mut fresh = Testbed::ctms(&sc);
-    let err = fresh
-        .bus_mut()
-        .read_checkpoint(&mut bad.as_slice())
+    let mut bad = image.clone();
+    bad[0] ^= 0xFF;
+    let err = bare_case_a(42)
+        .restore_checkpoint(&bad)
         .expect_err("bad magic must be rejected");
     assert!(
         matches!(err, PersistError::Mismatch(_)),
@@ -751,8 +613,8 @@ fn truncated_stream_is_rejected_with_a_typed_error() {
 #[test]
 fn graph_snapshot_restores_across_shard_counts() {
     // The v2 format on a topology that is *not* a chain: snapshot a
-    // 12-ring tree at 4 shards mid-flight, restore at 1 shard and into
-    // the plain single-threaded build, continue — byte-identical to the
+    // 12-ring tree at 4 shards mid-flight, restore at 1, 2 and 4 shards
+    // and into the plain single-threaded build, continue — byte-identical to the
     // uninterrupted run, and the restored bus re-checkpoints to the
     // exact snapshot bytes (the encoding is a fixed point regardless of
     // shard count).
@@ -771,25 +633,25 @@ fn graph_snapshot_restores_across_shard_counts() {
     origin.run_until(mid);
     let snapshot = origin.bus().checkpoint();
 
-    // Snapshot at 4 shards, restore at 1 (the sharded API's fallback):
-    // the continuation and the re-checkpoint must both be exact.
-    let mut at_one = RingChainTestbed::graph_sharded(&sc, kind, &tree, 1);
-    at_one
-        .bus_mut()
-        .restore_checkpoint(&snapshot)
-        .expect("restore tree snapshot at 1 shard");
-    assert_eq!(at_one.now(), mid);
-    assert_eq!(
-        at_one.bus().checkpoint(),
-        snapshot,
-        "re-checkpoint after cross-shard restore is not a fixed point"
-    );
-    at_one.run_until(end);
-    assert_eq!(
-        at_one.telemetry_json(),
-        straight_json,
-        "tree restored at 1 shard drifted"
-    );
+    // Snapshot at 4 shards, restore at 1, 2 and 4: the continuation
+    // and the re-checkpoint must both be exact.
+    for shards in [1usize, 2, 4] {
+        let mut bed = RingChainTestbed::graph_sharded(&sc, kind, &tree, shards);
+        bed.bus_mut()
+            .restore_checkpoint(&snapshot)
+            .unwrap_or_else(|e| panic!("restore tree snapshot at {shards} shards: {e}"));
+        assert_eq!(bed.now(), mid);
+        assert!(
+            bed.bus().checkpoint() == snapshot,
+            "re-checkpoint after restore at {shards} shards is not a fixed point"
+        );
+        bed.run_until(end);
+        assert_eq!(
+            bed.telemetry_json(),
+            straight_json,
+            "tree restored at {shards} shards drifted"
+        );
+    }
 
     // And into the plain single-threaded build.
     let mut single = RingChainTestbed::graph(&sc, kind, &tree);
@@ -1012,13 +874,6 @@ fn a_recording_testbed_counts_tap_captures_without_keeping_them() {
     assert_eq!(published, Some(captured));
 }
 
-/// The last chunk of `bus`'s checkpoint stream: the router state.
-fn router_chunk_len(bus: &Bus) -> usize {
-    let mut sink = CollectSink::new();
-    bus.checkpoint_stream(&mut sink).expect("stream");
-    sink.chunks.last().expect("a router chunk").len()
-}
-
 /// Every accumulator invariant restore promises, read back through the
 /// public API of a restored bus: TAP class counts sum to the captures
 /// and its instants are ordered and not past the clock, every truth
@@ -1084,16 +939,21 @@ fn accumulators_hold(bus: &mut Bus) -> Result<(), String> {
 
 #[test]
 fn corrupt_router_state_is_rejected_or_consistent() {
-    // Every byte of the router chunk, +0x01 and +0x80: restore either
-    // fails with a typed error, or yields accumulators that keep every
-    // invariant above and run on for 100 ms. Nothing panics.
+    // Every byte of the router section — the last 901 bytes of the
+    // case-A image, the last 3,001 of the chain's (DESIGN §11) — +0x01
+    // and +0x80: restore either fails with a typed error, or yields
+    // accumulators that keep every invariant above and run on for
+    // 100 ms. Nothing panics.
     let case_a: fn() -> Bus = || bare_case_a(42);
     let chain: fn() -> Bus = || bare_chain(42, 2);
-    for (name, build) in [("case A", case_a), ("chain/16 at 2 shards", chain)] {
+    for (name, build, router_len) in [
+        ("case A", case_a, 901),
+        ("chain/16 at 2 shards", chain, 3_001),
+    ] {
         let mut origin = build();
         origin.run_until(SimTime::from_secs(1));
         let good = origin.checkpoint();
-        let router = good.len() - router_chunk_len(&origin);
+        let router = good.len() - router_len;
         let (mut rejected, mut accepted) = (0, 0);
         for at in router..good.len() {
             for delta in [0x01u8, 0x80] {
