@@ -973,17 +973,9 @@ fn command(
             );
         }
         Some("telemetry") => {
-            // The canonical tree is pretty-printed; collapse it to
-            // one line in place (each newline and the indentation
-            // after it go) so the reply stays a single stdout record.
-            // Safe because the emitter escapes every control
-            // character inside strings — no literal newlines exist.
-            let mut tree = bus.telemetry_json();
-            let mut indent = false;
-            tree.retain(|c| {
-                indent = c == '\n' || (indent && c == ' ');
-                !indent
-            });
+            // The canonical tree on one line, so the reply stays a
+            // single stdout record.
+            let tree = bus.collect_telemetry().to_json_line();
             write_or_exit(out, b"{\"ok\":true,\"telemetry\":");
             write_or_exit(out, tree.as_bytes());
             emit(out, "}");

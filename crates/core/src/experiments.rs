@@ -622,8 +622,8 @@ pub fn e10_conclusions(cfg: ExpCfg) -> Report {
     // and resetting" (purges); a regular sample is one whose transfer
     // window overlaps no purge sequence.
     let rx_by_tag: std::collections::HashMap<u64, SimTime> =
-        set.ctmsp_rx.edges().iter().map(|e| (e.tag, e.at)).collect();
-    let purges = bed.purge_starts();
+        set.ctmsp_rx.edges().map(|e| (e.tag, e.at)).collect();
+    let purges: Vec<SimTime> = bed.purge_starts().iter().collect();
     let overlaps_purge = |t0: SimTime, t1: SimTime| {
         purges
             .iter()
@@ -632,7 +632,6 @@ pub fn e10_conclusions(cfg: ExpCfg) -> Report {
     let worst_regular = set
         .pre_tx
         .edges()
-        .iter()
         .filter_map(|e| {
             let rx = *rx_by_tag.get(&e.tag)?;
             let d = rx.checked_since(e.at)?;

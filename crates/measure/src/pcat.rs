@@ -199,7 +199,7 @@ mod tests {
         let cap = tool.observe(&[&log], SimTime::from_secs(4));
         let rec = cap.reconstruct();
         assert_eq!(rec[0].len(), 10);
-        for (orig, got) in log.edges().iter().zip(rec[0].edges()) {
+        for (orig, got) in log.edges().zip(rec[0].edges()) {
             let err = got.at.as_ns().abs_diff(orig.at.as_ns());
             assert!(
                 err <= 62_000,
@@ -217,7 +217,7 @@ mod tests {
         let mut tool = PcAt::new(PcAtCfg::default(), Pcg32::new(1, 1));
         let cap = tool.observe(&[&log], SimTime::from_ms(10));
         let rec = cap.reconstruct();
-        assert_eq!(rec[0].edges()[0].tag, 0x7F);
+        assert_eq!(rec[0].edges().next().map(|e| e.tag), Some(0x7F));
     }
 
     #[test]
@@ -230,7 +230,8 @@ mod tests {
         let mut tool = PcAt::new(PcAtCfg::default(), Pcg32::new(3, 3));
         let cap = tool.observe(&[&log], SimTime::from_ms(600));
         let rec = cap.reconstruct();
-        let gap = rec[0].edges()[1].at.since(rec[0].edges()[0].at);
+        let edges: Vec<_> = rec[0].edges().collect();
+        let gap = edges[1].at.since(edges[0].at);
         assert!(
             gap >= Dur::from_ms(499) && gap <= Dur::from_ms(501),
             "gap {gap} should be ~500 ms"

@@ -56,4 +56,4 @@ pub use shard::{merge_mail, Harness, Label, MailKey, MergeTelemetry, ShardStats}
 pub use sweep::{default_threads, parallel_map};
 pub use telemetry::{Instrument, Registry};
 pub use time::{Dur, SimTime};
-pub use trace::{Edge, EdgeLog, History};
+pub use trace::{Edge, EdgeLog, History, Packed, Samples};

@@ -428,42 +428,60 @@ impl Registry {
     /// `\n` separators, integers only, no wall-clock anything. The same
     /// registry always serializes to the same bytes.
     pub fn to_json(&self) -> String {
+        self.write_json(true)
+    }
+
+    /// The canonical JSON on one line: [`to_json`](Self::to_json)'s
+    /// bytes with every newline and the indentation after it left out
+    /// (strings escape their control characters, so none is lost).
+    pub fn to_json_line(&self) -> String {
+        self.write_json(false)
+    }
+
+    /// Serializes the registry, indented when `pretty`, else on one line.
+    fn write_json(&self, pretty: bool) -> String {
         let mut out = String::new();
-        out.push_str("{\n  \"metrics\": ");
-        write_metric_map(&mut out, &self.metrics, 1);
-        out.push_str(",\n  \"events\": [");
+        out.push('{');
+        break_line(&mut out, pretty, 2);
+        out.push_str("\"metrics\": ");
+        write_metric_map(&mut out, &self.metrics, 1, pretty);
+        out.push(',');
+        break_line(&mut out, pretty, 2);
+        out.push_str("\"events\": [");
         for (k, e) in self.events.iter().enumerate() {
             if k > 0 {
                 out.push(',');
             }
+            break_line(&mut out, pretty, 4);
             let _ = write!(
                 out,
-                "\n    {{\"at_ns\": {}, \"path\": {}, \"detail\": {}}}",
+                "{{\"at_ns\": {}, \"path\": {}, \"detail\": {}}}",
                 e.at.as_ns(),
                 json_string(&e.path),
                 json_string(&e.detail)
             );
         }
         if !self.events.is_empty() {
-            out.push_str("\n  ");
+            break_line(&mut out, pretty, 2);
         }
-        out.push_str("],\n  \"phases\": [");
+        out.push_str("],");
+        break_line(&mut out, pretty, 2);
+        out.push_str("\"phases\": [");
         for (k, p) in self.phases.iter().enumerate() {
             if k > 0 {
                 out.push(',');
             }
-            let _ = write!(
-                out,
-                "\n    {{\"name\": {}, \"metrics\": ",
-                json_string(&p.name)
-            );
-            write_metric_map(&mut out, &p.metrics, 2);
+            break_line(&mut out, pretty, 4);
+            let _ = write!(out, "{{\"name\": {}, \"metrics\": ", json_string(&p.name));
+            write_metric_map(&mut out, &p.metrics, 2, pretty);
             out.push('}');
         }
         if !self.phases.is_empty() {
-            out.push_str("\n  ");
+            break_line(&mut out, pretty, 2);
         }
-        out.push_str("]\n}");
+        out.push(']');
+        break_line(&mut out, pretty, 0);
+        out.push('}');
         out
     }
 
@@ -514,10 +532,16 @@ impl Persist for Registry {
 }
 
 /// Writes `metrics` as a JSON object whose entries sit at `depth`
-/// indentation levels. Keys and integers go straight into `out`,
-/// reserved once for the whole map from its key lengths and an
-/// estimate per value (a longer value only grows `out` past it).
-fn write_metric_map(out: &mut String, metrics: &BTreeMap<String, Value>, depth: usize) {
+/// indentation levels when `pretty`, or on one line. Keys and integers
+/// go straight into `out`, reserved once for the whole map from its key
+/// lengths and an estimate per value (a longer value only grows `out`
+/// past it).
+fn write_metric_map(
+    out: &mut String,
+    metrics: &BTreeMap<String, Value>,
+    depth: usize,
+    pretty: bool,
+) {
     let pad = 2 * depth + 2;
     out.reserve(
         metrics
@@ -538,8 +562,7 @@ fn write_metric_map(out: &mut String, metrics: &BTreeMap<String, Value>, depth: 
         if k > 0 {
             out.push(',');
         }
-        out.push('\n');
-        push_spaces(out, pad);
+        break_line(out, pretty, pad);
         push_json_string(out, path);
         out.push_str(": ");
         match v {
@@ -582,14 +605,17 @@ fn write_metric_map(out: &mut String, metrics: &BTreeMap<String, Value>, depth: 
         }
     }
     if !metrics.is_empty() {
-        out.push('\n');
-        push_spaces(out, pad - 2);
+        break_line(out, pretty, pad - 2);
     }
     out.push('}');
 }
 
-fn push_spaces(out: &mut String, n: usize) {
-    out.extend(std::iter::repeat_n(' ', n));
+/// Starts a new line indented by `pad` spaces, if `pretty`.
+fn break_line(out: &mut String, pretty: bool, pad: usize) {
+    if pretty {
+        out.push('\n');
+        out.extend(std::iter::repeat_n(' ', pad));
+    }
 }
 
 /// Appends `v` in decimal, as `{v}` formats it.
@@ -826,6 +852,41 @@ mod tests {
         assert!(json.contains(&format!("\"max\": {{\"counter\": {}}}", u64::MAX)));
         assert!(json.contains(&format!("\"min\": {{\"gauge\": {}}}", i64::MIN)));
         assert!(json.contains("\"zero\": {\"gauge\": 0}"));
+    }
+
+    #[test]
+    fn the_one_line_json_is_the_collapsed_canonical_json() {
+        // What `serve` replied before it asked for one line: the
+        // canonical tree with each newline and the indentation after it
+        // removed.
+        let collapse = |tree: String| {
+            let mut indent = false;
+            let mut line = tree;
+            line.retain(|c| {
+                indent = c == '\n' || (indent && c == ' ');
+                !indent
+            });
+            line
+        };
+        let mut r = Registry::new();
+        assert_eq!(r.to_json_line(), collapse(r.to_json()));
+        r.counter("a.b", 3);
+        r.counter("max", u64::MAX);
+        r.gauge("g", -7);
+        let mut h = Hist::new(10, 3);
+        for x in [0, 25, 99] {
+            h.record(x);
+        }
+        r.hist("h", h);
+        r.text("t", "q\"uote nl\n ctl\u{1}");
+        r.event(t(5), "ev", "first \"one\"");
+        r.snapshot_phase("warm");
+        r.counter("a.b", 4);
+        r.event(t(9), "ev2", "line\nbreak");
+        r.snapshot_phase("run");
+        let line = r.to_json_line();
+        assert_eq!(line, collapse(r.to_json()));
+        assert!(!line.contains('\n') && line.contains("\"phases\": [{\"name\": \"warm\""));
     }
 
     #[test]

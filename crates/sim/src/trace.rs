@@ -11,10 +11,11 @@
 //! A log is **state plus history**. The state is a handful of running
 //! accumulators (count, FNV-1a digest, first and last instant) that never
 //! grow and are all a checkpoint carries. The history is the edges
-//! themselves, kept in a [`History`] sample buffer only where one is
-//! attached: a log built by [`EdgeLog::new`] keeps its edges; one built
-//! by [`EdgeLog::summary`] keeps the accumulators alone, so its memory and
-//! its snapshot stay the same size however long the run goes.
+//! themselves, packed a few bytes each into a [`History`] sample buffer
+//! only where one is attached: a log built by [`EdgeLog::new`] keeps its
+//! edges; one built by [`EdgeLog::summary`] keeps the accumulators alone,
+//! so its memory and its snapshot stay the same size however long the
+//! run goes.
 
 use crate::persist::{Dec, Enc, Persist, PersistError};
 use crate::time::{Dur, SimTime};
@@ -30,6 +31,103 @@ pub struct Edge {
     pub tag: u64,
 }
 
+/// A sample a [`History`] keeps packed: each field is stored as the
+/// zigzag-LEB128 varint of its wrapping difference from the same field
+/// of the previous kept sample, so a stream of close instants and
+/// climbing tags takes a few bytes a sample instead of its width.
+pub trait Packed: Copy {
+    /// The delta base of the first kept sample.
+    const ORIGIN: Self;
+
+    /// Appends `self` as deltas from `prev`.
+    fn pack(self, prev: Self, out: &mut Vec<u8>);
+
+    /// Reads the sample that follows `prev` from the front of `bytes`
+    /// and moves `bytes` past it.
+    fn unpack(prev: Self, bytes: &mut &[u8]) -> Self;
+}
+
+/// Appends `now − prev` (wrapping, read as signed) as a zigzag LEB128
+/// varint: one byte for a delta in −64..64, one more per 7 bits.
+fn put_delta(out: &mut Vec<u8>, now: u64, prev: u64) {
+    let d = now.wrapping_sub(prev) as i64;
+    let mut z = ((d << 1) ^ (d >> 63)) as u64;
+    while z >= 0x80 {
+        out.push(z as u8 | 0x80);
+        z >>= 7;
+    }
+    out.push(z as u8);
+}
+
+/// Reads a varint written by [`put_delta`] from the front of `bytes`
+/// and returns `prev` plus the delta.
+fn take_delta(bytes: &mut &[u8], prev: u64) -> u64 {
+    let (mut z, mut shift) = (0u64, 0);
+    // A history ends on a whole sample, so the loop ends on a byte
+    // below 0x80; an exhausted slice only stops it early.
+    while let Some((&b, rest)) = bytes.split_first() {
+        *bytes = rest;
+        z |= u64::from(b & 0x7F) << shift;
+        if b < 0x80 {
+            break;
+        }
+        shift += 7;
+    }
+    let d = (z >> 1) as i64 ^ -((z & 1) as i64);
+    prev.wrapping_add(d as u64)
+}
+
+impl Packed for SimTime {
+    const ORIGIN: Self = SimTime::ZERO;
+
+    fn pack(self, prev: Self, out: &mut Vec<u8>) {
+        put_delta(out, self.as_ns(), prev.as_ns());
+    }
+
+    fn unpack(prev: Self, bytes: &mut &[u8]) -> Self {
+        SimTime::from_ns(take_delta(bytes, prev.as_ns()))
+    }
+}
+
+impl Packed for Edge {
+    const ORIGIN: Self = Edge {
+        at: SimTime::ZERO,
+        tag: 0,
+    };
+
+    fn pack(self, prev: Self, out: &mut Vec<u8>) {
+        self.at.pack(prev.at, out);
+        put_delta(out, self.tag, prev.tag);
+    }
+
+    fn unpack(prev: Self, bytes: &mut &[u8]) -> Self {
+        Edge {
+            at: SimTime::unpack(prev.at, bytes),
+            tag: take_delta(bytes, prev.tag),
+        }
+    }
+}
+
+/// A presentation: instant, packet tag and payload bytes.
+impl Packed for (SimTime, u64, u32) {
+    const ORIGIN: Self = (SimTime::ZERO, 0, 0);
+
+    fn pack(self, prev: Self, out: &mut Vec<u8>) {
+        self.0.pack(prev.0, out);
+        put_delta(out, self.1, prev.1);
+        put_delta(out, u64::from(self.2), u64::from(prev.2));
+    }
+
+    fn unpack(prev: Self, bytes: &mut &[u8]) -> Self {
+        (
+            SimTime::unpack(prev.0, bytes),
+            take_delta(bytes, prev.1),
+            // The delta of two u32s lands back in u32 range.
+            take_delta(bytes, u64::from(prev.2)) as u32,
+        )
+    }
+}
+
 /// A sample stream's count since t = 0, plus the samples themselves
 /// while a history sink is attached.
 ///
@@ -38,13 +136,32 @@ pub struct Edge {
 /// ([`History::new`], [`History::attach_history`]), never checkpointed,
 /// and after a restore they start again at the restore point. So
 /// [`History::len`] always counts from t = 0, while
-/// [`History::samples`] holds what was recorded since the sink was
+/// [`History::iter`] yields what was recorded since the sink was
 /// attached or the state last restored — the same thing on a build run
-/// from t = 0.
+/// from t = 0. The kept samples are [`Packed`] into one byte buffer.
 #[derive(Clone, Debug)]
 pub struct History<T> {
     total: u64,
-    kept: Option<Vec<T>>,
+    kept: Option<Kept<T>>,
+}
+
+/// A history sink: the packed samples, how many there are, and the
+/// last one (the delta base of the next).
+#[derive(Clone, Debug)]
+struct Kept<T> {
+    bytes: Vec<u8>,
+    len: usize,
+    last: T,
+}
+
+impl<T: Packed> Kept<T> {
+    fn new() -> Self {
+        Kept {
+            bytes: Vec::new(),
+            len: 0,
+            last: T::ORIGIN,
+        }
+    }
 }
 
 impl<T> Default for History<T> {
@@ -55,27 +172,11 @@ impl<T> Default for History<T> {
 }
 
 impl<T> History<T> {
-    /// An empty stream that keeps its samples.
-    pub fn new() -> Self {
-        History {
-            total: 0,
-            kept: Some(Vec::new()),
-        }
-    }
-
     /// An empty stream that only counts.
     pub const fn summary() -> Self {
         History {
             total: 0,
             kept: None,
-        }
-    }
-
-    /// Counts one sample and keeps it if a sink is attached.
-    pub fn push(&mut self, sample: T) {
-        self.total += 1;
-        if let Some(kept) = &mut self.kept {
-            kept.push(sample);
         }
     }
 
@@ -89,60 +190,116 @@ impl<T> History<T> {
         self.total == 0
     }
 
-    /// The kept samples, in arrival order: empty without a sink.
-    pub fn samples(&self) -> &[T] {
-        self.kept.as_deref().unwrap_or(&[])
-    }
-
-    /// Iterates the kept samples.
-    pub fn iter(&self) -> std::slice::Iter<'_, T> {
-        self.samples().iter()
-    }
-
     /// True if a sink is attached.
     pub fn keeps_history(&self) -> bool {
         self.kept.is_some()
     }
 
+    /// Bytes the kept samples take packed (excluding the buffer's
+    /// spare capacity): zero without a sink.
+    pub fn kept_bytes(&self) -> usize {
+        self.kept.as_ref().map_or(0, |k| k.bytes.len())
+    }
+}
+
+impl<T: Packed> History<T> {
+    /// An empty stream that keeps its samples.
+    pub fn new() -> Self {
+        History {
+            total: 0,
+            kept: Some(Kept::new()),
+        }
+    }
+
+    /// Counts one sample and keeps it if a sink is attached.
+    pub fn push(&mut self, sample: T) {
+        self.total += 1;
+        if let Some(kept) = &mut self.kept {
+            sample.pack(kept.last, &mut kept.bytes);
+            kept.last = sample;
+            kept.len += 1;
+        }
+    }
+
+    /// The kept samples, decoded in arrival order: none without a sink.
+    pub fn iter(&self) -> Samples<'_, T> {
+        let (bytes, left) = self
+            .kept
+            .as_ref()
+            .map_or((&[][..], 0), |k| (&k.bytes[..], k.len));
+        Samples {
+            bytes,
+            prev: T::ORIGIN,
+            left,
+        }
+    }
+
     /// Attaches a sink: samples counted from now on are kept too.
     pub fn attach_history(&mut self) {
-        self.kept.get_or_insert_with(Vec::new);
+        self.kept.get_or_insert_with(Kept::new);
     }
 
     /// Sets the count to `total` (a restored state) and empties the
-    /// sink, which stays attached if it was.
+    /// sink, which stays attached if it was; the next kept sample is
+    /// packed from the origin again.
     pub fn restart(&mut self, total: u64) {
         self.total = total;
         if let Some(kept) = &mut self.kept {
-            kept.clear();
+            kept.bytes.clear();
+            kept.len = 0;
+            kept.last = T::ORIGIN;
         }
     }
 }
 
-impl<'a, T> IntoIterator for &'a History<T> {
-    type Item = &'a T;
-    type IntoIter = std::slice::Iter<'a, T>;
+impl<'a, T: Packed> IntoIterator for &'a History<T> {
+    type Item = T;
+    type IntoIter = Samples<'a, T>;
 
     fn into_iter(self) -> Self::IntoIter {
         self.iter()
     }
 }
 
+/// The kept samples of a [`History`], decoded one by one in arrival
+/// order.
+#[derive(Clone, Debug)]
+pub struct Samples<'a, T> {
+    bytes: &'a [u8],
+    prev: T,
+    left: usize,
+}
+
+impl<T: Packed> Iterator for Samples<'_, T> {
+    type Item = T;
+
+    fn next(&mut self) -> Option<T> {
+        self.left = self.left.checked_sub(1)?;
+        self.prev = T::unpack(self.prev, &mut self.bytes);
+        Some(self.prev)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl<T: Packed> ExactSizeIterator for Samples<'_, T> {}
+
 /// Pairs each edge of `from`, in order, with the first unused entry of
-/// its tag in `index`, which is sorted by tag with ties in time order;
-/// `entry` reads an entry's tag and instant. The cursor of a tag sits at
-/// the index position where the tag's entries start. Negative deltas
-/// are skipped.
-fn pair_by_tag<T>(from: &[Edge], index: &[T], entry: impl Fn(&T) -> (u64, SimTime)) -> Vec<Dur> {
+/// its tag in `index`, which holds `(tag, instant)` sorted by tag with
+/// ties in time order. The cursor of a tag sits at the index position
+/// where the tag's entries start. Negative deltas are skipped.
+fn pair_by_tag(from: Samples<'_, Edge>, index: &[(u64, SimTime)]) -> Vec<Dur> {
     let mut used = vec![0usize; index.len()];
     let mut out = Vec::with_capacity(from.len().min(index.len()));
     for e in from {
-        let start = index.partition_point(|x| entry(x).0 < e.tag);
+        let start = index.partition_point(|x| x.0 < e.tag);
         let Some(cursor) = used.get_mut(start) else {
             continue;
         };
-        match index.get(start + *cursor).map(&entry) {
-            Some((tag, at)) if tag == e.tag => {
+        match index.get(start + *cursor) {
+            Some(&(tag, at)) if tag == e.tag => {
                 *cursor += 1;
                 if let Some(d) = at.checked_since(e.at) {
                     out.push(d);
@@ -152,6 +309,12 @@ fn pair_by_tag<T>(from: &[Edge], index: &[T], entry: impl Fn(&T) -> (u64, SimTim
         }
     }
     out
+}
+
+/// True if the kept edges' tags never decrease, as a packet stream's
+/// do.
+fn tags_climb(log: &EdgeLog) -> bool {
+    log.edges().is_sorted_by_key(|e| e.tag)
 }
 
 /// FNV-1a offset basis: the digest of an empty log.
@@ -239,10 +402,15 @@ impl EdgeLog {
         self.edges.push(Edge { at, tag });
     }
 
-    /// The kept edges, in time order: every edge on a log that keeps
-    /// its history and was never restored, none on a summary log.
-    pub fn edges(&self) -> &[Edge] {
-        self.edges.samples()
+    /// The kept edges, decoded in time order: every edge on a log that
+    /// keeps its history and was never restored, none on a summary log.
+    pub fn edges(&self) -> Samples<'_, Edge> {
+        self.edges.iter()
+    }
+
+    /// Bytes the kept edges take packed: zero on a summary log.
+    pub fn kept_bytes(&self) -> usize {
+        self.edges.kept_bytes()
     }
 
     /// Number of edges recorded since t = 0, kept or not.
@@ -278,9 +446,16 @@ impl EdgeLog {
     /// Inter-occurrence intervals of the kept edges (the paper's
     /// histograms 1–4 are exactly this on the four measurement points).
     pub fn inter_occurrence(&self) -> Vec<Dur> {
-        self.edges()
-            .windows(2)
-            .map(|w| w[1].at.since(w[0].at))
+        let mut edges = self.edges();
+        let Some(mut prev) = edges.next() else {
+            return Vec::new();
+        };
+        edges
+            .map(|e| {
+                let d = e.at.since(prev.at);
+                prev = e;
+                d
+            })
             .collect()
     }
 
@@ -294,19 +469,27 @@ impl EdgeLog {
     /// order of appearance. A pair whose `later` edge comes first gives
     /// no delta, but uses that edge up.
     ///
-    /// `later`'s edges are found through one index of `(tag, position)`
-    /// sorted by tag, with a cursor per tag. When `later`'s tags never
-    /// decrease, as a packet stream's do, its edges already are that
-    /// index, and nothing is sorted or copied.
+    /// When both logs' tags never decrease, as every packet stream's
+    /// do, the two are walked once side by side and nothing is decoded
+    /// into a copy. Otherwise `later`'s edges are found through one
+    /// index of `(tag, instant)` sorted by tag, with a cursor per tag.
     pub fn deltas_to(&self, later: &EdgeLog) -> Vec<Dur> {
-        let edges = later.edges();
-        if edges.windows(2).all(|w| w[0].tag <= w[1].tag) {
-            return pair_by_tag(self.edges(), edges, |e| (e.tag, e.at));
+        if !(tags_climb(self) && tags_climb(later)) {
+            let mut index: Vec<(u64, SimTime)> = later.edges().map(|e| (e.tag, e.at)).collect();
+            index.sort_unstable();
+            return pair_by_tag(self.edges(), &index);
         }
-        let mut index: Vec<(u64, usize)> =
-            edges.iter().enumerate().map(|(k, e)| (e.tag, k)).collect();
-        index.sort_unstable();
-        pair_by_tag(self.edges(), &index, |&(tag, k)| (tag, edges[k].at))
+        let mut out = Vec::with_capacity(self.edges().len().min(later.edges().len()));
+        let mut rest = later.edges().peekable();
+        for e in self.edges() {
+            while rest.next_if(|l| l.tag < e.tag).is_some() {}
+            if let Some(l) = rest.next_if(|l| l.tag == e.tag) {
+                if let Some(d) = l.at.checked_since(e.at) {
+                    out.push(d);
+                }
+            }
+        }
+        out
     }
 
     /// Pairs kept edges positionally with `later`'s (k-th with k-th),
@@ -314,7 +497,6 @@ impl EdgeLog {
     /// skipped, as are negative deltas.
     pub fn deltas_positional(&self, later: &EdgeLog) -> Vec<Dur> {
         self.edges()
-            .iter()
             .zip(later.edges())
             .filter_map(|(a, b)| b.at.checked_since(a.at))
             .collect()
@@ -524,7 +706,7 @@ mod tests {
             let later = random_log(&mut rng, tags, case % 2 == 0);
             let (want, skipped) = deltas_by_queues(&from, &later);
             assert_eq!(from.deltas_to(&later), want, "case {case}");
-            let l = later.edges();
+            let l: Vec<Edge> = later.edges().collect();
             if l.windows(2).all(|w| w[0].tag <= w[1].tag) {
                 sorted += 1;
             } else {
@@ -567,7 +749,7 @@ mod tests {
         assert_eq!(summary.digest(), full.digest());
         assert_eq!((summary.len(), full.len()), (3, 3));
         assert_eq!(full.edges().len(), 3);
-        assert!(summary.edges().is_empty());
+        assert_eq!(summary.edges().len(), 0);
         assert_eq!((summary.first(), summary.last()), (Some(t(5)), Some(t(17))));
     }
 
@@ -583,11 +765,14 @@ mod tests {
         let mut back = EdgeLog::new("x");
         back.restore(&mut Dec::new(&bytes)).unwrap();
         assert_eq!((back.len(), back.digest()), (2, log.digest()));
-        assert!(back.edges().is_empty() && back.keeps_history());
+        assert!(back.edges().len() == 0 && back.keeps_history());
         back.record(t(3), 3);
         log.record(t(3), 3);
         assert_eq!(back.digest(), log.digest());
-        assert_eq!(back.edges(), &[Edge { at: t(3), tag: 3 }]);
+        assert_eq!(
+            back.edges().collect::<Vec<_>>(),
+            [Edge { at: t(3), tag: 3 }]
+        );
     }
 
     #[test]
@@ -619,16 +804,116 @@ mod tests {
         }
     }
 
+    /// The next value of a packed field after `prev`: an extreme (0,
+    /// `u64::MAX` or beside them), `prev` itself, a small step up or
+    /// down, a gap beyond 2^32, or anything.
+    fn field(rng: &mut crate::rng::Pcg32, prev: u64) -> u64 {
+        match rng.below(6) {
+            0 => [0, 1, u64::MAX - 1, u64::MAX][rng.index(4)],
+            1 => prev,
+            2 => prev.wrapping_add(rng.below(200)),
+            3 => prev.wrapping_sub(rng.below(200)),
+            4 => prev.wrapping_add((1 << 32) + rng.below(1 << 40)),
+            _ => rng.next_u64(),
+        }
+    }
+
+    /// Pushes samples drawn by `next` into a history, some before its
+    /// sink is attached, and checks what it keeps, counts and packs,
+    /// before and after a restart.
+    fn check_round_trip<T: Packed + PartialEq + std::fmt::Debug>(
+        rng: &mut crate::rng::Pcg32,
+        next: impl Fn(&mut crate::rng::Pcg32, T) -> T,
+    ) {
+        let draw = |rng: &mut crate::rng::Pcg32, n: usize| -> Vec<T> {
+            let mut prev = T::ORIGIN;
+            (0..n)
+                .map(|_| {
+                    prev = next(rng, prev);
+                    prev
+                })
+                .collect()
+        };
+        let mut h = History::summary();
+        let unkept = draw(rng, 4);
+        for &s in &unkept {
+            h.push(s);
+        }
+        h.attach_history();
+        let n = rng.index(200);
+        let kept = draw(rng, n);
+        for &s in &kept {
+            h.push(s);
+        }
+        assert_eq!((h.len(), h.iter().len()), (4 + n, n));
+        assert_eq!(h.iter().collect::<Vec<_>>(), kept);
+
+        h.restart(7);
+        assert_eq!((h.len(), h.iter().len(), h.kept_bytes()), (7, 0, 0));
+        let n = rng.index(200);
+        let after = draw(rng, n);
+        let mut fresh = History::new();
+        for &s in &after {
+            h.push(s);
+            fresh.push(s);
+        }
+        assert_eq!(h.len(), 7 + n);
+        assert_eq!(h.iter().collect::<Vec<_>>(), after);
+        // The deltas start again from the origin: the restarted history
+        // packs exactly as a new one does.
+        assert_eq!(h.kept_bytes(), fresh.kept_bytes());
+    }
+
+    #[test]
+    fn packed_histories_round_trip() {
+        let mut rng = crate::rng::Pcg32::new(24, 3);
+        let time =
+            |rng: &mut crate::rng::Pcg32, p: SimTime| SimTime::from_ns(field(rng, p.as_ns()));
+        for _ in 0..300 {
+            check_round_trip(&mut rng, time);
+            check_round_trip(&mut rng, |rng, p: Edge| Edge {
+                at: time(rng, p.at),
+                tag: field(rng, p.tag),
+            });
+            check_round_trip(&mut rng, |rng, p: (SimTime, u64, u32)| {
+                (
+                    time(rng, p.0),
+                    field(rng, p.1),
+                    field(rng, u64::from(p.2)) as u32,
+                )
+            });
+        }
+    }
+
+    #[test]
+    fn a_packet_stream_packs_to_a_few_bytes_a_sample() {
+        // 12 ms apart and one packet number up: the paper's streams.
+        let mut edges = EdgeLog::new("x");
+        let mut presented = History::new();
+        let mut instants = History::new();
+        for k in 0..1_000 {
+            edges.record(t(12_000 * k), k);
+            presented.push((t(12_000 * k + 10_775), k, 1_508));
+            instants.push(t(12_000 * k));
+        }
+        // 4 B of instant, 1 B of tag and 1 B of payload size, after a
+        // first sample at or near the origin.
+        assert_eq!(edges.kept_bytes(), 2 + 5 * 999);
+        assert_eq!(presented.kept_bytes(), 7 + 6 * 999);
+        assert_eq!(instants.kept_bytes(), 1 + 4 * 999);
+        assert_eq!(EdgeLog::summary("x").kept_bytes(), 0);
+    }
+
     #[test]
     fn history_counts_from_zero_and_keeps_from_attach() {
         let mut h = History::summary();
-        h.push(1);
+        h.push(t(1));
         h.attach_history();
-        h.push(2);
-        assert_eq!((h.len(), h.samples()), (2, &[2][..]));
+        h.push(t(2));
+        assert_eq!((h.len(), h.iter().collect::<Vec<_>>()), (2, vec![t(2)]));
         h.restart(10);
-        assert_eq!((h.len(), h.samples().len()), (10, 0));
-        h.push(3);
-        assert_eq!(h.iter().copied().collect::<Vec<_>>(), vec![3]);
+        assert_eq!((h.len(), h.iter().len()), (10, 0));
+        h.push(t(3));
+        assert_eq!(h.iter().collect::<Vec<_>>(), vec![t(3)]);
     }
 }

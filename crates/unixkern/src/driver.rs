@@ -328,6 +328,15 @@ pub trait Driver: Any + Send {
         let _ = (ctx, token);
     }
 
+    /// Whether [`on_timer`](Driver::on_timer) can take `token`. A
+    /// restored kernel refuses a checkpoint holding a timer whose token
+    /// its driver refuses; drivers that take any token inherit this
+    /// default.
+    fn accepts_timer(&self, token: u64) -> bool {
+        let _ = token;
+        true
+    }
+
     /// A frame addressed to this host arrived from the ring (only routed
     /// to the network-interface driver).
     fn on_ring_delivered(&mut self, ctx: &mut Ctx, frame: ctms_tokenring::Frame) {

@@ -1304,6 +1304,23 @@ impl ctms_sim::Persist for Kernel {
             d.restore_state(&mut sub)?;
             sub.finish()?;
         }
+        for timer in &self.timers {
+            if let TimerTarget::Driver(id, token) = timer.target {
+                let accepted = self
+                    .drivers
+                    .get(id.0 as usize)
+                    .and_then(Option::as_deref)
+                    .is_some_and(|d| d.accepts_timer(token));
+                if !accepted {
+                    return Err(ctms_sim::PersistError::mismatch(format!(
+                        "kernel checkpoint has a timer for driver {} with token {token}, which \
+                         the rebuilt kernel's {} drivers do not take",
+                        id.0,
+                        self.drivers.len()
+                    )));
+                }
+            }
+        }
         self.work.clear();
         Ok(())
     }
@@ -1517,6 +1534,59 @@ mod tests {
             host.kernel.mbuf_stats().peak_in_use,
             crate::mbuf::MbufChain::mbufs_for(300)
         );
+    }
+
+    #[test]
+    fn restore_refuses_a_timer_its_driver_does_not_take() {
+        // A driver that arms timers 0 and 1 only, as the kernel's one
+        // driver (id 0).
+        struct TwoTimers;
+        impl crate::driver::Driver for TwoTimers {
+            fn name(&self) -> &'static str {
+                "two-timers"
+            }
+            fn accepts_timer(&self, token: u64) -> bool {
+                token < 2
+            }
+            fn as_any(&self) -> &dyn std::any::Any {
+                self
+            }
+            fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+                self
+            }
+        }
+        use ctms_sim::{Dec, Enc, Persist, PersistError};
+        let build = || {
+            let cfg = KernConfig {
+                clock_enabled: false,
+                ..Default::default()
+            };
+            let mut kernel = Kernel::new(cfg, Pcg32::new(2, 2));
+            kernel.add_driver(Box::new(TwoTimers), None);
+            kernel
+        };
+        for (id, token, taken) in [(0, 1, true), (0, 2, false), (1, 0, false), (255, 0, false)] {
+            let mut kernel = build();
+            kernel.arm(
+                SimTime::from_ms(5),
+                TimerTarget::Driver(DriverId(id), token),
+            );
+            let mut enc = Enc::new();
+            kernel.persist(&mut enc);
+            let bytes = enc.into_bytes();
+            let mut back = build();
+            let got = back.restore(&mut Dec::new(&bytes));
+            if taken {
+                got.expect("a timer its driver takes restores");
+                let _ = drain_component(&mut back, SimTime::from_ms(10));
+                assert!(back.timers.is_empty(), "the restored timer fired");
+            } else {
+                assert!(
+                    matches!(got, Err(PersistError::Mismatch(_))),
+                    "driver {id} token {token}: {got:?}"
+                );
+            }
+        }
     }
 
     #[test]

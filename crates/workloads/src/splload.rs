@@ -122,6 +122,11 @@ impl Driver for SplLoad {
         }
     }
 
+    /// A timer token is a class index.
+    fn accepts_timer(&self, token: u64) -> bool {
+        token < self.classes.len() as u64
+    }
+
     fn on_timer(&mut self, ctx: &mut Ctx, token: u64) {
         let class = token as usize;
         let c = self.classes[class];
@@ -165,6 +170,15 @@ mod tests {
         // 8/s combined over 30 s.
         assert!((160..320).contains(&s.sections), "{}", s.sections);
         assert!(s.busy_ns > 0);
+    }
+
+    #[test]
+    fn timer_tokens_are_class_indices() {
+        let classes = default_classes();
+        let n = classes.len() as u64;
+        let d = SplLoad::new(classes);
+        assert!((0..n).all(|k| d.accepts_timer(k)));
+        assert!(!d.accepts_timer(n) && !d.accepts_timer(u64::MAX));
     }
 
     #[test]

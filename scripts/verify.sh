@@ -126,14 +126,14 @@ esac
 python3 -c 'import json, sys; rss = json.loads(sys.argv[1])["metrics"]["peak_rss_mb"]["value"]; print(f"peak_rss_mb {rss:.1f}"); sys.exit(rss > 56)' "$tree_mem" \
   || { echo "perfbench city-tree footprint: peak RSS above 56 MB: $tree_mem" >&2; exit 1; }
 
-echo "== perfbench paper-ab footprint (untraced cases A and B with the H1-H7 analysis: the correctness gate must pass and peak RSS stay at most 27 MB, where it reads about 21: the TAP keeps counts, not records; a measurement set borrows the truth logs; H5-H7 pair edges through one sorted index)"
+echo "== perfbench paper-ab footprint (untraced cases A and B with the H1-H7 analysis: the correctness gate must pass and peak RSS stay at most 18 MB, where it reads about 14: the TAP keeps counts, not records; a measurement set borrows the truth logs; kept samples are packed as a few bytes of delta each; H5-H7 pair two tag-ordered logs in one merge)"
 paper_mem=$(bash perfbench/run.sh --workload paper-ab --seed 1 --seconds 1 --trace 0 | tail -n 1)
 case "$paper_mem" in
   *'"correct": true'*'"failed": 0'*) ;;
   *) echo "perfbench paper-ab footprint: correctness gate failed: $paper_mem" >&2; exit 1 ;;
 esac
-python3 -c 'import json, sys; rss = json.loads(sys.argv[1])["metrics"]["peak_rss_mb"]["value"]; print(f"peak_rss_mb {rss:.1f}"); sys.exit(rss > 27)' "$paper_mem" \
-  || { echo "perfbench paper-ab footprint: peak RSS above 27 MB: $paper_mem" >&2; exit 1; }
+python3 -c 'import json, sys; rss = json.loads(sys.argv[1])["metrics"]["peak_rss_mb"]["value"]; print(f"peak_rss_mb {rss:.1f}"); sys.exit(rss > 18)' "$paper_mem" \
+  || { echo "perfbench paper-ab footprint: peak RSS above 18 MB: $paper_mem" >&2; exit 1; }
 
 echo "== perfbench serve-steer smoke (traced: every cycle the in-process replay restores a fresh sample-less bus and its presentation and purge counts must match serve's status lines; the correctness gate must pass)"
 steer_bench=$(bash perfbench/run.sh --workload serve-steer --seed 1 --seconds 1 --trace 1 | tail -n 1)

@@ -93,8 +93,8 @@ fn sequencing_guarantee() {
     bed.run_until(SimTime::from_secs(20));
     let mut last = 0u64;
     for (_, tag, _) in bed.presented() {
-        assert!(*tag > last, "out of order: {tag} after {last}");
-        last = *tag;
+        assert!(tag > last, "out of order: {tag} after {last}");
+        last = tag;
     }
     assert!(last > 1_500, "stream ran: {last}");
 }

@@ -269,7 +269,7 @@ fn pcat_error_bound() {
         let cap = tool.observe(&[&log], t + Dur::from_ms(1));
         let rec = cap.reconstruct();
         assert_eq!(rec[0].len(), log.len(), "trial {trial}");
-        for (orig, got) in log.edges().iter().zip(rec[0].edges()) {
+        for (orig, got) in log.edges().zip(rec[0].edges()) {
             let err = got.at.as_ns().abs_diff(orig.at.as_ns());
             assert!(err <= 62_000, "trial {trial}: error {err} ns");
         }
