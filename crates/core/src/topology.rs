@@ -27,7 +27,7 @@ use ctms_router::{Bridge, BridgeCmd, BridgeOut};
 use ctms_sim::telemetry::Hist;
 use ctms_sim::{
     CascadeError, CmdSink, Component, Dur, EdgeLog, Harness, History, Label, NodeId, PersistError,
-    Registry, Router, ShardStats, SimTime,
+    Registry, Router, ShardStats, SimTime, Sink,
 };
 use ctms_tokenring::{RingCmd, RingOut, StationId, TokenRing};
 use ctms_unixkern::{DriverCall, DriverId, Host, HostCmd, HostOut, KernCmd, MeasurePoint};
@@ -40,24 +40,22 @@ use std::sync::Arc;
 /// Every node takes a slot the size of the largest variant, so the
 /// large one is boxed. A `Host` carries a whole kernel (1,256 bytes),
 /// and inline it made every slot 1,280 bytes, though a topology holds
-/// a few hosts beside up to 10^4 rings (400 bytes with their scratch)
-/// and bridges (216): the 10^4-ring tree's 20,001 slots took 25.6 MB,
-/// and take 8.0 MB with the box. The indirection falls only on the
-/// hosts' events.
+/// a few hosts beside up to 10^4 rings (376 bytes) and bridges (192):
+/// the 10^4-ring tree's 20,001 slots took 25.6 MB, and take 7.5 MB
+/// with the box. The indirection falls only on the hosts' events.
 ///
-/// Each variant carries a retained scratch `Vec` of its substrate's own
-/// output type: `advance`/`handle` drain the substrate into the scratch
-/// and map into [`Event`] from there, so the translation allocates
-/// nothing once the scratch has reached its peak burst size.
+/// A variant holds only its substrate: its outputs reach the
+/// scheduler's sink through a closure that wraps each in its
+/// [`Event`], so a node keeps no output buffer of its own.
 pub enum Node {
     /// A Token Ring medium.
-    Ring(TokenRing, Vec<RingOut>),
+    Ring(TokenRing),
     /// A full host (machine + kernel), boxed: see above.
-    Host(Box<Host>, Vec<HostOut>),
+    Host(Box<Host>),
     /// A two-port ring-to-ring forwarder.
-    Bridge(Bridge, Vec<BridgeOut>),
+    Bridge(Bridge),
     /// Background campus traffic bound to one ring.
-    Phantom(PhantomTraffic, Vec<PhantomOut>),
+    Phantom(PhantomTraffic),
 }
 
 /// Events emitted by any [`Node`].
@@ -89,47 +87,28 @@ impl Component for Node {
 
     fn next_deadline(&self) -> Option<SimTime> {
         match self {
-            Node::Ring(r, _) => r.next_deadline(),
-            Node::Host(h, _) => h.next_deadline(),
-            Node::Bridge(b, _) => b.next_deadline(),
-            Node::Phantom(p, _) => p.next_deadline(),
+            Node::Ring(r) => r.next_deadline(),
+            Node::Host(h) => h.next_deadline(),
+            Node::Bridge(b) => b.next_deadline(),
+            Node::Phantom(p) => p.next_deadline(),
         }
     }
 
-    fn advance(&mut self, now: SimTime, sink: &mut Vec<Event>) {
+    fn advance(&mut self, now: SimTime, sink: &mut impl Sink<Event>) {
         match self {
-            Node::Ring(r, buf) => {
-                r.advance(now, buf);
-                sink.extend(buf.drain(..).map(Event::Ring));
-            }
-            Node::Host(h, buf) => {
-                h.advance(now, buf);
-                sink.extend(buf.drain(..).map(Event::Host));
-            }
-            Node::Bridge(b, buf) => {
-                b.advance(now, buf);
-                sink.extend(buf.drain(..).map(Event::Bridge));
-            }
-            Node::Phantom(p, buf) => {
-                p.advance(now, buf);
-                sink.extend(buf.drain(..).map(Event::Phantom));
-            }
+            Node::Ring(r) => r.advance(now, &mut |o| sink.push(Event::Ring(o))),
+            Node::Host(h) => h.advance(now, &mut |o| sink.push(Event::Host(o))),
+            Node::Bridge(b) => b.advance(now, &mut |o| sink.push(Event::Bridge(o))),
+            Node::Phantom(p) => p.advance(now, &mut |o| sink.push(Event::Phantom(o))),
         }
     }
 
-    fn handle(&mut self, now: SimTime, cmd: Cmd, sink: &mut Vec<Event>) {
+    fn handle(&mut self, now: SimTime, cmd: Cmd, sink: &mut impl Sink<Event>) {
         match (self, cmd) {
-            (Node::Ring(r, buf), Cmd::Ring(c)) => {
-                r.handle(now, c, buf);
-                sink.extend(buf.drain(..).map(Event::Ring));
-            }
-            (Node::Host(h, buf), Cmd::Host(c)) => {
-                h.handle(now, c, buf);
-                sink.extend(buf.drain(..).map(Event::Host));
-            }
-            (Node::Bridge(b, buf), Cmd::Bridge(c)) => {
-                b.handle(now, c, buf);
-                sink.extend(buf.drain(..).map(Event::Bridge));
+            (Node::Ring(r), Cmd::Ring(c)) => r.handle(now, c, &mut |o| sink.push(Event::Ring(o))),
+            (Node::Host(h), Cmd::Host(c)) => h.handle(now, c, &mut |o| sink.push(Event::Host(o))),
+            (Node::Bridge(b), Cmd::Bridge(c)) => {
+                b.handle(now, c, &mut |o| sink.push(Event::Bridge(o)))
             }
             _ => panic!("misrouted command: node/command kinds disagree"),
         }
@@ -137,10 +116,10 @@ impl Component for Node {
 
     fn publish_telemetry(&self, scope: &mut ctms_sim::telemetry::Scope<'_>) {
         match self {
-            Node::Ring(r, _) => r.publish_telemetry(scope),
-            Node::Host(h, _) => h.publish_telemetry(scope),
-            Node::Bridge(b, _) => b.publish_telemetry(scope),
-            Node::Phantom(p, _) => p.publish_telemetry(scope),
+            Node::Ring(r) => r.publish_telemetry(scope),
+            Node::Host(h) => h.publish_telemetry(scope),
+            Node::Bridge(b) => b.publish_telemetry(scope),
+            Node::Phantom(p) => p.publish_telemetry(scope),
         }
     }
 }
@@ -840,7 +819,7 @@ impl Topology {
             .enumerate()
             .map(|(k, ring)| {
                 h.add_node_labeled(
-                    Node::Ring(ring, Vec::new()),
+                    Node::Ring(ring),
                     Label::Indexed("tokenring.ring", k),
                     ring_shard(k),
                     false,
@@ -853,7 +832,7 @@ impl Topology {
             .enumerate()
             .map(|(k, spec)| {
                 h.add_node_labeled(
-                    Node::Bridge(spec.bridge, Vec::new()),
+                    Node::Bridge(spec.bridge),
                     Label::Indexed("router.bridge", k),
                     bridge_shard[k],
                     bridge_sync[k],
@@ -866,16 +845,16 @@ impl Topology {
             .enumerate()
             .map(|(k, (ring, _, host))| {
                 h.add_node_labeled(
-                    Node::Host(Box::new(host), Vec::new()),
+                    Node::Host(Box::new(host)),
                     Label::Indexed("unixkern.h", k),
                     ring_shard(ring),
                     false,
                 )
             })
             .collect();
-        let phantom_node = self.phantom.map(|(_, p)| {
-            h.add_node_labeled(Node::Phantom(p, Vec::new()), "workloads.phantom", 0, false)
-        });
+        let phantom_node = self
+            .phantom
+            .map(|(_, p)| h.add_node_labeled(Node::Phantom(p), "workloads.phantom", 0, false));
 
         Bus {
             h,
@@ -983,7 +962,7 @@ impl Bus {
     /// Ring `k`.
     pub fn ring(&self, k: usize) -> &TokenRing {
         match self.h.node(self.ring_nodes[k]) {
-            Node::Ring(r, _) => r,
+            Node::Ring(r) => r,
             _ => unreachable!("ring node"),
         }
     }
@@ -996,7 +975,7 @@ impl Bus {
     /// Host `k` (dense index from [`Topology::host`]).
     pub fn host(&self, k: usize) -> &Host {
         match self.h.node(self.host_nodes[k]) {
-            Node::Host(host, _) => host,
+            Node::Host(host) => host,
             _ => unreachable!("host node"),
         }
     }
@@ -1004,7 +983,7 @@ impl Bus {
     /// Mutable host `k`; its deadline is rescheduled before the next step.
     pub fn host_mut(&mut self, k: usize) -> &mut Host {
         match self.h.node_mut(self.host_nodes[k]) {
-            Node::Host(host, _) => host,
+            Node::Host(host) => host,
             _ => unreachable!("host node"),
         }
     }
@@ -1017,7 +996,7 @@ impl Bus {
     /// Bridge `k`.
     pub fn bridge(&self, k: usize) -> &Bridge {
         match self.h.node(self.bridge_nodes[k]) {
-            Node::Bridge(b, _) => b,
+            Node::Bridge(b) => b,
             _ => unreachable!("bridge node"),
         }
     }
@@ -1025,7 +1004,7 @@ impl Bus {
     /// The phantom traffic generator, if attached.
     pub fn phantom(&self) -> Option<&PhantomTraffic> {
         self.phantom_node.map(|id| match self.h.node(id) {
-            Node::Phantom(p, _) => p,
+            Node::Phantom(p) => p,
             _ => unreachable!("phantom node"),
         })
     }
@@ -1105,11 +1084,6 @@ impl Bus {
         self.h.collect_telemetry()
     }
 
-    /// Collects and freezes the current metric tree as a named phase.
-    pub fn snapshot_phase(&mut self, name: impl Into<String>) {
-        self.h.snapshot_phase(name);
-    }
-
     /// Collects and serializes the registry as canonical JSON
     /// (byte-identical across runs of the same seed and across shard
     /// counts).
@@ -1177,27 +1151,22 @@ impl Bus {
 
 impl ctms_sim::Persist for Node {
     /// One kind tag (checked against the rebuilt topology on restore)
-    /// then the component's own state. The scratch buffer is drained at
-    /// every quiescent instant, so it carries no state.
+    /// then the component's own state.
     fn persist(&self, enc: &mut ctms_sim::Enc) {
         match self {
-            Node::Ring(r, buf) => {
-                debug_assert!(buf.is_empty(), "checkpoint off a quiescent instant");
+            Node::Ring(r) => {
                 enc.u8(0);
                 r.persist(enc);
             }
-            Node::Host(h, buf) => {
-                debug_assert!(buf.is_empty(), "checkpoint off a quiescent instant");
+            Node::Host(h) => {
                 enc.u8(1);
                 h.persist(enc);
             }
-            Node::Bridge(b, buf) => {
-                debug_assert!(buf.is_empty(), "checkpoint off a quiescent instant");
+            Node::Bridge(b) => {
                 enc.u8(2);
                 b.persist(enc);
             }
-            Node::Phantom(p, buf) => {
-                debug_assert!(buf.is_empty(), "checkpoint off a quiescent instant");
+            Node::Phantom(p) => {
                 enc.u8(3);
                 p.persist(enc);
             }
@@ -1207,22 +1176,10 @@ impl ctms_sim::Persist for Node {
     fn restore(&mut self, dec: &mut ctms_sim::Dec<'_>) -> Result<(), ctms_sim::PersistError> {
         let tag = dec.u8()?;
         match (self, tag) {
-            (Node::Ring(r, buf), 0) => {
-                buf.clear();
-                r.restore(dec)
-            }
-            (Node::Host(h, buf), 1) => {
-                buf.clear();
-                h.restore(dec)
-            }
-            (Node::Bridge(b, buf), 2) => {
-                buf.clear();
-                b.restore(dec)
-            }
-            (Node::Phantom(p, buf), 3) => {
-                buf.clear();
-                p.restore(dec)
-            }
+            (Node::Ring(r), 0) => r.restore(dec),
+            (Node::Host(h), 1) => h.restore(dec),
+            (Node::Bridge(b), 2) => b.restore(dec),
+            (Node::Phantom(p), 3) => p.restore(dec),
             _ => Err(ctms_sim::PersistError::mismatch(format!(
                 "checkpoint node kind {tag} does not match the rebuilt topology"
             ))),
@@ -1581,15 +1538,15 @@ mod tests {
     use super::*;
     use std::mem::size_of;
 
-    /// A node slot is sized for a ring and its scratch: a variant that
-    /// outgrows that (an inline `Host`, with its whole kernel, made
-    /// every slot 1,280 bytes) is boxed.
+    /// A node slot is sized for a ring: a variant that outgrows that
+    /// (an inline `Host`, with its whole kernel, made every slot 1,280
+    /// bytes) is boxed.
     #[test]
     fn a_node_slot_is_sized_for_a_ring() {
-        let ring = size_of::<TokenRing>() + size_of::<Vec<RingOut>>();
+        let ring = size_of::<TokenRing>();
         assert!(
             size_of::<Node>() <= ring + 8,
-            "a node slot takes {} bytes; a ring with its scratch takes {ring}",
+            "a node slot takes {} bytes; a ring takes {ring}",
             size_of::<Node>()
         );
     }

@@ -25,7 +25,7 @@
 //! path); everything else is dropped, as the paper's CTMSP is
 //! "specifically designed for and limited to" the media path.
 
-use ctms_sim::{Component, Dur, SimTime};
+use ctms_sim::{Component, Dur, SimTime, Sink};
 use ctms_tokenring::{Frame, FrameId, Proto, StationId};
 use std::collections::VecDeque;
 
@@ -357,7 +357,7 @@ impl Bridge {
         // the head so depth accounting stays truthful.
     }
 
-    fn finish(&mut self, port_in: u8, sink: &mut Vec<BridgeOut>) {
+    fn finish(&mut self, port_in: u8, sink: &mut impl Sink<BridgeOut>) {
         let Some(p) = self.queues[port_in as usize].pop_front() else {
             return;
         };
@@ -452,7 +452,7 @@ impl Component for Bridge {
         ctms_sim::earliest(self.busy_until.iter().map(|b| b.map(|(t, _)| t)))
     }
 
-    fn advance(&mut self, now: SimTime, sink: &mut Vec<BridgeOut>) {
+    fn advance(&mut self, now: SimTime, sink: &mut impl Sink<BridgeOut>) {
         for engine in 0..self.busy_until.len() {
             if let Some((t, port_in)) = self.busy_until[engine] {
                 if t <= now {
@@ -464,7 +464,7 @@ impl Component for Bridge {
         }
     }
 
-    fn handle(&mut self, now: SimTime, cmd: BridgeCmd, sink: &mut Vec<BridgeOut>) {
+    fn handle(&mut self, now: SimTime, cmd: BridgeCmd, sink: &mut impl Sink<BridgeOut>) {
         let BridgeCmd::Delivered { port, frame } = cmd;
         // Only the static CTMSP route is forwarded (§3's point-to-point
         // assumption, extended hop by hop).

@@ -19,7 +19,7 @@
 //! mechanism behind §5's observation that "critical sections of code"
 //! cause out-of-order packets and latency spread.
 
-use ctms_sim::{Component, Dec, Dur, Enc, Persist, PersistError, SimTime};
+use ctms_sim::{Component, Dec, Dur, Enc, Persist, PersistError, SimTime, Sink};
 use std::collections::VecDeque;
 
 /// Number of interrupt request lines on the machine.
@@ -210,6 +210,16 @@ impl<T: Copy> Cpu<T> {
             && self.stack.is_empty()
             && self.ready.iter().all(VecDeque::is_empty)
             && self.irq_pending.iter().all(|p| !p)
+    }
+
+    /// The tag of every job the CPU holds: queued, preempted or running.
+    pub fn job_tags(&self) -> impl Iterator<Item = T> + '_ {
+        let queued = self.ready.iter().flatten().map(|(body, _)| body);
+        let held = self.stack.iter().chain(&self.running).map(|r| &r.body);
+        queued.chain(held).filter_map(|body| match *body {
+            Body::Work(tag) => Some(tag),
+            Body::IrqDispatch(_) => None,
+        })
     }
 
     fn level_num(&self, l: ExecLevel) -> u8 {
@@ -437,7 +447,7 @@ impl<T: Copy + core::fmt::Debug> Component for Cpu<T> {
         self.running.as_ref().map(|r| self.finish_time(r))
     }
 
-    fn advance(&mut self, now: SimTime, sink: &mut Vec<CpuOut<T>>) {
+    fn advance(&mut self, now: SimTime, sink: &mut impl Sink<CpuOut<T>>) {
         loop {
             let Some(r) = &self.running else { return };
             if self.finish_time(r) > now {
@@ -457,7 +467,7 @@ impl<T: Copy + core::fmt::Debug> Component for Cpu<T> {
         }
     }
 
-    fn handle(&mut self, now: SimTime, cmd: CpuCmd<T>, sink: &mut Vec<CpuOut<T>>) {
+    fn handle(&mut self, now: SimTime, cmd: CpuCmd<T>, sink: &mut impl Sink<CpuOut<T>>) {
         // Bring progress up to date before changing anything.
         self.settle(now);
         match cmd {

@@ -10,7 +10,7 @@
 
 use crate::cpu::{Cpu, CpuCmd, CpuConfig, CpuOut, CpuStats, Job};
 use crate::memory::MemRegion;
-use ctms_sim::{Component, Dur, SimTime};
+use ctms_sim::{Component, Dur, SimTime, Sink};
 
 /// Machine configuration.
 #[derive(Clone, Copy, Debug)]
@@ -169,6 +169,16 @@ impl<T: Copy + core::fmt::Debug> Machine<T> {
         self.dmas.len()
     }
 
+    /// The tags of the DMA transfers in flight.
+    pub fn dma_tags(&self) -> impl Iterator<Item = T> + '_ {
+        self.dmas.iter().map(|d| d.tag)
+    }
+
+    /// The tag of every job the CPU holds: queued, preempted or running.
+    pub fn job_tags(&self) -> impl Iterator<Item = T> + '_ {
+        self.cpu.job_tags()
+    }
+
     /// Current CPU execution level.
     pub fn current_level(&self) -> u8 {
         self.cpu.current_level()
@@ -199,23 +209,24 @@ impl<T: Copy + core::fmt::Debug> Machine<T> {
         }
     }
 
-    fn apply_speed(&mut self, now: SimTime, sink: &mut Vec<MachOut<T>>) {
+    fn apply_speed(&mut self, now: SimTime, sink: &mut impl Sink<MachOut<T>>) {
         self.settle_bus(now);
         let s = self.cpu_speed();
         self.cur_speed = s;
-        let mut tmp = Vec::new();
-        self.cpu.handle(now, CpuCmd::SetSpeed(s), &mut tmp);
-        Self::map_cpu_outs(tmp, sink);
+        self.cpu
+            .handle(now, CpuCmd::SetSpeed(s), &mut via_cpu(sink));
     }
+}
 
-    fn map_cpu_outs(from: Vec<CpuOut<T>>, to: &mut Vec<MachOut<T>>) {
-        for o in from {
-            to.push(match o {
-                CpuOut::IrqEntered { line } => MachOut::IrqEntered { line },
-                CpuOut::JobDone { tag } => MachOut::JobDone { tag },
-                CpuOut::IrqOverrun { line } => MachOut::IrqOverrun { line },
-            });
-        }
+/// A sink for the CPU's outputs that maps each into the machine's own
+/// output on its way to `sink`.
+fn via_cpu<T>(sink: &mut impl Sink<MachOut<T>>) -> impl FnMut(CpuOut<T>) + '_ {
+    move |o| {
+        sink.push(match o {
+            CpuOut::IrqEntered { line } => MachOut::IrqEntered { line },
+            CpuOut::JobDone { tag } => MachOut::JobDone { tag },
+            CpuOut::IrqOverrun { line } => MachOut::IrqOverrun { line },
+        })
     }
 }
 
@@ -281,7 +292,7 @@ impl<T: Copy + core::fmt::Debug> Component for Machine<T> {
         best
     }
 
-    fn advance(&mut self, now: SimTime, sink: &mut Vec<MachOut<T>>) {
+    fn advance(&mut self, now: SimTime, sink: &mut impl Sink<MachOut<T>>) {
         // Complete due DMAs first: their bus release may speed the CPU up
         // for the remainder of this instant.
         let mut completed = Vec::new();
@@ -299,23 +310,16 @@ impl<T: Copy + core::fmt::Debug> Component for Machine<T> {
                 sink.push(MachOut::DmaDone { tag: d.tag });
             }
         }
-        let mut tmp = Vec::new();
-        self.cpu.advance(now, &mut tmp);
-        Self::map_cpu_outs(tmp, sink);
+        self.cpu.advance(now, &mut via_cpu(sink));
     }
 
-    fn handle(&mut self, now: SimTime, cmd: MachCmd<T>, sink: &mut Vec<MachOut<T>>) {
+    fn handle(&mut self, now: SimTime, cmd: MachCmd<T>, sink: &mut impl Sink<MachOut<T>>) {
         match cmd {
             MachCmd::RaiseIrq { line } => {
-                let mut tmp = Vec::new();
-                self.cpu.handle(now, CpuCmd::RaiseIrq { line }, &mut tmp);
-                Self::map_cpu_outs(tmp, sink);
+                self.cpu
+                    .handle(now, CpuCmd::RaiseIrq { line }, &mut via_cpu(sink));
             }
-            MachCmd::Push(job) => {
-                let mut tmp = Vec::new();
-                self.cpu.handle(now, CpuCmd::Push(job), &mut tmp);
-                Self::map_cpu_outs(tmp, sink);
-            }
+            MachCmd::Push(job) => self.cpu.handle(now, CpuCmd::Push(job), &mut via_cpu(sink)),
             MachCmd::StartDma {
                 bytes,
                 per_byte,

@@ -1,4 +1,5 @@
-//! A counting global allocator for the zero-allocation proofs.
+//! A counting global allocator for the zero-allocation proofs and the
+//! paper testbed's allocation budget.
 //!
 //! Wrap the system allocator in [`CountingAlloc`] and install it with
 //! `#[global_allocator]` to count every heap allocation in the process:
@@ -16,9 +17,10 @@
 //! promises.
 //!
 //! The module is always compiled but installs nothing by itself: only
-//! `tests/zero_alloc.rs` and `tests/zero_alloc_sharded.rs` declare it
-//! their global allocator, each in its own test binary, so no other
-//! test writes to the process-wide counter.
+//! this crate's `tests/zero_alloc.rs` and `tests/zero_alloc_sharded.rs`
+//! and the workspace root's `tests/alloc_budget.rs` declare it their
+//! global allocator, each in its own test binary, so no other test
+//! writes to the process-wide counter.
 //!
 //! The counter is a relaxed atomic: the measured regions are
 //! single-threaded simulations, and cross-thread precision is not

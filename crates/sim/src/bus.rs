@@ -94,29 +94,9 @@ impl<Cmd> CmdSink<Cmd> {
 /// commands for them.
 pub trait Router<C: Component> {
     /// Routes one `event` emitted by `src` at `now`, pushing any
-    /// resulting commands into `sink`. The sink is reused across calls —
-    /// never assume it is freshly allocated, and (since [`Router::route_all`]
-    /// shares one sink across a batch) never assume it is empty on entry.
+    /// resulting commands into `sink`. The sink is reused across calls
+    /// and empty on entry — never assume it is freshly allocated.
     fn route(&mut self, now: SimTime, src: NodeId, event: C::Out, sink: &mut CmdSink<C::Cmd>);
-
-    /// Routes a batch of events all emitted by `src` at `now`, draining
-    /// `events` front to back. The harness batches consecutive same-source
-    /// events from one cascade wave into a single call, so routers whose
-    /// per-call overhead dominates (table lookups, telemetry taps) can hoist
-    /// the per-source work out of the loop. The default simply forwards to
-    /// [`Router::route`] per event; implementations must preserve exactly
-    /// that command order so batching stays bit-identical.
-    fn route_all(
-        &mut self,
-        now: SimTime,
-        src: NodeId,
-        events: &mut Vec<C::Out>,
-        sink: &mut CmdSink<C::Cmd>,
-    ) {
-        for event in events.drain(..) {
-            self.route(now, src, event, sink);
-        }
-    }
 }
 
 /// A scheduling failure that poisons the harness: a same-instant routing
@@ -237,6 +217,7 @@ pub const DEFAULT_CASCADE_LIMIT: u32 = 100_000;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Sink;
     use crate::shard::{Harness, MergeTelemetry};
     use crate::telemetry::Registry;
     use crate::time::Dur;
@@ -279,7 +260,7 @@ mod tests {
         fn next_deadline(&self) -> Option<SimTime> {
             self.next
         }
-        fn advance(&mut self, now: SimTime, sink: &mut Vec<u32>) {
+        fn advance(&mut self, now: SimTime, sink: &mut impl Sink<u32>) {
             if Some(now) == self.next {
                 self.remaining -= 1;
                 sink.push(self.id);
@@ -290,7 +271,7 @@ mod tests {
                 };
             }
         }
-        fn handle(&mut self, now: SimTime, extra: u32, _sink: &mut Vec<u32>) {
+        fn handle(&mut self, now: SimTime, extra: u32, _sink: &mut impl Sink<u32>) {
             self.remaining += extra;
             if self.next.is_none() {
                 self.next = Some(now + self.period);
@@ -426,13 +407,13 @@ mod tests {
         fn next_deadline(&self) -> Option<SimTime> {
             self.armed.then(|| SimTime::from_ms(1))
         }
-        fn advance(&mut self, _now: SimTime, sink: &mut Vec<u32>) {
+        fn advance(&mut self, _now: SimTime, sink: &mut impl Sink<u32>) {
             if self.armed {
                 self.armed = false;
                 sink.push(0);
             }
         }
-        fn handle(&mut self, _now: SimTime, v: u32, sink: &mut Vec<u32>) {
+        fn handle(&mut self, _now: SimTime, v: u32, sink: &mut impl Sink<u32>) {
             sink.push(v + 1);
         }
     }
@@ -485,10 +466,10 @@ mod tests {
         fn next_deadline(&self) -> Option<SimTime> {
             self.0.next_deadline()
         }
-        fn advance(&mut self, now: SimTime, sink: &mut Vec<u32>) {
+        fn advance(&mut self, now: SimTime, sink: &mut impl Sink<u32>) {
             self.0.advance(now, sink);
         }
-        fn handle(&mut self, now: SimTime, extra: u32, sink: &mut Vec<u32>) {
+        fn handle(&mut self, now: SimTime, extra: u32, sink: &mut impl Sink<u32>) {
             self.0.handle(now, extra, sink);
         }
         fn publish_telemetry(&self, scope: &mut crate::telemetry::Scope<'_>) {

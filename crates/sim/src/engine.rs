@@ -4,12 +4,38 @@
 //! domain as a *passive state machine* implementing [`Component`]: it never
 //! schedules global events itself, it only reports the next instant at which
 //! it wants control ([`Component::next_deadline`]) and emits typed outputs
-//! when advanced or commanded. The top-level testbed (in `ctms-core`) owns
-//! the clock, advances whichever component is due next, and routes outputs
-//! between components — the "motherboard" pattern. This keeps every
-//! substrate unit-testable in isolation.
+//! into a [`Sink`] when advanced or commanded. The top-level testbed (in
+//! `ctms-core`) owns the clock, advances whichever component is due next,
+//! and routes outputs between components — the "motherboard" pattern. This
+//! keeps every substrate unit-testable in isolation.
 
 use crate::time::SimTime;
+
+/// Where a component's outputs go: one `push` per output, in emission
+/// order.
+///
+/// A `Vec` collects them (what substrate unit tests pass); a closure
+/// forwards each one as it is emitted, which is how the scheduler tags
+/// a node's outputs with its id straight into the routing wave, and how
+/// a composite maps an inner component's outputs into its own.
+pub trait Sink<T> {
+    /// Takes one output.
+    fn push(&mut self, item: T);
+}
+
+impl<T> Sink<T> for Vec<T> {
+    #[inline(always)]
+    fn push(&mut self, item: T) {
+        Vec::push(self, item);
+    }
+}
+
+impl<T, F: FnMut(T)> Sink<T> for F {
+    #[inline(always)]
+    fn push(&mut self, item: T) {
+        self(item);
+    }
+}
 
 /// A passive, deterministic discrete-event state machine.
 ///
@@ -31,11 +57,11 @@ pub trait Component {
     /// The next instant at which the component needs control, if any.
     fn next_deadline(&self) -> Option<SimTime>;
 
-    /// Advances internal state to `now`, appending any outputs to `sink`.
-    fn advance(&mut self, now: SimTime, sink: &mut Vec<Self::Out>);
+    /// Advances internal state to `now`, pushing any outputs into `sink`.
+    fn advance(&mut self, now: SimTime, sink: &mut impl Sink<Self::Out>);
 
-    /// Delivers a command at `now`, appending any outputs to `sink`.
-    fn handle(&mut self, now: SimTime, cmd: Self::Cmd, sink: &mut Vec<Self::Out>);
+    /// Delivers a command at `now`, pushing any outputs into `sink`.
+    fn handle(&mut self, now: SimTime, cmd: Self::Cmd, sink: &mut impl Sink<Self::Out>);
 
     /// Registers the component's current statistics into the telemetry
     /// tree under `scope` (the collector mounts each node under its
@@ -106,14 +132,12 @@ impl Default for CascadeGuard {
 pub fn drain_component<C: Component>(c: &mut C, until: SimTime) -> Vec<(SimTime, C::Out)> {
     let mut out = Vec::new();
     let mut guard = CascadeGuard::default();
-    let mut sink = Vec::new();
     while let Some(t) = c.next_deadline() {
         if t > until {
             break;
         }
         guard.step(t);
-        c.advance(t, &mut sink);
-        out.extend(sink.drain(..).map(|o| (t, o)));
+        c.advance(t, &mut |o| out.push((t, o)));
     }
     out
 }
@@ -163,7 +187,7 @@ mod tests {
         fn next_deadline(&self) -> Option<SimTime> {
             self.next
         }
-        fn advance(&mut self, now: SimTime, sink: &mut Vec<u32>) {
+        fn advance(&mut self, now: SimTime, sink: &mut impl Sink<u32>) {
             if Some(now) == self.next {
                 self.count += 1;
                 sink.push(self.count);
@@ -174,7 +198,7 @@ mod tests {
                 };
             }
         }
-        fn handle(&mut self, _now: SimTime, _cmd: (), _sink: &mut Vec<u32>) {}
+        fn handle(&mut self, _now: SimTime, _cmd: (), _sink: &mut impl Sink<u32>) {}
     }
 
     #[test]

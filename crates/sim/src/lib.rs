@@ -9,7 +9,8 @@
 //!
 //! * [`time`] — nanosecond-resolution simulation clock types,
 //! * [`rng`] — deterministic, stream-splittable random numbers,
-//! * [`engine`] — the [`engine::Component`] state-machine protocol,
+//! * [`engine`] — the [`engine::Component`] state-machine protocol and
+//!   the [`engine::Sink`] its outputs go into,
 //! * [`bus`] — the event-bus vocabulary: [`bus::NodeId`]-addressable
 //!   nodes, typed routing via [`bus::Router`], and the typed
 //!   [`bus::CascadeError`],
@@ -48,7 +49,7 @@ pub mod time;
 pub mod trace;
 
 pub use bus::{CascadeError, CmdSink, NodeId, Router, DEFAULT_CASCADE_LIMIT};
-pub use engine::{drain_component, earliest, CascadeGuard, Component};
+pub use engine::{drain_component, earliest, CascadeGuard, Component, Sink};
 pub use heap::IndexedHeap;
 pub use persist::{decode_new, Dec, Enc, Persist, PersistError};
 pub use rng::{Pcg32, SplitMix64};

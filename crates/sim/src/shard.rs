@@ -89,8 +89,11 @@
 //! copies; §4 keeps DMA off the system bus). The scheduler holds itself
 //! to the same discipline: in steady state, servicing an event performs
 //! **zero heap allocations**. The indexed heap keeps one entry per node
-//! with update-key in place, and the wave, due, touched, mail and
-//! per-node output buffers retain their capacity across steps.
+//! with update-key in place; the wave, due, touched and mail buffers
+//! retain their capacity across steps; and a node's outputs go straight
+//! into the wave, tagged with its id by the closure
+//! [`Sink`](crate::engine::Sink) the shard passes to its `advance` or
+//! `handle`, with no buffer of their own.
 //! `tests/zero_alloc.rs` and `tests/zero_alloc_sharded.rs` prove it at
 //! one and at two shards with a counting global allocator.
 //!
@@ -279,11 +282,11 @@ struct ShardState<C: Component, R> {
     // so steady-state stepping performs no heap allocation.
     due: Vec<usize>,
     touched: Vec<usize>,
+    /// Node outputs tagged with their source, pushed here straight from
+    /// each node's `advance`/`handle` through a closure sink.
     wave: Vec<(NodeId, C::Out)>,
     next_wave: Vec<(NodeId, C::Out)>,
-    out_buf: Vec<C::Out>,
     cmds: CmdSink<C::Cmd>,
-    batch: Vec<C::Out>,
     /// Per-node visit stamps for O(1) dedup in `reschedule_touched`.
     stamp: Vec<u64>,
     epoch: u64,
@@ -317,9 +320,7 @@ impl<C: Component, R: Router<C>> ShardState<C, R> {
             touched: Vec::new(),
             wave: Vec::new(),
             next_wave: Vec::new(),
-            out_buf: Vec::new(),
             cmds: CmdSink::new(),
-            batch: Vec::new(),
             stamp: Vec::new(),
             epoch: 0,
         }
@@ -446,34 +447,9 @@ impl<C: Component, R: Router<C>> ShardState<C, R> {
                 self.cmds.clear();
                 return Err(err);
             }
-            // Drain the wave in runs of consecutive same-source events,
-            // entering the router once per run. Routing order and
-            // delivery order are exactly the per-event loop's (the router
-            // never reads node state and commands drain in push order),
-            // so batching is bit-identical — only cheaper.
-            let mut wave = std::mem::take(&mut self.wave);
-            let mut iter = wave.drain(..).peekable();
-            'wave: while let Some((src, event)) = iter.next() {
+            'wave: for (src, event) in self.wave.drain(..) {
                 debug_assert!(self.cmds.is_empty());
-                match iter.peek() {
-                    Some((s, _)) if *s == src => {
-                        debug_assert!(self.batch.is_empty());
-                        self.batch.push(event);
-                        while let Some((s, _)) = iter.peek() {
-                            if *s != src {
-                                break;
-                            }
-                            let (_, e) = iter.next().expect("peeked entry");
-                            self.batch.push(e);
-                        }
-                        self.router
-                            .route_all(now, src, &mut self.batch, &mut self.cmds);
-                        self.batch.clear();
-                    }
-                    // Singleton run — the common case on sparse
-                    // workloads — skips the batch buffer entirely.
-                    _ => self.router.route(now, src, event, &mut self.cmds),
-                }
+                self.router.route(now, src, event, &mut self.cmds);
                 for (dst, cmd) in self.cmds.drain() {
                     let (os, ol) = match cross {
                         Cross::Local => (self.idx, dst.0 as u32),
@@ -482,11 +458,9 @@ impl<C: Component, R: Router<C>> ShardState<C, R> {
                     if os == self.idx {
                         let ol = ol as usize;
                         self.events += 1;
-                        self.nodes[ol].handle(now, cmd, &mut self.out_buf);
+                        let next_wave = &mut self.next_wave;
+                        self.nodes[ol].handle(now, cmd, &mut |e| next_wave.push((dst, e)));
                         self.touched.push(ol);
-                        for e in self.out_buf.drain(..) {
-                            self.next_wave.push((dst, e));
-                        }
                     } else {
                         let sync_src = match cross {
                             Cross::Allow => true,
@@ -519,13 +493,10 @@ impl<C: Component, R: Router<C>> ShardState<C, R> {
                     }
                 }
             }
-            drop(iter);
-            self.wave = wave;
             if let Some(err) = self.failed {
                 self.wave.clear();
                 self.next_wave.clear();
                 self.cmds.clear();
-                self.batch.clear();
                 return Err(err);
             }
             std::mem::swap(&mut self.wave, &mut self.next_wave);
@@ -590,7 +561,7 @@ impl<C: Component, R: Router<C>> ShardState<C, R> {
             self.pop_due(t);
             self.touched.clear();
             self.touched.extend_from_slice(&self.due);
-            debug_assert!(self.wave.is_empty() && self.out_buf.is_empty());
+            debug_assert!(self.wave.is_empty());
             for i in 0..self.due.len() {
                 let l = self.due[i];
                 let id = match cross {
@@ -598,10 +569,8 @@ impl<C: Component, R: Router<C>> ShardState<C, R> {
                     _ => self.global_id(l),
                 };
                 self.events += 1;
-                self.nodes[l].advance(t, &mut self.out_buf);
-                for e in self.out_buf.drain(..) {
-                    self.wave.push((id, e));
-                }
+                let wave = &mut self.wave;
+                self.nodes[l].advance(t, &mut |e| wave.push((id, e)));
             }
             let result = self.cascade(t, cross);
             self.reschedule_touched();
@@ -625,22 +594,18 @@ impl<C: Component, R: Router<C>> ShardState<C, R> {
         if end == 0 {
             return Ok(());
         }
-        debug_assert!(self.wave.is_empty() && self.out_buf.is_empty());
+        debug_assert!(self.wave.is_empty());
         self.stats.mailbox_recv += end as u64;
         self.touched.clear();
-        let mut pending = std::mem::take(&mut self.pending);
-        for (_key, (dst, cmd)) in pending.drain(..end) {
+        for (_key, (dst, cmd)) in self.pending.drain(..end) {
             let (os, ol) = locate(&self.owner, self.idx, dst);
             debug_assert_eq!(os, self.idx, "mail delivered to the wrong shard");
             let ol = ol as usize;
             self.events += 1;
-            self.nodes[ol].handle(t, cmd, &mut self.out_buf);
+            let wave = &mut self.wave;
+            self.nodes[ol].handle(t, cmd, &mut |e| wave.push((dst, e)));
             self.touched.push(ol);
-            for e in self.out_buf.drain(..) {
-                self.wave.push((dst, e));
-            }
         }
-        self.pending = pending; // keep the capacity (and the tail)
         let result = self.cascade(t, cross);
         self.reschedule_touched();
         result
@@ -650,13 +615,11 @@ impl<C: Component, R: Router<C>> ShardState<C, R> {
     /// and routes the fallout, mailing every cross-shard command.
     fn inject(&mut self, l: usize, cmd: C::Cmd) -> Result<(), CascadeError> {
         let now = self.now;
-        debug_assert!(self.wave.is_empty() && self.out_buf.is_empty());
+        debug_assert!(self.wave.is_empty());
         self.events += 1;
-        self.nodes[l].handle(now, cmd, &mut self.out_buf);
         let id = self.global_id(l);
-        for e in self.out_buf.drain(..) {
-            self.wave.push((id, e));
-        }
+        let wave = &mut self.wave;
+        self.nodes[l].handle(now, cmd, &mut |e| wave.push((id, e)));
         self.touched.clear();
         self.touched.push(l);
         let result = self.cascade(now, Cross::Allow);
@@ -1714,10 +1677,7 @@ where
     {
         debug_assert!(
             self.shards.iter().all(|s| {
-                s.wave.is_empty()
-                    && s.out_buf.is_empty()
-                    && s.pending.is_empty()
-                    && s.outbox.iter().all(|o| o.is_empty())
+                s.wave.is_empty() && s.pending.is_empty() && s.outbox.iter().all(|o| o.is_empty())
             }),
             "checkpoint taken off a run boundary"
         );
@@ -1837,6 +1797,7 @@ pub trait MergeTelemetry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Sink;
     use crate::persist::{Dec, Enc};
     use crate::telemetry::Value;
 
@@ -2096,7 +2057,7 @@ mod tests {
             }
         }
 
-        fn advance(&mut self, now: SimTime, sink: &mut Vec<u32>) {
+        fn advance(&mut self, now: SimTime, sink: &mut impl Sink<u32>) {
             match self {
                 Toy::Source {
                     next,
@@ -2124,7 +2085,7 @@ mod tests {
             }
         }
 
-        fn handle(&mut self, now: SimTime, _cmd: u32, _sink: &mut Vec<u32>) {
+        fn handle(&mut self, now: SimTime, _cmd: u32, _sink: &mut impl Sink<u32>) {
             match self {
                 Toy::Source { .. } => {}
                 Toy::Relay { ready, latency, .. } => ready.push_back(now + *latency),
@@ -2323,11 +2284,11 @@ mod tests {
             fn next_deadline(&self) -> Option<SimTime> {
                 Some(self.next)
             }
-            fn advance(&mut self, now: SimTime, _sink: &mut Vec<u32>) {
+            fn advance(&mut self, now: SimTime, _sink: &mut impl Sink<u32>) {
                 assert!(now < self.fuse, "bomb went off at {now}");
                 self.next = now + Dur::from_ns(10);
             }
-            fn handle(&mut self, _now: SimTime, _cmd: u32, _sink: &mut Vec<u32>) {}
+            fn handle(&mut self, _now: SimTime, _cmd: u32, _sink: &mut impl Sink<u32>) {}
         }
         struct Quiet;
         impl Router<Bomb> for Quiet {
@@ -2487,8 +2448,8 @@ mod tests {
             fn next_deadline(&self) -> Option<SimTime> {
                 None
             }
-            fn advance(&mut self, _now: SimTime, _sink: &mut Vec<u32>) {}
-            fn handle(&mut self, _now: SimTime, v: u32, sink: &mut Vec<u32>) {
+            fn advance(&mut self, _now: SimTime, _sink: &mut impl Sink<u32>) {}
+            fn handle(&mut self, _now: SimTime, v: u32, sink: &mut impl Sink<u32>) {
                 self.hits += 1;
                 if v < 5 {
                     sink.push(v + 1);
@@ -2539,13 +2500,13 @@ mod tests {
             fn next_deadline(&self) -> Option<SimTime> {
                 self.armed.then(|| SimTime::from_ns(10))
             }
-            fn advance(&mut self, _now: SimTime, sink: &mut Vec<u32>) {
+            fn advance(&mut self, _now: SimTime, sink: &mut impl Sink<u32>) {
                 if self.armed {
                     self.armed = false;
                     sink.push(0);
                 }
             }
-            fn handle(&mut self, _now: SimTime, v: u32, sink: &mut Vec<u32>) {
+            fn handle(&mut self, _now: SimTime, v: u32, sink: &mut impl Sink<u32>) {
                 sink.push(v + 1);
             }
         }

@@ -13,7 +13,7 @@
 //! which run in tier-1 `cargo test`.
 
 use crate::bus::{CmdSink, NodeId, Router, DEFAULT_CASCADE_LIMIT};
-use crate::engine::Component;
+use crate::engine::{Component, Sink};
 use crate::persist::{Dec, Enc, Persist, PersistError};
 use crate::shard::{Harness, MergeTelemetry};
 use crate::telemetry::Registry;
@@ -48,7 +48,7 @@ impl Component for SynthNode {
         Some(self.next)
     }
 
-    fn advance(&mut self, now: SimTime, sink: &mut Vec<u64>) {
+    fn advance(&mut self, now: SimTime, sink: &mut impl Sink<u64>) {
         if now == self.next {
             self.fired += 1;
             self.next = now + self.period;
@@ -56,7 +56,7 @@ impl Component for SynthNode {
         }
     }
 
-    fn handle(&mut self, _now: SimTime, hops: u64, sink: &mut Vec<u64>) {
+    fn handle(&mut self, _now: SimTime, hops: u64, sink: &mut impl Sink<u64>) {
         self.handled += 1;
         if hops > 0 {
             sink.push(hops);
@@ -297,7 +297,7 @@ impl Component for GraphCellNode {
         }
     }
 
-    fn advance(&mut self, now: SimTime, sink: &mut Vec<u64>) {
+    fn advance(&mut self, now: SimTime, sink: &mut impl Sink<u64>) {
         match self {
             GraphCellNode::Ticker {
                 period,
@@ -329,7 +329,7 @@ impl Component for GraphCellNode {
         }
     }
 
-    fn handle(&mut self, _now: SimTime, hops: u64, sink: &mut Vec<u64>) {
+    fn handle(&mut self, _now: SimTime, hops: u64, sink: &mut impl Sink<u64>) {
         match self {
             GraphCellNode::Ticker { handled, .. } => {
                 *handled += 1;

@@ -15,8 +15,8 @@
 //!   byte-exact by construction,
 //! * [`Event`] — sim-time-stamped edge signals (watchdog anomalies,
 //!   cascade-guard trips, purge storms) appended in simulation order,
-//! * phase snapshots ([`Registry::snapshot_phase`]) and counter deltas
-//!   ([`Registry::delta`]) for before/after comparisons,
+//! * phase snapshots ([`Registry::snapshot_phase`]) that freeze the
+//!   tree for before/after comparisons,
 //! * a canonical JSON serializer ([`Registry::to_json`]): sorted keys,
 //!   fixed two-space indentation, integers only, no timestamps other
 //!   than simulated time — two runs of the same seed produce
@@ -107,24 +107,6 @@ impl Hist {
     /// Per-bin counts.
     pub fn counts(&self) -> &[u64] {
         &self.counts
-    }
-
-    fn checked_delta(&self, base: &Hist) -> Option<Hist> {
-        if self.bin_width != base.bin_width || self.counts.len() != base.counts.len() {
-            return None;
-        }
-        Some(Hist {
-            bin_width: self.bin_width,
-            counts: self
-                .counts
-                .iter()
-                .zip(&base.counts)
-                .map(|(a, b)| a.saturating_sub(*b))
-                .collect(),
-            overflow: self.overflow.saturating_sub(base.overflow),
-            total: self.total.saturating_sub(base.total),
-            sum: self.sum.saturating_sub(base.sum),
-        })
     }
 }
 
@@ -281,14 +263,6 @@ impl Registry {
         self.metrics.insert(path.into(), Value::Counter(v));
     }
 
-    /// Adds to a counter, registering it at zero first if absent.
-    pub fn add_counter(&mut self, path: impl Into<String>, v: u64) {
-        match self.metrics.entry(path.into()).or_insert(Value::Counter(0)) {
-            Value::Counter(c) => *c += v,
-            other => panic!("add_counter on non-counter metric {other:?}"),
-        }
-    }
-
     /// Registers (or overwrites) a gauge.
     pub fn gauge(&mut self, path: impl Into<String>, v: i64) {
         self.metrics.insert(path.into(), Value::Gauge(v));
@@ -395,33 +369,6 @@ impl Registry {
             .iter()
             .find(|p| p.name == name)
             .map(|p| &p.metrics)
-    }
-
-    /// Counter-delta semantics: a registry whose counters and histograms
-    /// are `self − base` (saturating; metrics absent from `base` pass
-    /// through whole), whose gauges and texts are taken from `self`, and
-    /// whose events are those recorded after `base`'s last event. Phase
-    /// snapshots are not carried over.
-    pub fn delta(&self, base: &Registry) -> Registry {
-        let mut metrics = BTreeMap::new();
-        for (path, v) in &self.metrics {
-            let dv = match (v, base.metrics.get(path)) {
-                (Value::Counter(a), Some(Value::Counter(b))) => {
-                    Value::Counter(a.saturating_sub(*b))
-                }
-                (Value::Hist(a), Some(Value::Hist(b))) => match a.checked_delta(b) {
-                    Some(d) => Value::Hist(d),
-                    None => v.clone(),
-                },
-                _ => v.clone(),
-            };
-            metrics.insert(path.clone(), dv);
-        }
-        Registry {
-            metrics,
-            events: self.events[base.events.len().min(self.events.len())..].to_vec(),
-            phases: Vec::new(),
-        }
     }
 
     /// Canonical JSON: metrics in path order, two-space indentation,
@@ -899,24 +846,6 @@ mod tests {
         assert_eq!(h.overflow(), 2);
         assert_eq!(h.total(), 6);
         assert_eq!(h.sum(), 59_998);
-    }
-
-    #[test]
-    fn delta_subtracts_counters_and_slices_events() {
-        let mut base = Registry::new();
-        base.counter("c", 10);
-        base.event(t(1), "e", "old");
-        let mut now = base.clone();
-        now.counter("c", 25);
-        now.counter("fresh", 3);
-        now.gauge("g", 5);
-        now.event(t(2), "e", "new");
-        let d = now.delta(&base);
-        assert_eq!(d.counter_value("c"), Some(15));
-        assert_eq!(d.counter_value("fresh"), Some(3));
-        assert_eq!(d.get("g"), Some(&Value::Gauge(5)));
-        assert_eq!(d.events().len(), 1);
-        assert_eq!(d.events()[0].detail, "new");
     }
 
     #[test]

@@ -19,8 +19,8 @@ fn steady_state_scheduler_hot_path_allocates_nothing() {
     let mut h = ctms_sim::synth::build_ring(16, 1_000, 4);
 
     // Warm-up: let every reusable buffer (wave, due, touched, CmdSink,
-    // heap index arrays, per-node sinks) grow to its steady-state
-    // capacity.
+    // heap index arrays) grow to its steady-state capacity; nodes push
+    // their outputs straight into the wave.
     h.run_until(SimTime::from_ns(2_000_000));
     let events_before = h.events();
     assert!(events_before > 0, "warm-up must service events");

@@ -40,8 +40,8 @@ fn steady_state_sharded_hot_path_allocates_nothing() {
     // mailbox memory stays bounded and capacity reaches steady state.
     let mut h = ctms_sim::synth::build_sharded_ring(16, 1_000, 4, 2_500, 2_500, 2);
     // Warm-up: grow every reusable buffer — per-shard heaps, waves,
-    // sinks, outboxes, pending-mail queues, the coordinator's bound
-    // scratch — to steady-state capacity, and spawn the worker.
+    // command sinks, outboxes, pending-mail queues, the coordinator's
+    // bound scratch — to steady-state capacity, and spawn the worker.
     h.run_until(warm_up);
     let events_before = h.events();
     assert!(events_before > 0, "warm-up must service events");

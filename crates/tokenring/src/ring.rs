@@ -23,7 +23,7 @@
 //! activity.
 
 use crate::frame::{Frame, FrameId, FrameKind, MacKind, StationId, TOKEN_BITS};
-use ctms_sim::{Component, Dur, Pcg32, SimTime};
+use ctms_sim::{Component, Dur, Pcg32, SimTime, Sink};
 use std::collections::VecDeque;
 
 /// Static configuration of the ring.
@@ -563,7 +563,7 @@ impl TokenRing {
     }
 
     /// Starts a purge sequence of `purges` purges at `now`.
-    fn begin_purge(&mut self, now: SimTime, purges: u32, sink: &mut Vec<RingOut>) {
+    fn begin_purge(&mut self, now: SimTime, purges: u32, sink: &mut impl Sink<RingOut>) {
         self.stats.purge_sequences += 1;
         self.stats.purges += u64::from(purges);
         // Destroy any in-flight frame, silently for the transmitter.
@@ -773,7 +773,7 @@ impl Component for TokenRing {
         ctms_sim::earliest([state_deadline, self.next_mac_at])
     }
 
-    fn advance(&mut self, now: SimTime, sink: &mut Vec<RingOut>) {
+    fn advance(&mut self, now: SimTime, sink: &mut impl Sink<RingOut>) {
         // Background MAC traffic generation.
         if self.next_mac_at == Some(now) {
             let mean = Dur::from_secs_f64(1.0 / self.cfg.mac_rate_per_sec);
@@ -915,7 +915,7 @@ impl Component for TokenRing {
         }
     }
 
-    fn handle(&mut self, now: SimTime, cmd: RingCmd, sink: &mut Vec<RingOut>) {
+    fn handle(&mut self, now: SimTime, cmd: RingCmd, sink: &mut impl Sink<RingOut>) {
         match cmd {
             RingCmd::Submit(frame) => {
                 let idx = frame.src.0 as usize;

@@ -9,7 +9,7 @@ use crate::driver::KernOut;
 use crate::ids::{DropSite, KTag, MeasurePoint, Pid, Port};
 use crate::kernel::{KernCmd, Kernel};
 use ctms_rtpc::{MachOut, Machine};
-use ctms_sim::{CascadeGuard, Component, SimTime};
+use ctms_sim::{CascadeGuard, Component, SimTime, Sink};
 use ctms_tokenring::Frame;
 
 /// Commands into a host (ring events, plus direct kernel injection for
@@ -101,7 +101,7 @@ impl Host {
     /// Routes the pending kernel outputs (`self.kouts`): machine commands
     /// inward (producing into `self.mouts`), the rest translated to
     /// [`HostOut`].
-    fn route_kern_outs(&mut self, now: SimTime, sink: &mut Vec<HostOut>) {
+    fn route_kern_outs(&mut self, now: SimTime, sink: &mut impl Sink<HostOut>) {
         // Lend the buffer out so `self.machine` stays borrowable.
         let mut kouts = std::mem::take(&mut self.kouts);
         for o in kouts.drain(..) {
@@ -150,7 +150,7 @@ impl Host {
     /// Ping-pongs between kernel and machine until the instant is
     /// settled, starting from whatever is pending in `self.kouts`. Both
     /// buffers are empty on return.
-    fn settle(&mut self, now: SimTime, sink: &mut Vec<HostOut>) {
+    fn settle(&mut self, now: SimTime, sink: &mut impl Sink<HostOut>) {
         loop {
             if self.kouts.is_empty() {
                 break;
@@ -176,9 +176,13 @@ impl ctms_sim::Persist for Host {
         self.kernel.persist(enc);
     }
 
+    /// Restores both halves, then checks every tag the machine holds
+    /// against the kernel's tables: only here are both in view.
     fn restore(&mut self, dec: &mut ctms_sim::Dec<'_>) -> Result<(), ctms_sim::PersistError> {
         self.machine.restore(dec)?;
         self.kernel.restore(dec)?;
+        self.kernel
+            .check_machine_tags(self.machine.dma_tags(), self.machine.job_tags())?;
         self.guard = CascadeGuard::default();
         self.kouts.clear();
         self.mouts.clear();
@@ -194,7 +198,7 @@ impl Component for Host {
         ctms_sim::earliest([self.machine.next_deadline(), self.kernel.next_deadline()])
     }
 
-    fn advance(&mut self, now: SimTime, sink: &mut Vec<HostOut>) {
+    fn advance(&mut self, now: SimTime, sink: &mut impl Sink<HostOut>) {
         debug_assert!(self.kouts.is_empty() && self.mouts.is_empty());
         self.machine.advance(now, &mut self.mouts);
         self.route_mach_outs(now);
@@ -204,7 +208,7 @@ impl Component for Host {
         self.settle(now, sink);
     }
 
-    fn handle(&mut self, now: SimTime, cmd: HostCmd, sink: &mut Vec<HostOut>) {
+    fn handle(&mut self, now: SimTime, cmd: HostCmd, sink: &mut impl Sink<HostOut>) {
         debug_assert!(self.kouts.is_empty() && self.mouts.is_empty());
         match cmd {
             HostCmd::RingDelivered(frame) => {
@@ -373,6 +377,74 @@ mod tests {
         // its remaining 15 ms at 30 ms.
         assert_eq!(exits[0], (SimTime::from_ms(15), b));
         assert_eq!(exits[1], (SimTime::from_ms(30), a));
+    }
+
+    #[test]
+    fn restore_refuses_a_machine_tag_the_kernel_does_not_hold() {
+        use ctms_rtpc::{Job, MachCmd, MemRegion};
+        use ctms_sim::{Dec, Enc, Persist, PersistError};
+        let dma = |tag| MachCmd::StartDma {
+            bytes: 100,
+            per_byte: Dur::from_us(1),
+            region: MemRegion::IoChannel,
+            tag,
+        };
+        let job = |tag| {
+            MachCmd::Push(Job {
+                tag,
+                cost: Dur::from_us(50),
+                level: ExecLevel::User,
+            })
+        };
+        let driver = |id| KTag::Driver {
+            id: DriverId(id),
+            token: 0,
+        };
+        let proc = |pid| KTag::Proc {
+            pid: Pid(pid),
+            token: 0,
+        };
+        // Each case starts from a host whose CPU runs the first hardclock
+        // body, kernel job 1 (the clock's IRQ at 10 ms, 25 µs of dispatch).
+        let start = SimTime::from_us(10_050);
+        let ticking = || {
+            let (mut host, dev) = build_host(true);
+            let _ = drain_component(&mut host, start);
+            assert!(host
+                .machine
+                .job_tags()
+                .any(|t| t == KTag::Kern { token: 1 }));
+            (host, dev)
+        };
+        let dev = ticking().1;
+        for (cmd, held) in [
+            (dma(driver(dev.0)), true),
+            (dma(driver(255)), false),
+            (dma(proc(0)), false),
+            (job(driver(1)), false),
+            (job(proc(3)), false),
+            (job(KTag::Kern { token: 7 }), false),
+            (job(KTag::Kern { token: 1 }), false),
+        ] {
+            let (mut host, _) = ticking();
+            host.machine.handle(start, cmd, &mut Vec::new());
+            let mut enc = Enc::new();
+            host.persist(&mut enc);
+            let bytes = enc.into_bytes();
+            let (mut back, _) = build_host(true);
+            let got = back.restore(&mut Dec::new(&bytes));
+            if held {
+                got.expect("a pending kernel job and a DMA its driver started restore");
+                let _ = drain_component(&mut back, SimTime::from_ms(11));
+                assert_eq!(back.machine.active_dmas(), 0, "the restored DMA completed");
+                assert_eq!(back.kernel.stats().ticks, 1, "the restored hardclock ran");
+            } else {
+                assert!(
+                    matches!(got, Err(PersistError::Mismatch(_))),
+                    "{cmd:?}: {got:?}"
+                );
+            }
+        }
     }
 
     #[test]

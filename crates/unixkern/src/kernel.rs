@@ -1,7 +1,9 @@
 //! The kernel: driver host, process scheduler, socket/protocol engine,
 //! clock, and timers.
 //!
-//! The kernel is a passive [`Component`]. Its commands are the machine's
+//! The kernel is a passive state machine with a component's shape
+//! ([`Kernel::next_deadline`], [`Kernel::advance`], [`Kernel::handle`]),
+//! driven only by its [`crate::Host`]. Its commands are the machine's
 //! outputs (interrupt entries, job/DMA completions) and ring events; its
 //! outputs drive the machine (CPU jobs, DMA starts, IRQ raises) and the
 //! ring (frame submissions), and report measurement-point crossings,
@@ -13,7 +15,7 @@ use crate::mbuf::{AllocResult, MbufChain, MbufPool, MbufStats};
 use crate::proc::{PState, Proc, Program, Stage, Step, Wait};
 use crate::socket::{MetaKind, Sock, SockMeta, SockProto, ACK_LEN, TCP_OVERHEAD, UDP_OVERHEAD};
 use ctms_rtpc::{CopyCost, ExecLevel, MachCmd, MemRegion};
-use ctms_sim::{Component, Dur, Pcg32, SimTime};
+use ctms_sim::{Dur, Pcg32, SimTime};
 use ctms_tokenring::{Frame, Proto, StationId};
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 
@@ -420,6 +422,48 @@ impl Kernel {
             seq: self.timer_seq,
             target,
         });
+    }
+
+    /// Checks the tags a restored machine holds, its in-flight DMAs'
+    /// and its CPU jobs', against this kernel's tables: a DMA completes
+    /// only into a driver, and each tag must name a driver in the table,
+    /// a process in the process table, or a pending kernel job (each
+    /// held once), or its completion would index past a table.
+    pub(crate) fn check_machine_tags(
+        &self,
+        dmas: impl Iterator<Item = KTag>,
+        jobs: impl Iterator<Item = KTag>,
+    ) -> Result<(), ctms_sim::PersistError> {
+        let refuse = |what: String| {
+            Err(ctms_sim::PersistError::mismatch(format!(
+                "host checkpoint has {what}, which the rebuilt kernel does not hold"
+            )))
+        };
+        let mut kern = Vec::new();
+        for (tag, dma) in dmas.map(|t| (t, true)).chain(jobs.map(|t| (t, false))) {
+            match tag {
+                KTag::Driver { id, .. } => {
+                    if usize::from(id.0) >= self.drivers.len() {
+                        return refuse(format!("work for driver {}", id.0));
+                    }
+                }
+                _ if dma => return refuse(format!("a DMA tagged {tag:?}")),
+                KTag::Proc { pid, .. } => {
+                    if pid.0 as usize >= self.procs.len() {
+                        return refuse(format!("a job for process {}", pid.0));
+                    }
+                }
+                KTag::Kern { token } => kern.push(token),
+            }
+        }
+        kern.sort_unstable();
+        for (k, &token) in kern.iter().enumerate() {
+            let pending = self.kern_jobs.binary_search_by_key(&token, |e| e.0).is_ok();
+            if !pending || kern.get(k + 1) == Some(&token) {
+                return refuse(format!("a kernel job with token {token}"));
+            }
+        }
+        Ok(())
     }
 
     fn alloc_kern_job(&mut self, job: KernJob) -> u64 {
@@ -1326,18 +1370,24 @@ impl ctms_sim::Persist for Kernel {
     }
 }
 
-impl Component for Kernel {
-    type Cmd = KernCmd;
-    type Out = KernOut;
-
-    fn next_deadline(&self) -> Option<SimTime> {
+/// The kernel's event interface. Only [`crate::Host`] calls it: the
+/// host feeds in the machine's outputs and ring events and collects
+/// what comes out in one retained `Vec` (the buffer every device
+/// driver's [`Ctx`] writes too), so these take that `Vec` rather than
+/// a generic sink.
+impl Kernel {
+    /// The next instant the kernel needs control: boot, then its
+    /// earliest timer.
+    pub fn next_deadline(&self) -> Option<SimTime> {
         if !self.booted {
             return Some(SimTime::ZERO);
         }
         self.timers.peek().map(|t| t.at)
     }
 
-    fn advance(&mut self, now: SimTime, sink: &mut Vec<KernOut>) {
+    /// Boots if it has not, fires every timer due at or before `now`,
+    /// and runs the work that follows, appending outputs to `sink`.
+    pub fn advance(&mut self, now: SimTime, sink: &mut Vec<KernOut>) {
         if !self.booted {
             self.boot(now, sink);
         }
@@ -1369,7 +1419,9 @@ impl Component for Kernel {
         self.drain_work(now, sink);
     }
 
-    fn handle(&mut self, now: SimTime, cmd: KernCmd, sink: &mut Vec<KernOut>) {
+    /// Delivers `cmd` at `now` and runs the work that follows,
+    /// appending outputs to `sink`.
+    pub fn handle(&mut self, now: SimTime, cmd: KernCmd, sink: &mut Vec<KernOut>) {
         match cmd {
             KernCmd::IrqEntered { line } => {
                 if line == LINE_CLOCK {
@@ -1419,7 +1471,7 @@ mod tests {
     use super::*;
     use crate::host::{Host, HostCmd, HostOut};
     use ctms_rtpc::{Machine, MachineConfig};
-    use ctms_sim::drain_component;
+    use ctms_sim::{drain_component, Component};
 
     fn quiet_host(cfg: KernConfig) -> Host {
         Host::new(
@@ -1578,7 +1630,7 @@ mod tests {
             let got = back.restore(&mut Dec::new(&bytes));
             if taken {
                 got.expect("a timer its driver takes restores");
-                let _ = drain_component(&mut back, SimTime::from_ms(10));
+                back.advance(SimTime::from_ms(10), &mut Vec::new());
                 assert!(back.timers.is_empty(), "the restored timer fired");
             } else {
                 assert!(

@@ -9,7 +9,7 @@
 //! generates exactly those, from "phantom" stations that transmit and
 //! receive without a host model attached.
 
-use ctms_sim::{Component, Dur, Pcg32, SimTime};
+use ctms_sim::{Component, Dur, Pcg32, SimTime, Sink};
 use ctms_tokenring::{Disturb, Frame, FrameId, FrameKind, Proto, StationId};
 
 /// Phantom-traffic configuration.
@@ -242,7 +242,7 @@ impl Component for PhantomTraffic {
         ])
     }
 
-    fn advance(&mut self, now: SimTime, sink: &mut Vec<PhantomOut>) {
+    fn advance(&mut self, now: SimTime, sink: &mut impl Sink<PhantomOut>) {
         if self.next_small == Some(now) {
             self.next_small = self.reschedule(self.cfg.small_rate, now);
             self.stats.small += 1;
@@ -318,7 +318,7 @@ impl Component for PhantomTraffic {
         }
     }
 
-    fn handle(&mut self, _now: SimTime, _cmd: (), _sink: &mut Vec<PhantomOut>) {}
+    fn handle(&mut self, _now: SimTime, _cmd: (), _sink: &mut impl Sink<PhantomOut>) {}
 
     fn publish_telemetry(&self, scope: &mut ctms_sim::telemetry::Scope<'_>) {
         use ctms_sim::Instrument as _;

@@ -117,14 +117,14 @@ case "$tree_bench" in
   *) echo "perfbench city-tree smoke: correctness gate failed: $tree_bench" >&2; exit 1 ;;
 esac
 
-echo "== perfbench city-tree footprint (untraced tree/10^4 at 2 shards: the correctness gate must pass and peak RSS stay at most 56 MB, where it reads about 36: a node slot sized for a ring, shard tables reserved once, a station queue that allocates only for a second frame)"
+echo "== perfbench city-tree footprint (untraced tree/10^4 at 2 shards: the correctness gate must pass and peak RSS stay at most 42 MB, where it reads about 32: a node slot sized for a ring with no output scratch, shard tables reserved once, a station queue that allocates only for a second frame)"
 tree_mem=$(bash perfbench/run.sh --workload city-tree --seed 1 --seconds 1 --trace 0 | tail -n 1)
 case "$tree_mem" in
   *'"correct": true'*'"failed": 0'*) ;;
   *) echo "perfbench city-tree footprint: correctness gate failed: $tree_mem" >&2; exit 1 ;;
 esac
-python3 -c 'import json, sys; rss = json.loads(sys.argv[1])["metrics"]["peak_rss_mb"]["value"]; print(f"peak_rss_mb {rss:.1f}"); sys.exit(rss > 56)' "$tree_mem" \
-  || { echo "perfbench city-tree footprint: peak RSS above 56 MB: $tree_mem" >&2; exit 1; }
+python3 -c 'import json, sys; rss = json.loads(sys.argv[1])["metrics"]["peak_rss_mb"]["value"]; print(f"peak_rss_mb {rss:.1f}"); sys.exit(rss > 42)' "$tree_mem" \
+  || { echo "perfbench city-tree footprint: peak RSS above 42 MB: $tree_mem" >&2; exit 1; }
 
 echo "== perfbench paper-ab footprint (untraced cases A and B with the H1-H7 analysis: the correctness gate must pass and peak RSS stay at most 18 MB, where it reads about 14: the TAP keeps counts, not records; a measurement set borrows the truth logs; kept samples are packed as a few bytes of delta each; H5-H7 pair two tag-ordered logs in one merge)"
 paper_mem=$(bash perfbench/run.sh --workload paper-ab --seed 1 --seconds 1 --trace 0 | tail -n 1)
