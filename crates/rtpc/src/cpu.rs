@@ -360,9 +360,16 @@ fn persist_body<T: Persist>(enc: &mut Enc, body: &Body<T>) {
     }
 }
 
+/// Decodes a job body. A dispatch body's line must be one of the
+/// machine's `IRQ_LINES`: its completion indexes the owner's line map.
 fn restore_body<T: Persist + Default>(dec: &mut Dec<'_>) -> Result<Body<T>, PersistError> {
     match dec.u8()? {
-        0 => Ok(Body::IrqDispatch(dec.u8()?)),
+        0 => match dec.u8()? {
+            line if usize::from(line) < IRQ_LINES => Ok(Body::IrqDispatch(line)),
+            line => Err(PersistError::mismatch(format!(
+                "cpu irq dispatch on line {line}, past the machine's {IRQ_LINES} lines"
+            ))),
+        },
         1 => Ok(Body::Work(ctms_sim::decode_new(dec)?)),
         tag => Err(PersistError::BadTag {
             what: "cpu job body",
@@ -539,6 +546,44 @@ mod tests {
         let mut sink = Vec::new();
         c.handle(now, CpuCmd::Push(Job { tag, cost, level }), &mut sink);
         sink
+    }
+
+    #[test]
+    fn restored_irq_dispatch_lines_past_the_line_map_are_refused() {
+        // A dispatch body on a line past `IRQ_LINES` would, once it
+        // completed, index past the kernel's line map: restore refuses
+        // it as a typed mismatch, whether the body runs or waits.
+        let image = |line: u8, running: bool| {
+            let mut c = cpu();
+            let body = Body::IrqDispatch(line);
+            if running {
+                c.running = Some(Running {
+                    body,
+                    level: 7,
+                    remaining: Dur::from_us(25),
+                    as_of: SimTime::ZERO,
+                });
+            } else {
+                c.ready[3].push_back((body, Dur::from_us(25)));
+            }
+            let mut enc = Enc::new();
+            c.persist(&mut enc);
+            enc.into_bytes()
+        };
+        for running in [false, true] {
+            let last = image(IRQ_LINES as u8 - 1, running);
+            cpu()
+                .restore(&mut Dec::new(&last))
+                .expect("the last line restores");
+            for line in [8u8, 255] {
+                let bytes = image(line, running);
+                let err = cpu().restore(&mut Dec::new(&bytes)).unwrap_err();
+                assert!(
+                    matches!(err, PersistError::Mismatch(_)),
+                    "line {line}, running {running}: {err}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -72,12 +72,17 @@ pub trait Component {
     }
 }
 
-/// Returns the earliest of a set of optional deadlines.
+/// Returns the earliest of a set of optional deadlines: a plain fold
+/// over them, for the per-event reschedule path.
 pub fn earliest<I>(deadlines: I) -> Option<SimTime>
 where
     I: IntoIterator<Item = Option<SimTime>>,
 {
-    deadlines.into_iter().flatten().min()
+    deadlines.into_iter().fold(None, |best, d| match (best, d) {
+        (Some(b), Some(d)) => Some(b.min(d)),
+        (None, d) => d,
+        (b, None) => b,
+    })
 }
 
 /// Guard against livelock: bounds the number of same-instant routing

@@ -1,9 +1,9 @@
 //! An indexed d-ary min-heap over node deadlines.
 //!
-//! The scheduler needs three things from its priority queue: pop the
-//! earliest `(SimTime, node)` pair, change one node's deadline in place
-//! (decrease-key *and* increase-key — deadlines move both ways when a
-//! component is commanded), and stay bit-deterministic. A plain
+//! The scheduler needs three things from its priority queue: find every
+//! node due at the earliest instant, change one node's deadline in
+//! place (decrease-key *and* increase-key — deadlines move both ways
+//! when a component is commanded), and stay bit-deterministic. A plain
 //! `BinaryHeap` forces lazy invalidation: every reschedule pushes a new
 //! entry and stale ones are discarded when they surface, so the heap
 //! carries garbage proportional to the routing rate and every `peek`
@@ -19,7 +19,17 @@
 //!
 //! Ordering is lexicographic on `(deadline, node)`, which is exactly the
 //! service order the harness guarantees (registration order on deadline
-//! ties), so pops need no tie-break bookkeeping of their own.
+//! ties).
+//!
+//! # Due nodes keep their slot
+//!
+//! [`IndexedHeap::due`] lists the nodes due at or before an instant
+//! without removing them: it walks the subtree of such keys from the
+//! root (by the heap property nothing below a later key can be due)
+//! and sorts the few node ids it finds. The scheduler then re-keys each
+//! serviced node with one in-place [`IndexedHeap::set`], a single sift,
+//! where popping it and pushing it back would cost a removal (sift down
+//! and sift up) and an insertion (sift up) per event.
 //!
 //! # Layout
 //!
@@ -29,15 +39,15 @@
 //! walk one contiguous `SimTime` array instead of chasing `node → key`
 //! indirections, and a parent-vs-children comparison round touches one
 //! cache line of keys. The node ids ride along as `u32` (the slot array
-//! too), halving the index traffic against the `usize` layout. Pop
-//! order is strictly `(deadline, node)` lexicographic, so the layout is
-//! unobservable: any internal arrangement yields the same service
-//! sequence, which the enumerated-permutation tests below pin.
+//! too), halving the index traffic against the `usize` layout. The
+//! order of `(deadline, node)` pairs is total, so the layout is
+//! unobservable: any internal arrangement yields the same head and the
+//! same due sets, which the enumerated-permutation tests below pin.
 //!
 //! Nothing here allocates after the node-index arrays have grown to the
-//! registered node count: `set`, `peek` and `pop` are allocation-free,
-//! which is what makes the harness hot path zero-allocation in steady
-//! state.
+//! registered node count: `set` and `peek` are allocation-free, and
+//! `due` fills a caller's buffer that keeps its capacity, which is what
+//! makes the harness hot path zero-allocation in steady state.
 
 use crate::time::SimTime;
 
@@ -71,24 +81,6 @@ impl IndexedHeap {
         self.heap_key.reserve_exact(n);
         self.heap_node.reserve_exact(n);
         self.pos.reserve_exact(n);
-    }
-
-    /// Number of scheduled nodes.
-    pub fn len(&self) -> usize {
-        self.heap_node.len()
-    }
-
-    /// True when no node is scheduled.
-    pub fn is_empty(&self) -> bool {
-        self.heap_node.is_empty()
-    }
-
-    /// The deadline the heap holds for `node`, if it is scheduled.
-    pub fn deadline_of(&self, node: usize) -> Option<SimTime> {
-        match self.pos.get(node) {
-            Some(&p) if p != ABSENT => Some(self.heap_key[p as usize]),
-            _ => None,
-        }
     }
 
     /// The earliest `(deadline, node)` pair without removing it.
@@ -132,12 +124,31 @@ impl IndexedHeap {
         }
     }
 
-    /// Removes and returns the earliest `(deadline, node)` pair.
-    pub fn pop(&mut self) -> Option<(SimTime, usize)> {
-        let &node = self.heap_node.first()?;
-        let at = self.heap_key[0];
-        self.remove_at(0);
-        Some((at, node as usize))
+    /// Fills `out` with every node scheduled at or before `t`, in node
+    /// order, and leaves them scheduled. The walk visits only the due
+    /// slots and their children: `out` first serves as the queue of due
+    /// slots, then each slot is replaced by its node.
+    pub fn due(&self, t: SimTime, out: &mut Vec<usize>) {
+        out.clear();
+        if self.heap_key.first().is_none_or(|&at| at > t) {
+            return;
+        }
+        out.push(0);
+        let mut i = 0;
+        while i < out.len() {
+            let first_child = out[i] * D + 1;
+            let end = (first_child + D).min(self.heap_key.len());
+            for c in first_child..end {
+                if self.heap_key[c] <= t {
+                    out.push(c);
+                }
+            }
+            i += 1;
+        }
+        for slot in out.iter_mut() {
+            *slot = self.heap_node[*slot] as usize;
+        }
+        out.sort_unstable();
     }
 
     /// Removes the entry at heap slot `p`, restoring the heap property.
@@ -208,9 +219,15 @@ impl IndexedHeap {
         }
     }
 
-    #[cfg(debug_assertions)]
-    #[allow(dead_code)]
+    #[cfg(test)]
     fn check_invariants(&self) {
+        assert_eq!(self.heap_key.len(), self.heap_node.len(), "key/node arrays");
+        let indexed = self.pos.iter().filter(|&&p| p != ABSENT).count();
+        assert_eq!(
+            indexed,
+            self.heap_node.len(),
+            "pos index counts a stray slot"
+        );
         for (slot, &node) in self.heap_node.iter().enumerate() {
             assert_eq!(
                 self.pos[node as usize], slot as u32,
@@ -232,11 +249,19 @@ mod tests {
         SimTime::from_ns(ns)
     }
 
-    /// Reference: sort the live `(deadline, node)` set.
+    /// `h.set(node, at)`, then the structural invariants.
+    fn set(h: &mut IndexedHeap, node: usize, at: Option<u64>) {
+        h.set(node, at.map(t));
+        h.check_invariants();
+    }
+
+    /// Reference: take the head and unschedule it until none is left,
+    /// which yields the live `(deadline, node)` set in service order.
     fn drain_sorted(h: &mut IndexedHeap) -> Vec<(u64, usize)> {
         let mut out = Vec::new();
-        while let Some((at, n)) = h.pop() {
+        while let Some((at, n)) = h.peek() {
             out.push((at.as_ns(), n));
+            set(h, n, None);
         }
         out
     }
@@ -268,8 +293,9 @@ mod tests {
     #[test]
     fn services_deadlines_in_time_then_node_order_for_all_insertion_orders() {
         // Deadlines with deliberate ties: nodes 1/4 share 50 ns, nodes
-        // 0/3/5 share 20 ns. Whatever the insertion order, pops must come
-        // out sorted by (deadline, node) — the harness's service order.
+        // 0/3/5 share 20 ns. Whatever the insertion order, the heads
+        // must come out sorted by (deadline, node) — the harness's
+        // service order.
         let deadlines = [20u64, 50, 10, 20, 50, 20];
         let mut expected: Vec<(u64, usize)> =
             deadlines.iter().enumerate().map(|(n, &d)| (d, n)).collect();
@@ -278,7 +304,7 @@ mod tests {
         for_each_permutation(deadlines.len(), |perm| {
             let mut h = IndexedHeap::new();
             for &n in perm {
-                h.set(n, Some(t(deadlines[n])));
+                set(&mut h, n, Some(deadlines[n]));
             }
             assert_eq!(drain_sorted(&mut h), expected, "insertion order {perm:?}");
             checked += 1;
@@ -287,16 +313,100 @@ mod tests {
     }
 
     #[test]
+    fn due_lists_exactly_the_nodes_at_or_before_an_instant_for_all_insertion_orders() {
+        // Every insertion order of eleven deadlines (ties at 20 and 50;
+        // enough nodes to fill a second 4-ary level) and every threshold
+        // around them: `due(t)` is the sorted set of nodes due at or
+        // before `t`, and it changes nothing — the drain that follows is
+        // the one a heap never asked yields.
+        let deadlines = [20u64, 50, 10, 20, 50, 20, 35, 90, 10, 70, 20];
+        let mut all: Vec<(u64, usize)> =
+            deadlines.iter().enumerate().map(|(n, &d)| (d, n)).collect();
+        all.sort_unstable();
+        let thresholds = [0u64, 9, 10, 19, 20, 34, 35, 50, 69, 89, 90, 1_000];
+        let mut due = Vec::new();
+        let mut checked = 0u32;
+        // The permutations of the first seven nodes, the last four
+        // inserted after them in index order.
+        for_each_permutation(7, |perm| {
+            let mut h = IndexedHeap::new();
+            for n in perm.iter().copied().chain(7..deadlines.len()) {
+                set(&mut h, n, Some(deadlines[n]));
+            }
+            for &at in &thresholds {
+                h.due(t(at), &mut due);
+                let want: Vec<usize> = (0..deadlines.len())
+                    .filter(|&n| deadlines[n] <= at)
+                    .collect();
+                assert_eq!(due, want, "due({at}) after insertion order {perm:?}");
+                h.check_invariants();
+            }
+            assert_eq!(drain_sorted(&mut h), all, "insertion order {perm:?}");
+            checked += 1;
+        });
+        assert_eq!(checked, 5_040, "all 7! permutations enumerated");
+    }
+
+    #[test]
+    fn due_nodes_rekeyed_in_place_match_the_model() {
+        // The scheduler's step: list the nodes due at the head instant,
+        // then give each a new deadline (or none) in place. After every
+        // step the heap must head the model's (deadline, node) set with
+        // its minimum, whatever order the due nodes are re-keyed in.
+        let initial = [30u64, 10, 10, 40, 10, 25];
+        for_each_permutation(3, |rank| {
+            let mut h = IndexedHeap::new();
+            let mut model: Vec<Option<u64>> = initial.iter().map(|&d| Some(d)).collect();
+            for (n, &d) in initial.iter().enumerate() {
+                set(&mut h, n, Some(d));
+            }
+            let mut due = Vec::new();
+            for step in 0..12u64 {
+                let Some((head, _)) = h.peek() else { break };
+                let now = head.as_ns();
+                h.due(head, &mut due);
+                let want: Vec<usize> = (0..model.len())
+                    .filter(|&n| model[n].is_some_and(|d| d <= now))
+                    .collect();
+                assert_eq!(due, want, "step {step}, rank {rank:?}");
+                let mut order = due.clone();
+                order.sort_by_key(|&n| (rank[n % 3], n));
+                for n in order {
+                    let idle = (n as u64 + step).is_multiple_of(3);
+                    let at = (!idle).then(|| now + 5 + 7 * (n as u64 % 4));
+                    set(&mut h, n, at);
+                    model[n] = at;
+                }
+                let min = (0..model.len())
+                    .filter_map(|n| model[n].map(|d| (d, n)))
+                    .min();
+                assert_eq!(
+                    h.peek().map(|(at, n)| (at.as_ns(), n)),
+                    min,
+                    "step {step}, rank {rank:?}"
+                );
+            }
+            let mut expected: Vec<(u64, usize)> = model
+                .iter()
+                .enumerate()
+                .filter_map(|(n, d)| d.map(|d| (d, n)))
+                .collect();
+            expected.sort_unstable();
+            assert_eq!(drain_sorted(&mut h), expected, "rank {rank:?}");
+        });
+    }
+
+    #[test]
     fn update_key_moves_both_directions() {
         let mut h = IndexedHeap::new();
         for (n, d) in [(0usize, 40u64), (1, 10), (2, 30), (3, 20)] {
-            h.set(n, Some(t(d)));
+            set(&mut h, n, Some(d));
         }
         // Decrease-key: node 0 jumps to the front.
-        h.set(0, Some(t(5)));
+        set(&mut h, 0, Some(5));
         assert_eq!(h.peek(), Some((t(5), 0)));
         // Increase-key: node 0 sinks to the back.
-        h.set(0, Some(t(100)));
+        set(&mut h, 0, Some(100));
         assert_eq!(h.peek(), Some((t(10), 1)));
         assert_eq!(
             drain_sorted(&mut h),
@@ -320,12 +430,12 @@ mod tests {
             let mut h = IndexedHeap::new();
             let initial = [10u64, 20, 30, 25, 40];
             for (n, &d) in initial.iter().enumerate() {
-                h.set(n, Some(t(d)));
+                set(&mut h, n, Some(d));
             }
             let mut model: Vec<Option<u64>> = initial.iter().map(|&d| Some(d)).collect();
             for &k in perm {
                 let (node, at) = ops[k];
-                h.set(node, at.map(t));
+                set(&mut h, node, at);
                 model[node] = at;
             }
             let mut expected: Vec<(u64, usize)> = model
@@ -340,27 +450,34 @@ mod tests {
 
     #[test]
     fn reschedule_after_pop_reenters_cleanly() {
+        // Taking the head off (peek, then unschedule) and scheduling the
+        // node again puts it back in order.
         let mut h = IndexedHeap::new();
-        h.set(0, Some(t(10)));
-        h.set(1, Some(t(20)));
-        assert_eq!(h.pop(), Some((t(10), 0)));
-        assert_eq!(h.deadline_of(0), None);
-        h.set(0, Some(t(15)));
-        assert_eq!(h.deadline_of(0), Some(t(15)));
-        assert_eq!(h.pop(), Some((t(15), 0)));
-        assert_eq!(h.pop(), Some((t(20), 1)));
-        assert_eq!(h.pop(), None);
+        let mut due = Vec::new();
+        set(&mut h, 0, Some(10));
+        set(&mut h, 1, Some(20));
+        assert_eq!(h.peek(), Some((t(10), 0)));
+        set(&mut h, 0, None);
+        h.due(t(15), &mut due);
+        assert!(due.is_empty(), "an unscheduled node is never due");
+        set(&mut h, 0, Some(15));
+        h.due(t(15), &mut due);
+        assert_eq!(due, [0]);
+        assert_eq!(drain_sorted(&mut h), vec![(15, 0), (20, 1)]);
+        assert_eq!(h.peek(), None);
     }
 
     #[test]
     fn unschedule_absent_is_a_no_op() {
         let mut h = IndexedHeap::new();
-        h.set(7, None);
-        assert!(h.is_empty());
-        h.set(7, Some(t(3)));
-        h.set(7, None);
-        assert!(h.is_empty());
-        assert_eq!(h.deadline_of(7), None);
+        set(&mut h, 7, None);
+        assert_eq!(h.peek(), None);
+        set(&mut h, 7, Some(3));
+        set(&mut h, 7, None);
+        assert_eq!(h.peek(), None);
+        let mut due = vec![99];
+        h.due(SimTime::MAX, &mut due);
+        assert!(due.is_empty(), "an empty heap has nothing due");
     }
 
     #[test]
@@ -371,9 +488,9 @@ mod tests {
         for victim in 0..deadlines.len() {
             let mut h = IndexedHeap::new();
             for (n, &d) in deadlines.iter().enumerate() {
-                h.set(n, Some(t(d)));
+                set(&mut h, n, Some(d));
             }
-            h.set(victim, None);
+            set(&mut h, victim, None);
             let mut expected: Vec<(u64, usize)> = deadlines
                 .iter()
                 .enumerate()

@@ -373,7 +373,9 @@ impl<C: Component, R: Router<C>> ShardState<C, R> {
 
     /// Re-syncs the heaps for every node in `touched`, deduplicated by
     /// epoch stamp in O(len) — no sort, no allocation. First-touch order
-    /// is fine: the indexed heap's update-key is order-independent.
+    /// is fine: the indexed heap's update-key is order-independent. A
+    /// due node still holds its slot, so its re-key is one in-place
+    /// sift.
     #[inline(always)]
     fn reschedule_touched(&mut self) {
         self.epoch += 1;
@@ -408,24 +410,6 @@ impl<C: Component, R: Router<C>> ShardState<C, R> {
     /// pending queue is kept sorted).
     fn peek_pending(&self) -> Option<SimTime> {
         self.pending.first().map(|m| m.0.at)
-    }
-
-    /// Fills `due` with every local node scheduled at or before `t`, in
-    /// local (= global registration) order — the heap yields ties in
-    /// that order by construction — keeping the sync heap coherent.
-    #[inline(always)]
-    fn pop_due(&mut self, t: SimTime) {
-        self.due.clear();
-        while let Some((at, l)) = self.heap.peek() {
-            if at > t {
-                break;
-            }
-            self.heap.pop();
-            if self.any_sync && self.sync_local[l] {
-                self.sync_heap.set(l, None);
-            }
-            self.due.push(l);
-        }
     }
 
     /// Routes `wave` breadth-first at `now` until it drains; each
@@ -558,7 +542,10 @@ impl<C: Component, R: Router<C>> ShardState<C, R> {
         self.now = t;
         // A lone shard's window only visits heap instants.
         if cross == Cross::Local || self.heap.peek().is_some_and(|(at, _)| at == t) {
-            self.pop_due(t);
+            // Every node due at `t`, in local (= global registration)
+            // order. They stay in both heaps until `reschedule_touched`
+            // re-keys them.
+            self.heap.due(t, &mut self.due);
             self.touched.clear();
             self.touched.extend_from_slice(&self.due);
             debug_assert!(self.wave.is_empty());
@@ -813,14 +800,27 @@ impl Drop for InFlight<'_> {
     }
 }
 
+/// "No instant" in the coordinator's raw-nanosecond buffers. It is
+/// later than every instant and adding a lookahead leaves it in place,
+/// so in a `min` it acts exactly as an absent `Option` would; an
+/// instant at [`SimTime::MAX`] acts the same, as it always did.
+const NEVER: u64 = u64::MAX;
+
+/// An optional instant as raw nanoseconds, [`NEVER`] for none.
+#[inline(always)]
+fn raw(at: Option<SimTime>) -> u64 {
+    at.map_or(NEVER, SimTime::as_ns)
+}
+
 /// The per-shard window bounds, as a standalone function so the
 /// property tests can drive it over enumerated inputs.
 ///
-/// Inputs are per-shard published state at one coordinator iteration:
-/// `t[k]` is shard `k`'s earliest actionable instant (heap head or
-/// pending-mail head), `b[k]` its earliest sync-class deadline, and
-/// `influence[o * n + k]` the lookahead of the cut edge `o → k` (`None`
-/// when shard `o` cannot send mail to shard `k`).
+/// Inputs are per-shard published state at one coordinator iteration,
+/// in raw nanoseconds with [`NEVER`] for none: `t[k]` is shard `k`'s
+/// earliest actionable instant (heap head or pending-mail head), `b[k]`
+/// its earliest sync-class deadline, and `influence[o * n + k]` the
+/// lookahead of the cut edge `o → k` (`None` when shard `o` cannot send
+/// mail to shard `k`).
 ///
 /// The earliest instant shard `o` can *influence* shard `k` over an
 /// edge is `M(o→k) = min(b[o], A[o] + la(o→k))`: a sync node firing on
@@ -841,18 +841,22 @@ impl Drop for InFlight<'_> {
 /// may run every instant strictly before the earliest moment any other
 /// shard could possibly affect it.
 ///
+/// The sums saturate at [`NEVER`], so an absent instant stays absent
+/// and every relaxation is one `min` on plain integers; the tests hold
+/// the result to the `Option` formulation this replaced.
+///
 /// Two provable orderings anchor the property tests: `E[k]` never
 /// exceeds the per-edge safety bound `min(b[o], t[o] + la(o→k))` of any
 /// single incoming edge (since `A[o] <= t[o]`), and `E[k]` is at least
 /// the classic bounded-window bound `min(run_end, B_min, T + min
 /// incoming la)` (since every `A[o] >= T` and `b[o] >= B_min`).
 pub(crate) fn adaptive_bounds(
-    t: &[Option<SimTime>],
-    b: &[Option<SimTime>],
+    t: &[u64],
+    b: &[u64],
     influence: &[Option<Dur>],
-    run_end: SimTime,
-    a_buf: &mut Vec<Option<SimTime>>,
-    e_buf: &mut Vec<SimTime>,
+    run_end: u64,
+    a_buf: &mut Vec<u64>,
+    e_buf: &mut Vec<u64>,
 ) {
     let n = t.len();
     debug_assert_eq!(b.len(), n);
@@ -869,12 +873,10 @@ pub(crate) fn adaptive_bounds(
                 let Some(la) = influence[o * n + k] else {
                     continue;
                 };
-                let m = crate::engine::earliest([b[o], a_buf[o].map(|a| a.saturating_add(la))]);
-                if let Some(m) = m {
-                    if a_buf[k].is_none_or(|a| m < a) {
-                        a_buf[k] = Some(m);
-                        changed = true;
-                    }
+                let m = b[o].min(a_buf[o].saturating_add(la.as_ns()));
+                if m < a_buf[k] {
+                    a_buf[k] = m;
+                    changed = true;
                 }
             }
         }
@@ -889,16 +891,37 @@ pub(crate) fn adaptive_bounds(
             if o == k {
                 continue;
             }
-            let Some(la) = influence[o * n + k] else {
-                continue;
-            };
-            let m = crate::engine::earliest([b[o], a_buf[o].map(|a| a.saturating_add(la))]);
-            if let Some(m) = m {
-                e = e.min(m);
+            if let Some(la) = influence[o * n + k] {
+                e = e.min(b[o].min(a_buf[o].saturating_add(la.as_ns())));
             }
         }
         e_buf.push(e);
     }
+}
+
+/// The runahead span `S = max(2λ, F_s / ρ)` in nanoseconds at global
+/// minimum `t`, with `ρ = events / (shards · t)` the events per
+/// simulated nanosecond per shard serviced so far; `2λ` until the first
+/// event. `F_s · shards · t` is formed in `u64`, and in `u128` only
+/// when it overflows, so a window pays for no wide division; the
+/// quotient saturates at `u64::MAX`.
+fn runahead_span(events: u64, shards: u64, t: u64, lambda: u64) -> u64 {
+    let floor = lambda.saturating_mul(2);
+    if events == 0 {
+        return floor;
+    }
+    let span = match RUNAHEAD_MIN_EVENTS
+        .checked_mul(shards)
+        .and_then(|f| f.checked_mul(t))
+    {
+        Some(product) => product / events,
+        None => {
+            let wide = u128::from(RUNAHEAD_MIN_EVENTS) * u128::from(shards) * u128::from(t)
+                / u128::from(events);
+            u64::try_from(wide).unwrap_or(u64::MAX)
+        }
+    };
+    span.max(floor)
 }
 
 /// A node's telemetry namespace, given at registration: a whole name,
@@ -979,13 +1002,13 @@ pub struct Harness<C: Component, R: Router<C>> {
     merge_buf: Vec<Vec<Mail<C::Cmd>>>,
     /// Dispatch scratch: indices of shards participating in a round.
     active: Vec<usize>,
-    // Coordinator scratch (cleared and refilled per iteration,
-    // capacity retained — the sharded path is also alloc-free in steady
-    // state).
-    t_buf: Vec<Option<SimTime>>,
-    b_buf: Vec<Option<SimTime>>,
-    a_buf: Vec<Option<SimTime>>,
-    e_buf: Vec<SimTime>,
+    // Coordinator scratch in raw nanoseconds, [`NEVER`] for none
+    // (cleared and refilled per iteration, capacity retained — the
+    // sharded path is also alloc-free in steady state).
+    t_buf: Vec<u64>,
+    b_buf: Vec<u64>,
+    a_buf: Vec<u64>,
+    e_buf: Vec<u64>,
 }
 
 impl<C, R> Harness<C, R>
@@ -1371,8 +1394,8 @@ where
                 s.flush_dirty();
                 let tk = crate::engine::earliest([s.peek(), s.peek_pending()]);
                 t_min = crate::engine::earliest([t_min, tk]);
-                self.t_buf.push(tk);
-                self.b_buf.push(s.peek_sync());
+                self.t_buf.push(raw(tk));
+                self.b_buf.push(raw(s.peek_sync()));
             }
             let Some(t) = t_min else { break };
             if t > horizon {
@@ -1407,23 +1430,23 @@ where
                 &self.t_buf,
                 &self.b_buf,
                 influence,
-                run_end,
+                run_end.as_ns(),
                 &mut self.a_buf,
                 &mut self.e_buf,
             );
             if let Some(lambda) = self.min_lookahead {
-                let span = self.runahead(t, lambda);
-                for (e, tk) in self.e_buf.iter_mut().zip(&self.t_buf) {
-                    if let Some(tk) = tk {
-                        *e = (*e).min(tk.saturating_add(span));
-                    }
+                let span = runahead_span(self.events(), n as u64, t.as_ns(), lambda.as_ns());
+                // A shard with no work has `t[k] = NEVER`, whose cap
+                // saturates to `NEVER` and leaves its bound alone.
+                for (e, &tk) in self.e_buf.iter_mut().zip(&self.t_buf) {
+                    *e = (*e).min(tk.saturating_add(span));
                 }
             }
             self.active.clear();
             for k in 0..n {
-                if self.t_buf[k].is_some_and(|tk| tk < self.e_buf[k]) {
+                if self.t_buf[k] < self.e_buf[k] {
                     let s = &mut self.shards[k];
-                    s.w_end = self.e_buf[k];
+                    s.w_end = SimTime::from_ns(self.e_buf[k]);
                     self.active.push(k);
                 }
             }
@@ -1459,20 +1482,6 @@ where
             "run ended with mail in flight"
         );
         Ok(())
-    }
-
-    /// The runahead span `S = max(2λ, F_s / ρ)` at global minimum `t`,
-    /// with `ρ` the events per simulated nanosecond per shard serviced
-    /// so far; `2λ` until the first event.
-    fn runahead(&self, t: SimTime, lambda: Dur) -> Dur {
-        let floor = Dur::from_ns(lambda.as_ns().saturating_mul(2));
-        let events = u128::from(self.events());
-        if events == 0 {
-            return floor;
-        }
-        let shards = self.shards.len() as u128;
-        let span = u128::from(RUNAHEAD_MIN_EVENTS) * shards * u128::from(t.as_ns()) / events;
-        Dur::from_ns(u64::try_from(span).unwrap_or(u64::MAX)).max(floor)
     }
 
     /// True when this window runs on workers: at least two shards are
@@ -1965,7 +1974,15 @@ mod tests {
                 let Some(t_min) = tv.iter().flatten().copied().min() else {
                     return;
                 };
-                adaptive_bounds(&tv, &bv, influence, run_end, &mut a_buf, &mut e_buf);
+                adaptive_bounds(
+                    &tv.map(raw),
+                    &bv.map(raw),
+                    influence,
+                    run_end.as_ns(),
+                    &mut a_buf,
+                    &mut e_buf,
+                );
+                let e_buf: Vec<SimTime> = e_buf.iter().map(|&e| t(e)).collect();
                 let b_min = bv.iter().flatten().copied().min();
                 for k in 0..3 {
                     for o in 0..3 {
@@ -2012,6 +2029,164 @@ mod tests {
             checked,
             2 * 720,
             "all arrangements × both shapes enumerated"
+        );
+    }
+
+    /// [`adaptive_bounds`] as the coordinator computed it before it
+    /// moved to raw nanoseconds: an `Option` per instant and per edge
+    /// sum. Kept as the oracle the `u64` version must equal.
+    fn adaptive_bounds_oracle(
+        t: &[Option<SimTime>],
+        b: &[Option<SimTime>],
+        influence: &[Option<Dur>],
+        run_end: SimTime,
+    ) -> (Vec<Option<SimTime>>, Vec<SimTime>) {
+        let n = t.len();
+        let mut a = t.to_vec();
+        for _ in 0..n {
+            let mut changed = false;
+            for k in 0..n {
+                for o in 0..n {
+                    if o == k {
+                        continue;
+                    }
+                    let Some(la) = influence[o * n + k] else {
+                        continue;
+                    };
+                    let m = crate::engine::earliest([b[o], a[o].map(|a| a.saturating_add(la))]);
+                    if let Some(m) = m {
+                        if a[k].is_none_or(|a| m < a) {
+                            a[k] = Some(m);
+                            changed = true;
+                        }
+                    }
+                }
+            }
+            if !changed {
+                break;
+            }
+        }
+        let mut e = Vec::new();
+        for k in 0..n {
+            let mut ek = run_end;
+            for o in 0..n {
+                if o == k {
+                    continue;
+                }
+                let Some(la) = influence[o * n + k] else {
+                    continue;
+                };
+                let m = crate::engine::earliest([b[o], a[o].map(|a| a.saturating_add(la))]);
+                if let Some(m) = m {
+                    ek = ek.min(m);
+                }
+            }
+            e.push(ek);
+        }
+        (a, e)
+    }
+
+    #[test]
+    fn adaptive_bounds_in_u64_equal_the_option_oracle() {
+        // PCG-driven inputs at 1 to 8 shards: instants that are mostly
+        // absent, some at or just below `SimTime::MAX` (where an
+        // absent instant and a saturated sum meet), influence rows that
+        // are mostly empty, and lookaheads large enough to saturate.
+        let mut rng = crate::rng::Pcg32::new(30, 1);
+        let instant = |rng: &mut crate::rng::Pcg32| match rng.below(8) {
+            0..=3 => None,
+            4 => Some(SimTime::MAX),
+            5 => Some(t(u64::MAX - rng.below(64))),
+            _ => Some(t(rng.below(1_000))),
+        };
+        let (mut a_buf, mut e_buf) = (Vec::new(), Vec::new());
+        let mut saturated = 0u32;
+        for case in 0..20_000 {
+            let n = 1 + rng.index(8);
+            let tv: Vec<Option<SimTime>> = (0..n).map(|_| instant(&mut rng)).collect();
+            let bv: Vec<Option<SimTime>> = (0..n).map(|_| instant(&mut rng)).collect();
+            let influence: Vec<Option<Dur>> = (0..n * n)
+                .map(|i| {
+                    let edge = i / n != i % n && rng.below(3) == 0;
+                    edge.then(|| match rng.below(4) {
+                        0 => Dur::from_ns(u64::MAX - rng.below(64)),
+                        _ => Dur::from_ns(1 + rng.below(200)),
+                    })
+                })
+                .collect();
+            let run_end = match rng.below(4) {
+                0 => SimTime::MAX,
+                _ => t(rng.below(2_000)),
+            };
+            let (a, e) = adaptive_bounds_oracle(&tv, &bv, &influence, run_end);
+            let raw_t: Vec<u64> = tv.iter().map(|&x| raw(x)).collect();
+            let raw_b: Vec<u64> = bv.iter().map(|&x| raw(x)).collect();
+            adaptive_bounds(
+                &raw_t,
+                &raw_b,
+                &influence,
+                run_end.as_ns(),
+                &mut a_buf,
+                &mut e_buf,
+            );
+            let want_a: Vec<u64> = a.iter().map(|&x| raw(x)).collect();
+            let want_e: Vec<u64> = e.iter().map(|x| x.as_ns()).collect();
+            assert_eq!(a_buf, want_a, "case {case}: A (t={tv:?} b={bv:?})");
+            assert_eq!(e_buf, want_e, "case {case}: E (t={tv:?} b={bv:?})");
+            saturated += u32::from(a.contains(&Some(SimTime::MAX)));
+        }
+        assert!(
+            saturated > 1_000,
+            "saturated fixpoints exercised: {saturated}"
+        );
+    }
+
+    #[test]
+    fn runahead_span_in_u64_equals_the_u128_formula() {
+        // The formula as the coordinator computed it before: every
+        // product in `u128`.
+        let wide = |events: u64, shards: u64, t: u64, lambda: u64| -> u64 {
+            let floor = lambda.saturating_mul(2);
+            if events == 0 {
+                return floor;
+            }
+            let span = u128::from(RUNAHEAD_MIN_EVENTS) * u128::from(shards) * u128::from(t)
+                / u128::from(events);
+            u64::try_from(span).unwrap_or(u64::MAX).max(floor)
+        };
+        let mut rng = crate::rng::Pcg32::new(30, 2);
+        let mut overflowed = 0u32;
+        for _ in 0..100_000 {
+            let shards = 1 + rng.below(8);
+            // Around the largest instant whose product still fits.
+            let edge = u64::MAX / (RUNAHEAD_MIN_EVENTS * shards);
+            let t = match rng.below(4) {
+                0 => rng.next_u64(),
+                1 => edge - 2 + rng.below(5),
+                2 => u64::MAX - rng.below(1 << 20),
+                _ => rng.below(1 << 40),
+            };
+            let events = match rng.below(4) {
+                0 => 0,
+                1 => 1 + rng.below(10),
+                2 => rng.next_u64(),
+                _ => 1 + rng.below(1 << 30),
+            };
+            let lambda = match rng.below(3) {
+                0 => 0,
+                1 => rng.below(1_000_000),
+                _ => rng.next_u64(),
+            };
+            overflowed += u32::from(t > edge);
+            assert_eq!(
+                runahead_span(events, shards, t, lambda),
+                wide(events, shards, t, lambda),
+                "events {events}, shards {shards}, t {t}, lambda {lambda}"
+            );
+        }
+        assert!(
+            overflowed > 10_000,
+            "overflowing products exercised: {overflowed}"
         );
     }
 

@@ -6,7 +6,7 @@
 //! from one in the harness. [`build_ring`] wires `n` periodic tickers
 //! into a command ring: every fire is routed as a command to the next
 //! node, which re-emits with a decremented hop budget, exercising the
-//! full hot path (deadline pop, advance, route, handle, same-instant
+//! full hot path (due-node lookup, advance, route, handle, same-instant
 //! cascade, reschedule/update-key) with nothing but `u64` payloads.
 //!
 //! Used by `tests/zero_alloc.rs` and `tests/zero_alloc_sharded.rs`,

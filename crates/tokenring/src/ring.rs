@@ -208,7 +208,7 @@ struct Busy {
     observe_at: Option<SimTime>,
     /// Pending deliveries, earliest first. Unicast frames have one entry;
     /// broadcast LLC frames (ARP) one per other inserted station.
-    deliveries: VecDeque<(SimTime, StationId)>,
+    deliveries: Deliveries,
     strip_at: SimTime,
     will_deliver: bool,
 }
@@ -222,6 +222,14 @@ enum TokenAction {
     Lower(StationId),
 }
 
+/// A transmission's pending deliveries: `(instant, destination)`.
+type Deliveries = VecDeque<(SimTime, StationId)>;
+
+/// The medium's state. The delivery queue of the last transmission
+/// passes, emptied, from state to state (`spare` outside `Busy`) until
+/// the next frame takes it, so a frame allocates nothing once the queue
+/// has grown; the spare fits beside the smaller variants' fields, so
+/// carrying it costs the ring no bytes. It is never persisted.
 #[derive(Clone, Debug)]
 enum Medium {
     /// Token circulating from `at` since `released_at` with `priority`.
@@ -229,6 +237,7 @@ enum Medium {
         released_at: SimTime,
         at: StationId,
         priority: u8,
+        spare: Deliveries,
     },
     /// A frame on the ring.
     Busy(Busy),
@@ -236,6 +245,7 @@ enum Medium {
     Purging {
         until: SimTime,
         obs: VecDeque<SimTime>,
+        spare: Deliveries,
     },
 }
 
@@ -320,6 +330,7 @@ impl TokenRing {
                 released_at: SimTime::ZERO,
                 at: StationId(0),
                 priority: 0,
+                spare: Deliveries::new(),
             },
             next_mac_at,
             next_frame_id: 1,
@@ -433,6 +444,7 @@ impl TokenRing {
             released_at,
             at,
             priority,
+            ..
         } = &self.state
         else {
             return None;
@@ -499,11 +511,26 @@ impl TokenRing {
         } else {
             captured_priority
         };
+        let spare = self.take_deliveries();
         self.state = Medium::TokenFree {
             released_at: now,
             at: station,
             priority,
+            spare,
         };
+    }
+
+    /// Takes the delivery queue the medium holds, emptied, for the next
+    /// state (or frame) to keep.
+    fn take_deliveries(&mut self) -> Deliveries {
+        let mut queue = match &mut self.state {
+            Medium::TokenFree { spare, .. } | Medium::Purging { spare, .. } => {
+                std::mem::take(spare)
+            }
+            Medium::Busy(b) => std::mem::take(&mut b.deliveries),
+        };
+        queue.clear();
+        queue
     }
 
     fn view(frame: &Frame) -> FrameView {
@@ -524,10 +551,10 @@ impl TokenRing {
     fn begin_transmit(&mut self, now: SimTime, frame: Frame, captured_priority: u8) {
         let tx = self.tx_time(&frame);
         let l = self.ring_latency();
-        let mut deliveries: Vec<(SimTime, StationId)> = Vec::new();
+        let mut deliveries = self.take_deliveries();
         match frame.dst {
             Some(d) if (d.0 as usize) < self.stations.len() => {
-                deliveries.push((now + self.walk(frame.src, d) + tx, d));
+                deliveries.push_back((now + self.walk(frame.src, d) + tx, d));
             }
             Some(_) => {}
             None => {
@@ -537,13 +564,14 @@ impl TokenRing {
                     for i in 0..self.stations.len() as u32 {
                         let d = StationId(i);
                         if d != frame.src {
-                            deliveries.push((now + self.walk(frame.src, d) + tx, d));
+                            deliveries.push_back((now + self.walk(frame.src, d) + tx, d));
                         }
                     }
                 }
             }
         }
-        deliveries.sort();
+        // Destinations are distinct, so no two entries tie.
+        deliveries.make_contiguous().sort_unstable();
         let will_deliver = !deliveries.is_empty();
         // The transmitter strips its frame as it returns; the strip (and
         // with it the copied-bit delivery confirmation of §3) completes
@@ -553,7 +581,7 @@ impl TokenRing {
         let strip_at = now + tx + l;
         self.state = Medium::Busy(Busy {
             observe_at: Some(now + tx),
-            deliveries: deliveries.into_iter().collect(),
+            deliveries,
             strip_at,
             captured_at: now,
             captured_priority,
@@ -598,7 +626,8 @@ impl TokenRing {
             until += self.cfg.purge_duration;
         }
         sink.push(RingOut::PurgeStarted { purges });
-        self.state = Medium::Purging { until, obs };
+        let spare = self.take_deliveries();
+        self.state = Medium::Purging { until, obs, spare };
     }
 }
 
@@ -623,6 +652,7 @@ impl ctms_sim::Persist for TokenRing {
                 released_at,
                 at,
                 priority,
+                ..
             } => {
                 enc.u8(0);
                 enc.time(*released_at);
@@ -643,7 +673,7 @@ impl ctms_sim::Persist for TokenRing {
                 enc.time(b.strip_at);
                 enc.bool(b.will_deliver);
             }
-            Medium::Purging { until, obs } => {
+            Medium::Purging { until, obs, .. } => {
                 enc.u8(2);
                 enc.time(*until);
                 enc.seq_len(obs.len());
@@ -705,6 +735,7 @@ impl ctms_sim::Persist for TokenRing {
                 released_at: dec.time()?,
                 at: StationId(dec.u32()?),
                 priority: dec.u8()?,
+                spare: Deliveries::new(),
             },
             1 => Medium::Busy(Busy {
                 frame: decode_frame(dec)?,
@@ -721,6 +752,7 @@ impl ctms_sim::Persist for TokenRing {
             2 => Medium::Purging {
                 until: dec.time()?,
                 obs: dec.seq(|d| d.time())?.into_iter().collect(),
+                spare: Deliveries::new(),
             },
             tag => {
                 return Err(ctms_sim::PersistError::BadTag {
@@ -766,7 +798,7 @@ impl Component for TokenRing {
                 b.deliveries.front().map(|&(t, _)| t),
                 Some(b.strip_at),
             ]),
-            Medium::Purging { until, obs } => {
+            Medium::Purging { until, obs, .. } => {
                 ctms_sim::earliest([obs.front().copied(), Some(*until)])
             }
         };
@@ -872,7 +904,7 @@ impl Component for TokenRing {
                         break;
                     }
                 }
-                Medium::Purging { until, obs } => {
+                Medium::Purging { until, obs, .. } => {
                     if obs.front() == Some(&now) {
                         obs.pop_front();
                         let id = self.alloc_frame_id();
@@ -902,10 +934,12 @@ impl Component for TokenRing {
                         // The purge resets the ring: new token at priority
                         // 0 from the Active Monitor, all stacks cleared.
                         self.stack.clear();
+                        let spare = self.take_deliveries();
                         self.state = Medium::TokenFree {
                             released_at: now,
                             at: StationId(0),
                             priority: 0,
+                            spare,
                         };
                         continue;
                     }
@@ -990,6 +1024,14 @@ mod tests {
     fn bit_time_at_4mbit_is_250ns() {
         let r = ring_with(2);
         assert_eq!(r.bit_time(), Dur::from_ns(250));
+    }
+
+    #[test]
+    fn the_spare_delivery_queue_costs_the_medium_no_bytes() {
+        // The ring's size sets every node slot's (`ctms-core`): the
+        // recycled queue must fit beside the variants smaller than
+        // `Busy`.
+        assert_eq!(std::mem::size_of::<Medium>(), std::mem::size_of::<Busy>());
     }
 
     #[test]

@@ -13,7 +13,7 @@ cargo clippy --workspace --all-targets -- -D warnings -W clippy::or_fun_call
 echo "== tier-1: cargo build --release"
 cargo build --release
 
-echo "== tier-1: cargo test -q (every workspace crate: shard parity on and off the shard workers, checkpoints, serve, zero-alloc steady state at 1 and 2 shards on 2 threads)"
+echo "== tier-1: cargo test -q (every workspace crate: shard parity on and off the shard workers, the fddi/32 window-schedule pin, checkpoints, serve, zero-alloc steady state at 1 and 2 shards on 2 threads, paper cases within 0.01 allocations per event)"
 cargo test -q
 
 echo "== ctms-serve smoke (session, run, checkpoint/restore round trip)"

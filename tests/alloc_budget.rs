@@ -6,8 +6,10 @@
 //! kernels, drivers — on bare case-A and case-B buses (no history sink),
 //! so it also sees every buffer a node or the router keeps per output.
 //! A node's outputs go straight into the scheduler's wave through a
-//! closure sink; what still allocates is per-frame substrate state, well
-//! under one allocation in five events.
+//! closure sink, a ring recycles its delivery queue from frame to frame
+//! and an RT/PC machine completes its DMAs in place, so what still
+//! allocates is rare growth: 6 allocations over 48,950 events in case A
+//! and 41 over 81,712 in case B (seed 1), well under one in a hundred.
 //!
 //! Installs the counting global allocator, so it lives alone in its own
 //! test binary, and measures both cases in one test so no concurrent
@@ -21,7 +23,7 @@ use ctms_sim::SimTime;
 static ALLOC: CountingAlloc = CountingAlloc::new();
 
 /// Allocations per event a bare paper-case bus may make in steady state.
-const BUDGET: f64 = 0.2;
+const BUDGET: f64 = 0.01;
 
 #[test]
 fn paper_cases_stay_within_the_allocation_budget() {

@@ -207,7 +207,8 @@ fn topology_variants_share_the_golden_truth() {
     // wall clocks across shard counts: the per-cut-edge lookahead
     // windows are pure scheduling. The window schedule itself (the
     // execution counters) must not vary between two builds of the same
-    // configuration; its values are not pinned, only its repeatability.
+    // configuration; here only its repeatability is checked, and
+    // `fddi_window_schedule_is_pinned` below pins fddi/32's values.
     use ctms_core::{RingChainTestbed, RingGraph};
     use ctms_router::BridgeKind;
 
@@ -312,6 +313,50 @@ fn topology_variants_share_the_golden_truth() {
             );
         }
     }
+}
+
+#[test]
+fn fddi_window_schedule_is_pinned() {
+    // perfbench's fddi-thin shape (fddi/32 at 2 shards, 1 s run calls)
+    // at seed 1 for 4 simulated seconds. The parity tests above hold the
+    // simulated outputs to one shard and the window schedule to itself;
+    // this pins the schedule to recorded values, so a change to the
+    // coordinator's arithmetic (window bounds, runahead span) or to how
+    // a shard picks its due nodes that moves one window boundary is
+    // caught here even when the outputs do not move.
+    use ctms_core::{graph_topology, RingGraph};
+    use ctms_router::BridgeKind;
+
+    let sc = Scenario::scaled_chain(1);
+    let graph = RingGraph::named("fddi", 32, 1).expect("a known shape");
+    let mut bus = graph_topology(&sc, BridgeKind::cut_through_bridge(), &graph)
+        .0
+        .build_sharded(2);
+    assert_eq!(bus.shard_count(), 2);
+    for s in 1..=4 {
+        bus.try_run_until(SimTime::from_secs(s))
+            .expect("fddi/32 runs clean");
+    }
+    let reg = bus.exec_telemetry().expect("a sharded bus");
+    let count = |key: &str| reg.counter_value(key).unwrap_or(0);
+    let shards: Vec<(u64, u64)> = (0..2)
+        .map(|k| {
+            let s = bus.shard_stats(k);
+            (s.window_advances, s.idle_windows)
+        })
+        .collect();
+    let got = (
+        count("sched.windows"),
+        count("sched.sync_instants"),
+        count("sched.mail_rounds"),
+        shards,
+        bus.events(),
+    );
+    assert_eq!(
+        got,
+        (5_380, 0, 332, vec![(3_640, 1_740), (3_533, 1_847)], 39_026),
+        "fddi/32 window schedule drifted"
+    );
 }
 
 #[test]
